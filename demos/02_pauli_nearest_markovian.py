@@ -10,7 +10,8 @@ squared distance 0.12 * eps^2. The hyperplane through the projection point,
 
 satisfies Tr(W C_N) = -||C_N - C_M*||^2 < 0 while staying nonnegative on the
 whole divisible family. The unrestricted projection over all generators
-(Hamiltonian + Kossakowski matrix) lands on the same point here.
+(trace-preserving, conditionally completely positive generator Choi
+matrices) lands on the same point here.
 """
 
 import numpy as np
@@ -46,7 +47,7 @@ print("\n--- projection onto the full generator family ---")
 print(f"residual            : {full.residual:.9e}")
 print(f"fixed-basis residual: {fixed.residual:.9e}")
 print("Kossakowski spectrum:", np.round(np.linalg.eigvalsh(full.kossakowski), 6))
-print(f"converged in {full.iterations} projected-gradient steps")
+print(f"converged in {full.iterations} Dykstra iterations")
 
 w = theorem3_witness(cn, fixed.choi_star)
 print("\n--- distance witness ---")

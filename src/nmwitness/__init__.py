@@ -22,8 +22,6 @@ from .linalg import (
     hermitian_eig,
     hs_inner,
     hs_norm,
-    kron,
-    matmul,
     matrix_exp,
     psd_project,
     trace_norm,

@@ -107,6 +107,16 @@ class LindbladGenerator:
         return values
 
 
+def dissipator_superoperator(op: np.ndarray) -> np.ndarray:
+    """Unit-rate dissipator of one jump operator L as a superoperator matrix:
+    conj(L) (x) L - 1/2 I (x) L^dag L - 1/2 (L^dag L)^T (x) I."""
+    eye = np.eye(op.shape[0], dtype=complex)
+    ldl = dagger(op) @ op
+    return (np.kron(op.conj(), op)
+            - 0.5 * np.kron(eye, ldl)
+            - 0.5 * np.kron(ldl.T, eye))
+
+
 def gksl_superoperator(gen: LindbladGenerator, t: float) -> SuperOperator:
     """Generator superoperator at time t (column-stacking convention)."""
     d = gen.dim
@@ -116,10 +126,7 @@ def gksl_superoperator(gen: LindbladGenerator, t: float) -> SuperOperator:
         h = gen.hamiltonian
         s += -1.0j * (np.kron(eye, h) - np.kron(h.T, eye))
     for g, op in zip(gen.rate_values(t), gen.ops):
-        ldl = dagger(op) @ op
-        s += g * (np.kron(op.conj(), op)
-                  - 0.5 * np.kron(eye, ldl)
-                  - 0.5 * np.kron(ldl.T, eye))
+        s += g * dissipator_superoperator(op)
     return SuperOperator(dim=d, matrix=s)
 
 

@@ -68,6 +68,16 @@ class ChoiMatrix:
         object.__setattr__(self, "matrix", m)
 
 
+def unitary_chois(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Choi kets vec(U)/sqrt(d) and pure Choi states of a stack of unitaries.
+
+    Returns the (n, d^2) kets and the (n, d^2, d^2) projectors onto them.
+    """
+    n, d = us.shape[0], us.shape[1]
+    kets = us.transpose(0, 2, 1).reshape(n, d * d) / np.sqrt(d)
+    return kets, np.einsum("ni,nj->nij", kets, kets.conj())
+
+
 def _superop_to_choi(s: np.ndarray, dim: int) -> np.ndarray:
     # C[i*d+k, j*d+l] = S[l*d+k, j*d+i] / d
     t = s.reshape(dim, dim, dim, dim)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choi import ChoiMatrix, classify, max_entangled_state
+from .choi import ChoiMatrix, classify, max_entangled_state, unitary_chois
 from .channels import haar_unitaries
 from .witness import (
     expectation,
@@ -91,8 +91,7 @@ def hs_norm_probe(dim: int, eps: float, n_trials: int, seed: int) -> ProbeReport
     us = haar_unitaries(d, total, rng)
     rates = rng.uniform(0.0, 1.0, size=total)
     rates *= np.where(rng.random(total) < 0.5, 1.0, -1.0)
-    uvec = us.transpose(0, 2, 1).reshape(total, d * d) / np.sqrt(d)
-    pure = np.einsum("ni,nj->nij", uvec, uvec.conj())
+    _, pure = unitary_chois(us)
     sup = np.einsum("nij,nkl->nikjl", us.conj(), us).reshape(total, d * d, d * d)
     offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
     gen_super = np.add.reduceat(rates[:, None, None] * (sup - eye), offsets, axis=0)
@@ -162,10 +161,7 @@ def extreme_point_probe(dim: int, eps: float, n_unitaries: int,
         raise ValueError(
             f"extreme_point_probe: n_unitaries must be >= 2, got {n_unitaries}")
     rng = np.random.default_rng(seed)
-    d = dim
-    us = haar_unitaries(d, n_unitaries, rng)
-    uvec = us.transpose(0, 2, 1).reshape(n_unitaries, d * d) / np.sqrt(d)
-    chois = np.einsum("ni,nj->nij", uvec, uvec.conj())
+    uvec, chois = unitary_chois(haar_unitaries(dim, n_unitaries, rng))
     purities = np.einsum("nij,nji->n", chois, chois).real
     overlaps = np.abs(uvec @ uvec.conj().T) ** 2
     dist_sq = np.clip(2.0 - 2.0 * overlaps, 0.0, None)

@@ -48,18 +48,6 @@ def _require_square(a: np.ndarray, name: str = "matrix") -> None:
         raise ShapeError(f"{name}: expected a square matrix, got shape {a.shape}")
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Complex matrix product a @ b."""
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-    return a @ b
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; block (i, j) equals a[i, j] * b."""
-    return np.kron(a, b)
-
-
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return a.conj().T

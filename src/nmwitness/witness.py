@@ -13,9 +13,10 @@ Two witness routes for a non-Markovian Choi state C_N:
 
 Two families are supported: a frozen set of jump operators with nonnegative
 rates (a nonnegative least-squares problem, solved by a Lawson-Hanson style
-active set on the Gram system), and the full generator family parametrized
-by a Hamiltonian vector plus a positive semidefinite Kossakowski matrix
-(solved by projected gradient descent).
+active set on the Gram system), and the full generator family
+{phi + eps X : Tr_2 X = 0, w_perp X w_perp >= 0}, the intersection of the
+trace-preserving subspace with the conditionally completely positive cone
+(solved by Dykstra's alternating projections onto the two).
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import haar_unitaries
-from .choi import ChoiMatrix, default_classification_tol, max_entangled_ket, max_entangled_state, _superop_to_choi
+from .channels import dissipator_superoperator, haar_unitaries
+from .choi import (ChoiMatrix, default_classification_tol, max_entangled_ket, max_entangled_state,
+                   unitary_chois, _superop_to_choi)
 from .linalg import DEGENERACY_GAP, ShapeError, as_matrix, dagger, hs_inner, hs_norm
 
 
@@ -93,7 +95,6 @@ class NearestMCSResult:
     iterations: int
     rates: np.ndarray | None = None
     kossakowski: np.ndarray | None = None
-    hamiltonian: np.ndarray | None = None
     degenerate: bool = False
 
 
@@ -183,12 +184,7 @@ def theorem3_witness(cn: ChoiMatrix, cm_star: ChoiMatrix) -> WitnessOperator:
 
 def dissipator_choi_direction(op: np.ndarray, dim: int) -> np.ndarray:
     """Choi-space direction of the unit-rate dissipator of one jump operator."""
-    eye = np.eye(dim, dtype=complex)
-    ldl = dagger(op) @ op
-    s = (np.kron(op.conj(), op)
-         - 0.5 * np.kron(eye, ldl)
-         - 0.5 * np.kron(ldl.T, eye))
-    return _superop_to_choi(s, dim)
+    return _superop_to_choi(dissipator_superoperator(op), dim)
 
 
 def nnls_gram(q: np.ndarray, b: np.ndarray,
@@ -290,86 +286,31 @@ def nearest_mcs_fixed_basis(cn: ChoiMatrix, fam: MarkovianFamily) -> NearestMCSR
 
 
 # ---------------------------------------------------------------------------
-# Full-generator projection (projected gradient on (H, Kossakowski))
+# Full-generator projection (Dykstra over two closed-form projections)
 # ---------------------------------------------------------------------------
-
-def _gksl_choi_directions(dim: int) -> tuple[np.ndarray, int]:
-    """Choi directions of the full generator parametrization.
-
-    Order: m Hamiltonian directions (traceless Hermitian basis F_j), then the
-    Kossakowski block over an HS-orthonormal Hermitian matrix basis: m
-    diagonals E_jj, then pairs (E_jk + E_kj)/sqrt2, i(E_jk - E_kj)/sqrt2 for
-    j < k; m = dim^2 - 1. The orthonormal basis makes the parameter-space
-    Euclidean norm of the K block equal to ||K||_F, so clamping negative
-    eigenvalues of K is exactly the Euclidean projection of the parameters
-    onto the feasible cone (projected gradient needs matching metrics).
-    """
-    fs = linalg.gell_mann_basis(dim)
-    m = len(fs)
-    eye = np.eye(dim, dtype=complex)
-    dirs: list[np.ndarray] = []
-    for f in fs:
-        s = -1.0j * (np.kron(eye, f) - np.kron(f.T, eye))
-        dirs.append(_superop_to_choi(s, dim))
-
-    def k_term(p: int, q: int) -> np.ndarray:
-        # F_p rho F_q - 1/2 {F_q F_p, rho} as a superoperator
-        fq_fp = fs[q] @ fs[p]
-        return (np.kron(fs[q].T, fs[p])
-                - 0.5 * np.kron(eye, fq_fp)
-                - 0.5 * np.kron(fq_fp.T, eye))
-
-    root2 = np.sqrt(2.0)
-    for j in range(m):
-        dirs.append(_superop_to_choi(k_term(j, j), dim))
-    for j in range(m):
-        for k in range(j + 1, m):
-            dirs.append(_superop_to_choi((k_term(j, k) + k_term(k, j)) / root2, dim))
-            dirs.append(_superop_to_choi(1.0j * (k_term(j, k) - k_term(k, j)) / root2,
-                                         dim))
-    return np.stack(dirs), m
-
-
-def _k_matrix_from_params(theta: np.ndarray, m: int) -> np.ndarray:
-    k = np.zeros((m, m), dtype=complex)
-    k[np.diag_indices(m)] = theta[:m]
-    root2 = np.sqrt(2.0)
-    pos = m
-    for j in range(m):
-        for l in range(j + 1, m):
-            k[j, l] = (theta[pos] + 1.0j * theta[pos + 1]) / root2
-            k[l, j] = (theta[pos] - 1.0j * theta[pos + 1]) / root2
-            pos += 2
-    return k
-
-
-def _k_params_from_matrix(k: np.ndarray, m: int) -> np.ndarray:
-    theta = np.empty(m * m)
-    theta[:m] = np.diag(k).real
-    root2 = np.sqrt(2.0)
-    pos = m
-    for j in range(m):
-        for l in range(j + 1, m):
-            theta[pos] = root2 * k[j, l].real
-            theta[pos + 1] = root2 * k[j, l].imag
-            pos += 2
-    return theta
-
 
 def nearest_mcs_full_gksl(cn: ChoiMatrix, dim: int | None = None,
                           eps: float | None = None, *,
                           max_iter: int = 100_000,
-                          step: float | None = None,
                           tol: float = 1e-10) -> NearestMCSResult:
     """HS projection of cn onto the full divisible family at first order.
 
-    Parametrizes the generator by a Hamiltonian coefficient vector h (over the
-    traceless Hermitian basis) and a Hermitian Kossakowski matrix K; the
-    divisibility constraint is K >= 0. The quadratic objective is minimized by
-    projected gradient with a fixed step 0.9 / L (L from the parameter Gram
-    matrix), projecting K onto the PSD cone each iteration. On hitting
-    max_iter before the gradient-mapping norm drops below tol the result is
-    returned with kkt_ok=False rather than raising.
+    The family is {phi + eps X : Tr_2 X = 0, w_perp X w_perp >= 0} with
+    w_perp = 1 - phi: trace preservation plus conditional complete
+    positivity, which characterize GKSL generators (Wolf & Cirac 2008).
+    Projecting onto the trace-preserving subspace subtracts Tr_2 X (x) 1/d;
+    projecting onto the cone replaces the w_perp block by its PSD part.
+    Dykstra's method alternates the two from Y = (C_N - phi) / eps; the
+    subspace needs no correction term, the cone keeps its increment Q.
+
+    kkt_ok certifies the cone iterate X: primal feasibility d ||Tr_2 X|| and
+    stationarity ||P_TP(Y - X - Q)|| are both at most tol * max(1, ||Y||);
+    Q lies in the cone's normal cone at X by construction. The returned
+    state is the trace-preserving projection of X, so on hitting max_iter it
+    is still a valid Choi state, returned with kkt_ok=False rather than
+    raising. kossakowski is d B^dag X B over the columns vec(F_j) of the
+    Gell-Mann basis; that projection moves its eigenvalues by at most
+    ||Tr_2 X||, so on convergence they are >= -tol * max(1, ||Y||) / d.
     """
     d = cn.dim if dim is None else dim
     if d != cn.dim:
@@ -378,51 +319,46 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix, dim: int | None = None,
     if e <= 0:
         raise ValueError(f"nearest_mcs_full_gksl: eps must be > 0, got {e}")
 
-    dirs, m = _gksl_choi_directions(d)
-    n_params = dirs.shape[0]
+    n = d * d
     phi = max_entangled_state(d)
-    target = cn.matrix - phi
+    w_perp = np.eye(n) - phi
+    eye = np.eye(d)
 
-    # Real inner products of the Hermitian directions.
-    gram = np.einsum("aij,bji->ab", dirs, dirs).real
-    proj = np.einsum("aij,ji->a", dirs, target).real
+    def tr2(z: np.ndarray) -> np.ndarray:
+        return np.einsum("ikjk->ij", z.reshape(d, d, d, d))
 
-    lam_max = float(np.linalg.eigvalsh(gram)[-1])
-    lipschitz = 2.0 * e * e * lam_max
-    if step is None:
-        step = 0.9 / lipschitz
+    def tp_project(z: np.ndarray, z_tr2: np.ndarray) -> np.ndarray:
+        return z - np.einsum("ij,kl->ikjl", z_tr2, eye).reshape(n, n) / d
 
-    x = np.zeros(n_params)
+    # ChoiMatrix admits a 1e-10 Hermiticity defect, which dividing by eps
+    # would push past psd_project's check.
+    y = (0.5 * (cn.matrix + dagger(cn.matrix)) - phi) / e
+    bound = tol * max(1.0, hs_norm(y))
+    x, x_tr2 = y, tr2(y)
+    q = np.zeros_like(y)
     iterations = 0
-    converged = False
     while iterations < max_iter:
         iterations += 1
-        grad = 2.0 * e * e * (gram @ x) - 2.0 * e * proj
-        y = x - step * grad
-        # Project the Kossakowski block onto the PSD cone; h stays free.
-        kmat = _k_matrix_from_params(y[m:], m)
-        w, v = np.linalg.eigh(kmat)
-        if w[0] < 0.0:
-            kmat = (v * np.clip(w, 0.0, None)) @ v.conj().T
-            y[m:] = _k_params_from_matrix(kmat, m)
-        gm_norm = float(np.linalg.norm(x - y)) / step
-        x = y
-        if gm_norm < tol:
-            converged = True
+        z = tp_project(x, x_tr2) + q
+        block = w_perp @ z @ w_perp
+        x = z - block + linalg.psd_project(block)
+        q = z - x
+        x_tr2 = tr2(x)
+        if d * hs_norm(x_tr2) <= bound:
             break
+    stationarity = y - x - q
+    kkt_ok = bool(d * hs_norm(x_tr2) <= bound
+                  and hs_norm(tp_project(stationarity, tr2(stationarity))) <= bound)
 
-    h = x[:m]
-    kmat = _k_matrix_from_params(x[m:], m)
-    star = phi + e * np.tensordot(x, dirs, axes=1)
-    star = 0.5 * (star + dagger(star))
-    choi_star = ChoiMatrix(dim=d, matrix=star, t=cn.t, eps=e)
+    x = tp_project(x, x_tr2)
+    star = phi + e * x
+    basis = np.stack([f.T.reshape(-1) for f in linalg.gell_mann_basis(d)], axis=1)
     return NearestMCSResult(
-        choi_star=choi_star,
+        choi_star=ChoiMatrix(dim=d, matrix=star, t=cn.t, eps=e),
         residual=hs_norm(cn.matrix - star),
-        kkt_ok=converged,
+        kkt_ok=kkt_ok,
         iterations=iterations,
-        kossakowski=kmat,
-        hamiltonian=h,
+        kossakowski=d * (dagger(basis) @ x @ basis),
     )
 
 
@@ -449,8 +385,7 @@ def sample_markovian_chois(dim: int, eps: float, n_samples: int, seed: int,
     total = int(counts.sum())
     us = haar_unitaries(d, total, rng)
     rates = rng.uniform(0.0, 1.0, size=total)
-    uvec = us.transpose(0, 2, 1).reshape(total, d * d) / np.sqrt(d)
-    pure = np.einsum("ni,nj->nij", uvec, uvec.conj())
+    _, pure = unitary_chois(us)
     weighted = rates[:, None, None] * (pure - phi)
     offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
     chois = phi + eps * np.add.reduceat(weighted, offsets, axis=0)

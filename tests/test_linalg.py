@@ -12,8 +12,6 @@ from nmwitness.linalg import (
     hermitian_eig,
     hs_inner,
     hs_norm,
-    kron,
-    matmul,
     matrix_exp,
     psd_project,
     trace_norm,
@@ -43,40 +41,8 @@ def dephasing_choi(gamma, eps):
 
 
 # ---------------------------------------------------------------------------
-# products, adjoints, inner products
+# adjoints, inner products
 # ---------------------------------------------------------------------------
-
-def test_matmul_pauli_algebra():
-    assert np.allclose(matmul(I2, SIGMA_X), SIGMA_X)
-    assert np.allclose(matmul(SIGMA_X, SIGMA_X), I2)
-    assert np.allclose(matmul(SIGMA_X, SIGMA_Y), 1j * SIGMA_Z)
-
-
-def test_matmul_shape_error():
-    with pytest.raises(ShapeError):
-        matmul(np.ones((2, 3)), np.ones((2, 2)))
-
-
-def test_kron_trivials():
-    assert np.allclose(kron(I2, I2), np.eye(4))
-    assert np.allclose(kron(SIGMA_Z, I2), np.diag([1, 1, -1, -1]).astype(complex))
-
-
-def test_kron_mixed_product():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        a, b, c, d = (random_complex(rng, 2) for _ in range(4))
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
-        assert np.abs(lhs - rhs).max() < 1e-12
-
-
-def test_kron_bilinearity():
-    rng = np.random.default_rng(2)
-    a, b, c = (random_complex(rng, 2) for _ in range(3))
-    assert np.abs(kron(a, b + c) - kron(a, b) - kron(a, c)).max() < 1e-12
-    assert np.abs(kron(2.5 * a, b) - 2.5 * kron(a, b)).max() < 1e-12
-
 
 def test_dagger():
     assert np.allclose(dagger(SIGMA_Y), SIGMA_Y)

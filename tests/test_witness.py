@@ -189,7 +189,7 @@ def test_full_gksl_markovian_membership():
     cn = pauli_choi((0.3, 0.5, 0.2))
     res = nearest_mcs_full_gksl(cn)
     assert res.kkt_ok
-    assert res.residual <= 1e-6
+    assert res.residual <= 1e-12
     # Kossakowski matrix stays PSD
     assert np.linalg.eigvalsh(res.kossakowski)[0] >= -1e-10
 
@@ -215,6 +215,8 @@ def test_full_gksl_nonconvergence_flag():
     res = nearest_mcs_full_gksl(cn, max_iter=2, tol=1e-16)
     assert not res.kkt_ok
     assert res.iterations == 2
+    # the last iterate is still returned as a trace-one Choi state
+    assert abs(np.trace(res.choi_star.matrix) - 1.0) <= 1e-12
 
 
 def _random_nm_generator(dim, seed, rates):
@@ -224,37 +226,37 @@ def _random_nm_generator(dim, seed, rates):
                              rates=tuple(ConstantRate(g) for g in rates))
 
 
+def _random_divisible_generator(dim, rng):
+    # Ginibre (non-unitary) jumps give off-diagonal Kossakowski parts.
+    n_ops = int(rng.integers(1, dim * dim + 1))
+    ops = tuple(rng.standard_normal((n_ops, dim, dim))
+                + 1j * rng.standard_normal((n_ops, dim, dim)))
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return LindbladGenerator(dim=dim, ops=ops,
+                             rates=tuple(ConstantRate(g) for g in rng.uniform(0, 1, n_ops)),
+                             hamiltonian=0.5 * (raw + dagger(raw)))
+
+
 def test_full_gksl_variational_inequality_against_family():
     # The projection must satisfy <C_N - C_M*, C - C_M*> <= 0 for every
     # family member C, including ones with off-diagonal Kossakowski parts
-    # (these exercise the parameter-metric of the PSD projection step).
-    from nmwitness.witness import _gksl_choi_directions, _k_matrix_from_params, _k_params_from_matrix
-
+    # and a Hamiltonian.
     gen = _random_nm_generator(2, 21, (0.9, 0.6, -0.5))
     cn = choi_of_generator(gen, 0.0, EPS)
     res = nearest_mcs_full_gksl(cn)
     assert res.kkt_ok
 
-    dirs, m = _gksl_choi_directions(2)
-    phi = max_entangled_state(2)
     rng = np.random.default_rng(22)
     diff = cn.matrix - res.choi_star.matrix
     worst = -np.inf
     for _ in range(2000):
-        h = rng.standard_normal(m)
-        raw = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
-        kmat = raw @ raw.conj().T  # PSD draw
-        theta = np.concatenate([h, _k_params_from_matrix(kmat, m)])
-        member = phi + EPS * np.tensordot(theta, dirs, axes=1)
+        member = choi_of_generator(_random_divisible_generator(2, rng), 0.0, EPS).matrix
         worst = max(worst, np.vdot(diff, member - res.choi_star.matrix).real)
     assert worst <= 1e-10
-    # round trip of the packing used above
-    assert np.abs(_k_matrix_from_params(_k_params_from_matrix(kmat, m), m)
-                  - kmat).max() < 1e-12
 
 
-def test_full_gksl_generic_qutrit_instance():
-    gen = _random_nm_generator(3, 33, (0.8, 0.5, -0.4))
+def _check_generic_instance(dim, seed):
+    gen = _random_nm_generator(dim, seed, (0.8, 0.5, -0.4))
     cn = choi_of_generator(gen, 0.0, EPS)
     assert not classify(cn).is_markovian
     full = nearest_mcs_full_gksl(cn)
@@ -264,9 +266,17 @@ def test_full_gksl_generic_qutrit_instance():
     fixed = nearest_mcs_fixed_basis(cn, fixed_basis_family(gen.ops, EPS))
     assert full.residual <= fixed.residual + 1e-6
     w = theorem3_witness(cn, full.choi_star)
-    check = verify_witness(w, 3, EPS, 5000, seed=34)
+    check = verify_witness(w, dim, EPS, 5000, seed=seed + 1)
     assert check.violations == 0
     assert check.min_expectation >= -1e-8
+
+
+def test_full_gksl_generic_qutrit_instance():
+    _check_generic_instance(3, 33)
+
+
+def test_full_gksl_generic_ququart_instance():
+    _check_generic_instance(4, 33)
 
 
 # ---------------------------------------------------------------------------
