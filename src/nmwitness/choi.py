@@ -8,6 +8,11 @@ maximally entangled state |phi> = (1/sqrt(d)) sum_i |ii> is
 a Hermitian trace-one matrix. It is positive semidefinite exactly when the
 small-time step is completely positive; a negative eigenvalue is the
 divisibility-breaking (non-Markovianity) signal.
+
+The first-order step I + eps*L has the Choi state phi + eps*(C_H + sum_a
+g_a Y_a), affine in the rates g_a; every caller builds C_H and the Y_a with
+`hamiltonian_choi` and `dissipator_chois`. `scan` assembles its whole grid
+as one stack and classifies it with one stacked eigensolve.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import LindbladGenerator, SuperOperator, exact_channel, first_order_channel
-from .linalg import ShapeError, as_matrix, hermitian_eig, hermiticity_defect
+from .channels import LindbladGenerator, SuperOperator, dissipator_superoperator, exact_channel
+from .linalg import ShapeError, as_matrix
 
 
 def default_classification_tol(eps: float) -> float:
@@ -29,15 +34,8 @@ def max_entangled_state(dim: int) -> np.ndarray:
     """Projector onto (1/sqrt(d)) sum_i |ii>, as a d^2 x d^2 matrix."""
     if dim < 2:
         raise ValueError(f"max_entangled_state: dim must be >= 2, got {dim}")
-    v = max_entangled_ket(dim)
+    v = np.eye(dim, dtype=complex).reshape(-1) / np.sqrt(dim)
     return np.outer(v, v.conj())
-
-
-def max_entangled_ket(dim: int) -> np.ndarray:
-    """The unit vector (1/sqrt(d)) sum_i |ii>."""
-    v = np.zeros(dim * dim, dtype=complex)
-    v[:: dim + 1] = 1.0 / np.sqrt(dim)
-    return v
 
 
 @dataclass(frozen=True)
@@ -59,13 +57,19 @@ class ChoiMatrix:
         if m.shape != (d2, d2):
             raise ShapeError(
                 f"ChoiMatrix: expected {d2}x{d2} for dim={self.dim}, got {m.shape}")
-        defect = hermiticity_defect(m)
-        if defect > 1e-10:
-            raise ValueError(f"ChoiMatrix: not Hermitian, defect {defect:.3e}")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"ChoiMatrix: trace {tr!r} differs from 1")
+        _require_states(m[None], [self.t])
         object.__setattr__(self, "matrix", m)
+
+
+def _require_states(stack: np.ndarray, ts) -> None:
+    """ChoiMatrix's checks on a stack of states at times ts: Hermitian, trace one."""
+    defect = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    trace = np.einsum("nii->n", stack)
+    bad = np.flatnonzero(~((defect <= 1e-10) & (np.abs(trace - 1.0) <= 1e-10)))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"Choi state at t={ts[k]}: Hermiticity defect {defect[k]:.3e}, "
+                         f"trace {complex(trace[k])!r}; need Hermitian with trace 1")
 
 
 def unitary_chois(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,6 +94,31 @@ def _choi_to_superop(c: np.ndarray, dim: int) -> np.ndarray:
     return np.einsum("ikjl->lkji", t).reshape(dim * dim, dim * dim) * dim
 
 
+def dissipator_chois(ops) -> np.ndarray:
+    """(m, d^2, d^2) stack of the Choi directions Y_a of unit-rate dissipators."""
+    return np.stack([_superop_to_choi(dissipator_superoperator(op), op.shape[0])
+                     for op in ops])
+
+
+def hamiltonian_choi(h: np.ndarray) -> np.ndarray:
+    """C_H = -i(|h><phi| - |phi><h|), |h> = (1 (x) H)|phi>, for one H or a stack."""
+    d = h.shape[-1]
+    hket = np.swapaxes(h, -1, -2).reshape(h.shape[:-2] + (d * d,)) / np.sqrt(d)
+    outer = np.einsum("...i,j->...ij", hket, np.eye(d).reshape(-1) / np.sqrt(d))
+    return -1.0j * (outer - np.swapaxes(outer, -1, -2).conj())
+
+
+def _first_order_chois(gen: LindbladGenerator, ts, eps: float) -> np.ndarray:
+    """phi + eps * (C_H + g(t) @ Y) at each time t in ts, shape (len(ts), d^2, d^2)."""
+    if eps <= 0:
+        raise ValueError(f"first-order Choi state: eps must be > 0, got {eps}")
+    rates = np.array([gen.rate_values(float(t)) for t in ts])
+    c_l = np.tensordot(rates, dissipator_chois(gen.ops), axes=1)
+    if gen.hamiltonian is not None:
+        c_l += hamiltonian_choi(gen.hamiltonian)
+    return max_entangled_state(gen.dim) + eps * c_l
+
+
 def choi_of_channel(s: SuperOperator, t: float = 0.0, eps: float = 0.0) -> ChoiMatrix:
     """Choi state of a channel; (t, eps) are carried along as tags."""
     return ChoiMatrix(dim=s.dim, matrix=_superop_to_choi(s.matrix, s.dim), t=t, eps=eps)
@@ -106,8 +135,9 @@ def choi_of_generator(gen: LindbladGenerator, t: float, eps: float,
 
     First-order step by default; exact=True exponentiates instead.
     """
-    channel = exact_channel(gen, t, eps) if exact else first_order_channel(gen, t, eps)
-    return choi_of_channel(channel, t=t, eps=eps)
+    if exact:
+        return choi_of_channel(exact_channel(gen, t, eps), t=t, eps=eps)
+    return ChoiMatrix(dim=gen.dim, matrix=_first_order_chois(gen, [t], eps)[0], t=t, eps=eps)
 
 
 @dataclass(frozen=True)
@@ -127,15 +157,17 @@ def classify(c: ChoiMatrix, tol: float | None = None) -> NMClassification:
     """
     if tol is None:
         tol = default_classification_tol(c.eps)
-    w = hermitian_eig(c.matrix).eigenvalues
-    deficit = float(np.abs(w).sum() - 1.0)
-    min_eig = float(w[0])
-    return NMClassification(
-        min_eigenvalue=min_eig,
-        negative_eigenvalues=w[w < -tol],
-        trace_norm_deficit=deficit,
-        is_markovian=bool(min_eig >= -tol),
-    )
+    return _classify_stack(c.matrix[None], tol)[0]
+
+
+def _classify_stack(chois: np.ndarray, tol: float) -> tuple[NMClassification, ...]:
+    """classify's verdicts on a (n, d^2, d^2) stack, from one stacked eigensolve."""
+    spectra = np.linalg.eigvalsh(0.5 * (chois + chois.conj().transpose(0, 2, 1)))
+    return tuple(NMClassification(min_eigenvalue=float(w[0]),
+                                  negative_eigenvalues=w[w < -tol],
+                                  trace_norm_deficit=float(np.abs(w).sum() - 1.0),
+                                  is_markovian=bool(w[0] >= -tol))
+                 for w in spectra)
 
 
 @dataclass(frozen=True)
@@ -159,7 +191,7 @@ class ScanReport:
 
 def scan(gen: LindbladGenerator, t0: float, t1: float, steps: int, eps: float,
          tol: float | None = None) -> ScanReport:
-    """Classify the small-time step at each grid point of [t0, t1]."""
+    """Classify the first-order small-time step at each grid point of [t0, t1]."""
     if t1 <= t0:
         raise ValueError(f"scan: need t1 > t0, got [{t0}, {t1}]")
     if steps < 1:
@@ -168,27 +200,19 @@ def scan(gen: LindbladGenerator, t0: float, t1: float, steps: int, eps: float,
         tol = default_classification_tol(eps)
     dt = (t1 - t0) / steps
     grid = t0 + dt * np.arange(steps)
-    classifications = []
-    for t in grid:
-        c = choi_of_generator(gen, float(t), eps)
-        classifications.append(classify(c, tol))
-    intervals: list[tuple[float, float]] = []
-    run_start: float | None = None
-    for t, cl in zip(grid, classifications):
-        if not cl.is_markovian:
-            if run_start is None:
-                run_start = float(t)
-        elif run_start is not None:
-            intervals.append((run_start, float(t)))
-            run_start = None
-    if run_start is not None:
-        intervals.append((run_start, float(grid[-1]) + dt))
+    chois = _first_order_chois(gen, grid, eps)
+    _require_states(chois, grid)
+    classifications = _classify_stack(chois, tol)
+    # Runs of non-Markovian cells open and close where the zero-padded verdicts flip.
+    flips = np.flatnonzero(np.diff([0] + [not cl.is_markovian for cl in classifications] + [0]))
+    edges = np.append(grid, grid[-1] + dt)
     measure = float(sum(max(0.0, cl.trace_norm_deficit) for cl in classifications)
                     * dt / eps)
     return ScanReport(
         grid=grid,
-        classifications=tuple(classifications),
-        nm_intervals=tuple(intervals),
+        classifications=classifications,
+        nm_intervals=tuple((float(edges[a]), float(edges[b]))
+                           for a, b in zip(flips[::2], flips[1::2])),
         integrated_measure=measure,
         dt=dt,
         eps=eps,

@@ -305,14 +305,13 @@ def cmd_witness(spec_path: str, t: float, eps: float, mode: str,
             result = nearest_mcs_fixed_basis(cn, fam)
             payload["rates"] = [float(g) for g in result.rates]
         else:
-            result = nearest_mcs_full_gksl(cn, gen.dim, eps)
+            result = nearest_mcs_full_gksl(cn)
             if not result.kkt_ok:
                 exit_code = 4
         w = theorem3_witness(cn, result.choi_star)
         payload["witnesses"] = [_witness_entry(w, cn)]
         payload["residual"] = result.residual
-        payload["c0"] = float(
-            np.vdot(result.choi_star.matrix, cn.matrix - result.choi_star.matrix).real)
+        payload["c0"] = w.c0
         payload["kkt_ok"] = result.kkt_ok
         payload["iterations"] = result.iterations
     emit_report(payload, out_path, fmt)

@@ -17,6 +17,7 @@ import numpy as np
 from .choi import ChoiMatrix, classify, max_entangled_state, unitary_chois
 from .channels import haar_unitaries
 from .witness import (
+    _unitary_jump_generators,
     expectation,
     nearest_mcs_full_gksl,
     sample_markovian_chois,
@@ -76,29 +77,20 @@ def hs_norm_probe(dim: int, eps: float, n_trials: int, seed: int) -> ProbeReport
 
     Samples divisible and (by sign-flipping rates) non-divisible first-order
     Chois; a trial fails when | ||C||_2 - 1 | exceeds 10 * eps * ||L||_2 with
-    ||L||_2 the HS norm of that trial's generator superoperator.
+    ||L||_2 the HS norm of that trial's generator superoperator: d ||C_L||_2,
+    as the Choi rearrangement permutes entries and divides by d.
     """
     if eps <= 0:
         raise ValueError(f"hs_norm_probe: eps must be > 0, got {eps}")
     if n_trials < 1:
         raise ValueError(f"hs_norm_probe: n_trials must be >= 1, got {n_trials}")
     rng = np.random.default_rng(seed)
-    d = dim
-    phi = max_entangled_state(d)
-    eye = np.eye(d * d, dtype=complex)
-    counts = rng.integers(1, d * d + 1, size=n_trials)
-    total = int(counts.sum())
-    us = haar_unitaries(d, total, rng)
-    rates = rng.uniform(0.0, 1.0, size=total)
-    rates *= np.where(rng.random(total) < 0.5, 1.0, -1.0)
-    _, pure = unitary_chois(us)
-    sup = np.einsum("nij,nkl->nikjl", us.conj(), us).reshape(total, d * d, d * d)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    gen_super = np.add.reduceat(rates[:, None, None] * (sup - eye), offsets, axis=0)
-    chois = phi + eps * np.add.reduceat(
-        rates[:, None, None] * (pure - phi), offsets, axis=0)
+    rates, dirs, offsets = _unitary_jump_generators(dim, n_trials, rng)
+    rates *= np.where(rng.random(rates.size) < 0.5, 1.0, -1.0)
+    gen_chois = np.add.reduceat(rates[:, None, None] * dirs, offsets, axis=0)
+    chois = max_entangled_state(dim) + eps * gen_chois
     deviations = np.abs(np.linalg.norm(chois, axis=(1, 2)) - 1.0)
-    bounds = 10.0 * eps * np.linalg.norm(gen_super, axis=(1, 2))
+    bounds = 10.0 * eps * dim * np.linalg.norm(gen_chois, axis=(1, 2))
     failures = int(np.count_nonzero(deviations > bounds))
     return ProbeReport(
         probe_name="hsnorm",
@@ -119,12 +111,14 @@ def separation_demo(cn: ChoiMatrix, dim: int, eps: float, n_samples: int,
     failure below -1e-8; a nonnegative expectation on cn itself is a failure
     as well. cn must classify as non-Markovian.
     """
+    if dim != cn.dim:
+        raise ValueError(f"separation_demo: dim {dim} != Choi dim {cn.dim}")
     verdict = classify(cn)
     if verdict.is_markovian:
         raise ValueError(
             f"separation_demo: Choi state classifies as Markovian "
             f"(min eigenvalue {verdict.min_eigenvalue:.3e}); nothing to separate")
-    nearest = nearest_mcs_full_gksl(cn, dim, eps)
+    nearest = nearest_mcs_full_gksl(cn)
     w = theorem3_witness(cn, nearest.choi_star)
     chois = sample_markovian_chois(dim, eps, n_samples, seed)
     values = np.einsum("ij,nji->n", w.matrix, chois).real

@@ -11,9 +11,9 @@ Two witness routes for a non-Markovian Choi state C_N:
   Tr(W C_N) = -||C_N - C_M*||^2 < 0 while the projection's variational
   inequality keeps Tr(W C_M) >= 0 on the whole family.
 
-Two families are supported: a frozen set of jump operators with nonnegative
-rates (a nonnegative least-squares problem, solved by a Lawson-Hanson style
-active set on the Gram system), and the full generator family
+Two families are supported: frozen jumps, {phi + eps sum_a g_a Y_a : g_a >= 0}
+over the Choi directions Y_a of `choi.dissipator_chois` (nonnegative least
+squares, by a Lawson-Hanson active set on the Gram system), and the full family
 {phi + eps X : Tr_2 X = 0, w_perp X w_perp >= 0}, the intersection of the
 trace-preserving subspace with the conditionally completely positive cone
 (solved by Dykstra's alternating projections onto the two).
@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import dissipator_superoperator, haar_unitaries
-from .choi import (ChoiMatrix, default_classification_tol, max_entangled_ket, max_entangled_state,
-                   unitary_chois, _superop_to_choi)
+from .channels import haar_unitaries
+from .choi import (ChoiMatrix, default_classification_tol, dissipator_chois, hamiltonian_choi,
+                   max_entangled_state, unitary_chois)
 from .linalg import DEGENERACY_GAP, ShapeError, as_matrix, dagger, hs_inner, hs_norm
 
 
@@ -39,6 +39,7 @@ class WitnessOperator:
     matrix: np.ndarray
     kind: str  # 'spectral_projector' or 'theorem3'
     provenance: str
+    c0: float | None = None  # identity offset of a theorem3_witness
 
     def __post_init__(self):
         m = as_matrix(self.matrix, "WitnessOperator.matrix")
@@ -48,17 +49,14 @@ class WitnessOperator:
 
 @dataclass(frozen=True)
 class MarkovianFamily:
-    """A convex family of divisible small-time Choi states at fixed (t, eps)."""
+    """Divisible small-time Choi states of frozen jumps with rates >= 0, at fixed (t, eps)."""
 
-    mode: str  # 'fixed_basis' or 'full_gksl'
     dim: int
     basis_ops: tuple[np.ndarray, ...]
     eps: float
     t: float = 0.0
 
     def __post_init__(self):
-        if self.mode not in ("fixed_basis", "full_gksl"):
-            raise ValueError(f"MarkovianFamily: unknown mode {self.mode!r}")
         ops = tuple(as_matrix(op, f"basis_ops[{i}]")
                     for i, op in enumerate(self.basis_ops))
         d = self.dim
@@ -77,7 +75,7 @@ def fixed_basis_family(basis_ops, eps: float, t: float = 0.0) -> MarkovianFamily
     """Family of Choi states reachable with the given frozen jump operators."""
     ops = tuple(as_matrix(op) for op in basis_ops)
     dim = ops[0].shape[0]
-    return MarkovianFamily(mode="fixed_basis", dim=dim, basis_ops=ops, eps=eps, t=t)
+    return MarkovianFamily(dim=dim, basis_ops=ops, eps=eps, t=t)
 
 
 def pauli_family(eps: float, t: float = 0.0) -> MarkovianFamily:
@@ -175,17 +173,13 @@ def theorem3_witness(cn: ChoiMatrix, cm_star: ChoiMatrix) -> WitnessOperator:
         kind="theorem3",
         provenance=(f"c0*I + nearest divisible Choi - target Choi; c0={c0:.6e}, "
                     f"t={cn.t}, eps={cn.eps}"),
+        c0=c0,
     )
 
 
 # ---------------------------------------------------------------------------
 # Fixed-basis projection (nonnegative least squares on the Gram system)
 # ---------------------------------------------------------------------------
-
-def dissipator_choi_direction(op: np.ndarray, dim: int) -> np.ndarray:
-    """Choi-space direction of the unit-rate dissipator of one jump operator."""
-    return _superop_to_choi(dissipator_superoperator(op), dim)
-
 
 def nnls_gram(q: np.ndarray, b: np.ndarray,
               max_iter: int | None = None) -> tuple[np.ndarray, int]:
@@ -258,14 +252,12 @@ def nearest_mcs_fixed_basis(cn: ChoiMatrix, fam: MarkovianFamily) -> NearestMCSR
     the rate vector, so the projection is a nonnegative least-squares problem
     with Gram matrix G_ab = Tr(Y_a Y_b).
     """
-    if fam.mode != "fixed_basis":
-        raise ValueError(f"nearest_mcs_fixed_basis: family mode is {fam.mode!r}")
     if fam.dim != cn.dim:
         raise ValueError(
             f"nearest_mcs_fixed_basis: family dim {fam.dim} != Choi dim {cn.dim}")
     d = cn.dim
     eps = fam.eps
-    dirs = np.stack([dissipator_choi_direction(op, d) for op in fam.basis_ops])
+    dirs = dissipator_chois(fam.basis_ops)
     residual_mat = cn.matrix - max_entangled_state(d)
     gram = np.einsum("aij,bji->ab", dirs, dirs).real
     proj = np.einsum("aij,ji->a", dirs, residual_mat).real
@@ -289,9 +281,7 @@ def nearest_mcs_fixed_basis(cn: ChoiMatrix, fam: MarkovianFamily) -> NearestMCSR
 # Full-generator projection (Dykstra over two closed-form projections)
 # ---------------------------------------------------------------------------
 
-def nearest_mcs_full_gksl(cn: ChoiMatrix, dim: int | None = None,
-                          eps: float | None = None, *,
-                          max_iter: int = 100_000,
+def nearest_mcs_full_gksl(cn: ChoiMatrix, *, max_iter: int = 100_000,
                           tol: float = 1e-10) -> NearestMCSResult:
     """HS projection of cn onto the full divisible family at first order.
 
@@ -312,10 +302,7 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix, dim: int | None = None,
     Gell-Mann basis; that projection moves its eigenvalues by at most
     ||Tr_2 X||, so on convergence they are >= -tol * max(1, ||Y||) / d.
     """
-    d = cn.dim if dim is None else dim
-    if d != cn.dim:
-        raise ValueError(f"nearest_mcs_full_gksl: dim {d} != Choi dim {cn.dim}")
-    e = cn.eps if eps is None else eps
+    d, e = cn.dim, cn.eps
     if e <= 0:
         raise ValueError(f"nearest_mcs_full_gksl: eps must be > 0, got {e}")
 
@@ -380,27 +367,29 @@ def sample_markovian_chois(dim: int, eps: float, n_samples: int, seed: int,
         raise ValueError(f"sample_markovian_chois: n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     d = dim
-    phi = max_entangled_state(d)
-    counts = rng.integers(1, d * d + 1, size=n_samples)
-    total = int(counts.sum())
-    us = haar_unitaries(d, total, rng)
-    rates = rng.uniform(0.0, 1.0, size=total)
-    _, pure = unitary_chois(us)
-    weighted = rates[:, None, None] * (pure - phi)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    chois = phi + eps * np.add.reduceat(weighted, offsets, axis=0)
+    rates, dirs, offsets = _unitary_jump_generators(d, n_samples, rng)
+    chois = max_entangled_state(d) + eps * np.add.reduceat(
+        rates[:, None, None] * dirs, offsets, axis=0)
     if include_hamiltonian:
         mask = rng.random(n_samples) < 0.5
         raw = (rng.standard_normal((n_samples, d, d))
                + 1.0j * rng.standard_normal((n_samples, d, d)))
         h = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
         h -= (np.einsum("nii->n", h) / d)[:, None, None].real * np.eye(d)
-        hvec = h.transpose(0, 2, 1).reshape(n_samples, d * d) / np.sqrt(d)
-        ket = max_entangled_ket(d)
-        comm = -1.0j * (np.einsum("ni,j->nij", hvec, ket.conj())
-                        - np.einsum("i,nj->nij", ket, hvec.conj()))
-        chois = chois + (eps * mask[:, None, None]) * comm
+        chois = chois + (eps * mask[:, None, None]) * hamiltonian_choi(h)
     return chois
+
+
+def _unitary_jump_generators(dim: int, n: int, rng: np.random.Generator
+                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw jump counts (1..dim^2), Haar unitaries, rates on [0, 1] for n generators;
+    return the rates, the jumps' Choi directions |U>><<U|/d - phi, first-jump offsets."""
+    counts = rng.integers(1, dim * dim + 1, size=n)
+    us = haar_unitaries(dim, int(counts.sum()), rng)
+    rates = rng.uniform(0.0, 1.0, size=us.shape[0])
+    _, pure = unitary_chois(us)
+    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    return rates, pure - max_entangled_state(dim), offsets
 
 
 def verify_witness(w: WitnessOperator, dim: int, eps: float, n_samples: int,
@@ -433,10 +422,8 @@ def uniqueness_check(cn: ChoiMatrix, cm_star: ChoiMatrix, dim: int, eps: float,
     if family is None:
         chois = sample_markovian_chois(dim, eps, n_samples, seed)
     else:
-        if family.mode != "fixed_basis":
-            raise ValueError("uniqueness_check: only fixed_basis families can be sampled")
         rng = np.random.default_rng(seed)
-        dirs = np.stack([dissipator_choi_direction(op, dim) for op in family.basis_ops])
+        dirs = dissipator_chois(family.basis_ops)
         rates = rng.uniform(0.0, 2.0, size=(n_samples, dirs.shape[0]))
         chois = max_entangled_state(dim) + eps * np.einsum("na,aij->nij", rates, dirs)
     diff = cn.matrix - cm_star.matrix

@@ -23,6 +23,7 @@ from nmwitness.choi import (
     scan,
 )
 from nmwitness.linalg import hs_norm, trace_norm
+from nmwitness.rates import TableRate
 
 
 def test_max_entangled_state_qubit():
@@ -183,6 +184,40 @@ def test_scan_single_point_interval():
     start, end = report.nm_intervals[0]
     assert start == pytest.approx(1.7)
     assert end == pytest.approx(1.8)
+
+
+def test_scan_matches_per_point_reference():
+    rng = np.random.default_rng(7)
+    ops = [(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) / 3.0
+           for _ in range(3)]
+    raw = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    gen = LindbladGenerator(
+        dim=3,
+        ops=tuple(ops),
+        rates=(TableRate(times=(0.0, 1.5, 3.0, 4.5), values=(0.8, -0.6, 0.4, -0.9)),
+               "cos(2*t) - 0.3",
+               0.5),
+        hamiltonian=0.5 * (raw + raw.conj().T),
+    )
+    eps = 1e-3
+    report = scan(gen, 0.0, 4.5, 450, eps)
+    reference = [classify(choi_of_channel(first_order_channel(gen, float(t), eps)), report.tol)
+                 for t in report.grid]
+    for got, want in zip(report.classifications, reference):
+        assert abs(got.min_eigenvalue - want.min_eigenvalue) <= 1e-12
+        assert abs(got.trace_norm_deficit - want.trace_norm_deficit) <= 1e-12
+        assert got.is_markovian == want.is_markovian
+    intervals, start = [], None
+    for t, cl in zip(report.grid, reference):
+        if not cl.is_markovian and start is None:
+            start = float(t)
+        elif cl.is_markovian and start is not None:
+            intervals.append((start, float(t)))
+            start = None
+    if start is not None:
+        intervals.append((start, float(report.grid[-1] + report.dt)))
+    assert len(intervals) >= 2
+    assert report.nm_intervals == tuple(intervals)
 
 
 def test_scan_validation():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from nmwitness.channels import builtin_pauli, builtin_dephasing
+from nmwitness.channels import (LindbladGenerator, builtin_dephasing, builtin_pauli,
+                                gksl_superoperator, haar_unitaries)
 from nmwitness.choi import choi_of_generator
+from nmwitness.linalg import hs_norm
 from nmwitness.geometry import (
     convexity_probe,
     extreme_point_probe,
@@ -51,6 +53,29 @@ def test_hs_norm_probe_scaling():
     assert 8.0 < ratio < 12.0
 
 
+def test_hs_norm_probe_bound_is_superoperator_norm():
+    # Rebuild the probe's generators from its seed, in its draw order: jump
+    # counts, Haar unitaries, rates, rate signs.
+    d, n, seed = 3, 60, 21
+    report = hs_norm_probe(d, EPS, n, seed)
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, d * d + 1, size=n)
+    us = haar_unitaries(d, int(counts.sum()), rng)
+    rates = rng.uniform(0.0, 1.0, size=us.shape[0])
+    rates *= np.where(rng.random(rates.size) < 0.5, 1.0, -1.0)
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    bounds, deviations = [], []
+    for a, b in zip(starts[:-1], starts[1:]):
+        gen = LindbladGenerator(dim=d, ops=tuple(us[a:b]), rates=tuple(rates[a:b]))
+        bounds.append(10.0 * EPS * hs_norm(gksl_superoperator(gen, 0.0).matrix))
+        deviations.append(abs(hs_norm(choi_of_generator(gen, 0.0, EPS).matrix) - 1.0))
+    bounds, deviations = np.array(bounds), np.array(deviations)
+    assert np.abs(np.array([v for _, v in report.details]) - deviations).max() <= 1e-12
+    assert report.summary["max_bound"] == pytest.approx(bounds.max(), rel=1e-12)
+    assert report.summary["min_bound"] == pytest.approx(bounds.min(), rel=1e-12)
+    assert report.failures == int(np.count_nonzero(deviations > bounds))
+
+
 def test_separation_demo_pauli_instance():
     cn = choi_of_generator(builtin_pauli(1.0, 1.0, -0.3), 0.0, EPS)
     report = separation_demo(cn, 2, EPS, 2000, seed=5)
@@ -72,6 +97,12 @@ def test_separation_demo_rejects_markovian():
     cm = choi_of_generator(builtin_pauli(0.5, 0.5, 0.5), 0.0, EPS)
     with pytest.raises(ValueError, match="Markovian"):
         separation_demo(cm, 2, EPS, 100, seed=7)
+
+
+def test_separation_demo_rejects_dimension_mismatch():
+    cn = choi_of_generator(builtin_pauli(1.0, 1.0, -0.3), 0.0, EPS)
+    with pytest.raises(ValueError, match="dim 3 != Choi dim 2"):
+        separation_demo(cn, 3, EPS, 100, seed=7)
 
 
 def test_extreme_point_probe():
