@@ -18,7 +18,7 @@ report = scan(gen, t0=0.0, t1=math.pi, steps=2000, eps=1e-3)
 print(f"grid: {len(report.grid)} cells of width {report.dt:.5f}, "
       f"eigenvalue tolerance {report.tol:.1e}")
 
-n_nm = sum(not c.is_markovian for c in report.classifications)
+n_nm = int((~report.is_markovian).sum())
 print(f"non-Markovian snapshots: {n_nm} of {len(report.grid)}")
 
 for start, end in report.nm_intervals:
@@ -31,6 +31,5 @@ print(f"integrated deficit measure: {report.integrated_measure:.4f} "
 # a few snapshots along the way
 print("\n    t      min eigenvalue   deficit      Markovian")
 for k in range(0, 2000, 400):
-    c = report.classifications[k]
-    print(f"  {report.grid[k]:.3f}   {c.min_eigenvalue:+.3e}    "
-          f"{c.trace_norm_deficit:.3e}    {c.is_markovian}")
+    print(f"  {report.grid[k]:.3f}   {report.min_eigenvalues[k]:+.3e}    "
+          f"{report.deficits[k]:.3e}    {report.is_markovian[k]}")

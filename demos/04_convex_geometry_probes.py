@@ -40,7 +40,7 @@ print("every census member is a distinct purity-one state; the census grows "
 
 print("\n--- separation: Pauli rates (1, 1, -0.3) against 10000 samples ---")
 cn = choi_of_generator(builtin_pauli(1.0, 1.0, -0.3), t=0.0, eps=1e-3)
-r = separation_demo(cn, dim=2, eps=1e-3, n_samples=10_000, seed=14)
+r = separation_demo(cn, n_samples=10_000, seed=14)
 print(f"failures {r.failures}")
 print(f"witness on the target : {r.summary['expectation_on_target']:+.3e} (< 0)")
 print(f"worst sampled value   : {r.worst_value:+.3e} (>= 0 up to tolerance)")

@@ -12,7 +12,8 @@ divisibility-breaking (non-Markovianity) signal.
 The first-order step I + eps*L has the Choi state phi + eps*(C_H + sum_a
 g_a Y_a), affine in the rates g_a; every caller builds C_H and the Y_a with
 `hamiltonian_choi` and `dissipator_chois`. `scan` assembles its whole grid
-as one stack and classifies it with one stacked eigensolve.
+as one stack and classifies it with one stacked eigensolve; its report holds
+the per-point minimum eigenvalues, deficits and verdicts as arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import LindbladGenerator, SuperOperator, dissipator_superoperator, exact_channel
+from .channels import LindbladGenerator, SuperOperator, dissipator_superoperator
 from .linalg import ShapeError, as_matrix
 
 
@@ -129,14 +130,8 @@ def channel_of_choi(c: ChoiMatrix) -> SuperOperator:
     return SuperOperator(dim=c.dim, matrix=_choi_to_superop(c.matrix, c.dim))
 
 
-def choi_of_generator(gen: LindbladGenerator, t: float, eps: float,
-                      exact: bool = False) -> ChoiMatrix:
-    """Choi state of the small-time step of gen at time t.
-
-    First-order step by default; exact=True exponentiates instead.
-    """
-    if exact:
-        return choi_of_channel(exact_channel(gen, t, eps), t=t, eps=eps)
+def choi_of_generator(gen: LindbladGenerator, t: float, eps: float) -> ChoiMatrix:
+    """Choi state of the first-order small-time step I + eps*L(t) of gen."""
     return ChoiMatrix(dim=gen.dim, matrix=_first_order_chois(gen, [t], eps)[0], t=t, eps=eps)
 
 
@@ -150,24 +145,31 @@ class NMClassification:
     is_markovian: bool
 
 
+def _verdicts(chois: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+    """One stacked eigensolve of the Hermitian parts of a (n, d^2, d^2) stack.
+
+    Returns the ascending spectra and three columns: minimum eigenvalues,
+    trace-norm deficits sum|lambda| - 1 and the Markovian verdicts, true
+    where no eigenvalue is below -tol.
+    """
+    spectra = np.linalg.eigvalsh(0.5 * (chois + chois.conj().transpose(0, 2, 1)))
+    mins = spectra[:, 0]
+    return spectra, mins, np.abs(spectra).sum(axis=1) - 1.0, mins >= -tol
+
+
 def classify(c: ChoiMatrix, tol: float | None = None) -> NMClassification:
-    """Eigenvalue test: Markovian iff the spectrum is >= -tol.
+    """Eigenvalue test: Markovian iff no eigenvalue is below -tol.
 
     trace_norm_deficit is sum|lambda| - 1, zero exactly on states.
     """
     if tol is None:
         tol = default_classification_tol(c.eps)
-    return _classify_stack(c.matrix[None], tol)[0]
-
-
-def _classify_stack(chois: np.ndarray, tol: float) -> tuple[NMClassification, ...]:
-    """classify's verdicts on a (n, d^2, d^2) stack, from one stacked eigensolve."""
-    spectra = np.linalg.eigvalsh(0.5 * (chois + chois.conj().transpose(0, 2, 1)))
-    return tuple(NMClassification(min_eigenvalue=float(w[0]),
-                                  negative_eigenvalues=w[w < -tol],
-                                  trace_norm_deficit=float(np.abs(w).sum() - 1.0),
-                                  is_markovian=bool(w[0] >= -tol))
-                 for w in spectra)
+    spectra, mins, deficits, markovian = _verdicts(c.matrix[None], tol)
+    w = spectra[0]
+    return NMClassification(min_eigenvalue=float(mins[0]),
+                            negative_eigenvalues=w[w < -tol],
+                            trace_norm_deficit=float(deficits[0]),
+                            is_markovian=bool(markovian[0]))
 
 
 @dataclass(frozen=True)
@@ -175,13 +177,16 @@ class ScanReport:
     """Divisibility scan over a time grid of small-time steps.
 
     The grid holds the left edges of `steps` half-open cells of width dt;
-    nm_intervals are maximal runs of non-Markovian cells as (start, end)
-    with end the right edge of the last cell in the run. integrated_measure
-    is sum max(0, deficit) * dt / eps.
+    min_eigenvalues, deficits and is_markovian hold classify's verdict of
+    each cell as arrays over the grid. nm_intervals are maximal runs of
+    non-Markovian cells as (start, end) with end the right edge of the last
+    cell in the run. integrated_measure is sum max(0, deficit) * dt / eps.
     """
 
     grid: np.ndarray
-    classifications: tuple[NMClassification, ...]
+    min_eigenvalues: np.ndarray
+    deficits: np.ndarray
+    is_markovian: np.ndarray
     nm_intervals: tuple[tuple[float, float], ...]
     integrated_measure: float
     dt: float
@@ -202,15 +207,18 @@ def scan(gen: LindbladGenerator, t0: float, t1: float, steps: int, eps: float,
     grid = t0 + dt * np.arange(steps)
     chois = _first_order_chois(gen, grid, eps)
     _require_states(chois, grid)
-    classifications = _classify_stack(chois, tol)
+    _, mins, deficits, markovian = _verdicts(chois, tol)
     # Runs of non-Markovian cells open and close where the zero-padded verdicts flip.
-    flips = np.flatnonzero(np.diff([0] + [not cl.is_markovian for cl in classifications] + [0]))
+    flips = np.flatnonzero(np.diff(np.pad(~markovian, 1)))
     edges = np.append(grid, grid[-1] + dt)
-    measure = float(sum(max(0.0, cl.trace_norm_deficit) for cl in classifications)
-                    * dt / eps)
+    # Python's left-to-right sum, not np.sum's pairwise one, keeps the
+    # reported measure bit-for-bit stable.
+    measure = float(sum(np.maximum(deficits, 0.0).tolist()) * dt / eps)
     return ScanReport(
         grid=grid,
-        classifications=classifications,
+        min_eigenvalues=mins,
+        deficits=deficits,
+        is_markovian=markovian,
         nm_intervals=tuple((float(edges[a]), float(edges[b]))
                            for a, b in zip(flips[::2], flips[1::2])),
         integrated_measure=measure,

@@ -249,13 +249,9 @@ def cmd_analyze(spec_path: str, t0: float, t1: float, steps: int, eps: float,
         "steps": steps,
         "tol": report.tol,
         "points": [
-            {
-                "t": float(t),
-                "min_eigenvalue": cl.min_eigenvalue,
-                "deficit": cl.trace_norm_deficit,
-                "is_markovian": cl.is_markovian,
-            }
-            for t, cl in zip(report.grid, report.classifications)
+            {"t": t, "min_eigenvalue": m, "deficit": d, "is_markovian": ok}
+            for t, m, d, ok in zip(report.grid.tolist(), report.min_eigenvalues.tolist(),
+                                   report.deficits.tolist(), report.is_markovian.tolist())
         ],
         "nm_intervals": [[a, b] for a, b in report.nm_intervals],
         "integrated_measure": report.integrated_measure,
@@ -373,11 +369,7 @@ def cmd_geometry(probe: str, dim: int, eps: float, n: int, seed: int,
             # Default demonstration instance: a Pauli channel with one
             # negative rate, non-Markovian at every time.
             gen = builtin_pauli(1.0, 1.0, -0.3)
-        cn = choi_of_generator(gen, t, eps)
-        try:
-            report = separation_demo(cn, gen.dim, eps, n, seed)
-        except ValueError as exc:
-            raise SpecError(str(exc)) from exc
+        report = separation_demo(choi_of_generator(gen, t, eps), n, seed)
     else:
         raise SpecError(f"unknown probe {probe!r}")
     emit_report(_probe_payload(report, seed, eps), out_path, fmt)

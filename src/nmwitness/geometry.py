@@ -22,6 +22,7 @@ from .witness import (
     nearest_mcs_full_gksl,
     sample_markovian_chois,
     theorem3_witness,
+    verify_witness,
 )
 
 
@@ -102,17 +103,15 @@ def hs_norm_probe(dim: int, eps: float, n_trials: int, seed: int) -> ProbeReport
     )
 
 
-def separation_demo(cn: ChoiMatrix, dim: int, eps: float, n_samples: int,
-                    seed: int) -> ProbeReport:
+def separation_demo(cn: ChoiMatrix, n_samples: int, seed: int) -> ProbeReport:
     """Separate a non-Markovian Choi state from sampled divisible ones.
 
     Projects cn onto the full divisible family, builds the distance witness
-    and evaluates it on n_samples divisible Chois. A sample counts as a
-    failure below -1e-8; a nonnegative expectation on cn itself is a failure
-    as well. cn must classify as non-Markovian.
+    and checks it with verify_witness on n_samples divisible Chois at cn's
+    dimension and eps. Each violation is a failure; a nonnegative
+    expectation on cn itself is a failure as well. cn must classify as
+    non-Markovian.
     """
-    if dim != cn.dim:
-        raise ValueError(f"separation_demo: dim {dim} != Choi dim {cn.dim}")
     verdict = classify(cn)
     if verdict.is_markovian:
         raise ValueError(
@@ -120,18 +119,14 @@ def separation_demo(cn: ChoiMatrix, dim: int, eps: float, n_samples: int,
             f"(min eigenvalue {verdict.min_eigenvalue:.3e}); nothing to separate")
     nearest = nearest_mcs_full_gksl(cn)
     w = theorem3_witness(cn, nearest.choi_star)
-    chois = sample_markovian_chois(dim, eps, n_samples, seed)
-    values = np.einsum("ij,nji->n", w.matrix, chois).real
-    failures = int(np.count_nonzero(values < -1e-8))
+    check = verify_witness(w, cn.dim, cn.eps, n_samples, seed)
     on_target = expectation(w, cn)
-    if on_target >= 0.0:
-        failures += 1
     return ProbeReport(
         probe_name="separation",
         n_trials=n_samples,
-        failures=failures,
-        worst_value=float(values.min()),
-        details=_detail_tuple(values),
+        failures=check.violations + int(on_target >= 0.0),
+        worst_value=check.min_expectation,
+        details=_detail_tuple(check.values),
         summary={
             "expectation_on_target": float(on_target),
             "residual": float(nearest.residual),

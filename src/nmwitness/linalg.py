@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 class ShapeError(ValueError):
@@ -125,6 +124,8 @@ def psd_project(a: np.ndarray, tol: float = DEFAULT_HERM_TOL) -> np.ndarray:
 
 def matrix_exp(a: np.ndarray) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring, via scipy)."""
+    import scipy.linalg  # only this function needs scipy; importing it is slow
+
     _require_square(a, "matrix_exp")
     return scipy.linalg.expm(a)
 

@@ -98,8 +98,11 @@ class NearestMCSResult:
 
 @dataclass(frozen=True)
 class VerificationResult:
+    """Outcome of verify_witness; values holds Tr(W C_M) per sample."""
+
     min_expectation: float
     violations: int
+    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -405,6 +408,7 @@ def verify_witness(w: WitnessOperator, dim: int, eps: float, n_samples: int,
     return VerificationResult(
         min_expectation=float(values.min()),
         violations=int(np.count_nonzero(values < -1e-8)),
+        values=values,
     )
 
 

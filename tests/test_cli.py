@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -306,3 +309,22 @@ def test_main_geometry_requires_seed():
     with pytest.raises(SystemExit) as info:
         main(["geometry", "--probe", "convexity", "--n", "10"])
     assert info.value.code == 1
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported only by matrix_exp; the CLI must start without it.
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import nmwitness.cli\n"
+        "assert 'scipy' not in sys.modules, 'scipy imported at start-up'\n"
+        "from nmwitness import builtin_dephasing, exact_channel\n"
+        "from nmwitness.linalg import matrix_exp\n"
+        "assert np.allclose(matrix_exp(np.zeros((2, 2))), np.eye(2))\n"
+        "s = exact_channel(builtin_dephasing(1.0), 0.0, 0.1)\n"
+        "assert abs(s.matrix[1, 1] - np.exp(-0.2)) < 1e-12\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=src,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
