@@ -165,9 +165,8 @@ def classify(c: ChoiMatrix, tol: float | None = None) -> NMClassification:
     if tol is None:
         tol = default_classification_tol(c.eps)
     spectra, mins, deficits, markovian = _verdicts(c.matrix[None], tol)
-    w = spectra[0]
     return NMClassification(min_eigenvalue=float(mins[0]),
-                            negative_eigenvalues=w[w < -tol],
+                            negative_eigenvalues=spectra[0][spectra[0] < -tol],
                             trace_norm_deficit=float(deficits[0]),
                             is_markovian=bool(markovian[0]))
 

@@ -98,8 +98,6 @@ class NearestMCSResult:
 
 @dataclass(frozen=True)
 class VerificationResult:
-    """Outcome of verify_witness; values holds Tr(W C_M) per sample."""
-
     min_expectation: float
     violations: int
     values: np.ndarray
@@ -399,7 +397,7 @@ def verify_witness(w: WitnessOperator, dim: int, eps: float, n_samples: int,
                    seed: int) -> VerificationResult:
     """Check Tr(W C_M) >= 0 on sampled divisible Choi states.
 
-    A violation is an expectation below -1e-8.
+    A violation is an expectation below -1e-8; values holds Tr(W C_M) per sample.
     """
     if n_samples < 1:
         raise ValueError(f"verify_witness: n_samples must be >= 1, got {n_samples}")
