@@ -106,6 +106,20 @@ class LindbladGenerator:
                 raise RateEvalError(f"rate {i} failed at t={t}: {exc}") from exc
         return values
 
+    def rate_grid(self, ts) -> np.ndarray:
+        """Every rate at every time of ts, shape (len(ts), number of rates).
+
+        Equal to stacking rate_values(t) over ts. Where some rate fails on the
+        grid, the point loop reruns, so the error names the first failing t
+        and, at that t, the first failing rate, as rate_values does.
+        """
+        ts = np.asarray(ts, dtype=float)
+        try:
+            return np.stack([rate.on_grid(ts) for rate in self.rates], axis=1)
+        except ValueError:
+            pass
+        return np.array([self.rate_values(t) for t in ts.tolist()])
+
 
 def dissipator_superoperator(op: np.ndarray) -> np.ndarray:
     """Unit-rate dissipator of one jump operator L as a superoperator matrix:

@@ -11,7 +11,8 @@ divisibility-breaking (non-Markovianity) signal.
 
 The first-order step I + eps*L has the Choi state phi + eps*(C_H + sum_a
 g_a Y_a), affine in the rates g_a; every caller builds C_H and the Y_a with
-`hamiltonian_choi` and `dissipator_chois`. `scan` assembles its whole grid
+`hamiltonian_choi` and `dissipator_chois`. `scan` evaluates the rates on
+its whole grid at once (`LindbladGenerator.rate_grid`), assembles the grid
 as one stack and classifies it with one stacked eigensolve; its report holds
 the per-point minimum eigenvalues, deficits and verdicts as arrays.
 """
@@ -111,10 +112,9 @@ def hamiltonian_choi(h: np.ndarray) -> np.ndarray:
 
 def _first_order_chois(gen: LindbladGenerator, ts, eps: float) -> np.ndarray:
     """phi + eps * (C_H + g(t) @ Y) at each time t in ts, shape (len(ts), d^2, d^2)."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"first-order Choi state: eps must be > 0, got {eps}")
-    rates = np.array([gen.rate_values(float(t)) for t in ts])
-    c_l = np.tensordot(rates, dissipator_chois(gen.ops), axes=1)
+    c_l = np.tensordot(gen.rate_grid(ts), dissipator_chois(gen.ops), axes=1)
     if gen.hamiltonian is not None:
         c_l += hamiltonian_choi(gen.hamiltonian)
     return max_entangled_state(gen.dim) + eps * c_l

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 import tempfile
@@ -388,6 +389,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _real(rule: str = "finite", ok=lambda value: True):
+    """argparse type: a finite float that ok accepts; anything else is an input error."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and ok(value)):
+            raise argparse.ArgumentTypeError(f"expected a {rule} number, got {text!r}")
+        return value
+    return parse
+
+
+_FINITE = _real()
+_EPS = _real("finite positive", lambda value: value > 0)
+_TOL = _real("finite nonnegative", lambda value: value >= 0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nmwitness",
                      description="Small-time Choi states of Lindblad dynamics: "
@@ -397,19 +416,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", parents=[], help="scan a time window for "
                        "divisibility breaking")
     p.add_argument("--spec", required=True, help="channel spec JSON")
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, required=True)
+    p.add_argument("--t0", type=_FINITE, default=0.0)
+    p.add_argument("--t1", type=_FINITE, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--eps", type=_EPS, default=1e-3)
+    p.add_argument("--tol", type=_TOL, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("witness", help="build a witness at one instant")
     p.add_argument("--spec", required=True)
-    p.add_argument("--t0", type=float, default=0.0, help="time of the snapshot")
-    p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--t0", type=_FINITE, default=0.0, help="time of the snapshot")
+    p.add_argument("--eps", type=_EPS, default=1e-3)
+    p.add_argument("--tol", type=_TOL, default=None)
     p.add_argument("--mode", default="spectral",
                    help="spectral | theorem3-fixed | theorem3-gksl")
     p.add_argument("--out", default=None)
@@ -418,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="Monte-Carlo check a witness file")
     p.add_argument("--witness", required=True, help="witness JSON (bare matrix "
                    "or a witness report)")
-    p.add_argument("--eps", type=float, default=1e-3)
+    p.add_argument("--eps", type=_EPS, default=1e-3)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
@@ -428,12 +447,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe", required=True,
                    help="convexity | hsnorm | extreme | separation")
     p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--eps", type=float, default=1e-3)
+    p.add_argument("--eps", type=_EPS, default=1e-3)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--spec", default=None,
                    help="separation only: channel supplying the target state")
-    p.add_argument("--t0", type=float, default=0.0)
+    p.add_argument("--t0", type=_FINITE, default=0.0)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     return parser

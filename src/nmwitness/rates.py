@@ -11,6 +11,17 @@ multiplication):
 
 Known functions: sin, cos, exp, tanh, abs. Known constants: pi, e
 (identifiers without call syntax). The only variable is t.
+
+Every Rate evaluates at one time (`rate(t)`, the reference path) or on a
+whole time grid at once (`rate.on_grid(ts)`). The grid path is bit-identical
+to calling the rate at each t: an expression is walked once per grid, with
+numpy for + - * /, negation and abs (correctly rounded, as Python floats
+are) and the `math` function itself mapped over the elements for sin, cos,
+exp, tanh and '^' (numpy's own exp and tanh can differ from libm in the last
+bit). Where the point path would raise at some t of the grid (division by
+zero, a `math` overflow or domain error, a non-finite value or a table
+lookup outside its domain), `on_grid` falls back to the point loop, so the
+error is the one the point path gives at the first failing t.
 """
 
 from __future__ import annotations
@@ -277,6 +288,41 @@ def evaluate(expr: RateExpression, t: float) -> float:
     return value
 
 
+_ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+
+
+def _map(f, *columns: np.ndarray) -> np.ndarray:
+    """f applied to the Python floats of equal-length columns, element by element."""
+    return np.fromiter(map(f, *(c.tolist() for c in columns)), dtype=float,
+                       count=len(columns[0]))
+
+
+def _eval_grid(node: Node, ts: np.ndarray) -> np.ndarray:
+    """_eval at every t of ts; raises where _eval would raise at some t."""
+    match node:
+        case Literal(value=v):
+            return np.full(ts.shape, v)
+        case TimeVar():
+            return ts
+        case Const(name=name):
+            return np.full(ts.shape, CONSTANTS[name])
+        case Neg(operand=x):
+            return -_eval_grid(x, ts)
+        case Call(func="abs", arg=a):
+            return np.abs(_eval_grid(a, ts))
+        case Call(func=f, arg=a):
+            return _map(FUNCTIONS[f], _eval_grid(a, ts))
+        case BinOp(op="^", left=l, right=r):
+            return _map(math.pow, _eval_grid(l, ts), _eval_grid(r, ts))
+        case BinOp(op=op, left=l, right=r):
+            a = _eval_grid(l, ts)
+            b = _eval_grid(r, ts)
+            if op == "/" and (b == 0.0).any():
+                raise RateEvalError(f"division by zero (at byte {node.pos})")
+            return _ARITHMETIC[op](a, b)
+    raise TypeError(f"unknown node {node!r}")
+
+
 # ---------------------------------------------------------------------------
 # Pretty printer (inverse of parse, up to whitespace)
 # ---------------------------------------------------------------------------
@@ -329,10 +375,14 @@ def pretty(expr: RateExpression) -> str:
 # ---------------------------------------------------------------------------
 
 class Rate:
-    """A scalar rate of time; call with t to evaluate."""
+    """A scalar rate of time; call with t to evaluate, or use on_grid."""
 
     def __call__(self, t: float) -> float:  # pragma: no cover - interface
         raise NotImplementedError
+
+    def on_grid(self, ts: np.ndarray) -> np.ndarray:
+        """The rate at every t of a 1-d float array, as rate(t) gives it."""
+        return np.array([self(t) for t in ts.tolist()], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -342,6 +392,9 @@ class ConstantRate(Rate):
     def __call__(self, t: float) -> float:
         return self.value
 
+    def on_grid(self, ts: np.ndarray) -> np.ndarray:
+        return np.full(ts.shape, self.value)
+
 
 @dataclass(frozen=True)
 class ExpressionRate(Rate):
@@ -349,6 +402,16 @@ class ExpressionRate(Rate):
 
     def __call__(self, t: float) -> float:
         return evaluate(self.expression, t)
+
+    def on_grid(self, ts: np.ndarray) -> np.ndarray:
+        try:
+            with np.errstate(all="ignore"):
+                values = _eval_grid(self.expression.root, ts)
+            if np.isfinite(values).all():
+                return values
+        except (OverflowError, ValueError):
+            pass
+        return super().on_grid(ts)
 
 
 @dataclass(frozen=True)
@@ -370,9 +433,18 @@ class TableRate(Rate):
 
     def __call__(self, t: float) -> float:
         if t < self.times[0] or t > self.times[-1]:
-            raise RateEvalError(
-                f"t={t} outside table domain [{self.times[0]}, {self.times[-1]}]")
+            raise self._outside(t)
         return float(np.interp(t, self.times, self.values))
+
+    def on_grid(self, ts: np.ndarray) -> np.ndarray:
+        outside = (ts < self.times[0]) | (ts > self.times[-1])
+        if outside.any():
+            raise self._outside(float(ts[outside.argmax()]))
+        return np.interp(ts, self.times, self.values)
+
+    def _outside(self, t: float) -> RateEvalError:
+        return RateEvalError(
+            f"t={t} outside table domain [{self.times[0]}, {self.times[-1]}]")
 
 
 RateLike = Rate | RateExpression | float | int | str

@@ -23,7 +23,7 @@ from nmwitness.choi import (
     scan,
 )
 from nmwitness.linalg import hs_norm, trace_norm
-from nmwitness.rates import TableRate
+from nmwitness.rates import RateEvalError, TableRate
 
 
 def test_max_entangled_state_qubit():
@@ -236,8 +236,6 @@ def test_scan_validation():
 
 
 def test_scan_propagates_rate_failure():
-    from nmwitness.rates import RateEvalError, TableRate
-
     gen = LindbladGenerator(
         dim=2,
         ops=(np.array([[1, 0], [0, -1]], dtype=complex),),
@@ -245,6 +243,27 @@ def test_scan_propagates_rate_failure():
     )
     with pytest.raises(RateEvalError, match="t=0.6"):
         scan(gen, 0.0, 1.0, 10, 1e-3)
+
+
+@pytest.mark.parametrize("rates", [
+    ("1/(t-1.5)",),
+    ("exp(400*t)",),
+    ("(t-2)^0.5",),
+    # exp(300*t)^2 overflows to inf from t = 1.25 and 1/inf + 0.1 is finite,
+    # but math.exp itself overflows at t = 2.5.
+    ("1/(exp(300*t)*exp(300*t)) + 0.1",),
+    ("1/(t-2.5)", "1/(t-1.5)"),
+    (TableRate(times=(0.0, 2.0), values=(1.0, 1.0)),),
+    ("exp(700)*exp(700)*0",),
+])
+def test_scan_rate_error_matches_point_loop(rates):
+    gen = LindbladGenerator(dim=2, ops=(np.diag([1.0, -1.0]),) * len(rates), rates=rates)
+    with pytest.raises(RateEvalError) as point:
+        for t in 0.25 * np.arange(12):  # scan's grid of [0, 3] in 12 steps
+            gen.rate_values(float(t))
+    with pytest.raises(RateEvalError) as stacked:
+        scan(gen, 0.0, 3.0, 12, 1e-3)
+    assert str(stacked.value) == str(point.value)
 
 
 # ---------------------------------------------------------------------------

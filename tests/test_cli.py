@@ -300,6 +300,28 @@ def test_main_argparse_error_exit_code(capsys):
     assert info.value.code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--spec", "{spec}", "--t1", "nan", "--steps", "4"],
+    ["analyze", "--spec", "{spec}", "--t1", "inf", "--steps", "4"],
+    ["analyze", "--spec", "{spec}", "--t0=-inf", "--t1", "1", "--steps", "4"],
+    ["analyze", "--spec", "{spec}", "--t1", "1", "--steps", "4", "--tol", "nan"],
+    ["analyze", "--spec", "{spec}", "--t1", "1", "--steps", "4", "--tol=-1e-3"],
+    ["witness", "--spec", "{spec}", "--eps", "0"],
+    ["verify", "--witness", "{witness}", "--n", "10", "--seed", "1", "--eps", "nan"],
+    ["verify", "--witness", "{witness}", "--n", "10", "--seed", "1", "--eps", "-1"],
+    ["geometry", "--probe", "hsnorm", "--n", "10", "--seed", "1", "--eps", "inf"],
+])
+def test_main_rejects_non_finite_and_out_of_range_numbers(tmp_path, capsys, argv):
+    spec = write_spec(tmp_path / "s.json", dephasing_spec("cos(t)"))
+    witness = tmp_path / "w.json"
+    witness.write_text(json.dumps(matrix_to_pairs(np.eye(4))))
+    argv = [a.format(spec=spec, witness=witness) for a in argv]
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--out", str(tmp_path / "out.json")])
+    assert info.value.code == 1
+    assert "expected a finite" in capsys.readouterr().err
+
+
 def test_main_input_error_returns_one(tmp_path):
     missing = str(tmp_path / "missing.json")
     assert main(["analyze", "--spec", missing, "--t1", "1.0", "--steps", "4"]) == 1

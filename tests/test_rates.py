@@ -64,6 +64,7 @@ def test_golden_corpus():
     for src, t, expected in GOLDEN_EXPRESSIONS:
         value = evaluate(parse(src), t)
         assert value == pytest.approx(expected, abs=1e-12), src
+        assert ExpressionRate(parse(src)).on_grid(np.array([t, t])).tolist() == [value] * 2, src
 
 
 def test_malformed_corpus_offsets():
@@ -128,7 +129,9 @@ def test_random_expressions_match_shunting_yard_oracle():
         expr = parse(expr_src)
         # printer round trip holds on random trees too
         assert parse(pretty(expr)).root == expr.root
-        for t in rng.uniform(-3.0, 3.0, 10):
+        ts = rng.uniform(-3.0, 3.0, 10)
+        values = []
+        for t in ts:
             try:
                 mine = evaluate(expr, float(t))
             except RateEvalError:
@@ -137,7 +140,13 @@ def test_random_expressions_match_shunting_yard_oracle():
                 continue
             theirs = shunting_yard_eval(expr_src, float(t))
             assert mine == pytest.approx(theirs, rel=1e-12, abs=1e-12), expr_src
+            values.append(mine)
             checked += 1
+        if len(values) == len(ts):
+            assert ExpressionRate(expr).on_grid(ts).tolist() == values, expr_src
+        else:
+            with pytest.raises(RateEvalError):
+                ExpressionRate(expr).on_grid(ts)
     assert checked > 5000
 
 
@@ -145,6 +154,10 @@ def test_table_rate():
     table = TableRate(times=(0.0, 1.0, 2.0), values=(0.0, 2.0, 0.0))
     assert table(0.5) == pytest.approx(1.0)
     assert table(1.0) == pytest.approx(2.0)
+    ts = np.linspace(0.0, 2.0, 41)
+    assert table.on_grid(ts).tolist() == [table(t) for t in ts.tolist()]
+    with pytest.raises(RateEvalError, match="t=2.5 outside"):
+        table.on_grid(np.array([0.5, 2.5, -0.1]))
     with pytest.raises(RateEvalError):
         table(-0.1)
     with pytest.raises(RateEvalError):
