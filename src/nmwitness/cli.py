@@ -16,6 +16,11 @@ Matrices are nested arrays of [re, im] pairs everywhere (specs, witness
 files, reports). Exit codes: 0 ok / fully Markovian, 1 input error,
 2 nothing to witness, 3 non-Markovianity found / violations / probe
 failures, 4 solver did not converge.
+
+A JSON report is byte for byte `json.dumps(payload, indent=2)` plus a
+newline. Its row tables (the `analyze` points and nm_intervals, the
+`geometry` details) are written straight from their columns, one row
+template per table, and the CSV form reads the same columns.
 """
 
 from __future__ import annotations
@@ -194,24 +199,84 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+class _Rows:
+    """A report table held as equal-length columns, one per key.
+
+    In JSON each row is an object with these keys, or a bare array when
+    keyed is False; in CSV the keys are the header line. A plain class, not
+    a dataclass: it adds no work to the CLI's import.
+    """
+
+    def __init__(self, keys: tuple[str, ...], columns: tuple, keyed: bool = True):
+        self.keys = keys
+        self.columns = columns
+        self.keyed = keyed
+
+    def _cells(self, json_form: bool) -> list[list]:
+        """Per column, the values whose str() is each cell's text.
+
+        str() of a float is float.__repr__, json's own spelling of a finite
+        float; JSON spells a non-finite one as json.dumps does, CSV as repr.
+        Bools become true/false.
+        """
+        cells = []
+        for column in self.columns:
+            a = np.asarray(column)
+            if a.dtype == bool:
+                cells.append(np.where(a, "true", "false").tolist())
+            elif json_form and a.dtype.kind == "f" and not np.isfinite(a).all():
+                cells.append([json.dumps(v) for v in a.tolist()])
+            else:
+                cells.append(a.tolist())
+        return cells
+
+    def json(self) -> str:
+        """The table as json.dumps(indent=2) writes it under a top-level key."""
+        if not len(self.columns[0]):
+            return "[]"
+        if self.keyed:
+            fields = [f"      {json.dumps(key)}: %s" for key in self.keys]
+            row = "    {\n" + ",\n".join(fields) + "\n    }"
+        else:
+            row = "    [\n" + ",\n".join(["      %s"] * len(self.keys)) + "\n    ]"
+        return "[\n" + ",\n".join(map(row.__mod__, zip(*self._cells(True)))) + "\n  ]"
+
+    def csv(self) -> list[str]:
+        row = ",".join(["%s"] * len(self.keys))
+        return [",".join(self.keys), *map(row.__mod__, zip(*self._cells(False)))]
+
+
+def _record_rows(keys: tuple[str, ...], records) -> _Rows:
+    """Array rows from a sequence of equal-length records."""
+    return _Rows(keys, tuple(zip(*records)) or ((),) * len(keys), keyed=False)
+
+
+def _render_json(payload: dict) -> str:
+    """json.dumps(payload, indent=2) + newline, row tables written from columns.
+
+    Each other value is json.dumps(indent=2) shifted one level in; that is
+    exact because a JSON string never holds a raw newline.
+    """
+    items = []
+    for key, value in payload.items():
+        text = (value.json() if isinstance(value, _Rows)
+                else json.dumps(value, indent=2).replace("\n", "\n  "))
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}\n"
+
+
 def _render_csv(payload: dict) -> str:
     command = payload["command"]
-    lines = []
     if command == "analyze":
-        lines.append("t,min_eigenvalue,deficit,is_markovian")
-        for p in payload["points"]:
-            lines.append(f"{p['t']!r},{p['min_eigenvalue']!r},{p['deficit']!r},"
-                         f"{'true' if p['is_markovian'] else 'false'}")
+        lines = payload["points"].csv()
     elif command == "geometry":
-        lines.append("trial,value")
-        for trial, value in payload["details"]:
-            lines.append(f"{trial},{value!r}")
+        lines = payload["details"].csv()
     elif command == "verify":
-        lines.append("n_samples,violations,min_expectation")
-        lines.append(f"{payload['n_samples']},{payload['violations']},"
-                     f"{payload['min_expectation']!r}")
+        lines = ["n_samples,violations,min_expectation",
+                 f"{payload['n_samples']},{payload['violations']},"
+                 f"{payload['min_expectation']!r}"]
     elif command == "witness":
-        lines.append("row,col,re,im")
+        lines = ["row,col,re,im"]
         matrix = payload["witnesses"][0]["matrix"]
         for r, row in enumerate(matrix):
             for c, (re, im) in enumerate(row):
@@ -223,7 +288,7 @@ def _render_csv(payload: dict) -> str:
 
 def emit_report(payload: dict, out_path: str | None, fmt: str) -> None:
     if fmt == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _render_json(payload)
     elif fmt == "csv":
         text = _render_csv(payload)
     else:
@@ -249,12 +314,10 @@ def cmd_analyze(spec_path: str, t0: float, t1: float, steps: int, eps: float,
         "t1": t1,
         "steps": steps,
         "tol": report.tol,
-        "points": [
-            {"t": t, "min_eigenvalue": m, "deficit": d, "is_markovian": ok}
-            for t, m, d, ok in zip(report.grid.tolist(), report.min_eigenvalues.tolist(),
-                                   report.deficits.tolist(), report.is_markovian.tolist())
-        ],
-        "nm_intervals": [[a, b] for a, b in report.nm_intervals],
+        "points": _Rows(("t", "min_eigenvalue", "deficit", "is_markovian"),
+                        (report.grid, report.min_eigenvalues, report.deficits,
+                         report.is_markovian)),
+        "nm_intervals": _record_rows(("start", "end"), report.nm_intervals),
         "integrated_measure": report.integrated_measure,
     }
     emit_report(payload, out_path, fmt)
@@ -347,7 +410,7 @@ def _probe_payload(report: ProbeReport, seed: int, eps: float) -> dict:
         "n_trials": report.n_trials,
         "failures": report.failures,
         "worst_value": report.worst_value,
-        "details": [[trial, value] for trial, value in report.details],
+        "details": _record_rows(("trial", "value"), report.details),
     }
     if report.summary is not None:
         payload["summary"] = report.summary
@@ -381,8 +444,32 @@ def cmd_geometry(probe: str, dim: int, eps: float, n: int, seed: int,
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse that exits with the input-error code on bad usage."""
+    """argparse that exits with the input-error code on bad usage.
+
+    argparse takes a value such as -1e-3 or -inf for an option of its own;
+    one that follows an option is glued to it first ("--t0=-1e-3"), so the
+    two spellings parse alike.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        glued = []
+        for arg in sys.argv[1:] if args is None else args:
+            prev = glued[-1] if glued else ""
+            if (prev.startswith("--") and len(prev) > 2 and "=" not in prev
+                    and arg.startswith("-") and _is_number(arg)):
+                glued[-1] = f"{prev}={arg}"
+            else:
+                glued.append(arg)
+        return super().parse_known_args(glued, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -257,6 +257,8 @@ def _eval(node: Node, t: float) -> float:
                 return float(FUNCTIONS[f](_eval(a, t)))
             except OverflowError as exc:
                 raise RateEvalError(f"{f}: overflow (at byte {node.pos})") from exc
+            except ValueError as exc:
+                raise RateEvalError(f"{f}: {exc} (at byte {node.pos})") from exc
         case BinOp(op=op, left=l, right=r):
             a = _eval(l, t)
             b = _eval(r, t)

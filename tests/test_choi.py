@@ -255,6 +255,7 @@ def test_scan_propagates_rate_failure():
     ("1/(t-2.5)", "1/(t-1.5)"),
     (TableRate(times=(0.0, 2.0), values=(1.0, 1.0)),),
     ("exp(700)*exp(700)*0",),
+    ("sin(exp(700)*exp(700))",),
 ])
 def test_scan_rate_error_matches_point_loop(rates):
     gen = LindbladGenerator(dim=2, ops=(np.diag([1.0, -1.0]),) * len(rates), rates=rates)

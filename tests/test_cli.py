@@ -6,9 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nmwitness.channels import builtin_pauli
+from nmwitness.choi import choi_of_generator, scan
 from nmwitness.cli import (
     SpecError,
+    _render_json,
+    _Rows,
     cmd_analyze,
     cmd_geometry,
     cmd_verify,
@@ -18,6 +24,12 @@ from nmwitness.cli import (
     matrix_from_pairs,
     matrix_to_pairs,
     main,
+)
+from nmwitness.geometry import (
+    convexity_probe,
+    extreme_point_probe,
+    hs_norm_probe,
+    separation_demo,
 )
 
 SZ = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
@@ -232,6 +244,108 @@ def test_csv_and_json_numeric_identity(tmp_path):
         assert (markov == "true") == point["is_markovian"]
 
 
+# The row writer must give exactly the bytes of json.dumps(indent=2) over the
+# plain payload, rows built one dict or list at a time from the same report.
+
+def plain_analyze_payload(report, metadata, t0, t1, steps):
+    return {
+        "command": "analyze",
+        "metadata": metadata,
+        "t0": t0,
+        "t1": t1,
+        "steps": steps,
+        "tol": report.tol,
+        "points": [
+            {"t": t, "min_eigenvalue": m, "deficit": d, "is_markovian": ok}
+            for t, m, d, ok in zip(report.grid.tolist(), report.min_eigenvalues.tolist(),
+                                   report.deficits.tolist(), report.is_markovian.tolist())
+        ],
+        "nm_intervals": [[a, b] for a, b in report.nm_intervals],
+        "integrated_measure": report.integrated_measure,
+    }
+
+
+@pytest.mark.parametrize("rate,t0,t1,steps,n_intervals", [
+    (1.0, 0.0, 1.0, 50, 0),
+    ("cos(t)", 0.0, 3.2, 320, 1),
+    ("cos(3*t)", -1.0, 6.0, 700, 4),
+    ("cos(t)", 2.0, 3.0, 1, 1),
+    ("cos(t)", 0.0, 1.0, 1, 0),
+])
+def test_analyze_report_bytes_match_json_dumps(tmp_path, rate, t0, t1, steps, n_intervals):
+    spec = write_spec(tmp_path / "s.json", dephasing_spec(rate))
+    out_json, out_csv = tmp_path / "r.json", tmp_path / "r.csv"
+    cmd_analyze(spec, t0, t1, steps, 1e-3, str(out_json), "json")
+    cmd_analyze(spec, t0, t1, steps, 1e-3, str(out_csv), "csv")
+    report = scan(load_channel_spec(spec), t0, t1, steps, 1e-3)
+    assert len(report.nm_intervals) == n_intervals
+    text = out_json.read_text()
+    plain = plain_analyze_payload(report, json.loads(text)["metadata"], t0, t1, steps)
+    assert text == json.dumps(plain, indent=2) + "\n"
+    rows = [f"{p['t']!r},{p['min_eigenvalue']!r},{p['deficit']!r},"
+            f"{'true' if p['is_markovian'] else 'false'}" for p in plain["points"]]
+    assert out_csv.read_text() == "\n".join(
+        ["t,min_eigenvalue,deficit,is_markovian", *rows]) + "\n"
+
+
+@pytest.mark.parametrize("probe,run", [
+    ("convexity", lambda: convexity_probe(2, 1e-3, 300, 5)),
+    ("hsnorm", lambda: hs_norm_probe(3, 1e-3, 300, 5)),
+    ("extreme", lambda: extreme_point_probe(2, 1e-3, 300, 5)),
+    ("separation", lambda: separation_demo(
+        choi_of_generator(builtin_pauli(1.0, 1.0, -0.3), 0.0, 1e-3), 300, 5)),
+])
+def test_geometry_report_bytes_match_json_dumps(tmp_path, probe, run):
+    dim = 3 if probe == "hsnorm" else 2
+    out_json, out_csv = tmp_path / "g.json", tmp_path / "g.csv"
+    cmd_geometry(probe, dim, 1e-3, 300, 5, str(out_json), "json")
+    cmd_geometry(probe, dim, 1e-3, 300, 5, str(out_csv), "csv")
+    report = run()
+    text = out_json.read_text()
+    plain = {
+        "command": "geometry",
+        "metadata": json.loads(text)["metadata"],
+        "probe": report.probe_name,
+        "n_trials": report.n_trials,
+        "failures": report.failures,
+        "worst_value": report.worst_value,
+        "details": [[trial, value] for trial, value in report.details],
+    }
+    if report.summary is not None:
+        plain["summary"] = report.summary
+    assert text == json.dumps(plain, indent=2) + "\n"
+    rows = [f"{trial},{value!r}" for trial, value in report.details]
+    assert out_csv.read_text() == "\n".join(["trial,value", *rows]) + "\n"
+
+
+# Non-finite floats are included. No spec is known to put one in a column
+# (a Choi state whose trace overflows is rejected, and eigvalsh fails to
+# converge first near overflow), but they do reach reports elsewhere:
+# integrated_measure reads Infinity for a dephasing rate of -1e308 at
+# eps 0.5. The writer stands in for json.dumps over every float, so it
+# spells them NaN and Infinity as json does.
+_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-310, 1e16, 1.5e300, -2.5e-08]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(_FLOATS, st.integers(-2**63, 2**63 - 1), st.booleans()),
+                     max_size=8),
+       keyed=st.booleans())
+def test_row_writer_matches_json_dumps(rows, keyed):
+    keys = ("x", "n", "ok")
+    columns = (np.array([r[0] for r in rows], dtype=float),
+               np.array([r[1] for r in rows], dtype=np.int64),
+               np.array([r[2] for r in rows], dtype=bool))
+    plain_rows = [dict(zip(keys, r)) if keyed else list(r) for r in rows]
+    head = {"command": "probe", "metadata": {"note": "two\nlines \u00e9", "seed": None},
+            "pairs": [[1.5, -0.0], []]}
+    text = _render_json({**head, "table": _Rows(keys, columns, keyed), "tail": 1e-300})
+    assert text == json.dumps({**head, "table": plain_rows, "tail": 1e-300}, indent=2) + "\n"
+    csv_rows = [f"{x!r},{n},{'true' if ok else 'false'}" for x, n, ok in rows]
+    assert _Rows(keys, columns, keyed).csv() == ["x,n,ok", *csv_rows]
+
+
 def test_witness_csv_matches_json(tmp_path):
     spec = write_spec(tmp_path / "s.json", pauli_spec(1.0, 1.0, -0.3))
     out_json, out_csv = tmp_path / "w.json", tmp_path / "w.csv"
@@ -304,6 +418,8 @@ def test_main_argparse_error_exit_code(capsys):
     ["analyze", "--spec", "{spec}", "--t1", "nan", "--steps", "4"],
     ["analyze", "--spec", "{spec}", "--t1", "inf", "--steps", "4"],
     ["analyze", "--spec", "{spec}", "--t0=-inf", "--t1", "1", "--steps", "4"],
+    ["analyze", "--spec", "{spec}", "--t0", "-inf", "--t1", "1", "--steps", "4"],
+    ["analyze", "--spec", "{spec}", "--t1", "1", "--steps", "4", "--tol", "-1e-3"],
     ["analyze", "--spec", "{spec}", "--t1", "1", "--steps", "4", "--tol", "nan"],
     ["analyze", "--spec", "{spec}", "--t1", "1", "--steps", "4", "--tol=-1e-3"],
     ["witness", "--spec", "{spec}", "--eps", "0"],
@@ -320,6 +436,25 @@ def test_main_rejects_non_finite_and_out_of_range_numbers(tmp_path, capsys, argv
         main(argv + ["--out", str(tmp_path / "out.json")])
     assert info.value.code == 1
     assert "expected a finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-2.5E+0", "-.5e-1", "-1.5"])
+def test_main_reads_negative_numbers_after_an_option(tmp_path, value):
+    spec = write_spec(tmp_path / "s.json", dephasing_spec(1.0))
+    spaced, glued = tmp_path / "spaced.json", tmp_path / "glued.json"
+    args = ["--t1", "1", "--steps", "4"]
+    assert main(["analyze", "--spec", spec, "--t0", value, *args, "--out", str(spaced)]) == 0
+    assert main(["analyze", "--spec", spec, f"--t0={value}", *args, "--out", str(glued)]) == 0
+    assert json.loads(spaced.read_text())["t0"] == float(value)
+    assert strip_timestamp(spaced.read_text()) == strip_timestamp(glued.read_text())
+
+
+def test_main_rate_domain_error_names_rate_and_time(tmp_path, capsys):
+    spec = write_spec(tmp_path / "s.json", dephasing_spec("sin(exp(700)*exp(700))"))
+    assert main(["analyze", "--spec", spec, "--t1", "1", "--steps", "4"]) == 1
+    err = capsys.readouterr().err
+    assert "rate 0 failed at t=0.0" in err
+    assert "sin: math domain error (at byte 0)" in err
 
 
 def test_main_input_error_returns_one(tmp_path):

@@ -59,6 +59,11 @@ def test_zero_to_negative_power():
         evaluate(parse("(t - 1)^0.5"), 0.0)
 
 
+def test_math_domain_error_names_function_and_offset():
+    with pytest.raises(RateEvalError, match=r"sin: math domain error \(at byte 2\)"):
+        evaluate(parse("1+sin(exp(700)*exp(700))"), 0.0)
+
+
 def test_golden_corpus():
     assert len(GOLDEN_EXPRESSIONS) >= 50
     for src, t, expected in GOLDEN_EXPRESSIONS:
