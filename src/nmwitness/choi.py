@@ -74,13 +74,19 @@ def _require_states(stack: np.ndarray, ts) -> None:
                          f"trace {complex(trace[k])!r}; need Hermitian with trace 1")
 
 
-def unitary_chois(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Choi kets vec(U)/sqrt(d) and pure Choi states of a stack of unitaries.
-
-    Returns the (n, d^2) kets and the (n, d^2, d^2) projectors onto them.
-    """
+def unitary_kets(us: np.ndarray) -> np.ndarray:
+    """(n, d^2) Choi kets vec(U)/sqrt(d) of a stack of unitaries."""
     n, d = us.shape[0], us.shape[1]
-    kets = us.transpose(0, 2, 1).reshape(n, d * d) / np.sqrt(d)
+    return us.transpose(0, 2, 1).reshape(n, d * d) / np.sqrt(d)
+
+
+def unitary_chois(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Choi kets and pure Choi states of a stack of unitaries.
+
+    Returns the (n, d^2) kets of `unitary_kets` and the (n, d^2, d^2)
+    projectors onto them.
+    """
+    kets = unitary_kets(us)
     return kets, np.einsum("ni,nj->nij", kets, kets.conj())
 
 
@@ -204,15 +210,27 @@ def scan(gen: LindbladGenerator, t0: float, t1: float, steps: int, eps: float,
         tol = default_classification_tol(eps)
     dt = (t1 - t0) / steps
     grid = t0 + dt * np.arange(steps)
-    chois = _first_order_chois(gen, grid, eps)
-    _require_states(chois, grid)
-    _, mins, deficits, markovian = _verdicts(chois, tol)
+    # No overflow warnings: an overflowing stack fails the state check, the
+    # eigensolve or the finite-measure check, each an error naming the window.
+    with np.errstate(over="ignore", invalid="ignore"):
+        chois = _first_order_chois(gen, grid, eps)
+        _require_states(chois, grid)
+        try:
+            _, mins, deficits, markovian = _verdicts(chois, tol)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(
+                f"scan: eigensolve failed on [{t0}, {t1}] with {steps} steps "
+                f"(largest |entry| of the Choi stack {np.abs(chois).max():.3e}): {exc}"
+            ) from exc
     # Runs of non-Markovian cells open and close where the zero-padded verdicts flip.
     flips = np.flatnonzero(np.diff(np.pad(~markovian, 1)))
     edges = np.append(grid, grid[-1] + dt)
     # Python's left-to-right sum, not np.sum's pairwise one, keeps the
     # reported measure bit-for-bit stable.
     measure = float(sum(np.maximum(deficits, 0.0).tolist()) * dt / eps)
+    if not np.isfinite(measure):
+        raise ValueError(f"scan: integrated_measure on [{t0}, {t1}] is {measure}; "
+                         f"sum max(0, deficit) * dt / eps is not finite")
     return ScanReport(
         grid=grid,
         min_eigenvalues=mins,

@@ -410,7 +410,8 @@ def _probe_payload(report: ProbeReport, seed: int, eps: float) -> dict:
         "n_trials": report.n_trials,
         "failures": report.failures,
         "worst_value": report.worst_value,
-        "details": _record_rows(("trial", "value"), report.details),
+        "details": _Rows(("trial", "value"),
+                         (np.arange(report.details.size), report.details), keyed=False),
     }
     if report.summary is not None:
         payload["summary"] = report.summary

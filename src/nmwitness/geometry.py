@@ -30,21 +30,25 @@ from .witness import (
 class ProbeReport:
     """Outcome of one randomized geometry probe.
 
-    details holds one (trial index, value) record per trial; trial draws are
-    derived in index order from the probe seed, so a record pins down its
-    trial's randomness.
+    details is the column of per-trial values, one float per trial, and a
+    trial's index is its position in it; trial draws are derived in index
+    order from the probe seed, so an index pins down its trial's randomness.
     """
 
     probe_name: str
     n_trials: int
     failures: int
     worst_value: float
-    details: tuple[tuple[int, float], ...]
+    details: np.ndarray
     summary: dict | None = None
 
-
-def _detail_tuple(values: np.ndarray) -> tuple[tuple[int, float], ...]:
-    return tuple((int(i), float(v)) for i, v in enumerate(values))
+    def __eq__(self, other):
+        """Field by field, the details columns compared as arrays."""
+        if not isinstance(other, ProbeReport):
+            return NotImplemented
+        scalars = ("probe_name", "n_trials", "failures", "worst_value", "summary")
+        return (all(getattr(self, f) == getattr(other, f) for f in scalars)
+                and np.array_equal(self.details, other.details))
 
 
 def convexity_probe(dim: int, eps: float, n_trials: int, seed: int) -> ProbeReport:
@@ -69,7 +73,7 @@ def convexity_probe(dim: int, eps: float, n_trials: int, seed: int) -> ProbeRepo
         n_trials=n_trials,
         failures=failures,
         worst_value=float(min_eigs.min()),
-        details=_detail_tuple(min_eigs),
+        details=min_eigs,
     )
 
 
@@ -85,10 +89,8 @@ def hs_norm_probe(dim: int, eps: float, n_trials: int, seed: int) -> ProbeReport
         raise ValueError(f"hs_norm_probe: eps must be > 0, got {eps}")
     if n_trials < 1:
         raise ValueError(f"hs_norm_probe: n_trials must be >= 1, got {n_trials}")
-    rng = np.random.default_rng(seed)
-    rates, dirs, offsets = _unitary_jump_generators(dim, n_trials, rng)
-    rates *= np.where(rng.random(rates.size) < 0.5, 1.0, -1.0)
-    gen_chois = np.add.reduceat(rates[:, None, None] * dirs, offsets, axis=0)
+    gen_chois = _unitary_jump_generators(dim, n_trials, np.random.default_rng(seed),
+                                         signed=True)
     chois = max_entangled_state(dim) + eps * gen_chois
     deviations = np.abs(np.linalg.norm(chois, axis=(1, 2)) - 1.0)
     bounds = 10.0 * eps * dim * np.linalg.norm(gen_chois, axis=(1, 2))
@@ -98,7 +100,7 @@ def hs_norm_probe(dim: int, eps: float, n_trials: int, seed: int) -> ProbeReport
         n_trials=n_trials,
         failures=failures,
         worst_value=float(deviations.max()),
-        details=_detail_tuple(deviations),
+        details=deviations,
         summary={"max_bound": float(bounds.max()), "min_bound": float(bounds.min())},
     )
 
@@ -126,7 +128,7 @@ def separation_demo(cn: ChoiMatrix, n_samples: int, seed: int) -> ProbeReport:
         n_trials=n_samples,
         failures=check.violations + int(on_target >= 0.0),
         worst_value=check.min_expectation,
-        details=_detail_tuple(check.values),
+        details=check.values,
         summary={
             "expectation_on_target": float(on_target),
             "residual": float(nearest.residual),
@@ -145,6 +147,10 @@ def extreme_point_probe(dim: int, eps: float, n_unitaries: int,
     coincident pair counts as a failure. worst_value is the smallest pairwise
     distance. A growing census of distinct purity-one members is the
     assertable surrogate for the set not being a polytope.
+
+    Pure states lie sqrt(2 - 2|<u|v>|^2) apart, falling as the overlap grows:
+    the largest off-diagonal overlap gives the smallest distance, and only
+    pairs with overlap above 0.5 can be closer than 1e-8.
     """
     if n_unitaries < 2:
         raise ValueError(
@@ -152,18 +158,21 @@ def extreme_point_probe(dim: int, eps: float, n_unitaries: int,
     rng = np.random.default_rng(seed)
     uvec, chois = unitary_chois(haar_unitaries(dim, n_unitaries, rng))
     purities = np.einsum("nij,nji->n", chois, chois).real
-    overlaps = np.abs(uvec @ uvec.conj().T) ** 2
-    dist_sq = np.clip(2.0 - 2.0 * overlaps, 0.0, None)
-    np.fill_diagonal(dist_sq, np.inf)
-    distances = np.sqrt(dist_sq)
-    min_distance = float(distances.min())
+    overlaps = np.abs(uvec @ uvec.conj().T)
+    np.square(overlaps, out=overlaps)
+    np.fill_diagonal(overlaps, 0.0)
+
+    def distance(overlap):
+        return np.sqrt(np.clip(2.0 - 2.0 * overlap, 0.0, None))
+
+    min_distance = float(distance(overlaps.max()))
     purity_failures = int(np.count_nonzero(np.abs(purities - 1.0) > 1e-10))
-    coincidences = int(np.count_nonzero(distances < 1e-8) // 2)
+    coincidences = int(np.count_nonzero(distance(overlaps[overlaps > 0.5]) < 1e-8) // 2)
     return ProbeReport(
         probe_name="extreme",
         n_trials=n_unitaries,
         failures=purity_failures + coincidences,
         worst_value=min_distance,
-        details=_detail_tuple(purities),
+        details=purities,
         summary={"min_pairwise_distance": min_distance},
     )

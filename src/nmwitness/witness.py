@@ -28,7 +28,7 @@ import numpy as np
 from . import linalg
 from .channels import haar_unitaries
 from .choi import (ChoiMatrix, default_classification_tol, dissipator_chois, hamiltonian_choi,
-                   max_entangled_state, unitary_chois)
+                   max_entangled_state, unitary_kets)
 from .linalg import DEGENERACY_GAP, ShapeError, as_matrix, dagger, hs_inner, hs_norm
 
 
@@ -362,15 +362,14 @@ def sample_markovian_chois(dim: int, eps: float, n_samples: int, seed: int,
     [0, 1]; when include_hamiltonian is set, about half the samples also carry
     a random traceless Hamiltonian (the "unitary part"). All draws come from
     one seeded stream in a fixed order, so output is reproducible.
-    Returns an (n_samples, dim^2, dim^2) complex array.
+    Returns the (n_samples, dim^2, dim^2) complex stack phi + eps*(C_H + X),
+    with X the Gram-form dissipator directions of _unitary_jump_generators.
     """
     if n_samples < 1:
         raise ValueError(f"sample_markovian_chois: n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     d = dim
-    rates, dirs, offsets = _unitary_jump_generators(d, n_samples, rng)
-    chois = max_entangled_state(d) + eps * np.add.reduceat(
-        rates[:, None, None] * dirs, offsets, axis=0)
+    chois = max_entangled_state(d) + eps * _unitary_jump_generators(d, n_samples, rng)
     if include_hamiltonian:
         mask = rng.random(n_samples) < 0.5
         raw = (rng.standard_normal((n_samples, d, d))
@@ -381,16 +380,33 @@ def sample_markovian_chois(dim: int, eps: float, n_samples: int, seed: int,
     return chois
 
 
-def _unitary_jump_generators(dim: int, n: int, rng: np.random.Generator
-                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw jump counts (1..dim^2), Haar unitaries, rates on [0, 1] for n generators;
-    return the rates, the jumps' Choi directions |U>><<U|/d - phi, first-jump offsets."""
-    counts = rng.integers(1, dim * dim + 1, size=n)
-    us = haar_unitaries(dim, int(counts.sum()), rng)
-    rates = rng.uniform(0.0, 1.0, size=us.shape[0])
-    _, pure = unitary_chois(us)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    return rates, pure - max_entangled_state(dim), offsets
+def _unitary_jump_generators(dim: int, n: int, rng: np.random.Generator,
+                             signed: bool = False) -> np.ndarray:
+    """Dissipator Choi directions X = sum_a g_a (|u_a><u_a| - phi) of n random generators.
+
+    Draws, in this order: jump counts (1..dim^2), Haar unitaries U_a with
+    Choi kets |u_a> of `unitary_kets`, rates g_a uniform on [0, 1] and, when
+    signed, a random sign per rate. Generator k's jumps fill the first slots
+    of zero-padded (n, dim^2, dim^2) arrays: row a of scaled[k] is g_a|u_a>
+    and row a of bras[k] is <u_a|, so X[k] = scaled[k]^T @ bras[k] - (sum_a
+    g_a) phi, one batched Gram product for the whole stack.
+    Returns X, shape (n, dim^2, dim^2).
+    """
+    d2 = dim * dim
+    counts = rng.integers(1, d2 + 1, size=n)
+    kets = unitary_kets(haar_unitaries(dim, int(counts.sum()), rng))
+    rates = rng.uniform(0.0, 1.0, size=kets.shape[0])
+    if signed:
+        rates *= np.where(rng.random(rates.size) < 0.5, 1.0, -1.0)
+    slots = np.arange(d2) < counts[:, None]
+    scaled = np.zeros((n, d2, d2), dtype=complex)
+    bras = np.zeros((n, d2, d2), dtype=complex)
+    scaled[slots] = rates[:, None] * kets
+    bras[slots] = kets.conj()
+    rate_sums = np.add.reduceat(rates, np.cumsum(counts) - counts)
+    x = np.matmul(scaled.transpose(0, 2, 1), bras)
+    x -= rate_sums[:, None, None] * max_entangled_state(dim)
+    return x
 
 
 def verify_witness(w: WitnessOperator, dim: int, eps: float, n_samples: int,

@@ -2,14 +2,18 @@
 
 These deliberately avoid the implementation paths they check: the expression
 oracle is a shunting-yard evaluator with its own tokenizer, the projection
-oracle is a dense grid search, and the exponential oracle is a plain Taylor
-series.
+oracle is a dense grid search, the exponential oracle is a plain Taylor
+series, the sampled-generator oracle sums one pure Choi state per jump, and
+the extreme-point oracle builds the full pairwise distance matrix.
 """
 
 import math
 import re
 
 import numpy as np
+
+from nmwitness.channels import haar_unitaries
+from nmwitness.choi import max_entangled_state, unitary_chois
 
 _FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
           "tanh": math.tanh, "abs": abs}
@@ -161,3 +165,33 @@ def taylor_expm(a: np.ndarray, terms: int = 50) -> np.ndarray:
         term = term @ a / k
         out = out + term
     return out
+
+
+def per_jump_generators(dim: int, n: int, rng: np.random.Generator,
+                        signed: bool = False) -> np.ndarray:
+    """sum_a g_a (|u_a><u_a| - phi) of n random generators, one jump at a time.
+
+    Same draws in the same order as the sampler (jump counts, Haar unitaries,
+    rates, then signs when signed); builds the (jumps, d^2, d^2) stack of
+    rate-scaled pure directions and sums each generator's run of it with
+    np.add.reduceat.
+    """
+    counts = rng.integers(1, dim * dim + 1, size=n)
+    us = haar_unitaries(dim, int(counts.sum()), rng)
+    rates = rng.uniform(0.0, 1.0, size=us.shape[0])
+    if signed:
+        rates *= np.where(rng.random(rates.size) < 0.5, 1.0, -1.0)
+    _, pure = unitary_chois(us)
+    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    dirs = rates[:, None, None] * (pure - max_entangled_state(dim))
+    return np.add.reduceat(dirs, offsets, axis=0)
+
+
+def pairwise_distance_census(uvec: np.ndarray) -> tuple[float, int]:
+    """Smallest pairwise HS distance of the pure states |u><u| and the number
+    of pairs closer than 1e-8, from the full n x n distance matrix."""
+    overlaps = np.abs(uvec @ uvec.conj().T) ** 2
+    dist_sq = np.clip(2.0 - 2.0 * overlaps, 0.0, None)
+    np.fill_diagonal(dist_sq, np.inf)
+    distances = np.sqrt(dist_sq)
+    return float(distances.min()), int(np.count_nonzero(distances < 1e-8) // 2)

@@ -181,7 +181,7 @@ def test_criterion_06_hs_norm_suite():
 
 def test_criterion_07_extreme_point_suite():
     report = extreme_point_probe(2, 1e-3, 1000, seed=707)
-    purities = np.array([v for _, v in report.details])
+    purities = report.details
     ok = (report.failures == 0
           and np.abs(purities - 1.0).max() <= 1e-10
           and report.worst_value > 1e-8)

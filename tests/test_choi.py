@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -265,6 +266,24 @@ def test_scan_rate_error_matches_point_loop(rates):
     with pytest.raises(RateEvalError) as stacked:
         scan(gen, 0.0, 3.0, 12, 1e-3)
     assert str(stacked.value) == str(point.value)
+
+
+def test_scan_eigensolve_failure_names_window():
+    # 0.5 * (C + C^H) overflows near 1.7e308, and eigvalsh fails to converge.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as failed:
+            scan(builtin_dephasing(-1.7e308), 0.0, 1.0, 4, 0.6)
+    message = str(failed.value)
+    assert "eigensolve failed on [0.0, 1.0] with 4 steps" in message
+    assert "largest |entry| of the Choi stack 1.020e+308" in message
+
+
+def test_scan_rejects_non_finite_measure():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"integrated_measure on \[0.0, 1.0\] is inf"):
+            scan(builtin_dephasing(-1e308), 0.0, 1.0, 4, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -309,21 +309,20 @@ def test_geometry_report_bytes_match_json_dumps(tmp_path, probe, run):
         "n_trials": report.n_trials,
         "failures": report.failures,
         "worst_value": report.worst_value,
-        "details": [[trial, value] for trial, value in report.details],
+        "details": [[trial, value] for trial, value in enumerate(report.details.tolist())],
     }
     if report.summary is not None:
         plain["summary"] = report.summary
     assert text == json.dumps(plain, indent=2) + "\n"
-    rows = [f"{trial},{value!r}" for trial, value in report.details]
+    rows = [f"{trial},{value!r}" for trial, value in enumerate(report.details.tolist())]
     assert out_csv.read_text() == "\n".join(["trial,value", *rows]) + "\n"
 
 
-# Non-finite floats are included. No spec is known to put one in a column
-# (a Choi state whose trace overflows is rejected, and eigvalsh fails to
-# converge first near overflow), but they do reach reports elsewhere:
-# integrated_measure reads Infinity for a dephasing rate of -1e308 at
-# eps 0.5. The writer stands in for json.dumps over every float, so it
-# spells them NaN and Infinity as json does.
+# Non-finite floats are included. No spec is known to put one in a report
+# (a Choi state whose trace overflows is rejected, a failed eigensolve and a
+# non-finite integrated_measure are input errors), but the writer stands in
+# for json.dumps over every float, so it spells them NaN and Infinity as
+# json does.
 _FLOATS = st.one_of(st.floats(), st.sampled_from(
     [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-310, 1e16, 1.5e300, -2.5e-08]))
 
@@ -455,6 +454,17 @@ def test_main_rate_domain_error_names_rate_and_time(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "rate 0 failed at t=0.0" in err
     assert "sin: math domain error (at byte 0)" in err
+
+
+def test_main_rejects_overflowing_integrated_measure(tmp_path, capsys):
+    # Every deficit is finite (about 1e308); their sum * dt / eps is not.
+    spec = write_spec(tmp_path / "s.json", dephasing_spec(-1e308))
+    out = tmp_path / "out.json"
+    argv = ["analyze", "--spec", spec, "--t1", "1", "--steps", "4", "--eps", "0.5"]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("nmwitness: error: scan: integrated_measure on [0.0, 1.0] is inf")
 
 
 def test_main_input_error_returns_one(tmp_path):

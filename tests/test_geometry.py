@@ -3,7 +3,8 @@ import pytest
 
 from nmwitness.channels import (LindbladGenerator, builtin_dephasing, builtin_pauli,
                                 gksl_superoperator, haar_unitaries)
-from nmwitness.choi import choi_of_generator
+from nmwitness import geometry
+from nmwitness.choi import choi_of_generator, unitary_chois
 from nmwitness.linalg import hs_norm
 from nmwitness.geometry import (
     convexity_probe,
@@ -11,6 +12,8 @@ from nmwitness.geometry import (
     hs_norm_probe,
     separation_demo,
 )
+
+from oracles import pairwise_distance_census
 
 EPS = 1e-3
 
@@ -70,7 +73,7 @@ def test_hs_norm_probe_bound_is_superoperator_norm():
         bounds.append(10.0 * EPS * hs_norm(gksl_superoperator(gen, 0.0).matrix))
         deviations.append(abs(hs_norm(choi_of_generator(gen, 0.0, EPS).matrix) - 1.0))
     bounds, deviations = np.array(bounds), np.array(deviations)
-    assert np.abs(np.array([v for _, v in report.details]) - deviations).max() <= 1e-12
+    assert np.abs(report.details - deviations).max() <= 1e-12
     assert report.summary["max_bound"] == pytest.approx(bounds.max(), rel=1e-12)
     assert report.summary["min_bound"] == pytest.approx(bounds.min(), rel=1e-12)
     assert report.failures == int(np.count_nonzero(deviations > bounds))
@@ -103,10 +106,48 @@ def test_extreme_point_probe():
     report = extreme_point_probe(2, EPS, 300, seed=8)
     assert report.failures == 0
     assert report.worst_value > 1e-8
-    purities = np.array([v for _, v in report.details])
+    purities = report.details
     assert np.abs(purities - 1.0).max() <= 1e-10
     with pytest.raises(ValueError):
         extreme_point_probe(2, EPS, 1, seed=8)
+
+
+def _census_reference(us):
+    uvec, chois = unitary_chois(us)
+    purities = np.einsum("nij,nji->n", chois, chois).real
+    min_distance, coincidences = pairwise_distance_census(uvec)
+    failures = int(np.count_nonzero(np.abs(purities - 1.0) > 1e-10)) + coincidences
+    return purities, min_distance, coincidences, failures
+
+
+@pytest.mark.parametrize("dim,n,seed", [(2, 2, 1), (2, 400, 8), (3, 250, 9), (4, 120, 10)])
+def test_extreme_point_probe_matches_full_distance_matrix(dim, n, seed):
+    report = extreme_point_probe(dim, EPS, n, seed)
+    purities, min_distance, _, failures = _census_reference(
+        haar_unitaries(dim, n, np.random.default_rng(seed)))
+    assert report.worst_value == min_distance
+    assert report.summary == {"min_pairwise_distance": min_distance}
+    assert report.failures == failures
+    assert np.array_equal(report.details, purities)
+
+
+def test_extreme_point_probe_counts_coincident_pairs(monkeypatch):
+    # At d = 4 the Choi kets of these unitaries have entries in {0, +-0.5,
+    # +-0.5i}, so a repeated one has overlap exactly 1 and distance 0.
+    def with_repeats(dim, n, rng):
+        us = haar_unitaries(dim, n, rng)
+        us[[1, 3]] = np.eye(dim)
+        us[[5, 8, 9]] = np.diag([1j, 1.0, -1.0, -1j])
+        return us
+
+    monkeypatch.setattr(geometry, "haar_unitaries", with_repeats)
+    report = extreme_point_probe(4, EPS, 40, seed=11)
+    purities, min_distance, coincidences, failures = _census_reference(
+        with_repeats(4, 40, np.random.default_rng(11)))
+    assert coincidences == 4
+    assert report.failures == failures == 4
+    assert report.worst_value == min_distance == 0.0
+    assert np.array_equal(report.details, purities)
 
 
 def test_depolarizing_choi_is_mixed():

@@ -21,7 +21,10 @@ from nmwitness.witness import (
     uniqueness_check,
     verify_witness,
 )
+from nmwitness.witness import _unitary_jump_generators
 from nmwitness.channels import LindbladGenerator
+
+from oracles import per_jump_generators
 
 EPS = 1e-3
 
@@ -338,6 +341,26 @@ def test_sampler_reproducible_and_trace_one():
     assert np.abs(traces - 1.0).max() < 1e-12
     asym = np.abs(a - a.conj().transpose(0, 2, 1)).max()
     assert asym < 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("signed", [False, True])
+def test_unitary_jump_generators_match_per_jump_sum(dim, signed):
+    n, seed = 300, 40 + dim
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    x = _unitary_jump_generators(dim, n, rng, signed=signed)
+    ref = per_jump_generators(dim, n, ref_rng, signed=signed)
+    assert x.shape == ref.shape == (n, dim * dim, dim * dim)
+    assert np.abs(x - ref).max() <= 1e-14
+    # Both took the same draws from the stream, in the same order.
+    assert rng.random() == ref_rng.random()
+    assert np.abs(x - x.conj().transpose(0, 2, 1)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_sampled_chois_hermitian(dim):
+    chois = sample_markovian_chois(dim, 1.0, 500, seed=dim)
+    assert np.abs(chois - chois.conj().transpose(0, 2, 1)).max() <= 1e-15
 
 
 def test_verify_witness_accepts_valid_witnesses():
