@@ -98,27 +98,29 @@ class LindbladGenerator:
 
     def rate_values(self, t: float) -> np.ndarray:
         """Evaluate every rate at time t."""
-        values = np.empty(len(self.rates))
-        for i, rate in enumerate(self.rates):
-            try:
-                values[i] = rate(t)
-            except RateEvalError as exc:
-                raise RateEvalError(f"rate {i} failed at t={t}: {exc}") from exc
-        return values
+        return self.rate_grid([t])[0]
 
     def rate_grid(self, ts) -> np.ndarray:
         """Every rate at every time of ts, shape (len(ts), number of rates).
 
-        Equal to stacking rate_values(t) over ts. Where some rate fails on the
-        grid, the point loop reruns, so the error names the first failing t
-        and, at that t, the first failing rate, as rate_values does.
+        Each rate is evaluated on the whole grid at once; a scalar value is
+        the one-point grid. A rate error names the first t of ts at which
+        some rate fails and, at that t, the first failing rate: after a
+        failure on a longer grid, the grid is rerun one point at a time.
         """
         ts = np.asarray(ts, dtype=float)
+        columns = []
         try:
-            return np.stack([rate.on_grid(ts) for rate in self.rates], axis=1)
-        except ValueError:
-            pass
-        return np.array([self.rate_values(t) for t in ts.tolist()])
+            for rate in self.rates:
+                columns.append(rate.on_grid(ts))
+        except RateEvalError as exc:
+            if ts.size == 1:
+                raise RateEvalError(
+                    f"rate {len(columns)} failed at t={ts[0].item()}: {exc}") from exc
+            for k in range(ts.size):
+                self.rate_grid(ts[k:k + 1])
+            raise
+        return np.stack(columns, axis=1)
 
 
 def dissipator_superoperator(op: np.ndarray) -> np.ndarray:

@@ -114,15 +114,20 @@ def _parse_rate(obj, name: str):
     raise SpecError(f"{name}: rate must be a number, expression string or table")
 
 
-def load_channel_spec(path: str) -> LindbladGenerator:
-    """Read and validate a channel spec into a generator."""
+def _read_json(path: str):
+    """The JSON document in the file at path; SpecError if unreadable or malformed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise SpecError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"{path}: invalid JSON at byte {exc.pos}: {exc.msg}") from exc
+
+
+def load_channel_spec(path: str) -> LindbladGenerator:
+    """Read and validate a channel spec into a generator."""
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise SpecError(f"{path}: top level must be an object")
     dim = doc.get("dim")
@@ -150,13 +155,7 @@ def load_channel_spec(path: str) -> LindbladGenerator:
 
 def load_witness_matrix(path: str) -> np.ndarray:
     """Read a witness matrix: a bare pair-matrix or a report carrying one."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise SpecError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"{path}: invalid JSON at byte {exc.pos}: {exc.msg}") from exc
+    doc = _read_json(path)
     if isinstance(doc, dict):
         if "matrix" in doc:
             doc = doc["matrix"]
@@ -338,42 +337,49 @@ def cmd_witness(spec_path: str, t: float, eps: float, mode: str,
     if mode not in ("spectral", "theorem3-fixed", "theorem3-gksl"):
         raise SpecError(f"unknown witness mode {mode!r}")
     gen = load_channel_spec(spec_path)
-    cn = choi_of_generator(gen, t, eps)
-    verdict = classify(cn, tol)
-    payload = {
-        "command": "witness",
-        "metadata": _metadata(None, eps),
-        "mode": mode,
-        "t": t,
-        "classification": {
-            "min_eigenvalue": verdict.min_eigenvalue,
-            "deficit": verdict.trace_norm_deficit,
-            "is_markovian": verdict.is_markovian,
-        },
-    }
-    if verdict.is_markovian:
-        print("nothing to witness: channel is Markovian at the requested time",
-              file=sys.stderr)
-        return 2
-    exit_code = 0
-    if mode == "spectral":
-        witnesses = spectral_witnesses(cn, tol)
-        payload["witnesses"] = [_witness_entry(w, cn) for w in witnesses]
-    else:
-        if mode == "theorem3-fixed":
-            fam = fixed_basis_family(gen.ops, eps, t)
-            result = nearest_mcs_fixed_basis(cn, fam)
-            payload["rates"] = [float(g) for g in result.rates]
-        else:
-            result = nearest_mcs_full_gksl(cn)
-            if not result.kkt_ok:
-                exit_code = 4
-        w = theorem3_witness(cn, result.choi_star)
-        payload["witnesses"] = [_witness_entry(w, cn)]
-        payload["residual"] = result.residual
-        payload["c0"] = w.c0
-        payload["kkt_ok"] = result.kkt_ok
-        payload["iterations"] = result.iterations
+    # A target whose numbers leave the double range (rates near 1e308) is an
+    # input error naming (t, eps) in every mode, not a warning, a solver
+    # failure blamed on something else or an Infinity in the report.
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            cn = choi_of_generator(gen, t, eps)
+            verdict = classify(cn, tol)
+            payload = {
+                "command": "witness",
+                "metadata": _metadata(None, eps),
+                "mode": mode,
+                "t": t,
+                "classification": {
+                    "min_eigenvalue": verdict.min_eigenvalue,
+                    "deficit": verdict.trace_norm_deficit,
+                    "is_markovian": verdict.is_markovian,
+                },
+            }
+            if verdict.is_markovian:
+                print("nothing to witness: channel is Markovian at the requested time",
+                      file=sys.stderr)
+                return 2
+            exit_code = 0
+            if mode == "spectral":
+                witnesses = spectral_witnesses(cn, tol)
+                payload["witnesses"] = [_witness_entry(w, cn) for w in witnesses]
+            else:
+                if mode == "theorem3-fixed":
+                    fam = fixed_basis_family(gen.ops, eps, t)
+                    result = nearest_mcs_fixed_basis(cn, fam)
+                    payload["rates"] = [float(g) for g in result.rates]
+                else:
+                    result = nearest_mcs_full_gksl(cn)
+                    if not result.kkt_ok:
+                        exit_code = 4
+                w = theorem3_witness(cn, result.choi_star)
+                payload["witnesses"] = [_witness_entry(w, cn)]
+                payload["residual"] = result.residual
+                payload["c0"] = w.c0
+                payload["kkt_ok"] = result.kkt_ok
+                payload["iterations"] = result.iterations
+    except FloatingPointError as exc:
+        raise ValueError(f"witness: {mode} at t={t}, eps={eps}: floating-point {exc}") from exc
     emit_report(payload, out_path, fmt)
     return exit_code
 
@@ -501,8 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "detect and witness non-Markovianity.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[], help="scan a time window for "
-                       "divisibility breaking")
+    p = sub.add_parser("analyze", help="scan a time window for divisibility breaking")
     p.add_argument("--spec", required=True, help="channel spec JSON")
     p.add_argument("--t0", type=_FINITE, default=0.0)
     p.add_argument("--t1", type=_FINITE, required=True)

@@ -12,21 +12,24 @@ multiplication):
 Known functions: sin, cos, exp, tanh, abs. Known constants: pi, e
 (identifiers without call syntax). The only variable is t.
 
-Every Rate evaluates at one time (`rate(t)`, the reference path) or on a
-whole time grid at once (`rate.on_grid(ts)`). The grid path is bit-identical
-to calling the rate at each t: an expression is walked once per grid, with
-numpy for + - * /, negation and abs (correctly rounded, as Python floats
-are) and the `math` function itself mapped over the elements for sin, cos,
-exp, tanh and '^' (numpy's own exp and tanh can differ from libm in the last
-bit). Where the point path would raise at some t of the grid (division by
-zero, a `math` overflow or domain error, a non-finite value or a table
-lookup outside its domain), `on_grid` falls back to the point loop, so the
-error is the one the point path gives at the first failing t.
+Every Rate evaluates on a whole time grid at once (`rate.on_grid(ts)`);
+its value at one time (`rate(t)`) is the one-point grid's. One walker,
+`_eval_grid`, evaluates an expression: it visits each node once per grid,
+operands left first, with numpy for + - * /, negation and abs (correctly
+rounded, as Python floats are) and the `math` function itself mapped over
+the elements for sin, cos, exp, tanh and '^' (numpy's own exp and tanh can
+differ from libm in the last bit). It raises RateEvalError where a node
+fails: division by zero or a `math` overflow or domain error, each naming
+the innermost failing node by its byte offset; a non-finite value or a table
+lookup outside its domain also raises. On a one-point grid the error is the
+first failure of a left-to-right evaluation at that t; on a longer grid it
+names some failing t, and `LindbladGenerator.rate_grid` finds the first.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -242,65 +245,37 @@ def parse(src: str) -> RateExpression:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _eval(node: Node, t: float) -> float:
-    match node:
-        case Literal(value=v):
-            return v
-        case TimeVar():
-            return t
-        case Const(name=name):
-            return CONSTANTS[name]
-        case Neg(operand=x):
-            return -_eval(x, t)
-        case Call(func=f, arg=a):
-            try:
-                return float(FUNCTIONS[f](_eval(a, t)))
-            except OverflowError as exc:
-                raise RateEvalError(f"{f}: overflow (at byte {node.pos})") from exc
-            except ValueError as exc:
-                raise RateEvalError(f"{f}: {exc} (at byte {node.pos})") from exc
-        case BinOp(op=op, left=l, right=r):
-            a = _eval(l, t)
-            b = _eval(r, t)
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "/":
-                if b == 0.0:
-                    raise RateEvalError(f"division by zero (at byte {node.pos})")
-                return a / b
-            try:
-                return math.pow(a, b)
-            except ValueError as exc:
-                raise RateEvalError(
-                    f"invalid power {a!r} ^ {b!r} (at byte {node.pos})") from exc
-            except OverflowError as exc:
-                raise RateEvalError(f"power overflow (at byte {node.pos})") from exc
-    raise TypeError(f"unknown node {node!r}")
-
-
-def evaluate(expr: RateExpression, t: float) -> float:
-    """Evaluate at time t; raises RateEvalError on division by zero etc."""
-    value = _eval(expr.root, t)
-    if not math.isfinite(value):
-        raise RateEvalError(f"non-finite value {value!r} at t={t}")
-    return value
-
-
 _ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
 
-def _map(f, *columns: np.ndarray) -> np.ndarray:
-    """f applied to the Python floats of equal-length columns, element by element."""
-    return np.fromiter(map(f, *(c.tolist() for c in columns)), dtype=float,
-                       count=len(columns[0]))
+def _map(node: Call | BinOp, f, *columns: np.ndarray) -> np.ndarray:
+    """f applied to the Python floats of equal-length columns, element by element.
+
+    A `math` error of f raises RateEvalError for node, which is a Call or a '^'.
+    """
+    args = [c.tolist() for c in columns]
+    first = iter(args[0])
+    try:
+        return np.fromiter(map(f, first, *args[1:]), dtype=float, count=len(args[0]))
+    except (OverflowError, ValueError) as exc:
+        if isinstance(node, Call):
+            what = f"{node.func}: {'overflow' if isinstance(exc, OverflowError) else exc}"
+        elif isinstance(exc, OverflowError):
+            what = "power overflow"
+        else:
+            # map pulls all of f's arguments before calling it, so the failing
+            # ones are the last that `first` gave out.
+            k = len(args[0]) - 1 - operator.length_hint(first)
+            what = f"invalid power {args[0][k]!r} ^ {args[1][k]!r}"
+        raise RateEvalError(f"{what} (at byte {node.pos})") from exc
 
 
 def _eval_grid(node: Node, ts: np.ndarray) -> np.ndarray:
-    """_eval at every t of ts; raises where _eval would raise at some t."""
+    """The subexpression node at every t of ts; RateEvalError where it fails.
+
+    Every node evaluates its operands left first, then itself, so on a
+    one-point grid the error names the first node to fail at that t.
+    """
     match node:
         case Literal(value=v):
             return np.full(ts.shape, v)
@@ -313,9 +288,9 @@ def _eval_grid(node: Node, ts: np.ndarray) -> np.ndarray:
         case Call(func="abs", arg=a):
             return np.abs(_eval_grid(a, ts))
         case Call(func=f, arg=a):
-            return _map(FUNCTIONS[f], _eval_grid(a, ts))
+            return _map(node, FUNCTIONS[f], _eval_grid(a, ts))
         case BinOp(op="^", left=l, right=r):
-            return _map(math.pow, _eval_grid(l, ts), _eval_grid(r, ts))
+            return _map(node, math.pow, _eval_grid(l, ts), _eval_grid(r, ts))
         case BinOp(op=op, left=l, right=r):
             a = _eval_grid(l, ts)
             b = _eval_grid(r, ts)
@@ -323,6 +298,22 @@ def _eval_grid(node: Node, ts: np.ndarray) -> np.ndarray:
                 raise RateEvalError(f"division by zero (at byte {node.pos})")
             return _ARITHMETIC[op](a, b)
     raise TypeError(f"unknown node {node!r}")
+
+
+def _evaluate_grid(expr: RateExpression, ts: np.ndarray) -> np.ndarray:
+    """expr at every t of ts; RateEvalError where it fails or is not finite."""
+    with np.errstate(all="ignore"):
+        values = _eval_grid(expr.root, ts)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        k = bad[0]
+        raise RateEvalError(f"non-finite value {values[k].item()!r} at t={ts[k].item()}")
+    return values
+
+
+def evaluate(expr: RateExpression, t: float) -> float:
+    """Evaluate at time t; raises RateEvalError on division by zero etc."""
+    return _evaluate_grid(expr, np.array([t], dtype=float))[0].item()
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +373,12 @@ class Rate:
     def __call__(self, t: float) -> float:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def on_grid(self, ts: np.ndarray) -> np.ndarray:
-        """The rate at every t of a 1-d float array, as rate(t) gives it."""
-        return np.array([self(t) for t in ts.tolist()], dtype=float)
+    def on_grid(self, ts: np.ndarray) -> np.ndarray:  # pragma: no cover - interface
+        """The rate at every t of a 1-d float array, as rate(t) gives it.
+
+        Raises RateEvalError if the rate fails at some t of ts.
+        """
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -406,14 +400,7 @@ class ExpressionRate(Rate):
         return evaluate(self.expression, t)
 
     def on_grid(self, ts: np.ndarray) -> np.ndarray:
-        try:
-            with np.errstate(all="ignore"):
-                values = _eval_grid(self.expression.root, ts)
-            if np.isfinite(values).all():
-                return values
-        except (OverflowError, ValueError):
-            pass
-        return super().on_grid(ts)
+        return _evaluate_grid(self.expression, ts)
 
 
 @dataclass(frozen=True)
@@ -434,19 +421,14 @@ class TableRate(Rate):
             raise ValueError("TableRate: times must be strictly increasing")
 
     def __call__(self, t: float) -> float:
-        if t < self.times[0] or t > self.times[-1]:
-            raise self._outside(t)
-        return float(np.interp(t, self.times, self.values))
+        return self.on_grid(np.array([t], dtype=float))[0].item()
 
     def on_grid(self, ts: np.ndarray) -> np.ndarray:
         outside = (ts < self.times[0]) | (ts > self.times[-1])
         if outside.any():
-            raise self._outside(float(ts[outside.argmax()]))
+            raise RateEvalError(f"t={ts[outside.argmax()].item()} outside table domain "
+                                f"[{self.times[0]}, {self.times[-1]}]")
         return np.interp(ts, self.times, self.values)
-
-    def _outside(self, t: float) -> RateEvalError:
-        return RateEvalError(
-            f"t={t} outside table domain [{self.times[0]}, {self.times[-1]}]")
 
 
 RateLike = Rate | RateExpression | float | int | str

@@ -84,3 +84,12 @@ MALFORMED_EXPRESSIONS = [
     "cos(t",
     "t t",
 ]
+
+# Failing expressions with a failing node inside function calls, and the
+# error each gives at t = 0: it names only the innermost failing node.
+INNERMOST_ERRORS = [
+    ("exp(sin(exp(800)))", "exp: overflow (at byte 8)"),
+    ("sin(2^2000)", "power overflow (at byte 5)"),
+    ("abs(1/(t-t))", "division by zero (at byte 5)"),
+    ("cos((0-1)^0.5)", "invalid power -1.0 ^ 0.5 (at byte 9)"),
+]

@@ -279,6 +279,17 @@ def test_scan_eigensolve_failure_names_window():
     assert "largest |entry| of the Choi stack 1.020e+308" in message
 
 
+def test_classify_eigensolve_failure_names_time_and_eps():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = choi_of_generator(builtin_dephasing(-1.7e308), 0.25, 0.6)
+        with pytest.raises(ValueError) as failed:
+            classify(c)
+    assert str(failed.value).startswith(
+        "classify: eigensolve failed at t=0.25, eps=0.6 (largest |entry| of the Choi stack "
+        "1.020e+308)")
+
+
 def test_scan_rejects_non_finite_measure():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

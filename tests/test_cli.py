@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from nmwitness.cli import (
     matrix_to_pairs,
     main,
 )
+from golden_expressions import INNERMOST_ERRORS
 from nmwitness.geometry import (
     convexity_probe,
     extreme_point_probe,
@@ -454,6 +456,50 @@ def test_main_rate_domain_error_names_rate_and_time(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "rate 0 failed at t=0.0" in err
     assert "sin: math domain error (at byte 0)" in err
+
+
+@pytest.mark.parametrize("rate, message", INNERMOST_ERRORS,
+                         ids=[src for src, _ in INNERMOST_ERRORS])
+def test_main_rate_error_names_only_the_innermost_node(tmp_path, capsys, rate, message):
+    spec = write_spec(tmp_path / "s.json", dephasing_spec(rate))
+    assert main(["analyze", "--spec", spec, "--t1", "1", "--steps", "4"]) == 1
+    assert capsys.readouterr().err == f"nmwitness: error: rate 0 failed at t=0.0: {message}\n"
+
+
+@pytest.mark.parametrize("rate, eps, mode", [
+    (-1.7e308, "0.6", "spectral"),
+    (-1.7e308, "0.6", "theorem3-fixed"),
+    (-1.7e308, "0.6", "theorem3-gksl"),
+    (-1e308, "0.5", "theorem3-fixed"),
+    (-1e308, "0.5", "theorem3-gksl"),
+    (-1e308, "2", "spectral"),
+])
+def test_main_witness_overflow_is_an_input_error(tmp_path, capsys, rate, eps, mode):
+    spec = write_spec(tmp_path / "s.json", dephasing_spec(rate))
+    out = tmp_path / "w.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["witness", "--spec", spec, "--eps", eps, "--mode", mode,
+                     "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("nmwitness: error: ") and err.count("\n") == 1
+    assert f"t=0.0, eps={float(eps)}" in err
+
+
+def test_main_spectral_witness_near_overflow_stays_finite(tmp_path):
+    # The Choi state's entries (about 5e307) still fit in a double, so does
+    # every number of the spectral witness report.
+    spec = write_spec(tmp_path / "s.json", dephasing_spec(-1e308))
+    out = tmp_path / "w.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["witness", "--spec", spec, "--eps", "0.5", "--mode", "spectral",
+                     "--out", str(out)])
+    assert code == 0
+    payload = json.loads(out.read_text(), parse_constant=pytest.fail)
+    assert payload["classification"]["deficit"] == pytest.approx(1e308)
 
 
 def test_main_rejects_overflowing_integrated_measure(tmp_path, capsys):

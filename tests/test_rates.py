@@ -21,7 +21,8 @@ from nmwitness.rates import (
     parse,
     pretty,
 )
-from golden_expressions import GOLDEN_EXPRESSIONS, MALFORMED_EXPRESSIONS
+from nmwitness.channels import LindbladGenerator, builtin_dephasing
+from golden_expressions import GOLDEN_EXPRESSIONS, INNERMOST_ERRORS, MALFORMED_EXPRESSIONS
 from oracles import shunting_yard_eval
 
 
@@ -62,6 +63,17 @@ def test_zero_to_negative_power():
 def test_math_domain_error_names_function_and_offset():
     with pytest.raises(RateEvalError, match=r"sin: math domain error \(at byte 2\)"):
         evaluate(parse("1+sin(exp(700)*exp(700))"), 0.0)
+
+
+@pytest.mark.parametrize("src, message", INNERMOST_ERRORS,
+                         ids=[src for src, _ in INNERMOST_ERRORS])
+def test_error_names_only_the_innermost_failing_node(src, message):
+    with pytest.raises(RateEvalError) as point:
+        evaluate(parse(src), 0.0)
+    assert str(point.value) == message
+    with pytest.raises(RateEvalError) as grid:
+        builtin_dephasing(src).rate_grid([0.0, 0.5])
+    assert str(grid.value) == f"rate 0 failed at t=0.0: {message}"
 
 
 def test_golden_corpus():
@@ -144,7 +156,7 @@ def test_random_expressions_match_shunting_yard_oracle():
                     shunting_yard_eval(expr_src, float(t))
                 continue
             theirs = shunting_yard_eval(expr_src, float(t))
-            assert mine == pytest.approx(theirs, rel=1e-12, abs=1e-12), expr_src
+            assert mine == theirs, expr_src
             values.append(mine)
             checked += 1
         if len(values) == len(ts):
@@ -153,6 +165,68 @@ def test_random_expressions_match_shunting_yard_oracle():
             with pytest.raises(RateEvalError):
                 ExpressionRate(expr).on_grid(ts)
     assert checked > 5000
+
+
+def _failing_node(rng, depth):
+    """Random tree that fails at some times: large literals under exp and '^',
+    untamed powers and t - t divisors."""
+    if depth <= 0:
+        kind = rng.integers(0, 4)
+        if kind == 0:
+            return Literal(float(f"{rng.uniform(0.1, 800.0):.4g}"))
+        if kind == 1:
+            return BinOp("-", TimeVar(), TimeVar())
+        return TimeVar()
+    kind = rng.integers(0, 6)
+    if kind == 0:
+        return Neg(_failing_node(rng, depth - 1))
+    if kind == 1:
+        func = ["sin", "cos", "exp", "tanh", "abs"][int(rng.integers(0, 5))]
+        return Call(func, _failing_node(rng, depth - 1))
+    if kind == 2:
+        return BinOp("^", _failing_node(rng, depth - 1), _failing_node(rng, depth - 1))
+    op = "+-*/"[int(rng.integers(0, 4))]
+    return BinOp(op, _failing_node(rng, depth - 1), _failing_node(rng, depth - 1))
+
+
+def _oracle_failure(src, t):
+    """How the oracle fails at t: an exception type, "non-finite", or None."""
+    try:
+        value = shunting_yard_eval(src, t)
+    except (ZeroDivisionError, ValueError, OverflowError) as exc:
+        return type(exc)
+    return None if math.isfinite(value) else "non-finite"
+
+
+# The failure each RateEvalError message names, in the oracle's terms.
+_FAILURE_OF_MESSAGE = {"division by zero": ZeroDivisionError, "overflow": OverflowError,
+                       "invalid power": ValueError, "math domain error": ValueError,
+                       "non-finite value": "non-finite"}
+
+
+def test_rate_grid_error_names_first_failing_time_and_rate():
+    rng = np.random.default_rng(20261018)
+    ts = np.linspace(-3.0, 3.0, 13)
+    ops = (np.diag([1.0, -1.0]),) * 2
+    partial = 0
+    for _ in range(300):
+        srcs = [pretty(RateExpression(root=_failing_node(rng, int(rng.integers(1, 4)))))
+                for _ in ops]
+        gen = LindbladGenerator(dim=2, ops=ops, rates=srcs)
+        failing = [(t, i, failure) for t in ts.tolist() for i, src in enumerate(srcs)
+                   if (failure := _oracle_failure(src, t)) is not None]
+        if not failing:
+            gen.rate_grid(ts)
+            continue
+        t, i, failure = failing[0]
+        partial += t != ts[0]
+        with pytest.raises(RateEvalError) as info:
+            gen.rate_grid(ts)
+        message = str(info.value)
+        assert message.startswith(f"rate {i} failed at t={t}: "), srcs
+        named = [kind for text, kind in _FAILURE_OF_MESSAGE.items() if text in message]
+        assert named == [failure], (srcs, message)
+    assert partial > 20
 
 
 def test_table_rate():
