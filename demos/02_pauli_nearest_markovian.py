@@ -46,8 +46,10 @@ full = nearest_mcs_full_gksl(cn)
 print("\n--- projection onto the full generator family ---")
 print(f"residual            : {full.residual:.9e}")
 print(f"fixed-basis residual: {fixed.residual:.9e}")
-print("Kossakowski spectrum:", np.round(np.linalg.eigvalsh(full.kossakowski), 6))
-print(f"converged in {full.iterations} Dykstra iterations")
+# Its zero eigenvalue comes out at roundoff size, of either sign; + 0.0
+# spells a rounded -0.0 as 0.
+print("Kossakowski spectrum:", np.round(np.linalg.eigvalsh(full.kossakowski), 6) + 0.0)
+print(f"converged in {full.iterations} Newton iterations")
 
 w = theorem3_witness(cn, fixed.choi_star)
 print("\n--- distance witness ---")

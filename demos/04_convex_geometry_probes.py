@@ -45,4 +45,4 @@ print(f"failures {r.failures}")
 print(f"witness on the target : {r.summary['expectation_on_target']:+.3e} (< 0)")
 print(f"worst sampled value   : {r.worst_value:+.3e} (>= 0 up to tolerance)")
 print(f"projection residual   : {r.summary['residual']:.3e} in "
-      f"{r.summary['solver_iterations']} Dykstra iterations")
+      f"{r.summary['solver_iterations']} Newton iterations")

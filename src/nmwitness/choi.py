@@ -59,17 +59,26 @@ class ChoiMatrix:
         if m.shape != (d2, d2):
             raise ShapeError(
                 f"ChoiMatrix: expected {d2}x{d2} for dim={self.dim}, got {m.shape}")
-        _require_states(m[None], [self.t])
+        _require_states(m[None], [self.t], self.eps)
         object.__setattr__(self, "matrix", m)
 
 
-def _require_states(stack: np.ndarray, ts) -> None:
-    """ChoiMatrix's checks on a stack of states at times ts: Hermitian, trace one."""
+def _require_states(stack: np.ndarray, ts, eps: float) -> None:
+    """ChoiMatrix's checks on a stack of states at times ts: Hermitian, trace one.
+
+    A state whose Hermiticity defect is not finite has entries beyond the
+    double range, or near enough its edge that their differences are; that
+    is named as an overflow of eps * C_L, not as a Hermiticity defect.
+    """
     defect = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     trace = np.einsum("nii->n", stack)
     bad = np.flatnonzero(~((defect <= 1e-10) & (np.abs(trace - 1.0) <= 1e-10)))
     if bad.size:
         k = bad[0]
+        if not np.isfinite(defect[k]):
+            raise ValueError(f"Choi state at t={ts[k]}, eps={eps}: phi + eps*C_L overflows "
+                             f"the double range (largest |entry| "
+                             f"{np.abs(stack[k]).max():.3e})")
         raise ValueError(f"Choi state at t={ts[k]}: Hermiticity defect {defect[k]:.3e}, "
                          f"trace {complex(trace[k])!r}; need Hermitian with trace 1")
 
@@ -220,10 +229,11 @@ def scan(gen: LindbladGenerator, t0: float, t1: float, steps: int, eps: float,
     dt = (t1 - t0) / steps
     grid = t0 + dt * np.arange(steps)
     # No overflow warnings: an overflowing stack fails the state check, the
-    # eigensolve or the finite-measure check, each an error naming the window.
+    # eigensolve or the finite-measure check, each an error naming eps and
+    # the time or window.
     with np.errstate(over="ignore", invalid="ignore"):
         chois = _first_order_chois(gen, grid, eps)
-        _require_states(chois, grid)
+        _require_states(chois, grid, eps)
         _, mins, deficits, markovian = _verdicts(chois, tol, "scan",
                                                  f"on [{t0}, {t1}] with {steps} steps")
     # Runs of non-Markovian cells open and close where the zero-padded verdicts flip.

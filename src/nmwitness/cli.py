@@ -19,13 +19,15 @@ failures, 4 solver did not converge.
 
 A JSON report is byte for byte `json.dumps(payload, indent=2)` plus a
 newline. Its row tables (the `analyze` points and nm_intervals, the
-`geometry` details) are written straight from their columns, one row
-template per table, and the CSV form reads the same columns.
+`geometry` details) are written straight from their columns and witness
+matrices straight from their arrays, one row template per table or matrix;
+the CSV form reads the same columns and arrays.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import math
@@ -89,6 +91,18 @@ def matrix_from_pairs(obj, name: str) -> np.ndarray:
 
 def matrix_to_pairs(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m)]
+
+
+@contextlib.contextmanager
+def _overflow_names(where: str):
+    """Floating-point overflow, invalid or divide-by-zero in the body is an
+    input error naming where, not a warning, a value in the report or a
+    failure blamed on something else."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ValueError(f"{where}: floating-point {exc}") from exc
 
 
 def _parse_rate(obj, name: str):
@@ -229,16 +243,18 @@ class _Rows:
                 cells.append(a.tolist())
         return cells
 
-    def json(self) -> str:
-        """The table as json.dumps(indent=2) writes it under a top-level key."""
+    def json(self, pad: str) -> str:
+        """The table as json.dumps(indent=2) writes it at indentation pad."""
         if not len(self.columns[0]):
             return "[]"
+        inner, cell = pad + "  ", pad + "    "
         if self.keyed:
-            fields = [f"      {json.dumps(key)}: %s" for key in self.keys]
-            row = "    {\n" + ",\n".join(fields) + "\n    }"
+            fields = [f"{cell}{json.dumps(key)}: %s" for key in self.keys]
+            row = inner + "{\n" + ",\n".join(fields) + f"\n{inner}}}"
         else:
-            row = "    [\n" + ",\n".join(["      %s"] * len(self.keys)) + "\n    ]"
-        return "[\n" + ",\n".join(map(row.__mod__, zip(*self._cells(True)))) + "\n  ]"
+            row = inner + "[\n" + ",\n".join([cell + "%s"] * len(self.keys)) + f"\n{inner}]"
+        return ("[\n" + ",\n".join(map(row.__mod__, zip(*self._cells(True))))
+                + f"\n{pad}]")
 
     def csv(self) -> list[str]:
         row = ",".join(["%s"] * len(self.keys))
@@ -250,17 +266,50 @@ def _record_rows(keys: tuple[str, ...], records) -> _Rows:
     return _Rows(keys, tuple(zip(*records)) or ((),) * len(keys), keyed=False)
 
 
-def _render_json(payload: dict) -> str:
-    """json.dumps(payload, indent=2) + newline, row tables written from columns.
+class _Matrix:
+    """A complex matrix written as rows of [re, im] pairs, one template per row.
 
-    Each other value is json.dumps(indent=2) shifted one level in; that is
-    exact because a JSON string never holds a raw newline.
+    A JSON cell is str() of a Python float, float.__repr__, json's own
+    spelling of a finite float; a witness matrix is finite (WitnessOperator
+    rejects anything else).
     """
-    items = []
-    for key, value in payload.items():
-        text = (value.json() if isinstance(value, _Rows)
-                else json.dumps(value, indent=2).replace("\n", "\n  "))
-        items.append(f"  {json.dumps(key)}: {text}")
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+
+    def json(self, pad: str) -> str:
+        """The matrix as json.dumps(indent=2) writes its pairs at indentation pad."""
+        rows, pair, cell = pad + "  ", pad + "    ", pad + "      "
+        entry = f"{pair}[\n{cell}%s,\n{cell}%s\n{pair}]"
+        row = f"{rows}[\n" + ",\n".join([entry] * self.matrix.shape[1]) + f"\n{rows}]"
+        # Per matrix row, the real and imaginary parts of its entries in turn.
+        cells = np.stack([self.matrix.real, self.matrix.imag], axis=-1)
+        cells = cells.reshape(self.matrix.shape[0], -1).tolist()
+        return "[\n" + ",\n".join(row % tuple(r) for r in cells) + f"\n{pad}]"
+
+
+def _json(value, pad: str) -> str:
+    """json.dumps(value, indent=2) as written at indentation pad.
+
+    Row tables and matrices write themselves, and the lists and objects that
+    hold matrices (a witness report's witnesses) are walked as json's
+    encoder walks them. Any other value is json.dumps(indent=2) shifted to
+    pad, exact because a JSON string never holds a raw newline.
+    """
+    if isinstance(value, (_Rows, _Matrix)):
+        return value.json(pad)
+    inner = pad + "  "
+    if isinstance(value, dict) and any(isinstance(v, _Matrix) for v in value.values()):
+        items = [f"{inner}{json.dumps(key)}: {_json(v, inner)}" for key, v in value.items()]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
+        return "[\n" + ",\n".join(inner + _json(v, inner) for v in value) + f"\n{pad}]"
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
+def _render_json(payload: dict) -> str:
+    """json.dumps(payload, indent=2) + newline, tables and matrices from their arrays."""
+    items = [f"  {json.dumps(key)}: {_json(value, '  ')}" for key, value in payload.items()]
     return "{\n" + ",\n".join(items) + "\n}\n"
 
 
@@ -276,7 +325,7 @@ def _render_csv(payload: dict) -> str:
                  f"{payload['min_expectation']!r}"]
     elif command == "witness":
         lines = ["row,col,re,im"]
-        matrix = payload["witnesses"][0]["matrix"]
+        matrix = matrix_to_pairs(payload["witnesses"][0]["matrix"].matrix)
         for r, row in enumerate(matrix):
             for c, (re, im) in enumerate(row):
                 lines.append(f"{r},{c},{re!r},{im!r}")
@@ -328,7 +377,7 @@ def _witness_entry(w: WitnessOperator, c: ChoiMatrix) -> dict:
         "kind": w.kind,
         "provenance": w.provenance,
         "expectation": expectation(w, c),
-        "matrix": matrix_to_pairs(w.matrix),
+        "matrix": _Matrix(w.matrix),
     }
 
 
@@ -338,48 +387,44 @@ def cmd_witness(spec_path: str, t: float, eps: float, mode: str,
         raise SpecError(f"unknown witness mode {mode!r}")
     gen = load_channel_spec(spec_path)
     # A target whose numbers leave the double range (rates near 1e308) is an
-    # input error naming (t, eps) in every mode, not a warning, a solver
-    # failure blamed on something else or an Infinity in the report.
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            cn = choi_of_generator(gen, t, eps)
-            verdict = classify(cn, tol)
-            payload = {
-                "command": "witness",
-                "metadata": _metadata(None, eps),
-                "mode": mode,
-                "t": t,
-                "classification": {
-                    "min_eigenvalue": verdict.min_eigenvalue,
-                    "deficit": verdict.trace_norm_deficit,
-                    "is_markovian": verdict.is_markovian,
-                },
-            }
-            if verdict.is_markovian:
-                print("nothing to witness: channel is Markovian at the requested time",
-                      file=sys.stderr)
-                return 2
-            exit_code = 0
-            if mode == "spectral":
-                witnesses = spectral_witnesses(cn, tol)
-                payload["witnesses"] = [_witness_entry(w, cn) for w in witnesses]
+    # input error naming (t, eps) in every mode.
+    with _overflow_names(f"witness: {mode} at t={t}, eps={eps}"):
+        cn = choi_of_generator(gen, t, eps)
+        verdict = classify(cn, tol)
+        payload = {
+            "command": "witness",
+            "metadata": _metadata(None, eps),
+            "mode": mode,
+            "t": t,
+            "classification": {
+                "min_eigenvalue": verdict.min_eigenvalue,
+                "deficit": verdict.trace_norm_deficit,
+                "is_markovian": verdict.is_markovian,
+            },
+        }
+        if verdict.is_markovian:
+            print("nothing to witness: channel is Markovian at the requested time",
+                  file=sys.stderr)
+            return 2
+        exit_code = 0
+        if mode == "spectral":
+            witnesses = spectral_witnesses(cn, tol)
+            payload["witnesses"] = [_witness_entry(w, cn) for w in witnesses]
+        else:
+            if mode == "theorem3-fixed":
+                fam = fixed_basis_family(gen.ops, eps, t)
+                result = nearest_mcs_fixed_basis(cn, fam)
+                payload["rates"] = [float(g) for g in result.rates]
             else:
-                if mode == "theorem3-fixed":
-                    fam = fixed_basis_family(gen.ops, eps, t)
-                    result = nearest_mcs_fixed_basis(cn, fam)
-                    payload["rates"] = [float(g) for g in result.rates]
-                else:
-                    result = nearest_mcs_full_gksl(cn)
-                    if not result.kkt_ok:
-                        exit_code = 4
-                w = theorem3_witness(cn, result.choi_star)
-                payload["witnesses"] = [_witness_entry(w, cn)]
-                payload["residual"] = result.residual
-                payload["c0"] = w.c0
-                payload["kkt_ok"] = result.kkt_ok
-                payload["iterations"] = result.iterations
-    except FloatingPointError as exc:
-        raise ValueError(f"witness: {mode} at t={t}, eps={eps}: floating-point {exc}") from exc
+                result = nearest_mcs_full_gksl(cn)
+                if not result.kkt_ok:
+                    exit_code = 4
+            w = theorem3_witness(cn, result.choi_star)
+            payload["witnesses"] = [_witness_entry(w, cn)]
+            payload["residual"] = result.residual
+            payload["c0"] = w.c0
+            payload["kkt_ok"] = result.kkt_ok
+            payload["iterations"] = result.iterations
     emit_report(payload, out_path, fmt)
     return exit_code
 
@@ -394,7 +439,9 @@ def cmd_verify(witness_path: str, eps: float, n: int, seed: int,
         raise SpecError(
             f"witness of shape {matrix.shape} is not a d^2 x d^2 matrix with d >= 2")
     w = WitnessOperator(matrix=matrix, kind="theorem3", provenance=f"file:{witness_path}")
-    result = verify_witness(w, dim, eps, n, seed)
+    # eps near the top of the double range overflows the sampled states.
+    with _overflow_names(f"verify: d={dim}, eps={eps}"):
+        result = verify_witness(w, dim, eps, n, seed)
     payload = {
         "command": "verify",
         "metadata": _metadata(seed, eps),
@@ -427,22 +474,24 @@ def _probe_payload(report: ProbeReport, seed: int, eps: float) -> dict:
 def cmd_geometry(probe: str, dim: int, eps: float, n: int, seed: int,
                  out_path: str | None, fmt: str,
                  spec_path: str | None = None, t: float = 0.0) -> int:
-    if probe == "convexity":
-        report = convexity_probe(dim, eps, n, seed)
-    elif probe == "hsnorm":
-        report = hs_norm_probe(dim, eps, n, seed)
-    elif probe == "extreme":
-        report = extreme_point_probe(dim, eps, n, seed)
-    elif probe == "separation":
-        if spec_path is not None:
-            gen = load_channel_spec(spec_path)
+    # eps near the top of the double range overflows the sampled states.
+    with _overflow_names(f"geometry: {probe} probe at d={dim}, eps={eps}"):
+        if probe == "convexity":
+            report = convexity_probe(dim, eps, n, seed)
+        elif probe == "hsnorm":
+            report = hs_norm_probe(dim, eps, n, seed)
+        elif probe == "extreme":
+            report = extreme_point_probe(dim, eps, n, seed)
+        elif probe == "separation":
+            if spec_path is not None:
+                gen = load_channel_spec(spec_path)
+            else:
+                # Default demonstration instance: a Pauli channel with one
+                # negative rate, non-Markovian at every time.
+                gen = builtin_pauli(1.0, 1.0, -0.3)
+            report = separation_demo(choi_of_generator(gen, t, eps), n, seed)
         else:
-            # Default demonstration instance: a Pauli channel with one
-            # negative rate, non-Markovian at every time.
-            gen = builtin_pauli(1.0, 1.0, -0.3)
-        report = separation_demo(choi_of_generator(gen, t, eps), n, seed)
-    else:
-        raise SpecError(f"unknown probe {probe!r}")
+            raise SpecError(f"unknown probe {probe!r}")
     emit_report(_probe_payload(report, seed, eps), out_path, fmt)
     return 0 if report.failures == 0 else 3
 

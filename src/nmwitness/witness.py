@@ -15,8 +15,9 @@ Two families are supported: frozen jumps, {phi + eps sum_a g_a Y_a : g_a >= 0}
 over the Choi directions Y_a of `choi.dissipator_chois` (nonnegative least
 squares, by a Lawson-Hanson active set on the Gram system), and the full family
 {phi + eps X : Tr_2 X = 0, w_perp X w_perp >= 0}, the intersection of the
-trace-preserving subspace with the conditionally completely positive cone
-(solved by Dykstra's alternating projections onto the two).
+trace-preserving subspace with the conditionally completely positive cone K
+(solved by semismooth Newton on the d^2 real dual variables of Tr_2 X = 0,
+each step one closed-form projection onto K).
 """
 
 from __future__ import annotations
@@ -94,6 +95,7 @@ class NearestMCSResult:
     rates: np.ndarray | None = None
     kossakowski: np.ndarray | None = None
     degenerate: bool = False
+    dual: np.ndarray | None = None  # full GKSL: multiplier Lambda of Tr_2 X = 0
 
 
 @dataclass(frozen=True)
@@ -279,29 +281,39 @@ def nearest_mcs_fixed_basis(cn: ChoiMatrix, fam: MarkovianFamily) -> NearestMCSR
 
 
 # ---------------------------------------------------------------------------
-# Full-generator projection (Dykstra over two closed-form projections)
+# Full-generator projection (semismooth Newton on the trace-preserving dual)
 # ---------------------------------------------------------------------------
 
-def nearest_mcs_full_gksl(cn: ChoiMatrix, *, max_iter: int = 100_000,
-                          tol: float = 1e-10) -> NearestMCSResult:
+def nearest_mcs_full_gksl(cn: ChoiMatrix, *, max_iter: int = 50,
+                          tol: float = 1e-12) -> NearestMCSResult:
     """HS projection of cn onto the full divisible family at first order.
 
     The family is {phi + eps X : Tr_2 X = 0, w_perp X w_perp >= 0} with
     w_perp = 1 - phi: trace preservation plus conditional complete
     positivity, which characterize GKSL generators (Wolf & Cirac 2008).
-    Projecting onto the trace-preserving subspace subtracts Tr_2 X (x) 1/d;
-    projecting onto the cone replaces the w_perp block by its PSD part.
-    Dykstra's method alternates the two from Y = (C_N - phi) / eps; the
-    subspace needs no correction term, the cone keeps its increment Q.
+    With Y = (C_N - phi) / eps, the nearest X is X(Lambda) = P_K(Y + Lambda
+    (x) 1) for the Hermitian d x d multiplier Lambda of Tr_2 X = 0, where
+    P_K replaces the w_perp block by its PSD part. Lambda minimizes the dual
+    objective 1/2 ||X(Lambda)||^2, whose gradient is Tr_2 X; semismooth
+    Newton (Malick 2004; Qi & Sun 2006) finds it from the generalized
+    Jacobian Lambda -> Tr_2 DP_K[Lambda (x) 1], regularized by
+    min(1e-2, ||Tr_2 X||) times the identity. A step is accepted on an
+    Armijo decrease of the dual objective or a 10% drop of ||Tr_2 X||; the
+    objective alone stalls at roundoff before the gradient is small.
 
-    kkt_ok certifies the cone iterate X: primal feasibility d ||Tr_2 X|| and
-    stationarity ||P_TP(Y - X - Q)|| are both at most tol * max(1, ||Y||);
-    Q lies in the cone's normal cone at X by construction. The returned
-    state is the trace-preserving projection of X, so on hitting max_iter it
-    is still a valid Choi state, returned with kkt_ok=False rather than
-    raising. kossakowski is d B^dag X B over the columns vec(F_j) of the
-    Gell-Mann basis; that projection moves its eigenvalues by at most
-    ||Tr_2 X||, so on convergence they are >= -tol * max(1, ||Y||) / d.
+    kkt_ok certifies the cone point X and Q = Y + Lambda (x) 1 - X against
+    s = max(1, ||Y||): primal feasibility d ||Tr_2 X|| <= tol * s; Q lies
+    in the polar cone, its part outside the w_perp block at most tol * s in
+    norm and that block's eigenvalues at most tol * s; complementarity
+    |<Q, X>| <= tol * s^2. X lies in the cone by construction.
+
+    The returned state is phi + eps X after a projection onto the
+    trace-preserving subspace that leaves the w_perp block alone, so it is
+    in the family up to roundoff. On hitting max_iter, or when no step is
+    accepted, it is still a valid Choi state, returned with kkt_ok=False
+    rather than raising. iterations counts Newton steps; dual is Lambda.
+    kossakowski is d B^dag X B over the columns vec(F_j) of the Gell-Mann
+    basis, PSD up to roundoff.
     """
     d, e = cn.dim, cn.eps
     if e <= 0:
@@ -309,44 +321,105 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix, *, max_iter: int = 100_000,
 
     n = d * d
     phi = max_entangled_state(d)
-    w_perp = np.eye(n) - phi
     eye = np.eye(d)
+    # The vec(F_j^T) of the traceless Gell-Mann basis: an isometry U onto w_perp.
+    u = np.stack([f.T.reshape(-1) for f in linalg.gell_mann_basis(d)], axis=1)
 
     def tr2(z: np.ndarray) -> np.ndarray:
         return np.einsum("ikjk->ij", z.reshape(d, d, d, d))
 
-    def tp_project(z: np.ndarray, z_tr2: np.ndarray) -> np.ndarray:
-        return z - np.einsum("ij,kl->ikjl", z_tr2, eye).reshape(n, n) / d
+    def lift(m: np.ndarray) -> np.ndarray:
+        """m (x) 1."""
+        return (m[:, None, :, None] * eye[:, None]).reshape(n, n)
 
     # ChoiMatrix admits a 1e-10 Hermiticity defect, which dividing by eps
-    # would push past psd_project's check.
+    # would magnify.
     y = (0.5 * (cn.matrix + dagger(cn.matrix)) - phi) / e
-    bound = tol * max(1.0, hs_norm(y))
-    x, x_tr2 = y, tr2(y)
-    q = np.zeros_like(y)
-    iterations = 0
-    while iterations < max_iter:
-        iterations += 1
-        z = tp_project(x, x_tr2) + q
-        block = w_perp @ z @ w_perp
-        x = z - block + linalg.psd_project(block)
-        q = z - x
-        x_tr2 = tr2(x)
-        if d * hs_norm(x_tr2) <= bound:
-            break
-    stationarity = y - x - q
-    kkt_ok = bool(d * hs_norm(x_tr2) <= bound
-                  and hs_norm(tp_project(stationarity, tr2(stationarity))) <= bound)
 
-    x = tp_project(x, x_tr2)
+    def cone_point(lam: np.ndarray):
+        """X(lam) with Tr_2 X, the w_perp block's eigenvalues and U @ eigenvectors."""
+        z = y + lift(lam)
+        w, v = np.linalg.eigh(dagger(u) @ z @ u)
+        uv = u @ v
+        x = z - (uv * np.minimum(w, 0.0)) @ dagger(uv)
+        return x, tr2(x), w, uv
+
+    # d*1 - Gram(M) for the images M_ij = U^dag (e_ij (x) 1) U of the unit
+    # matrices: <M_pq, M_ij> = (d - 2/d) delta_pi delta_qj + delta_pq delta_ij / d^2.
+    constant = 2.0 / d * np.eye(n) - np.outer(eye, eye) / n
+
+    def jacobian(w: np.ndarray, uv: np.ndarray) -> np.ndarray:
+        """Generalized Jacobian of lam -> Tr_2 X(lam) on vec(lam).
+
+        J = d*1 - Gram(M) + G^dag (Omega o G): row (i, j) of G is the
+        flattened uv^dag (e_ij (x) 1) uv, and Omega holds the Loewner divided
+        differences of max(., 0), the part P_K keeps. In the real
+        coordinates of an orthonormal Hermitian basis the same J is a real
+        symmetric matrix.
+        """
+        pos, size = np.maximum(w, 0.0), np.abs(w)
+        num, den = pos[:, None] + pos, size[:, None] + size
+        omega = np.divide(num, den, out=np.zeros_like(den), where=den > 0)
+        # Omega vanishes unless an index is one of the positive eigenvalues,
+        # the last ones as w ascends, so G is formed in two parts: rows
+        # m >= k against every column, rows m < k against columns m' >= k.
+        k = n - 1 - int(np.count_nonzero(w > 0.0))
+        blocks = uv.reshape(d, d, n - 1)  # blocks[i]: the rows of uv in e_i (x) C^d
+        left = blocks.conj().transpose(0, 2, 1)[:, None]
+        jac = constant.astype(complex)
+        for rows, cols in ((slice(k, None), slice(None)), (slice(None, k), slice(k, None))):
+            g = np.matmul(left[:, :, rows], blocks[:, :, cols]).reshape(n, -1)
+            weighted = g.conj()
+            weighted *= omega[rows, cols].reshape(-1)
+            jac += weighted @ g.T
+        return jac
+
+    scale = max(1.0, hs_norm(y))
+    bound = tol * scale
+    lam = np.zeros((d, d), dtype=complex)
+    x, x_tr2, w, uv = cone_point(lam)
+    residual = hs_norm(x_tr2)
+    iterations = 0
+    while d * residual > bound and iterations < max_iter:
+        iterations += 1
+        # J is Hermitian with J >= (1/d) 1 (Omega >= 0): eigh, which P_K
+        # loads anyway, solves (J + mu) step = -Tr_2 X without another
+        # LAPACK driver in memory.
+        curv, basis = np.linalg.eigh(jacobian(w, uv))
+        step = basis @ ((basis.conj().T @ -x_tr2.reshape(-1)) / (curv + min(1e-2, residual)))
+        step = step.reshape(d, d)
+        step = 0.5 * (step + dagger(step))
+        objective, slope = 0.5 * hs_norm(x) ** 2, np.vdot(x_tr2, step).real
+        for t in 0.5 ** np.arange(40):
+            trial = cone_point(lam + t * step)
+            if (0.5 * hs_norm(trial[0]) ** 2 <= objective + 1e-4 * t * slope
+                    or hs_norm(trial[1]) <= 0.9 * residual):
+                break
+        else:
+            break
+        lam = lam + t * step
+        x, x_tr2, w, uv = trial
+        residual = hs_norm(x_tr2)
+
+    q = y + lift(lam) - x
+    block = dagger(u) @ q @ u
+    kkt_ok = bool(d * residual <= bound
+                  and hs_norm(q - u @ block @ dagger(u)) <= bound
+                  and np.linalg.eigvalsh(block)[-1] <= bound
+                  and abs(np.vdot(q, x)) <= bound * scale)
+
+    # Subtracting (d/2){phi, Tr_2 X (x) 1} removes Tr_2 X without touching the
+    # w_perp block (w_perp phi = 0), so the returned generator stays in the cone.
+    defect = lift(x_tr2)
+    x = x - 0.5 * d * (phi @ defect + defect @ phi)
     star = phi + e * x
-    basis = np.stack([f.T.reshape(-1) for f in linalg.gell_mann_basis(d)], axis=1)
     return NearestMCSResult(
         choi_star=ChoiMatrix(dim=d, matrix=star, t=cn.t, eps=e),
         residual=hs_norm(cn.matrix - star),
         kkt_ok=kkt_ok,
         iterations=iterations,
-        kossakowski=d * (dagger(basis) @ x @ basis),
+        kossakowski=d * (dagger(u) @ x @ u),
+        dual=lam,
     )
 
 

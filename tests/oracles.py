@@ -3,8 +3,9 @@
 These deliberately avoid the implementation paths they check: the expression
 oracle is a shunting-yard evaluator with its own tokenizer, the projection
 oracle is a dense grid search, the exponential oracle is a plain Taylor
-series, the sampled-generator oracle sums one pure Choi state per jump, and
-the extreme-point oracle builds the full pairwise distance matrix.
+series, the sampled-generator oracle sums one pure Choi state per jump, the
+extreme-point oracle builds the full pairwise distance matrix, and the
+full-GKSL projection oracle is Dykstra's alternating projections.
 """
 
 import math
@@ -12,6 +13,7 @@ import re
 
 import numpy as np
 
+from nmwitness import linalg
 from nmwitness.channels import haar_unitaries
 from nmwitness.choi import max_entangled_state, unitary_chois
 
@@ -195,3 +197,42 @@ def pairwise_distance_census(uvec: np.ndarray) -> tuple[float, int]:
     np.fill_diagonal(dist_sq, np.inf)
     distances = np.sqrt(dist_sq)
     return float(distances.min()), int(np.count_nonzero(distances < 1e-8) // 2)
+
+
+def dykstra_full_gksl(cn, max_iter: int = 100_000, tol: float = 1e-10):
+    """Nearest point of {phi + eps X : Tr_2 X = 0, w_perp X w_perp >= 0} to cn.
+
+    Dykstra's method alternates the two closed-form projections from
+    Y = (C_N - phi) / eps: onto the trace-preserving subspace (subtract
+    Tr_2 X (x) 1/d; no correction term) and onto the cone (replace the
+    w_perp block by its PSD part; keeps its increment Q). Stops when
+    d ||Tr_2 X|| <= tol * max(1, ||Y||) and returns the trace-preserving
+    projection phi + eps X of the last cone iterate and the iteration count.
+    """
+    d, e = cn.dim, cn.eps
+    n = d * d
+    phi = max_entangled_state(d)
+    w_perp = np.eye(n) - phi
+    eye = np.eye(d)
+
+    def tr2(z):
+        return np.einsum("ikjk->ij", z.reshape(d, d, d, d))
+
+    def tp_project(z, z_tr2):
+        return z - np.einsum("ij,kl->ikjl", z_tr2, eye).reshape(n, n) / d
+
+    y = (0.5 * (cn.matrix + cn.matrix.conj().T) - phi) / e
+    bound = tol * max(1.0, float(np.linalg.norm(y)))
+    x, x_tr2 = y, tr2(y)
+    q = np.zeros_like(y)
+    iterations = 0
+    while iterations < max_iter:
+        iterations += 1
+        z = tp_project(x, x_tr2) + q
+        block = w_perp @ z @ w_perp
+        x = z - block + linalg.psd_project(block)
+        q = z - x
+        x_tr2 = tr2(x)
+        if d * np.linalg.norm(x_tr2) <= bound:
+            break
+    return phi + e * tp_project(x, x_tr2), iterations

@@ -14,6 +14,7 @@ from nmwitness.channels import builtin_pauli
 from nmwitness.choi import choi_of_generator, scan
 from nmwitness.cli import (
     SpecError,
+    _Matrix,
     _render_json,
     _Rows,
     cmd_analyze,
@@ -347,6 +348,36 @@ def test_row_writer_matches_json_dumps(rows, keyed):
     assert _Rows(keys, columns, keyed).csv() == ["x,n,ok", *csv_rows]
 
 
+_FINITE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-310, 1e16, 1.5e300,
+                     -2.5e-08, 1e22, 123456789.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 5), pool=st.lists(_FINITE_FLOATS, min_size=1, max_size=12),
+       seed=st.integers(0, 2**32 - 1), count=st.integers(1, 2))
+def test_witness_matrix_writer_matches_json_dumps(dim, pool, seed, count):
+    # Entries are drawn from a small pool so that -0.0, subnormals and
+    # exponent forms land in d^2 x d^2 matrices of every size used.
+    rng = np.random.default_rng(seed)
+    matrices = []
+    for _ in range(count):
+        m = np.empty((dim * dim, dim * dim), dtype=complex)
+        m.real = rng.choice(pool, size=m.shape)
+        m.imag = rng.choice(pool, size=m.shape)
+        matrices.append(m)
+
+    def payload(matrix_form):
+        entries = [{"kind": "theorem3", "provenance": "p", "expectation": -1e-7,
+                    "matrix": matrix_form(m)} for m in matrices]
+        return {"command": "witness", "metadata": {"seed": None}, "mode": "theorem3-gksl",
+                "witnesses": entries, "residual": 2.5e-4, "kkt_ok": True}
+
+    text = _render_json(payload(_Matrix))
+    assert text == json.dumps(payload(matrix_to_pairs), indent=2) + "\n"
+
+
 def test_witness_csv_matches_json(tmp_path):
     spec = write_spec(tmp_path / "s.json", pauli_spec(1.0, 1.0, -0.3))
     out_json, out_csv = tmp_path / "w.json", tmp_path / "w.csv"
@@ -486,6 +517,32 @@ def test_main_witness_overflow_is_an_input_error(tmp_path, capsys, rate, eps, mo
     err = capsys.readouterr().err
     assert err.startswith("nmwitness: error: ") and err.count("\n") == 1
     assert f"t=0.0, eps={float(eps)}" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--spec", "{plus}", "--t1", "1", "--steps", "3", "--eps", "2"],
+    ["analyze", "--spec", "{minus}", "--t1", "1", "--steps", "3", "--eps", "2"],
+    ["geometry", "--probe", "hsnorm", "--eps", "1e308", "--n", "50", "--seed", "1"],
+    ["verify", "--witness", "{identity}", "--eps", "1e308", "--n", "100", "--seed", "1"],
+])
+def test_main_overflow_names_eps(tmp_path, capsys, command):
+    # eps times the generator leaves the double range: an input error naming
+    # eps, not a Hermiticity complaint, an Infinity in the report or a
+    # violation of a witness that is nonnegative on every state.
+    identity = tmp_path / "identity.json"
+    identity.write_text(json.dumps(matrix_to_pairs(np.eye(4))))
+    argv = [a.format(plus=write_spec(tmp_path / "p.json", dephasing_spec(1.7e308)),
+                     minus=write_spec(tmp_path / "m.json", dephasing_spec(-1.7e308)),
+                     identity=identity) for a in command]
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("nmwitness: error: ") and err.count("\n") == 1
+    assert f"eps={float(argv[argv.index('--eps') + 1])}" in err
 
 
 def test_main_spectral_witness_near_overflow_stays_finite(tmp_path):

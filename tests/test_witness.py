@@ -5,7 +5,7 @@ import scipy.optimize
 from nmwitness.channels import builtin_dephasing, builtin_pauli, haar_unitaries
 from nmwitness.choi import (ChoiMatrix, choi_of_generator, classify, dissipator_chois,
                             max_entangled_state)
-from nmwitness.linalg import SIGMA_Z, dagger, hs_inner, hs_norm
+from nmwitness.linalg import SIGMA_Z, dagger, hs_inner, hs_norm, psd_project
 from nmwitness.rates import ConstantRate
 from nmwitness.witness import (
     WitnessOperator,
@@ -24,7 +24,7 @@ from nmwitness.witness import (
 from nmwitness.witness import _unitary_jump_generators
 from nmwitness.channels import LindbladGenerator
 
-from oracles import per_jump_generators
+from oracles import dykstra_full_gksl, per_jump_generators
 
 EPS = 1e-3
 
@@ -186,7 +186,7 @@ def test_full_gksl_markovian_membership():
     assert res.kkt_ok
     assert res.residual <= 1e-12
     # Kossakowski matrix stays PSD
-    assert np.linalg.eigvalsh(res.kossakowski)[0] >= -1e-10
+    assert np.linalg.eigvalsh(res.kossakowski)[0] >= -1e-12
 
 
 def test_full_gksl_vs_fixed_basis_containment():
@@ -256,7 +256,7 @@ def _check_generic_instance(dim, seed):
     assert not classify(cn).is_markovian
     full = nearest_mcs_full_gksl(cn)
     assert full.kkt_ok
-    assert np.linalg.eigvalsh(full.kossakowski)[0] >= -1e-10
+    assert np.linalg.eigvalsh(full.kossakowski)[0] >= -1e-12
     # containment: the generator's own jump basis is a sub-family
     fixed = nearest_mcs_fixed_basis(cn, fixed_basis_family(gen.ops, EPS))
     assert full.residual <= fixed.residual + 1e-6
@@ -272,6 +272,67 @@ def test_full_gksl_generic_qutrit_instance():
 
 def test_full_gksl_generic_ququart_instance():
     _check_generic_instance(4, 33)
+
+
+def _ginibre_target(dim, seed):
+    # d^2 Ginibre jumps with rates uniform on (-0.5, 1) and a random Hamiltonian.
+    rng = np.random.default_rng(seed)
+    n_ops = dim * dim
+    ops = tuple(rng.standard_normal((n_ops, dim, dim))
+                + 1j * rng.standard_normal((n_ops, dim, dim)))
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    gen = LindbladGenerator(dim=dim, ops=ops,
+                            rates=tuple(ConstantRate(g) for g in rng.uniform(-0.5, 1.0, n_ops)),
+                            hamiltonian=0.5 * (raw + dagger(raw)))
+    return choi_of_generator(gen, 0.0, EPS)
+
+
+GKSL_TARGETS = {
+    "dephasing": lambda: choi_of_generator(builtin_dephasing(-1.0), 0.0, EPS),
+    "pauli": lambda: pauli_choi((1.0, 1.0, -0.3)),
+    **{f"ginibre-d{d}-s{s}": (lambda d=d, s=s: _ginibre_target(d, s))
+       for d in range(2, 6) for s in range(6)},
+}
+
+
+@pytest.fixture(scope="module")
+def gksl_solutions():
+    """Newton's result and the Dykstra oracle's state per target, oracle at tol 1e-13."""
+    out = {}
+    for name, make in GKSL_TARGETS.items():
+        cn = make()
+        out[name] = (cn, nearest_mcs_full_gksl(cn), dykstra_full_gksl(cn, tol=1e-13)[0])
+    return out
+
+
+@pytest.mark.parametrize("name", GKSL_TARGETS)
+def test_full_gksl_newton_matches_dykstra(gksl_solutions, name):
+    _, res, ref = gksl_solutions[name]
+    assert res.kkt_ok
+    assert hs_norm(res.choi_star.matrix - ref) <= 1e-12
+
+
+@pytest.mark.parametrize("name", GKSL_TARGETS)
+def test_full_gksl_newton_in_cone_within_ten_steps(gksl_solutions, name):
+    _, res, _ = gksl_solutions[name]
+    assert np.linalg.eigvalsh(res.kossakowski)[0] >= -1e-12
+    assert res.iterations <= 10
+
+
+@pytest.mark.parametrize("name", GKSL_TARGETS)
+def test_full_gksl_state_is_cone_point_of_dual(gksl_solutions, name):
+    # The returned state is phi + eps * P_K(Y + Lambda (x) 1), P_K written
+    # out densely here, up to the removal of its tiny Tr_2 defect.
+    cn, res, _ = gksl_solutions[name]
+    d = cn.dim
+    phi = max_entangled_state(d)
+    w_perp = np.eye(d * d) - phi
+    assert res.dual.shape == (d, d)
+    assert hs_norm(res.dual - dagger(res.dual)) <= 1e-12 * max(1.0, hs_norm(res.dual))
+    z = (cn.matrix - phi) / EPS + np.kron(res.dual, np.eye(d))
+    block = w_perp @ z @ w_perp
+    x = z - block + psd_project(block)
+    assert hs_norm(phi + EPS * x - res.choi_star.matrix) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
