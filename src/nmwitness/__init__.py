@@ -23,8 +23,6 @@ from .linalg import (
     hs_inner,
     hs_norm,
     matrix_exp,
-    psd_project,
-    trace_norm,
 )
 from .rates import (
     ConstantRate,
@@ -47,14 +45,11 @@ from .channels import (
     exact_channel,
     first_order_channel,
     gksl_superoperator,
-    random_markovian,
-    random_unitary_channel,
 )
 from .choi import (
     ChoiMatrix,
     NMClassification,
     ScanReport,
-    channel_of_choi,
     choi_of_channel,
     choi_of_generator,
     classify,

@@ -1,16 +1,17 @@
-"""Lindblad-type generators, their superoperators and small-time channels.
+"""Lindblad-type generators, Haar unitaries and the reference superoperator route.
 
-Vectorization is column-stacking throughout: vec(A X B) = (B^T (x) A) vec(X).
-A generator with jump operators L_a, rates g_a(t) and optional Hamiltonian H
-has the superoperator
+The library works with a generator (jumps L_a, rates g_a(t), Hamiltonian H)
+in Choi form only. `SuperOperator`, `gksl_superoperator`, `first_order_channel`
+and `exact_channel` are the independent superoperator formula the tests check
+the Choi layer against; no library path calls them. They use column-stacking,
+vec(A X B) = (B^T (x) A) vec(X), and the generator
 
     S(t) = -i (I (x) H - H^T (x) I)
            + sum_a g_a(t) [ conj(L_a) (x) L_a
                             - 1/2 I (x) (L_a^dag L_a)
                             - 1/2 (L_a^dag L_a)^T (x) I ],
 
-which is traceless in the sense vec(I)^dag S = 0; the channels built from it
-satisfy vec(I)^dag S = vec(I)^dag (trace preservation).
+traceless in the sense vec(I)^dag S = 0.
 """
 
 from __future__ import annotations
@@ -20,26 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_HERM_TOL, ShapeError, as_matrix, dagger, require_hermitian
-from .rates import ConstantRate, Rate, RateEvalError, RateLike, as_rate
+from .rates import Rate, RateEvalError, RateLike, as_rate
 from . import linalg
-
-
-def vec(x: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization: vec(X)[c*d + r] = X[r, c]."""
-    return x.T.reshape(-1)
-
-
-def unvec(v: np.ndarray) -> np.ndarray:
-    """Inverse of vec for square matrices."""
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise ShapeError(f"unvec: length {v.size} is not a perfect square")
-    return v.reshape(d, d).T
 
 
 @dataclass(frozen=True)
 class SuperOperator:
-    """A linear map on vectorized density matrices of a dim-level system."""
+    """A linear map on column-stacked dim x dim matrices (test reference)."""
 
     dim: int
     matrix: np.ndarray
@@ -52,13 +40,6 @@ class SuperOperator:
                 f"SuperOperator: expected {d2}x{d2} matrix for dim={self.dim}, "
                 f"got {m.shape}")
         object.__setattr__(self, "matrix", m)
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Apply the map to a dim x dim matrix."""
-        rho = as_matrix(rho, "rho")
-        if rho.shape != (self.dim, self.dim):
-            raise ShapeError(f"apply: expected {self.dim}x{self.dim}, got {rho.shape}")
-        return unvec(self.matrix @ vec(rho))
 
 
 @dataclass(frozen=True)
@@ -123,18 +104,8 @@ class LindbladGenerator:
         return np.stack(columns, axis=1)
 
 
-def dissipator_superoperator(op: np.ndarray) -> np.ndarray:
-    """Unit-rate dissipator of one jump operator L as a superoperator matrix:
-    conj(L) (x) L - 1/2 I (x) L^dag L - 1/2 (L^dag L)^T (x) I."""
-    eye = np.eye(op.shape[0], dtype=complex)
-    ldl = dagger(op) @ op
-    return (np.kron(op.conj(), op)
-            - 0.5 * np.kron(eye, ldl)
-            - 0.5 * np.kron(ldl.T, eye))
-
-
 def gksl_superoperator(gen: LindbladGenerator, t: float) -> SuperOperator:
-    """Generator superoperator at time t (column-stacking convention)."""
+    """S(t) of the module docstring by np.kron (test reference for the Choi layer)."""
     d = gen.dim
     s = np.zeros((d * d, d * d), dtype=complex)
     eye = np.eye(d, dtype=complex)
@@ -142,12 +113,14 @@ def gksl_superoperator(gen: LindbladGenerator, t: float) -> SuperOperator:
         h = gen.hamiltonian
         s += -1.0j * (np.kron(eye, h) - np.kron(h.T, eye))
     for g, op in zip(gen.rate_values(t), gen.ops):
-        s += g * dissipator_superoperator(op)
+        ldl = dagger(op) @ op
+        s += g * (np.kron(op.conj(), op) - 0.5 * np.kron(eye, ldl)
+                  - 0.5 * np.kron(ldl.T, eye))
     return SuperOperator(dim=d, matrix=s)
 
 
 def first_order_channel(gen: LindbladGenerator, t: float, eps: float) -> SuperOperator:
-    """I + eps * S(t): the small-time channel truncated at first order."""
+    """I + eps * S(t): the first-order small-time channel (test reference)."""
     if eps <= 0:
         raise ValueError(f"first_order_channel: eps must be > 0, got {eps}")
     s = gksl_superoperator(gen, t)
@@ -156,7 +129,7 @@ def first_order_channel(gen: LindbladGenerator, t: float, eps: float) -> SuperOp
 
 
 def exact_channel(gen: LindbladGenerator, t: float, eps: float) -> SuperOperator:
-    """exp(eps * S) with the rates frozen at the midpoint t + eps/2."""
+    """exp(eps * S), rates frozen at the midpoint t + eps/2 (test reference)."""
     if eps <= 0:
         raise ValueError(f"exact_channel: eps must be > 0, got {eps}")
     s = gksl_superoperator(gen, t + 0.5 * eps)
@@ -185,32 +158,3 @@ def haar_unitaries(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     diag = np.einsum("nii->ni", r)
     q = q * (diag / np.abs(diag))[:, None, :]
     return q
-
-
-def random_markovian(dim: int, n_ops: int, seed: int,
-                     rate_scale: float = 1.0) -> LindbladGenerator:
-    """Random divisible generator: Haar-unitary jumps, nonnegative rates.
-
-    Unitary jump operators keep the first-order Choi matrix exactly positive
-    semidefinite (for a non-unitary jump the truncation leaks order eps^2
-    negativity), so membership checks against the divisible set hold at
-    machine precision. Same seed, same generator.
-    """
-    if not 1 <= n_ops <= dim * dim:
-        raise ValueError(
-            f"random_markovian: n_ops must be in [1, dim^2={dim*dim}], got {n_ops}")
-    if rate_scale < 0:
-        raise ValueError(f"random_markovian: rate_scale must be >= 0, got {rate_scale}")
-    rng = np.random.default_rng(seed)
-    ops = tuple(haar_unitaries(dim, n_ops, rng))
-    rates = tuple(ConstantRate(float(g)) for g in rng.uniform(0.0, rate_scale, n_ops))
-    return LindbladGenerator(dim=dim, ops=ops, rates=rates)
-
-
-def random_unitary_channel(dim: int, seed: int) -> SuperOperator:
-    """Haar-random unitary conjugation channel conj(U) (x) U."""
-    if dim < 2:
-        raise ValueError(f"random_unitary_channel: dim must be >= 2, got {dim}")
-    rng = np.random.default_rng(seed)
-    u = haar_unitaries(dim, 1, rng)[0]
-    return SuperOperator(dim=dim, matrix=np.kron(u.conj(), u))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import LindbladGenerator, SuperOperator, dissipator_superoperator
+from .channels import LindbladGenerator, SuperOperator
 from .linalg import ShapeError, as_matrix
 
 
@@ -99,22 +99,21 @@ def unitary_chois(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return kets, np.einsum("ni,nj->nij", kets, kets.conj())
 
 
-def _superop_to_choi(s: np.ndarray, dim: int) -> np.ndarray:
-    # C[i*d+k, j*d+l] = S[l*d+k, j*d+i] / d
-    t = s.reshape(dim, dim, dim, dim)
-    return np.einsum("lkji->ikjl", t).reshape(dim * dim, dim * dim) / dim
-
-
-def _choi_to_superop(c: np.ndarray, dim: int) -> np.ndarray:
-    # S[l*d+k, j*d+i] = d * C[i*d+k, j*d+l]
-    t = c.reshape(dim, dim, dim, dim)
-    return np.einsum("ikjl->lkji", t).reshape(dim * dim, dim * dim) * dim
-
-
 def dissipator_chois(ops) -> np.ndarray:
-    """(m, d^2, d^2) stack of the Choi directions Y_a of unit-rate dissipators."""
-    return np.stack([_superop_to_choi(dissipator_superoperator(op), op.shape[0])
-                     for op in ops])
+    """(m, d^2, d^2) stack of the Choi directions Y_a of unit-rate dissipators:
+    <ik|Y_a|jl> = (conj(L_lj) L_ki - 1/2 delta_lj (L^dag L)_ki - 1/2 (L^dag L)_jl
+    delta_ki) / d with L = L_a. Products keep np.kron's operand order and the
+    sum precedes the division, so this is bit for bit the superoperator route."""
+    ls = np.asarray(ops, dtype=complex)
+    m, d = ls.shape[0], ls.shape[-1]
+    eye = np.eye(d, dtype=complex)
+    ldl = ls.conj().transpose(0, 2, 1) @ ls
+    lt, ldl_t = ls.transpose(0, 2, 1), ldl.transpose(0, 2, 1)
+    # Axes (a, i, k, j, l).
+    y = (lt.conj()[:, None, None] * lt[..., None, None]
+         - 0.5 * (eye * ldl_t[..., None, None])
+         - 0.5 * (ldl[:, None, None] * eye[:, :, None, None]))
+    return y.reshape(m, d * d, d * d) / d
 
 
 def hamiltonian_choi(h: np.ndarray) -> np.ndarray:
@@ -136,13 +135,11 @@ def _first_order_chois(gen: LindbladGenerator, ts, eps: float) -> np.ndarray:
 
 
 def choi_of_channel(s: SuperOperator, t: float = 0.0, eps: float = 0.0) -> ChoiMatrix:
-    """Choi state of a channel; (t, eps) are carried along as tags."""
-    return ChoiMatrix(dim=s.dim, matrix=_superop_to_choi(s.matrix, s.dim), t=t, eps=eps)
-
-
-def channel_of_choi(c: ChoiMatrix) -> SuperOperator:
-    """The unique superoperator whose Choi state is c (inverse rearrangement)."""
-    return SuperOperator(dim=c.dim, matrix=_choi_to_superop(c.matrix, c.dim))
+    """Choi state of a test-reference superoperator; (t, eps) are tags."""
+    d = s.dim
+    # C[i*d+k, j*d+l] = S[l*d+k, j*d+i] / d
+    c = np.einsum("lkji->ikjl", s.matrix.reshape(d, d, d, d)).reshape(d * d, d * d) / d
+    return ChoiMatrix(dim=d, matrix=c, t=t, eps=eps)
 
 
 def choi_of_generator(gen: LindbladGenerator, t: float, eps: float) -> ChoiMatrix:

@@ -26,6 +26,10 @@ from .witness import (
 )
 
 
+# Rows of the n x n pairwise overlap matrix that extreme_point_probe holds at once.
+_OVERLAP_ROWS = 512
+
+
 @dataclass(frozen=True)
 class ProbeReport:
     """Outcome of one randomized geometry probe.
@@ -158,20 +162,23 @@ def extreme_point_probe(dim: int, eps: float, n_unitaries: int,
     rng = np.random.default_rng(seed)
     uvec, chois = unitary_chois(haar_unitaries(dim, n_unitaries, rng))
     purities = np.einsum("nij,nji->n", chois, chois).real
-    overlaps = np.abs(uvec @ uvec.conj().T)
-    np.square(overlaps, out=overlaps)
-    np.fill_diagonal(overlaps, 0.0)
 
     def distance(overlap):
         return np.sqrt(np.clip(2.0 - 2.0 * overlap, 0.0, None))
 
-    min_distance = float(distance(overlaps.max()))
+    largest, coincident = 0.0, 0
+    for start in range(0, n_unitaries, _OVERLAP_ROWS):
+        overlaps = np.abs(uvec[start:start + _OVERLAP_ROWS] @ uvec.conj().T)
+        np.square(overlaps, out=overlaps)
+        np.fill_diagonal(overlaps[:, start:], 0.0)
+        largest = max(largest, overlaps.max())
+        coincident += np.count_nonzero(distance(overlaps[overlaps > 0.5]) < 1e-8)
+    min_distance = float(distance(largest))
     purity_failures = int(np.count_nonzero(np.abs(purities - 1.0) > 1e-10))
-    coincidences = int(np.count_nonzero(distance(overlaps[overlaps > 0.5]) < 1e-8) // 2)
     return ProbeReport(
         probe_name="extreme",
         n_trials=n_unitaries,
-        failures=purity_failures + coincidences,
+        failures=purity_failures + int(coincident) // 2,
         worst_value=min_distance,
         details=purities,
         summary={"min_pairwise_distance": min_distance},

@@ -65,13 +65,6 @@ def hs_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def trace_norm(a: np.ndarray) -> float:
-    """Trace norm: sum of singular values, via the spectrum of a^dag a."""
-    _require_square(a, "trace_norm")
-    w = np.linalg.eigvalsh(dagger(a) @ a)
-    return float(np.sqrt(np.clip(w, 0.0, None)).sum())
-
-
 def hermiticity_defect(a: np.ndarray) -> float:
     """Largest entrywise deviation |a - a^dag|."""
     return float(np.abs(a - dagger(a)).max())
@@ -98,10 +91,6 @@ class HermitianEigen:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ dagger(v)
-
 
 def hermitian_eig(a: np.ndarray, tol: float = DEFAULT_HERM_TOL) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
@@ -110,20 +99,8 @@ def hermitian_eig(a: np.ndarray, tol: float = DEFAULT_HERM_TOL) -> HermitianEige
     return HermitianEigen(eigenvalues=w, eigenvectors=v)
 
 
-def psd_project(a: np.ndarray, tol: float = DEFAULT_HERM_TOL) -> np.ndarray:
-    """Nearest (in HS norm) positive semidefinite matrix to Hermitian a.
-
-    Clamps negative eigenvalues to zero and reconstructs.
-    """
-    eig = hermitian_eig(a, tol)
-    w = np.clip(eig.eigenvalues, 0.0, None)
-    v = eig.eigenvectors
-    out = (v * w) @ dagger(v)
-    return 0.5 * (out + dagger(out))
-
-
 def matrix_exp(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring, via scipy)."""
+    """Matrix exponential via scipy, for the test reference `channels.exact_channel`."""
     import scipy.linalg  # only this function needs scipy; importing it is slow
 
     _require_square(a, "matrix_exp")

@@ -486,15 +486,20 @@ def verify_witness(w: WitnessOperator, dim: int, eps: float, n_samples: int,
                    seed: int) -> VerificationResult:
     """Check Tr(W C_M) >= 0 on sampled divisible Choi states.
 
-    A violation is an expectation below -1e-8; values holds Tr(W C_M) per sample.
+    values holds Tr(W C_k) per sample. A violation is a value below -(1e-8 +
+    slack_k), slack_k = (d^4 + 2) u sum_ij |W_ij| |C_k,ji| with u the machine
+    epsilon: the rounding bound for forming C_k and contracting it with W.
     """
     if n_samples < 1:
         raise ValueError(f"verify_witness: n_samples must be >= 1, got {n_samples}")
     chois = sample_markovian_chois(dim, eps, n_samples, seed)
     values = np.einsum("ij,nji->n", w.matrix, chois).real
+    below = np.flatnonzero(values < -1e-8)  # slack >= 0: no other sample can violate
+    slack = ((dim ** 4 + 2) * np.finfo(float).eps
+             * np.einsum("ij,nji->n", np.abs(w.matrix), np.abs(chois[below])))
     return VerificationResult(
         min_expectation=float(values.min()),
-        violations=int(np.count_nonzero(values < -1e-8)),
+        violations=int(np.count_nonzero(values[below] < -(1e-8 + slack))),
         values=values,
     )
 

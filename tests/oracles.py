@@ -4,8 +4,13 @@ These deliberately avoid the implementation paths they check: the expression
 oracle is a shunting-yard evaluator with its own tokenizer, the projection
 oracle is a dense grid search, the exponential oracle is a plain Taylor
 series, the sampled-generator oracle sums one pure Choi state per jump, the
-extreme-point oracle builds the full pairwise distance matrix, and the
-full-GKSL projection oracle is Dykstra's alternating projections.
+extreme-point oracle builds the full pairwise distance matrix, the
+full-GKSL projection oracle is Dykstra's alternating projections, and the
+dissipator oracle goes through the np.kron superoperator.
+
+The superoperator helpers (`apply_superop`, `channel_of_choi`), the trace
+norm, the PSD projection and the random divisible generators serve only as
+references here; the library itself works in Choi form.
 """
 
 import math
@@ -13,9 +18,10 @@ import re
 
 import numpy as np
 
-from nmwitness import linalg
-from nmwitness.channels import haar_unitaries
-from nmwitness.choi import max_entangled_state, unitary_chois
+from nmwitness.channels import LindbladGenerator, SuperOperator, haar_unitaries
+from nmwitness.choi import ChoiMatrix, max_entangled_state, unitary_chois
+from nmwitness.linalg import hermitian_eig
+from nmwitness.rates import ConstantRate
 
 _FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
           "tanh": math.tanh, "abs": abs}
@@ -230,9 +236,74 @@ def dykstra_full_gksl(cn, max_iter: int = 100_000, tol: float = 1e-10):
         iterations += 1
         z = tp_project(x, x_tr2) + q
         block = w_perp @ z @ w_perp
-        x = z - block + linalg.psd_project(block)
+        x = z - block + psd_project(block)
         q = z - x
         x_tr2 = tr2(x)
         if d * np.linalg.norm(x_tr2) <= bound:
             break
     return phi + e * tp_project(x, x_tr2), iterations
+
+
+# ---------------------------------------------------------------------------
+# superoperator and spectral references
+# ---------------------------------------------------------------------------
+
+def kron_dissipator_chois(ops) -> np.ndarray:
+    """Choi directions Y_a by the superoperator route: the Choi rearrangement
+    C[i*d+k, j*d+l] = S[l*d+k, j*d+i] / d of each np.kron-built dissipator
+    conj(L) (x) L - 1/2 I (x) L^dag L - 1/2 (L^dag L)^T (x) I."""
+    out = []
+    for op in ops:
+        d = op.shape[0]
+        eye = np.eye(d, dtype=complex)
+        ldl = op.conj().T @ op
+        s = np.kron(op.conj(), op) - 0.5 * np.kron(eye, ldl) - 0.5 * np.kron(ldl.T, eye)
+        out.append(np.einsum("lkji->ikjl", s.reshape(d, d, d, d)).reshape(d * d, d * d) / d)
+    return np.stack(out)
+
+
+def apply_superop(s: SuperOperator, rho: np.ndarray) -> np.ndarray:
+    """S applied to rho under column stacking: unvec(S vec(rho))."""
+    return (s.matrix @ rho.T.reshape(-1)).reshape(rho.shape).T
+
+
+def channel_of_choi(c: ChoiMatrix) -> SuperOperator:
+    """The unique superoperator whose Choi state is c: S[l*d+k, j*d+i] = d C[i*d+k, j*d+l]."""
+    d = c.dim
+    s = np.einsum("ikjl->lkji", c.matrix.reshape(d, d, d, d)).reshape(d * d, d * d) * d
+    return SuperOperator(dim=d, matrix=s)
+
+
+def trace_norm(a: np.ndarray) -> float:
+    """Trace norm: sum of singular values, via the spectrum of a^dag a."""
+    w = np.linalg.eigvalsh(a.conj().T @ a)
+    return float(np.sqrt(np.clip(w, 0.0, None)).sum())
+
+
+def psd_project(a: np.ndarray) -> np.ndarray:
+    """Nearest (in HS norm) positive semidefinite matrix to Hermitian a:
+    clamps negative eigenvalues to zero and reconstructs."""
+    eig = hermitian_eig(a)
+    v = eig.eigenvectors
+    out = (v * np.clip(eig.eigenvalues, 0.0, None)) @ v.conj().T
+    return 0.5 * (out + out.conj().T)
+
+
+def random_markovian(dim: int, n_ops: int, seed: int,
+                     rate_scale: float = 1.0) -> LindbladGenerator:
+    """Random divisible generator: Haar-unitary jumps, nonnegative rates.
+
+    Unitary jump operators keep the first-order Choi matrix exactly positive
+    semidefinite (for a non-unitary jump the truncation leaks order eps^2
+    negativity), so membership checks against the divisible set hold at
+    machine precision. Same seed, same generator.
+    """
+    if not 1 <= n_ops <= dim * dim:
+        raise ValueError(
+            f"random_markovian: n_ops must be in [1, dim^2={dim*dim}], got {n_ops}")
+    if rate_scale < 0:
+        raise ValueError(f"random_markovian: rate_scale must be >= 0, got {rate_scale}")
+    rng = np.random.default_rng(seed)
+    ops = tuple(haar_unitaries(dim, n_ops, rng))
+    rates = tuple(ConstantRate(float(g)) for g in rng.uniform(0.0, rate_scale, n_ops))
+    return LindbladGenerator(dim=dim, ops=ops, rates=rates)

@@ -11,20 +11,21 @@ from nmwitness.channels import (
     builtin_pauli,
     first_order_channel,
     gksl_superoperator,
-    random_markovian,
 )
 from nmwitness.choi import (
     ChoiMatrix,
-    channel_of_choi,
     choi_of_channel,
     choi_of_generator,
     classify,
     default_classification_tol,
+    dissipator_chois,
     max_entangled_state,
     scan,
 )
-from nmwitness.linalg import hs_norm, trace_norm
+from nmwitness.linalg import hs_norm
 from nmwitness.rates import RateEvalError, TableRate
+from oracles import (apply_superop, channel_of_choi, kron_dissipator_chois, random_markovian,
+                     trace_norm)
 
 
 def test_max_entangled_state_qubit():
@@ -54,7 +55,7 @@ def test_choi_matches_block_definition():
         for j in range(d):
             basis = np.zeros((d, d), dtype=complex)
             basis[i, j] = 1.0
-            block = s.apply(basis) / d
+            block = apply_superop(s, basis) / d
             assert np.abs(c[i * d:(i + 1) * d, j * d:(j + 1) * d] - block).max() < 1e-14
 
 
@@ -100,6 +101,22 @@ def test_roundtrip_markovian_and_nonmarkovian():
     nm = first_order_channel(builtin_pauli(1.0, 1.0, -0.5), 0.0, 1e-3)
     back = channel_of_choi(choi_of_channel(nm))
     assert hs_norm(back.matrix - nm.matrix) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_dissipator_chois_bit_identical_to_kron_route(dim):
+    # The direct Choi-form dissipator reproduces the superoperator route to
+    # the last bit, signed zeros included, so no report byte depends on the
+    # route. Ginibre jumps, each scaled by 10^[-3, 3], some entries zeroed.
+    rng = np.random.default_rng(100 + dim)
+    for _ in range(25):
+        m = int(rng.integers(1, dim * dim + 1))
+        ops = (rng.standard_normal((m, dim, dim)) + 1j * rng.standard_normal((m, dim, dim)))
+        ops *= 10.0 ** rng.uniform(-3.0, 3.0, size=(m, 1, 1))
+        ops[rng.random(ops.shape) < 0.2] = 0.0
+        got, want = dissipator_chois(tuple(ops)), kron_dissipator_chois(tuple(ops))
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_roundtrip_identity_superoperator():

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nmwitness.channels import builtin_pauli
-from nmwitness.choi import choi_of_generator, scan
+from nmwitness.choi import choi_of_generator, max_entangled_state, scan
 from nmwitness.cli import (
     SpecError,
     _Matrix,
@@ -543,6 +544,55 @@ def test_main_overflow_names_eps(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("nmwitness: error: ") and err.count("\n") == 1
     assert f"eps={float(argv[argv.index('--eps') + 1])}" in err
+
+
+@pytest.mark.parametrize("eps", ["1e20", "1e300"])
+def test_verify_large_eps_rounding_is_not_a_violation(tmp_path, eps):
+    # The identity is nonnegative on every state: the samples' rounding, of
+    # order eps * 1e-16, is no violation. phi - 1 is about -eps on every
+    # divisible sample and stays flagged.
+    codes = {}
+    for name, matrix in (("identity", np.eye(4)),
+                         ("invalid", max_entangled_state(2).real - np.eye(4))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(matrix_to_pairs(matrix)))
+        out = tmp_path / f"{name}-v.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes[name] = main(["verify", "--witness", str(path), "--eps", eps, "--n", "100",
+                                "--seed", "1", "--out", str(out)])
+        codes[name + "_violations"] = json.loads(out.read_text())["violations"]
+    assert codes == {"identity": 0, "identity_violations": 0,
+                     "invalid": 3, "invalid_violations": 100}
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    # scipy is a test-only dependency: with `import scipy` failing, every
+    # subcommand still runs to its usual exit code.
+    spec = write_spec(tmp_path / "s.json", pauli_spec(1.0, 1.0, -0.3))
+    witness = tmp_path / "w.json"
+    commands = [
+        (["analyze", "--spec", spec, "--t1", "1", "--steps", "8"], 3),
+        (["witness", "--spec", spec, "--mode", "spectral"], 0),
+        (["witness", "--spec", spec, "--mode", "theorem3-fixed"], 0),
+        (["witness", "--spec", spec, "--mode", "theorem3-gksl", "--out", str(witness)], 0),
+        (["verify", "--witness", str(witness), "--n", "50", "--seed", "1"], 0),
+        *((["geometry", "--probe", probe, "--n", "20", "--seed", "1"], 0)
+          for probe in ("convexity", "hsnorm", "extreme", "separation")),
+    ]
+    script = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from nmwitness.cli import main\n"
+        "for argv, code in json.loads(sys.argv[1]):\n"
+        "    got = main(argv + ['--out', 'out.json'] if '--out' not in argv else argv)\n"
+        "    assert got == code, (argv, got)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_main_spectral_witness_near_overflow_stays_finite(tmp_path):

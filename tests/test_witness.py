@@ -5,7 +5,7 @@ import scipy.optimize
 from nmwitness.channels import builtin_dephasing, builtin_pauli, haar_unitaries
 from nmwitness.choi import (ChoiMatrix, choi_of_generator, classify, dissipator_chois,
                             max_entangled_state)
-from nmwitness.linalg import SIGMA_Z, dagger, hs_inner, hs_norm, psd_project
+from nmwitness.linalg import SIGMA_Z, dagger, hs_inner, hs_norm
 from nmwitness.rates import ConstantRate
 from nmwitness.witness import (
     WitnessOperator,
@@ -24,7 +24,7 @@ from nmwitness.witness import (
 from nmwitness.witness import _unitary_jump_generators
 from nmwitness.channels import LindbladGenerator
 
-from oracles import dykstra_full_gksl, per_jump_generators
+from oracles import dykstra_full_gksl, per_jump_generators, psd_project
 
 EPS = 1e-3
 
