@@ -471,9 +471,24 @@ def _probe_payload(report: ProbeReport, seed: int, eps: float) -> dict:
     return payload
 
 
-def cmd_geometry(probe: str, dim: int, eps: float, n: int, seed: int,
+def cmd_geometry(probe: str, dim: int | None, eps: float, n: int, seed: int,
                  out_path: str | None, fmt: str,
                  spec_path: str | None = None, t: float = 0.0) -> int:
+    """Run one probe. dim None is 2, or for separation the target's dimension,
+    which an explicit dim must match."""
+    if probe == "separation":
+        if spec_path is not None:
+            gen = load_channel_spec(spec_path)
+        else:
+            # Default demonstration instance: a Pauli channel with one
+            # negative rate, non-Markovian at every time.
+            gen = builtin_pauli(1.0, 1.0, -0.3)
+        if dim is not None and dim != gen.dim:
+            raise SpecError(f"--dim {dim} differs from the separation target's "
+                            f"dimension {gen.dim}")
+        dim = gen.dim
+    elif dim is None:
+        dim = 2
     # eps near the top of the double range overflows the sampled states.
     with _overflow_names(f"geometry: {probe} probe at d={dim}, eps={eps}"):
         if probe == "convexity":
@@ -483,12 +498,6 @@ def cmd_geometry(probe: str, dim: int, eps: float, n: int, seed: int,
         elif probe == "extreme":
             report = extreme_point_probe(dim, eps, n, seed)
         elif probe == "separation":
-            if spec_path is not None:
-                gen = load_channel_spec(spec_path)
-            else:
-                # Default demonstration instance: a Pauli channel with one
-                # negative rate, non-Markovian at every time.
-                gen = builtin_pauli(1.0, 1.0, -0.3)
             report = separation_demo(choi_of_generator(gen, t, eps), n, seed)
         else:
             raise SpecError(f"unknown probe {probe!r}")
@@ -550,6 +559,17 @@ _EPS = _real("finite positive", lambda value: value > 0)
 _TOL = _real("finite nonnegative", lambda value: value >= 0)
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type: a nonnegative integer, as numpy's seeding accepts."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nmwitness",
                      description="Small-time Choi states of Lindblad dynamics: "
@@ -581,17 +601,19 @@ def build_parser() -> argparse.ArgumentParser:
                    "or a witness report)")
     p.add_argument("--eps", type=_EPS, default=1e-3)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_nonnegative_int, required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("geometry", help="run a convex-geometry probe")
     p.add_argument("--probe", required=True,
                    help="convexity | hsnorm | extreme | separation")
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=int, default=None,
+                   help="default 2; separation: the target's dimension, which "
+                        "--dim must match")
     p.add_argument("--eps", type=_EPS, default=1e-3)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_nonnegative_int, required=True)
     p.add_argument("--spec", default=None,
                    help="separation only: channel supplying the target state")
     p.add_argument("--t0", type=_FINITE, default=0.0)

@@ -17,7 +17,7 @@ import numpy as np
 from .choi import ChoiMatrix, classify, max_entangled_state, unitary_chois
 from .channels import haar_unitaries
 from .witness import (
-    _unitary_jump_generators,
+    _draw_generators,
     expectation,
     nearest_mcs_full_gksl,
     sample_markovian_chois,
@@ -67,9 +67,11 @@ def convexity_probe(dim: int, eps: float, n_trials: int, seed: int) -> ProbeRepo
         raise ValueError(f"convexity_probe: n_trials must be >= 1, got {n_trials}")
     chois = sample_markovian_chois(dim, eps, 2 * n_trials, seed,
                                    include_hamiltonian=False)
-    first, second = chois[:n_trials], chois[n_trials:]
+    mixed, second = chois[:n_trials], chois[n_trials:]
     p = np.random.default_rng((seed, 1)).uniform(size=n_trials)
-    mixed = p[:, None, None] * first + (1.0 - p)[:, None, None] * second
+    mixed *= p[:, None, None]
+    second *= (1.0 - p)[:, None, None]
+    mixed += second
     min_eigs = np.linalg.eigvalsh(mixed)[:, 0]
     failures = int(np.count_nonzero(min_eigs < -1e-12))
     return ProbeReport(
@@ -93,8 +95,8 @@ def hs_norm_probe(dim: int, eps: float, n_trials: int, seed: int) -> ProbeReport
         raise ValueError(f"hs_norm_probe: eps must be > 0, got {eps}")
     if n_trials < 1:
         raise ValueError(f"hs_norm_probe: n_trials must be >= 1, got {n_trials}")
-    gen_chois = _unitary_jump_generators(dim, n_trials, np.random.default_rng(seed),
-                                         signed=True)
+    gen_chois = _draw_generators(dim, n_trials, np.random.default_rng(seed),
+                                 signed=True).dissipators()
     chois = max_entangled_state(dim) + eps * gen_chois
     deviations = np.abs(np.linalg.norm(chois, axis=(1, 2)) - 1.0)
     bounds = 10.0 * eps * dim * np.linalg.norm(gen_chois, axis=(1, 2))
@@ -162,6 +164,7 @@ def extreme_point_probe(dim: int, eps: float, n_unitaries: int,
     rng = np.random.default_rng(seed)
     uvec, chois = unitary_chois(haar_unitaries(dim, n_unitaries, rng))
     purities = np.einsum("nij,nji->n", chois, chois).real
+    del chois  # the overlap blocks below need only the kets
 
     def distance(overlap):
         return np.sqrt(np.clip(2.0 - 2.0 * overlap, 0.0, None))

@@ -18,6 +18,15 @@ squares, by a Lawson-Hanson active set on the Gram system), and the full family
 trace-preserving subspace with the conditionally completely positive cone K
 (solved by semismooth Newton on the d^2 real dual variables of Tr_2 X = 0,
 each step one closed-form projection onto K).
+
+Witnesses are checked on random divisible generators (Haar-unitary jumps of
+`channels.haar_unitaries`, drawn by Gram-Schmidt, plus an optional
+Hamiltonian). Tr(W C) is affine in the generator, so `verify_witness` and
+`uniqueness_check` contract W with the draws (the jump kets, rates and
+Hamiltonians) and never build the (n, d^2, d^2) stack of sampled states;
+only a sample whose value falls below -1e-8 is formed as a state, to judge
+it against its rounding slack. `sample_markovian_chois` still returns the
+stack, built in place, for callers that need the states themselves.
 """
 
 from __future__ import annotations
@@ -427,6 +436,127 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix, *, max_iter: int = 50,
 # Monte-Carlo verification
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _SampledGenerators:
+    """n random divisible generators, held as their draws, not as Choi states.
+
+    Generator k owns counts[k] consecutive rows of kets (the Choi kets |u_a>
+    of Haar-unitary jumps) and of rates (g_a); when ham is set, the samples
+    where mask is true also carry the traceless Hamiltonian ham[k]. Its
+    first-order Choi state is phi + eps*(X_k + mask_k C_H[k]) with X_k =
+    sum_a g_a (|u_a><u_a| - phi).
+    """
+
+    dim: int
+    counts: np.ndarray
+    kets: np.ndarray
+    rates: np.ndarray
+    mask: np.ndarray | None = None
+    ham: np.ndarray | None = None
+
+    @property
+    def starts(self) -> np.ndarray:
+        return np.cumsum(self.counts) - self.counts
+
+    def take(self, idx: np.ndarray) -> "_SampledGenerators":
+        """The generators at the sample indices idx, in that order."""
+        counts = self.counts[idx]
+        rows = (np.repeat(self.starts[idx] - (np.cumsum(counts) - counts), counts)
+                + np.arange(counts.sum()))
+        hamiltonian = self.ham is not None
+        return _SampledGenerators(self.dim, counts, self.kets[rows], self.rates[rows],
+                                  self.mask[idx] if hamiltonian else None,
+                                  self.ham[idx] if hamiltonian else None)
+
+    def dissipators(self) -> np.ndarray:
+        """The (n, d^2, d^2) stack X, one batched Gram product.
+
+        Generator k's jumps fill the first slots of zero-padded arrays: row a
+        of scaled[k] is g_a|u_a> and row a of bras[k] is <u_a|, so X[k] =
+        scaled[k]^T @ bras[k] - (sum_a g_a) phi. The phi term is subtracted
+        on the d x d block where phi is nonzero, in place.
+        """
+        d, n = self.dim, self.counts.size
+        d2 = d * d
+        slots = np.arange(d2) < self.counts[:, None]
+        scaled = np.zeros((n, d2, d2), dtype=complex)
+        bras = np.zeros((n, d2, d2), dtype=complex)
+        scaled[slots] = self.rates[:, None] * self.kets
+        bras[slots] = self.kets.conj()
+        x = np.matmul(scaled.transpose(0, 2, 1), bras)
+        del scaled, bras
+        rate_sums = np.add.reduceat(self.rates, self.starts)
+        x[:, ::d + 1, ::d + 1] -= rate_sums[:, None, None] * _phi_block(d)
+        return x
+
+    def states(self, eps: float) -> np.ndarray:
+        """The (n, d^2, d^2) stack phi + eps*(X + mask C_H), built in place on X."""
+        chois = self.dissipators()
+        chois *= eps
+        chois[:, ::self.dim + 1, ::self.dim + 1] += _phi_block(self.dim)
+        if self.ham is not None:
+            chois[self.mask] += eps * hamiltonian_choi(self.ham[self.mask])
+        return chois
+
+    def expectations(self, w: np.ndarray, eps: float) -> np.ndarray:
+        """Tr(W C_k) per sample, from the draws alone.
+
+        Tr(W C_k) = Tr(W phi) + eps*(sum_a g_a (<u_a|W|u_a> - Tr(W phi))
+        + mask_k 2 Im <phi|W|h_k>), |h> = (1 (x) H)|phi>: affine in the
+        generator, so no state is formed. A sample whose eps times the bound
+        sum_a |g_a| (max_i |u_a,i|^2 + 1/d) + mask_k 2 max_i |h_k,i| / sqrt(d)
+        on its generator's largest entry leaves the double range raises a
+        FloatingPointError, as forming its state would overflow.
+        """
+        d = self.dim
+        phi_ket = np.eye(d).reshape(-1) / np.sqrt(d)
+        w_phi = (phi_ket @ w @ phi_ket).real
+        jumps = ((self.kets.conj() @ w) * self.kets).sum(axis=1).real
+        starts = self.starts
+        generator = np.add.reduceat(self.rates * (jumps - w_phi), starts)
+        bound = np.add.reduceat(np.abs(self.rates) * (
+            (self.kets.real ** 2 + self.kets.imag ** 2).max(axis=1) + 1.0 / d), starts)
+        if self.ham is not None:
+            hkets = np.swapaxes(self.ham, 1, 2).reshape(-1, d * d) / np.sqrt(d)
+            generator += self.mask * (2.0 * (hkets @ (phi_ket @ w)).imag)
+            bound += self.mask * (2.0 * np.abs(hkets).max(axis=1) / np.sqrt(d))
+        with np.errstate(over="ignore"):
+            overflow = not np.isfinite(eps * bound).all()
+        if overflow:
+            raise FloatingPointError("overflow of eps times a sampled generator")
+        return w_phi + eps * generator
+
+
+def _phi_block(dim: int) -> np.ndarray:
+    """The d x d block of phi's nonzero entries, rows and columns i*(d+1)."""
+    return max_entangled_state(dim)[::dim + 1, ::dim + 1]
+
+
+def _draw_generators(dim: int, n: int, rng: np.random.Generator, signed: bool = False,
+                     hamiltonian: bool = False) -> _SampledGenerators:
+    """Draw n random divisible generators from rng.
+
+    Draws, in this order: jump counts (1..dim^2), Haar unitaries U_a with
+    Choi kets |u_a> of `unitary_kets`, rates g_a uniform on [0, 1], when
+    signed a random sign per rate, and when hamiltonian a mask marking about
+    half the samples and a random traceless Hamiltonian per sample.
+    """
+    d = dim
+    counts = rng.integers(1, d * d + 1, size=n)
+    kets = unitary_kets(haar_unitaries(d, int(counts.sum()), rng))
+    rates = rng.uniform(0.0, 1.0, size=kets.shape[0])
+    if signed:
+        rates *= np.where(rng.random(rates.size) < 0.5, 1.0, -1.0)
+    if not hamiltonian:
+        return _SampledGenerators(d, counts, kets, rates)
+    mask = rng.random(n) < 0.5
+    raw = (rng.standard_normal((n, d, d))
+           + 1.0j * rng.standard_normal((n, d, d)))
+    h = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
+    h -= (np.einsum("nii->n", h) / d)[:, None, None].real * np.eye(d)
+    return _SampledGenerators(d, counts, kets, rates, mask, h)
+
+
 def sample_markovian_chois(dim: int, eps: float, n_samples: int, seed: int,
                            include_hamiltonian: bool = True) -> np.ndarray:
     """Batch of first-order Choi states of random divisible generators.
@@ -434,72 +564,41 @@ def sample_markovian_chois(dim: int, eps: float, n_samples: int, seed: int,
     Per sample: 1..dim^2 Haar-unitary jump operators with rates uniform on
     [0, 1]; when include_hamiltonian is set, about half the samples also carry
     a random traceless Hamiltonian (the "unitary part"). All draws come from
-    one seeded stream in a fixed order, so output is reproducible.
-    Returns the (n_samples, dim^2, dim^2) complex stack phi + eps*(C_H + X),
-    with X the Gram-form dissipator directions of _unitary_jump_generators.
+    one seeded stream in a fixed order (`_draw_generators`), so output is
+    reproducible. Returns the (n_samples, dim^2, dim^2) complex stack
+    phi + eps*(C_H + X).
     """
     if n_samples < 1:
         raise ValueError(f"sample_markovian_chois: n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
-    d = dim
-    chois = max_entangled_state(d) + eps * _unitary_jump_generators(d, n_samples, rng)
-    if include_hamiltonian:
-        mask = rng.random(n_samples) < 0.5
-        raw = (rng.standard_normal((n_samples, d, d))
-               + 1.0j * rng.standard_normal((n_samples, d, d)))
-        h = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
-        h -= (np.einsum("nii->n", h) / d)[:, None, None].real * np.eye(d)
-        chois = chois + (eps * mask[:, None, None]) * hamiltonian_choi(h)
-    return chois
-
-
-def _unitary_jump_generators(dim: int, n: int, rng: np.random.Generator,
-                             signed: bool = False) -> np.ndarray:
-    """Dissipator Choi directions X = sum_a g_a (|u_a><u_a| - phi) of n random generators.
-
-    Draws, in this order: jump counts (1..dim^2), Haar unitaries U_a with
-    Choi kets |u_a> of `unitary_kets`, rates g_a uniform on [0, 1] and, when
-    signed, a random sign per rate. Generator k's jumps fill the first slots
-    of zero-padded (n, dim^2, dim^2) arrays: row a of scaled[k] is g_a|u_a>
-    and row a of bras[k] is <u_a|, so X[k] = scaled[k]^T @ bras[k] - (sum_a
-    g_a) phi, one batched Gram product for the whole stack.
-    Returns X, shape (n, dim^2, dim^2).
-    """
-    d2 = dim * dim
-    counts = rng.integers(1, d2 + 1, size=n)
-    kets = unitary_kets(haar_unitaries(dim, int(counts.sum()), rng))
-    rates = rng.uniform(0.0, 1.0, size=kets.shape[0])
-    if signed:
-        rates *= np.where(rng.random(rates.size) < 0.5, 1.0, -1.0)
-    slots = np.arange(d2) < counts[:, None]
-    scaled = np.zeros((n, d2, d2), dtype=complex)
-    bras = np.zeros((n, d2, d2), dtype=complex)
-    scaled[slots] = rates[:, None] * kets
-    bras[slots] = kets.conj()
-    rate_sums = np.add.reduceat(rates, np.cumsum(counts) - counts)
-    x = np.matmul(scaled.transpose(0, 2, 1), bras)
-    x -= rate_sums[:, None, None] * max_entangled_state(dim)
-    return x
+    return _draw_generators(dim, n_samples, rng, hamiltonian=include_hamiltonian).states(eps)
 
 
 def verify_witness(w: WitnessOperator, dim: int, eps: float, n_samples: int,
                    seed: int) -> VerificationResult:
     """Check Tr(W C_M) >= 0 on sampled divisible Choi states.
 
-    values holds Tr(W C_k) per sample. A violation is a value below -(1e-8 +
-    slack_k), slack_k = (d^4 + 2) u sum_ij |W_ij| |C_k,ji| with u the machine
-    epsilon: the rounding bound for forming C_k and contracting it with W.
+    The samples are those of `sample_markovian_chois` with the same seed, but
+    values, Tr(W C_k) per sample, are contracted with the sampled generators
+    (`_SampledGenerators.expectations`), not with a stack of states. Only the
+    samples whose value is below -1e-8 are formed as states C_k; such a
+    sample is a violation when Tr(W C_k), contracted from the state, is below
+    -(1e-8 + slack_k), slack_k = (d^4 + 2) u sum_ij |W_ij| |C_k,ji| with u
+    the machine epsilon: the rounding bound for forming C_k and contracting
+    it with W.
     """
     if n_samples < 1:
         raise ValueError(f"verify_witness: n_samples must be >= 1, got {n_samples}")
-    chois = sample_markovian_chois(dim, eps, n_samples, seed)
-    values = np.einsum("ij,nji->n", w.matrix, chois).real
+    gens = _draw_generators(dim, n_samples, np.random.default_rng(seed), hamiltonian=True)
+    values = gens.expectations(w.matrix, eps)
     below = np.flatnonzero(values < -1e-8)  # slack >= 0: no other sample can violate
+    chois = gens.take(below).states(eps)
+    flagged = np.einsum("ij,nji->n", w.matrix, chois).real
     slack = ((dim ** 4 + 2) * np.finfo(float).eps
-             * np.einsum("ij,nji->n", np.abs(w.matrix), np.abs(chois[below])))
+             * np.einsum("ij,nji->n", np.abs(w.matrix), np.abs(chois)))
     return VerificationResult(
         min_expectation=float(values.min()),
-        violations=int(np.count_nonzero(values[below] < -(1e-8 + slack))),
+        violations=int(np.count_nonzero(flagged < -(1e-8 + slack))),
         values=values,
     )
 
@@ -510,19 +609,23 @@ def uniqueness_check(cn: ChoiMatrix, cm_star: ChoiMatrix, dim: int, eps: float,
     """Sample the variational inequality Tr[(C_N - C_M*)(C_M - C_M*)] <= 0.
 
     With family given, samples are drawn from that frozen-basis family
-    (rates uniform on [0, 2]); otherwise from the general mixed sampler.
+    (rates uniform on [0, 2]) and the left side is Tr[D (phi - C_M*)] +
+    eps * rates @ [Tr(D Y_a)], D = C_N - C_M*, one (n, m) @ (m,) product;
+    otherwise the samples are those of `sample_markovian_chois` and Tr(D C_M)
+    is contracted with their generators. No sample is formed as a state.
     holds is True when the sampled maximum stays below 1e-8.
     """
     if n_samples < 1:
         raise ValueError(f"uniqueness_check: n_samples must be >= 1, got {n_samples}")
+    rng = np.random.default_rng(seed)
+    diff = cn.matrix - cm_star.matrix
     if family is None:
-        chois = sample_markovian_chois(dim, eps, n_samples, seed)
+        gens = _draw_generators(dim, n_samples, rng, hamiltonian=True)
+        lhs = gens.expectations(diff, eps) - hs_inner(diff, cm_star.matrix).real
     else:
-        rng = np.random.default_rng(seed)
         dirs = dissipator_chois(family.basis_ops)
         rates = rng.uniform(0.0, 2.0, size=(n_samples, dirs.shape[0]))
-        chois = max_entangled_state(dim) + eps * np.einsum("na,aij->nij", rates, dirs)
-    diff = cn.matrix - cm_star.matrix
-    lhs = np.einsum("ij,nji->n", diff, chois - cm_star.matrix).real
+        offset = hs_inner(diff, max_entangled_state(dim) - cm_star.matrix).real
+        lhs = offset + eps * (rates @ np.einsum("ij,aji->a", diff, dirs).real)
     max_lhs = float(lhs.max())
     return UniquenessResult(max_lhs=max_lhs, holds=bool(max_lhs <= 1e-8))

@@ -5,8 +5,10 @@ oracle is a shunting-yard evaluator with its own tokenizer, the projection
 oracle is a dense grid search, the exponential oracle is a plain Taylor
 series, the sampled-generator oracle sums one pure Choi state per jump, the
 extreme-point oracle builds the full pairwise distance matrix, the
-full-GKSL projection oracle is Dykstra's alternating projections, and the
-dissipator oracle goes through the np.kron superoperator.
+full-GKSL projection oracle is Dykstra's alternating projections, the
+dissipator oracle goes through the np.kron superoperator, the Haar oracle is a
+LAPACK QR with its phases fixed, and the verification oracles form the whole
+(n, d^2, d^2) stack of sampled states, out of place, and contract W with it.
 
 The superoperator helpers (`apply_superop`, `channel_of_choi`), the trace
 norm, the PSD projection and the random divisible generators serve only as
@@ -19,7 +21,8 @@ import re
 import numpy as np
 
 from nmwitness.channels import LindbladGenerator, SuperOperator, haar_unitaries
-from nmwitness.choi import ChoiMatrix, max_entangled_state, unitary_chois
+from nmwitness.choi import (ChoiMatrix, dissipator_chois, hamiltonian_choi,
+                            max_entangled_state, unitary_chois, unitary_kets)
 from nmwitness.linalg import hermitian_eig
 from nmwitness.rates import ConstantRate
 
@@ -193,6 +196,86 @@ def per_jump_generators(dim: int, n: int, rng: np.random.Generator,
     offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
     dirs = rates[:, None, None] * (pure - max_entangled_state(dim))
     return np.add.reduceat(dirs, offsets, axis=0)
+
+
+def qr_haar_unitaries(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n Haar-random unitaries from the same Ginibre draws as `haar_unitaries`,
+    by np.linalg.qr with each column's phase fixed so that R has a positive
+    real diagonal."""
+    z = (rng.standard_normal((n, dim, dim))
+         + 1.0j * rng.standard_normal((n, dim, dim))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    diag = np.einsum("nii->ni", r)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+def gram_generators(dim: int, n: int, rng: np.random.Generator,
+                    signed: bool = False) -> np.ndarray:
+    """sum_a g_a (|u_a><u_a| - phi) by the zero-padded Gram product, written
+    out of place: the expression the in-place sampler must reproduce bit for
+    bit (np.array_equal) from the same draws."""
+    d2 = dim * dim
+    counts = rng.integers(1, d2 + 1, size=n)
+    kets = unitary_kets(haar_unitaries(dim, int(counts.sum()), rng))
+    rates = rng.uniform(0.0, 1.0, size=kets.shape[0])
+    if signed:
+        rates *= np.where(rng.random(rates.size) < 0.5, 1.0, -1.0)
+    slots = np.arange(d2) < counts[:, None]
+    scaled = np.zeros((n, d2, d2), dtype=complex)
+    bras = np.zeros((n, d2, d2), dtype=complex)
+    scaled[slots] = rates[:, None] * kets
+    bras[slots] = kets.conj()
+    rate_sums = np.add.reduceat(rates, np.cumsum(counts) - counts)
+    x = np.matmul(scaled.transpose(0, 2, 1), bras)
+    return x - rate_sums[:, None, None] * max_entangled_state(dim)
+
+
+def gram_sample_chois(dim: int, eps: float, n: int, seed: int,
+                      include_hamiltonian: bool = True) -> np.ndarray:
+    """phi + eps*X + (eps*mask)*C_H out of place, from the sampler's draws."""
+    rng = np.random.default_rng(seed)
+    d = dim
+    chois = max_entangled_state(d) + eps * gram_generators(d, n, rng)
+    if include_hamiltonian:
+        mask = rng.random(n) < 0.5
+        raw = (rng.standard_normal((n, d, d))
+               + 1.0j * rng.standard_normal((n, d, d)))
+        h = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
+        h -= (np.einsum("nii->n", h) / d)[:, None, None].real * np.eye(d)
+        chois = chois + (eps * mask[:, None, None]) * hamiltonian_choi(h)
+    return chois
+
+
+def stack_verify_witness(w: np.ndarray, dim: int, eps: float, n: int, seed: int):
+    """Verification on the formed stack: (values, violations, min_expectation,
+    scales). values are Tr(W C_k); a violation is a value below -(1e-8 +
+    (d^4 + 2) u sum_ij |W_ij| |C_k,ji|); scales are sum |W| times each
+    sample's largest |entry|, a bound on |Tr(W C_k)|."""
+    chois = gram_sample_chois(dim, eps, n, seed)
+    values = np.einsum("ij,nji->n", w, chois).real
+    slack = ((dim ** 4 + 2) * np.finfo(float).eps
+             * np.einsum("ij,nji->n", np.abs(w), np.abs(chois)))
+    violations = int(np.count_nonzero(values < -(1e-8 + slack)))
+    scales = np.abs(w).sum() * np.abs(chois).max(axis=(1, 2))
+    return values, violations, float(values.min()), scales
+
+
+def stack_uniqueness_lhs(cn: np.ndarray, cm_star: np.ndarray, dim: int, eps: float,
+                         n: int, seed: int, basis_ops=None):
+    """Tr[D (C_M - C_M*)], D = C_N - C_M*, per sample on the formed stack of
+    samples (the general sampler's, or with basis_ops the frozen family's
+    with rates uniform on [0, 2]), and sum |D| times each sample's largest
+    |entry| of C_M - C_M*, a bound on the value."""
+    if basis_ops is None:
+        chois = gram_sample_chois(dim, eps, n, seed)
+    else:
+        dirs = dissipator_chois(basis_ops)
+        rates = np.random.default_rng(seed).uniform(0.0, 2.0, size=(n, dirs.shape[0]))
+        chois = max_entangled_state(dim) + eps * np.einsum("na,aij->nij", rates, dirs)
+    shifted = chois - cm_star
+    diff = cn - cm_star
+    return (np.einsum("ij,nji->n", diff, shifted).real,
+            np.abs(diff).sum() * np.abs(shifted).max(axis=(1, 2)))
 
 
 def pairwise_distance_census(uvec: np.ndarray) -> tuple[float, int]:

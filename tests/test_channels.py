@@ -13,7 +13,7 @@ from nmwitness.channels import (
 from nmwitness.choi import choi_of_channel, choi_of_generator
 from nmwitness.linalg import SIGMA_X, SIGMA_Z, ShapeError, dagger, hs_norm
 from nmwitness.rates import ConstantRate, RateEvalError, TableRate
-from oracles import apply_superop, random_markovian
+from oracles import apply_superop, qr_haar_unitaries, random_markovian
 
 
 def vec_identity(dim):
@@ -232,6 +232,30 @@ def test_haar_unitaries_are_unitary():
     us = haar_unitaries(3, 50, rng)
     for u in us:
         assert np.abs(dagger(u) @ u - np.eye(3)).max() < 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_haar_unitaries_match_qr_oracle(dim):
+    n, seed = 4000, 60 + dim
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    us = haar_unitaries(dim, n, rng)
+    ref = qr_haar_unitaries(dim, n, ref_rng)
+    # Same Ginibre draws, taken from the stream in the same order.
+    assert rng.random() == ref_rng.random()
+    assert np.abs(us - ref).max() <= 1e-12
+    adjoints = us.conj().transpose(0, 2, 1)
+    assert np.abs(adjoints @ us - np.eye(dim)).max() <= 1e-14
+    # R = Q^H Z is upper triangular with a positive real diagonal: the Haar
+    # phase convention.
+    z_rng = np.random.default_rng(seed)
+    z = (z_rng.standard_normal((n, dim, dim))
+         + 1.0j * z_rng.standard_normal((n, dim, dim))) / np.sqrt(2.0)
+    r = adjoints @ z
+    scale = np.abs(z).max(axis=(1, 2))[:, None, None]
+    assert np.all(np.abs(np.tril(r, -1)) <= 1e-13 * scale)
+    diag = np.einsum("nii->ni", r)
+    assert np.all(diag.real > 0.0)
+    assert np.all(np.abs(diag.imag) <= 1e-13 * scale[:, 0])
 
 
 # ---------------------------------------------------------------------------

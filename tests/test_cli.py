@@ -625,6 +625,43 @@ def test_main_input_error_returns_one(tmp_path):
     assert main(["analyze", "--spec", missing, "--t1", "1.0", "--steps", "4"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--witness", "{witness}", "--n", "10"],
+    ["geometry", "--probe", "convexity", "--n", "10"],
+])
+@pytest.mark.parametrize("seed", ["-1", "-7", "1.5", "x"])
+def test_main_rejects_a_bad_seed_by_name(tmp_path, capsys, argv, seed):
+    witness = tmp_path / "w.json"
+    witness.write_text(json.dumps(matrix_to_pairs(np.eye(4))))
+    argv = [a.format(witness=witness) for a in argv] + ["--seed", seed]
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--out", str(tmp_path / "out.json")])
+    assert info.value.code == 1
+    assert f"argument --seed: expected a nonnegative integer, got '{seed}'" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_geometry_separation_dimension_comes_from_the_target(tmp_path, capsys):
+    # Without --dim the separation probe runs at its target's dimension; an
+    # explicit --dim must agree with it.
+    target = tmp_path / "t3.json"
+    target.write_text(json.dumps({"dim": 3, "ops": [
+        {"matrix": matrix_to_pairs(np.diag([1.0, -1.0, 0.0])), "rate": -1.0}]}))
+    out = tmp_path / "out.json"
+    base = ["geometry", "--probe", "separation", "--n", "20", "--seed", "1", "--out", str(out)]
+    assert main(base + ["--spec", str(target)]) == 0
+    assert len(json.loads(out.read_text())["details"]) == 20
+    assert main(base + ["--spec", str(target), "--dim", "3"]) == 0
+    out.unlink()
+    capsys.readouterr()
+    for extra in (["--spec", str(target), "--dim", "2"], ["--dim", "3"]):
+        assert main(base + extra) == 1
+        assert "--dim" in capsys.readouterr().err
+        assert not out.exists()
+    assert main(base + ["--dim", "2"]) == 0
+
+
 def test_main_geometry_requires_seed():
     with pytest.raises(SystemExit) as info:
         main(["geometry", "--probe", "convexity", "--n", "10"])

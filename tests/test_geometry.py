@@ -13,7 +13,7 @@ from nmwitness.geometry import (
     separation_demo,
 )
 
-from oracles import pairwise_distance_census
+from oracles import gram_sample_chois, pairwise_distance_census
 
 EPS = 1e-3
 
@@ -31,6 +31,15 @@ def test_convexity_probe_reproducible():
     a = convexity_probe(2, 1e-4, 200, seed=2)
     b = convexity_probe(2, 1e-4, 200, seed=2)
     assert a == b
+
+
+@pytest.mark.parametrize("dim, n", [(2, 400), (3, 150)])
+def test_convexity_probe_mixes_in_place_as_out_of_place(dim, n):
+    chois = gram_sample_chois(dim, EPS, 2 * n, 5, include_hamiltonian=False)
+    p = np.random.default_rng((5, 1)).uniform(size=n)
+    mixed = p[:, None, None] * chois[:n] + (1.0 - p)[:, None, None] * chois[n:]
+    assert np.array_equal(convexity_probe(dim, EPS, n, seed=5).details,
+                          np.linalg.eigvalsh(mixed)[:, 0])
 
 
 def test_convexity_probe_validation():

@@ -21,10 +21,12 @@ from nmwitness.witness import (
     uniqueness_check,
     verify_witness,
 )
-from nmwitness.witness import _unitary_jump_generators
+from nmwitness.witness import _draw_generators
 from nmwitness.channels import LindbladGenerator
 
-from oracles import dykstra_full_gksl, per_jump_generators, psd_project
+from nmwitness import witness as witness_module
+from oracles import (dykstra_full_gksl, gram_generators, gram_sample_chois, per_jump_generators,
+                     psd_project, stack_uniqueness_lhs, stack_verify_witness)
 
 EPS = 1e-3
 
@@ -409,7 +411,7 @@ def test_sampler_reproducible_and_trace_one():
 def test_unitary_jump_generators_match_per_jump_sum(dim, signed):
     n, seed = 300, 40 + dim
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    x = _unitary_jump_generators(dim, n, rng, signed=signed)
+    x = _draw_generators(dim, n, rng, signed=signed).dissipators()
     ref = per_jump_generators(dim, n, ref_rng, signed=signed)
     assert x.shape == ref.shape == (n, dim * dim, dim * dim)
     assert np.abs(x - ref).max() <= 1e-14
@@ -422,6 +424,79 @@ def test_unitary_jump_generators_match_per_jump_sum(dim, signed):
 def test_sampled_chois_hermitian(dim):
     chois = sample_markovian_chois(dim, 1.0, 500, seed=dim)
     assert np.abs(chois - chois.conj().transpose(0, 2, 1)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("hamiltonian", [False, True])
+def test_sampled_states_equal_the_out_of_place_expression(dim, hamiltonian):
+    # Built in place, the stack is the out-of-place expression on the same
+    # draws, entry for entry.
+    for eps in (EPS, 0.7):
+        chois = sample_markovian_chois(dim, eps, 200, seed=dim, include_hamiltonian=hamiltonian)
+        ref = gram_sample_chois(dim, eps, 200, seed=dim, include_hamiltonian=hamiltonian)
+        assert np.array_equal(chois, ref)
+    rng, ref_rng = np.random.default_rng(dim), np.random.default_rng(dim)
+    assert np.array_equal(_draw_generators(dim, 200, rng, signed=hamiltonian).dissipators(),
+                          gram_generators(dim, 200, ref_rng, signed=hamiltonian))
+    assert rng.random() == ref_rng.random()
+
+
+def test_flagged_samples_are_formed_as_the_stack_rows():
+    # verify_witness forms only the flagged samples; they are the very rows
+    # of the whole stack.
+    gens = _draw_generators(3, 300, np.random.default_rng(5), hamiltonian=True)
+    idx = np.array([0, 7, 8, 150, 151, 299])
+    assert np.array_equal(gens.take(idx).states(EPS), gens.states(EPS)[idx])
+
+
+def _witness_matrices(dim, rng):
+    """A random Hermitian W, a valid w_perp A w_perp (A >= 0), -1 and phi - 1."""
+    n = dim * dim
+    phi = max_entangled_state(dim)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    w_perp = np.eye(n) - phi
+    perp = w_perp @ (g @ g.conj().T) @ w_perp
+    return {"hermitian": 0.5 * (g + g.conj().T), "perp": 0.5 * (perp + perp.conj().T),
+            "minus_one": -np.eye(n, dtype=complex), "phi_minus_one": phi - np.eye(n)}
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("eps", [1e-3, 1e20, 1e300])
+def test_verify_witness_matches_stack_contraction(dim, eps):
+    n, seed = 600, 30 + dim
+    for name, w in _witness_matrices(dim, np.random.default_rng(dim)).items():
+        result = verify_witness(WitnessOperator(w, "theorem3", name), dim, eps, n, seed)
+        values, violations, min_expectation, scale = stack_verify_witness(w, dim, eps, n, seed)
+        assert np.all(np.abs(result.values - values) <= 1e-13 * scale), name
+        if name == "minus_one" and eps > 1.0:
+            # Tr(-C_k) = -1 drowns in the rounding of forming C_k (about eps
+            # * 1e-16). The flagged samples are judged as the stack judges
+            # them, so the count is at most the stack's.
+            assert result.violations <= violations
+        else:
+            assert result.violations == violations, name
+        assert abs(result.min_expectation - min_expectation) <= 1e-13 * scale.max(), name
+        if name == "perp":
+            assert result.violations == 0
+        if name == "phi_minus_one":
+            assert result.violations == n
+
+
+def test_verify_witness_forms_no_sample_stack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample_markovian_chois called")
+
+    monkeypatch.setattr(witness_module, "sample_markovian_chois", refuse)
+    w = WitnessOperator(-np.eye(4, dtype=complex), "theorem3", "invalid")
+    assert verify_witness(w, 2, EPS, 300, seed=3).violations == 300
+    cm = pauli_choi((0.5, 0.1, 0.7))
+    assert uniqueness_check(cm, cm, 2, EPS, 300, seed=3).holds
+
+
+def test_verify_witness_overflow_is_a_floating_point_error():
+    w = WitnessOperator(np.eye(4, dtype=complex), "theorem3", "identity")
+    with pytest.raises(FloatingPointError, match="overflow of eps"):
+        verify_witness(w, 2, 1e308, 100, seed=1)
 
 
 def test_verify_witness_accepts_valid_witnesses():
@@ -482,3 +557,22 @@ def test_uniqueness_trivial_self():
     report = uniqueness_check(cm, cm, 2, EPS, 1000, seed=11)
     assert report.holds
     assert abs(report.max_lhs) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("eps", [1e-3, 1e20, 1e300])
+def test_uniqueness_check_matches_stack_contraction(dim, eps):
+    n, seed = 600, 50 + dim
+    rng = np.random.default_rng(dim)
+    ops = tuple(haar_unitaries(dim, 3, rng))
+    target = _random_nm_generator(dim, dim, (1.0, 0.5, -0.4))
+    cn = choi_of_generator(target, 0.0, EPS)
+    fam = fixed_basis_family(ops, EPS)
+    cm_star = nearest_mcs_fixed_basis(cn, fam).choi_star
+    for basis_ops in (None, ops):
+        family = None if basis_ops is None else fam
+        result = uniqueness_check(cn, cm_star, dim, eps, n, seed, family=family)
+        lhs, scale = stack_uniqueness_lhs(cn.matrix, cm_star.matrix, dim, eps, n, seed,
+                                          basis_ops)
+        assert abs(result.max_lhs - lhs.max()) <= 1e-13 * scale.max()
+        assert result.holds == bool(lhs.max() <= 1e-8)
