@@ -32,11 +32,18 @@ def default_classification_tol(eps: float) -> float:
     return max(1e-9, 10.0 * eps * eps)
 
 
+def choi_kets(a: np.ndarray) -> np.ndarray:
+    """The Choi ket (1 (x) A)|phi> = vec(A)/sqrt(d) of one d x d matrix, or the
+    (..., d^2) kets of a stack."""
+    d = a.shape[-1]
+    return np.swapaxes(a, -1, -2).reshape(a.shape[:-2] + (d * d,)) / np.sqrt(d)
+
+
 def max_entangled_state(dim: int) -> np.ndarray:
     """Projector onto (1/sqrt(d)) sum_i |ii>, as a d^2 x d^2 matrix."""
     if dim < 2:
         raise ValueError(f"max_entangled_state: dim must be >= 2, got {dim}")
-    v = np.eye(dim, dtype=complex).reshape(-1) / np.sqrt(dim)
+    v = choi_kets(np.eye(dim, dtype=complex))
     return np.outer(v, v.conj())
 
 
@@ -83,19 +90,13 @@ def _require_states(stack: np.ndarray, ts, eps: float) -> None:
                          f"trace {complex(trace[k])!r}; need Hermitian with trace 1")
 
 
-def unitary_kets(us: np.ndarray) -> np.ndarray:
-    """(n, d^2) Choi kets vec(U)/sqrt(d) of a stack of unitaries."""
-    n, d = us.shape[0], us.shape[1]
-    return us.transpose(0, 2, 1).reshape(n, d * d) / np.sqrt(d)
-
-
 def unitary_chois(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Choi kets and pure Choi states of a stack of unitaries.
 
-    Returns the (n, d^2) kets of `unitary_kets` and the (n, d^2, d^2)
+    Returns the (n, d^2) kets of `choi_kets` and the (n, d^2, d^2)
     projectors onto them.
     """
-    kets = unitary_kets(us)
+    kets = choi_kets(us)
     return kets, np.einsum("ni,nj->nij", kets, kets.conj())
 
 
@@ -118,9 +119,7 @@ def dissipator_chois(ops) -> np.ndarray:
 
 def hamiltonian_choi(h: np.ndarray) -> np.ndarray:
     """C_H = -i(|h><phi| - |phi><h|), |h> = (1 (x) H)|phi>, for one H or a stack."""
-    d = h.shape[-1]
-    hket = np.swapaxes(h, -1, -2).reshape(h.shape[:-2] + (d * d,)) / np.sqrt(d)
-    outer = np.einsum("...i,j->...ij", hket, np.eye(d).reshape(-1) / np.sqrt(d))
+    outer = np.einsum("...i,j->...ij", choi_kets(h), choi_kets(np.eye(h.shape[-1])))
     return -1.0j * (outer - np.swapaxes(outer, -1, -2).conj())
 
 

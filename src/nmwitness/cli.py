@@ -109,7 +109,10 @@ def _parse_rate(obj, name: str):
     if isinstance(obj, bool):
         raise SpecError(f"{name}: rate must be a number, expression string or table")
     if isinstance(obj, (int, float)):
-        return as_rate(float(obj))
+        try:
+            return as_rate(float(obj))
+        except (ValueError, OverflowError) as exc:
+            raise SpecError(f"{name}: {exc}") from exc
     if isinstance(obj, str):
         try:
             return as_rate(obj)
@@ -559,15 +562,21 @@ _EPS = _real("finite positive", lambda value: value > 0)
 _TOL = _real("finite nonnegative", lambda value: value >= 0)
 
 
-def _nonnegative_int(text: str) -> int:
-    """argparse type: a nonnegative integer, as numpy's seeding accepts."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
+def _integer(rule: str, ok):
+    """argparse type: an integer that ok accepts; anything else is an input error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {rule}, got {text!r}")
+        return value
+    return parse
+
+
+_SEED = _integer("a nonnegative integer", lambda value: value >= 0)
+_DIM = _integer("an integer >= 2", lambda value: value >= 2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -601,19 +610,19 @@ def build_parser() -> argparse.ArgumentParser:
                    "or a witness report)")
     p.add_argument("--eps", type=_EPS, default=1e-3)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=_nonnegative_int, required=True)
+    p.add_argument("--seed", type=_SEED, required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("geometry", help="run a convex-geometry probe")
     p.add_argument("--probe", required=True,
                    help="convexity | hsnorm | extreme | separation")
-    p.add_argument("--dim", type=int, default=None,
+    p.add_argument("--dim", type=_DIM, default=None,
                    help="default 2; separation: the target's dimension, which "
                         "--dim must match")
     p.add_argument("--eps", type=_EPS, default=1e-3)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=_nonnegative_int, required=True)
+    p.add_argument("--seed", type=_SEED, required=True)
     p.add_argument("--spec", default=None,
                    help="separation only: channel supplying the target state")
     p.add_argument("--t0", type=_FINITE, default=0.0)

@@ -23,10 +23,12 @@ Witnesses are checked on random divisible generators (Haar-unitary jumps of
 `channels.haar_unitaries`, drawn by Gram-Schmidt, plus an optional
 Hamiltonian). Tr(W C) is affine in the generator, so `verify_witness` and
 `uniqueness_check` contract W with the draws (the jump kets, rates and
-Hamiltonians) and never build the (n, d^2, d^2) stack of sampled states;
-only a sample whose value falls below -1e-8 is formed as a state, to judge
-it against its rounding slack. `sample_markovian_chois` still returns the
-stack, built in place, for callers that need the states themselves.
+Hamiltonians) and never build the (n, d^2, d^2) stack of sampled states.
+A sample violates the witness when its value is below -1e-8 by more than a
+rounding slack that is also computed from the draws, from a bound on the
+generator's entries before any cancellation. `sample_markovian_chois` still
+returns the stack, built in place, for callers that need the states
+themselves.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ import numpy as np
 
 from . import linalg
 from .channels import haar_unitaries
-from .choi import (ChoiMatrix, default_classification_tol, dissipator_chois, hamiltonian_choi,
-                   max_entangled_state, unitary_kets)
+from .choi import (ChoiMatrix, choi_kets, default_classification_tol, dissipator_chois,
+                   hamiltonian_choi, max_entangled_state)
 from .linalg import DEGENERACY_GAP, ShapeError, as_matrix, dagger, hs_inner, hs_norm
 
 
@@ -458,16 +460,6 @@ class _SampledGenerators:
     def starts(self) -> np.ndarray:
         return np.cumsum(self.counts) - self.counts
 
-    def take(self, idx: np.ndarray) -> "_SampledGenerators":
-        """The generators at the sample indices idx, in that order."""
-        counts = self.counts[idx]
-        rows = (np.repeat(self.starts[idx] - (np.cumsum(counts) - counts), counts)
-                + np.arange(counts.sum()))
-        hamiltonian = self.ham is not None
-        return _SampledGenerators(self.dim, counts, self.kets[rows], self.rates[rows],
-                                  self.mask[idx] if hamiltonian else None,
-                                  self.ham[idx] if hamiltonian else None)
-
     def dissipators(self) -> np.ndarray:
         """The (n, d^2, d^2) stack X, one batched Gram product.
 
@@ -498,18 +490,22 @@ class _SampledGenerators:
             chois[self.mask] += eps * hamiltonian_choi(self.ham[self.mask])
         return chois
 
-    def expectations(self, w: np.ndarray, eps: float) -> np.ndarray:
-        """Tr(W C_k) per sample, from the draws alone.
+    def expectations(self, w: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+        """Tr(W C_k) per sample and its rounding slack, from the draws alone.
 
         Tr(W C_k) = Tr(W phi) + eps*(sum_a g_a (<u_a|W|u_a> - Tr(W phi))
         + mask_k 2 Im <phi|W|h_k>), |h> = (1 (x) H)|phi>: affine in the
-        generator, so no state is formed. A sample whose eps times the bound
-        sum_a |g_a| (max_i |u_a,i|^2 + 1/d) + mask_k 2 max_i |h_k,i| / sqrt(d)
-        on its generator's largest entry leaves the double range raises a
-        FloatingPointError, as forming its state would overflow.
+        generator, so no state is formed. bound_k = sum_a |g_a| (max_i
+        |u_a,i|^2 + 1/d) + mask_k 2 max_i |h_k,i| / sqrt(d) bounds every entry
+        of the generator before any cancellation, so 1/d + eps*bound_k bounds
+        every entry of C_k, and slack_k = (d^4 + 2) u sum_ij |W_ij| (1/d +
+        eps*bound_k), u the machine epsilon, bounds the rounding of the value
+        (a dot product over d^4 terms; Higham 2002, section 3.1). A sample
+        whose eps*bound_k leaves the double range raises a FloatingPointError,
+        as forming its state would overflow.
         """
         d = self.dim
-        phi_ket = np.eye(d).reshape(-1) / np.sqrt(d)
+        phi_ket = choi_kets(np.eye(d))
         w_phi = (phi_ket @ w @ phi_ket).real
         jumps = ((self.kets.conj() @ w) * self.kets).sum(axis=1).real
         starts = self.starts
@@ -517,14 +513,15 @@ class _SampledGenerators:
         bound = np.add.reduceat(np.abs(self.rates) * (
             (self.kets.real ** 2 + self.kets.imag ** 2).max(axis=1) + 1.0 / d), starts)
         if self.ham is not None:
-            hkets = np.swapaxes(self.ham, 1, 2).reshape(-1, d * d) / np.sqrt(d)
+            hkets = choi_kets(self.ham)
             generator += self.mask * (2.0 * (hkets @ (phi_ket @ w)).imag)
             bound += self.mask * (2.0 * np.abs(hkets).max(axis=1) / np.sqrt(d))
         with np.errstate(over="ignore"):
-            overflow = not np.isfinite(eps * bound).all()
-        if overflow:
+            entries = 1.0 / d + eps * bound
+        if not np.isfinite(entries).all():
             raise FloatingPointError("overflow of eps times a sampled generator")
-        return w_phi + eps * generator
+        slack = (d ** 4 + 2) * np.finfo(float).eps * np.abs(w).sum() * entries
+        return w_phi + eps * generator, slack
 
 
 def _phi_block(dim: int) -> np.ndarray:
@@ -537,13 +534,13 @@ def _draw_generators(dim: int, n: int, rng: np.random.Generator, signed: bool = 
     """Draw n random divisible generators from rng.
 
     Draws, in this order: jump counts (1..dim^2), Haar unitaries U_a with
-    Choi kets |u_a> of `unitary_kets`, rates g_a uniform on [0, 1], when
+    Choi kets |u_a> of `choi_kets`, rates g_a uniform on [0, 1], when
     signed a random sign per rate, and when hamiltonian a mask marking about
     half the samples and a random traceless Hamiltonian per sample.
     """
     d = dim
     counts = rng.integers(1, d * d + 1, size=n)
-    kets = unitary_kets(haar_unitaries(d, int(counts.sum()), rng))
+    kets = choi_kets(haar_unitaries(d, int(counts.sum()), rng))
     rates = rng.uniform(0.0, 1.0, size=kets.shape[0])
     if signed:
         rates *= np.where(rng.random(rates.size) < 0.5, 1.0, -1.0)
@@ -580,25 +577,17 @@ def verify_witness(w: WitnessOperator, dim: int, eps: float, n_samples: int,
 
     The samples are those of `sample_markovian_chois` with the same seed, but
     values, Tr(W C_k) per sample, are contracted with the sampled generators
-    (`_SampledGenerators.expectations`), not with a stack of states. Only the
-    samples whose value is below -1e-8 are formed as states C_k; such a
-    sample is a violation when Tr(W C_k), contracted from the state, is below
-    -(1e-8 + slack_k), slack_k = (d^4 + 2) u sum_ij |W_ij| |C_k,ji| with u
-    the machine epsilon: the rounding bound for forming C_k and contracting
-    it with W.
+    (`_SampledGenerators.expectations`); no state is formed. A sample is a
+    violation when its value is below -(1e-8 + slack_k), slack_k the
+    rounding bound that `expectations` computes from the same draws.
     """
     if n_samples < 1:
         raise ValueError(f"verify_witness: n_samples must be >= 1, got {n_samples}")
     gens = _draw_generators(dim, n_samples, np.random.default_rng(seed), hamiltonian=True)
-    values = gens.expectations(w.matrix, eps)
-    below = np.flatnonzero(values < -1e-8)  # slack >= 0: no other sample can violate
-    chois = gens.take(below).states(eps)
-    flagged = np.einsum("ij,nji->n", w.matrix, chois).real
-    slack = ((dim ** 4 + 2) * np.finfo(float).eps
-             * np.einsum("ij,nji->n", np.abs(w.matrix), np.abs(chois)))
+    values, slack = gens.expectations(w.matrix, eps)
     return VerificationResult(
         min_expectation=float(values.min()),
-        violations=int(np.count_nonzero(flagged < -(1e-8 + slack))),
+        violations=int(np.count_nonzero(values < -(1e-8 + slack))),
         values=values,
     )
 
@@ -621,7 +610,7 @@ def uniqueness_check(cn: ChoiMatrix, cm_star: ChoiMatrix, dim: int, eps: float,
     diff = cn.matrix - cm_star.matrix
     if family is None:
         gens = _draw_generators(dim, n_samples, rng, hamiltonian=True)
-        lhs = gens.expectations(diff, eps) - hs_inner(diff, cm_star.matrix).real
+        lhs = gens.expectations(diff, eps)[0] - hs_inner(diff, cm_star.matrix).real
     else:
         dirs = dissipator_chois(family.basis_ops)
         rates = rng.uniform(0.0, 2.0, size=(n_samples, dirs.shape[0]))

@@ -21,8 +21,8 @@ import re
 import numpy as np
 
 from nmwitness.channels import LindbladGenerator, SuperOperator, haar_unitaries
-from nmwitness.choi import (ChoiMatrix, dissipator_chois, hamiltonian_choi,
-                            max_entangled_state, unitary_chois, unitary_kets)
+from nmwitness.choi import (ChoiMatrix, choi_kets, dissipator_chois, hamiltonian_choi,
+                            max_entangled_state, unitary_chois)
 from nmwitness.linalg import hermitian_eig
 from nmwitness.rates import ConstantRate
 
@@ -216,7 +216,7 @@ def gram_generators(dim: int, n: int, rng: np.random.Generator,
     bit (np.array_equal) from the same draws."""
     d2 = dim * dim
     counts = rng.integers(1, d2 + 1, size=n)
-    kets = unitary_kets(haar_unitaries(dim, int(counts.sum()), rng))
+    kets = choi_kets(haar_unitaries(dim, int(counts.sum()), rng))
     rates = rng.uniform(0.0, 1.0, size=kets.shape[0])
     if signed:
         rates *= np.where(rng.random(rates.size) < 0.5, 1.0, -1.0)
@@ -248,16 +248,16 @@ def gram_sample_chois(dim: int, eps: float, n: int, seed: int,
 
 def stack_verify_witness(w: np.ndarray, dim: int, eps: float, n: int, seed: int):
     """Verification on the formed stack: (values, violations, min_expectation,
-    scales). values are Tr(W C_k); a violation is a value below -(1e-8 +
-    (d^4 + 2) u sum_ij |W_ij| |C_k,ji|); scales are sum |W| times each
-    sample's largest |entry|, a bound on |Tr(W C_k)|."""
+    scales, slacks). values are Tr(W C_k); slacks are (d^4 + 2) u sum_ij
+    |W_ij| |C_k,ji|, and a violation is a value below -(1e-8 + slack); scales
+    are sum |W| times each sample's largest |entry|, a bound on |Tr(W C_k)|."""
     chois = gram_sample_chois(dim, eps, n, seed)
     values = np.einsum("ij,nji->n", w, chois).real
     slack = ((dim ** 4 + 2) * np.finfo(float).eps
              * np.einsum("ij,nji->n", np.abs(w), np.abs(chois)))
     violations = int(np.count_nonzero(values < -(1e-8 + slack)))
     scales = np.abs(w).sum() * np.abs(chois).max(axis=(1, 2))
-    return values, violations, float(values.min()), scales
+    return values, violations, float(values.min()), scales, slack
 
 
 def stack_uniqueness_lhs(cn: np.ndarray, cm_star: np.ndarray, dim: int, eps: float,

@@ -92,6 +92,11 @@ def test_load_channel_spec_with_hamiltonian(tmp_path):
     (lambda d: d["ops"][0].update(matrix=[[1, 2]]), "pair"),
     (lambda d: d.update(hamiltonian=[[[0.0, 0.0], [1.0, 0.0]],
                                      [[0.0, 0.0], [0.0, 0.0]]]), "Hermitian"),
+    *(pytest.param(lambda d, r=rate: d["ops"][0].update(rate=r),
+                   rf"ops\[0\]\.rate: .*{fragment}", id=name)
+      for name, rate, fragment in (("nan", math.nan, "non-finite"),
+                                   ("inf", math.inf, "non-finite"),
+                                   ("huge-int", 10 ** 400, "too large"))),
 ])
 def test_load_channel_spec_errors(tmp_path, mutate, fragment):
     doc = dephasing_spec(1.0)
@@ -546,8 +551,13 @@ def test_main_overflow_names_eps(tmp_path, capsys, command):
     assert f"eps={float(argv[argv.index('--eps') + 1])}" in err
 
 
-@pytest.mark.parametrize("eps", ["1e20", "1e300"])
-def test_verify_large_eps_rounding_is_not_a_violation(tmp_path, eps):
+@pytest.mark.parametrize("eps,n,seed", [
+    pytest.param("1e20", 100, 1, id="1e20"),
+    pytest.param("1e300", 100, 1, id="1e300"),
+    *(pytest.param(eps, 2000, seed, id=f"{eps}-n2000-seed{seed}")
+      for eps in ("1e20", "1e300") for seed in (0, 1)),
+])
+def test_verify_large_eps_rounding_is_not_a_violation(tmp_path, eps, n, seed):
     # The identity is nonnegative on every state: the samples' rounding, of
     # order eps * 1e-16, is no violation. phi - 1 is about -eps on every
     # divisible sample and stays flagged.
@@ -559,11 +569,11 @@ def test_verify_large_eps_rounding_is_not_a_violation(tmp_path, eps):
         out = tmp_path / f"{name}-v.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            codes[name] = main(["verify", "--witness", str(path), "--eps", eps, "--n", "100",
-                                "--seed", "1", "--out", str(out)])
+            codes[name] = main(["verify", "--witness", str(path), "--eps", eps, "--n", str(n),
+                                "--seed", str(seed), "--out", str(out)])
         codes[name + "_violations"] = json.loads(out.read_text())["violations"]
     assert codes == {"identity": 0, "identity_violations": 0,
-                     "invalid": 3, "invalid_violations": 100}
+                     "invalid": 3, "invalid_violations": n}
 
 
 def test_every_subcommand_runs_without_scipy(tmp_path):
@@ -625,20 +635,27 @@ def test_main_input_error_returns_one(tmp_path):
     assert main(["analyze", "--spec", missing, "--t1", "1.0", "--steps", "4"]) == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--witness", "{witness}", "--n", "10"],
-    ["geometry", "--probe", "convexity", "--n", "10"],
+_VERIFY_ARGV = ["verify", "--witness", "{witness}", "--n", "10"]
+_GEOMETRY_ARGV = ["geometry", "--probe", "convexity", "--n", "10"]
+
+
+@pytest.mark.parametrize("argv,flag,value,rule", [
+    *(pytest.param(argv, "--seed", seed, "a nonnegative integer", id=f"{seed}-argv{i}")
+      for seed in ("-1", "-7", "1.5", "x")
+      for i, argv in enumerate((_VERIFY_ARGV, _GEOMETRY_ARGV))),
+    *(pytest.param(_GEOMETRY_ARGV + ["--seed", "1"], "--dim", dim, "an integer >= 2",
+                   id=f"dim{dim}")
+      for dim in ("0", "-2", "1", "2.5")),
 ])
-@pytest.mark.parametrize("seed", ["-1", "-7", "1.5", "x"])
-def test_main_rejects_a_bad_seed_by_name(tmp_path, capsys, argv, seed):
+def test_main_rejects_a_bad_seed_by_name(tmp_path, capsys, argv, flag, value, rule):
+    # A bad --seed, or a bad --dim, is a parser error that names its flag.
     witness = tmp_path / "w.json"
     witness.write_text(json.dumps(matrix_to_pairs(np.eye(4))))
-    argv = [a.format(witness=witness) for a in argv] + ["--seed", seed]
+    argv = [a.format(witness=witness) for a in argv] + [flag, value]
     with pytest.raises(SystemExit) as info:
         main(argv + ["--out", str(tmp_path / "out.json")])
     assert info.value.code == 1
-    assert f"argument --seed: expected a nonnegative integer, got '{seed}'" in \
-        capsys.readouterr().err
+    assert f"argument {flag}: expected {rule}, got '{value}'" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
 
 
