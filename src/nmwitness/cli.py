@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
+import functools
 import json
 import math
 import os
@@ -327,11 +328,11 @@ def _render_csv(payload: dict) -> str:
                  f"{payload['n_samples']},{payload['violations']},"
                  f"{payload['min_expectation']!r}"]
     elif command == "witness":
-        lines = ["row,col,re,im"]
-        matrix = matrix_to_pairs(payload["witnesses"][0]["matrix"].matrix)
-        for r, row in enumerate(matrix):
-            for c, (re, im) in enumerate(row):
-                lines.append(f"{r},{c},{re!r},{im!r}")
+        # Every witness in JSON order, each matrix row by row.
+        lines = _record_rows(
+            ("witness", "row", "col", "re", "im"),
+            [(k, r, c, v.real, v.imag) for k, entry in enumerate(payload["witnesses"])
+             for (r, c), v in np.ndenumerate(entry["matrix"].matrix)]).csv()
     else:
         raise SpecError(f"no CSV rendering for command {command!r}")
     return "\n".join(lines) + "\n"
@@ -384,6 +385,12 @@ def _witness_entry(w: WitnessOperator, c: ChoiMatrix) -> dict:
     }
 
 
+def _nothing_to_witness() -> int:
+    print("nothing to witness: channel is Markovian at the requested time",
+          file=sys.stderr)
+    return 2
+
+
 def cmd_witness(spec_path: str, t: float, eps: float, mode: str,
                 out_path: str | None, fmt: str, tol: float | None = None) -> int:
     if mode not in ("spectral", "theorem3-fixed", "theorem3-gksl"):
@@ -406,9 +413,7 @@ def cmd_witness(spec_path: str, t: float, eps: float, mode: str,
             },
         }
         if verdict.is_markovian:
-            print("nothing to witness: channel is Markovian at the requested time",
-                  file=sys.stderr)
-            return 2
+            return _nothing_to_witness()
         exit_code = 0
         if mode == "spectral":
             witnesses = spectral_witnesses(cn, tol)
@@ -478,7 +483,8 @@ def cmd_geometry(probe: str, dim: int | None, eps: float, n: int, seed: int,
                  out_path: str | None, fmt: str,
                  spec_path: str | None = None, t: float = 0.0) -> int:
     """Run one probe. dim None is 2, or for separation the target's dimension,
-    which an explicit dim must match."""
+    which an explicit dim must match. A separation target that classifies as
+    Markovian has nothing to separate: exit 2 with no report, as witness does."""
     if probe == "separation":
         if spec_path is not None:
             gen = load_channel_spec(spec_path)
@@ -501,7 +507,10 @@ def cmd_geometry(probe: str, dim: int | None, eps: float, n: int, seed: int,
         elif probe == "extreme":
             report = extreme_point_probe(dim, eps, n, seed)
         elif probe == "separation":
-            report = separation_demo(choi_of_generator(gen, t, eps), n, seed)
+            cn = choi_of_generator(gen, t, eps)
+            if classify(cn).is_markovian:
+                return _nothing_to_witness()
+            report = separation_demo(cn, n, seed)
         else:
             raise SpecError(f"unknown probe {probe!r}")
     emit_report(_probe_payload(report, seed, eps), out_path, fmt)
@@ -577,9 +586,18 @@ def _integer(rule: str, ok):
 
 _SEED = _integer("a nonnegative integer", lambda value: value >= 0)
 _DIM = _integer("an integer >= 2", lambda value: value >= 2)
+_COUNT = _integer("a positive integer", lambda value: value >= 1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one.
+
+    Building it takes about ten times as long as a parse (argparse makes a
+    HelpFormatter for each argument), a large share of a small witness's
+    cost. Reuse carries no state between calls: each parse fills a fresh
+    namespace.
+    """
     parser = _Parser(prog="nmwitness",
                      description="Small-time Choi states of Lindblad dynamics: "
                                  "detect and witness non-Markovianity.")
@@ -589,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="channel spec JSON")
     p.add_argument("--t0", type=_FINITE, default=0.0)
     p.add_argument("--t1", type=_FINITE, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_COUNT, required=True)
     p.add_argument("--eps", type=_EPS, default=1e-3)
     p.add_argument("--tol", type=_TOL, default=None)
     p.add_argument("--out", default=None)
@@ -609,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", required=True, help="witness JSON (bare matrix "
                    "or a witness report)")
     p.add_argument("--eps", type=_EPS, default=1e-3)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_COUNT, required=True)
     p.add_argument("--seed", type=_SEED, required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -621,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default 2; separation: the target's dimension, which "
                         "--dim must match")
     p.add_argument("--eps", type=_EPS, default=1e-3)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_COUNT, required=True)
     p.add_argument("--seed", type=_SEED, required=True)
     p.add_argument("--spec", default=None,
                    help="separation only: channel supplying the target state")

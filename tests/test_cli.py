@@ -12,12 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nmwitness.channels import builtin_pauli
-from nmwitness.choi import choi_of_generator, max_entangled_state, scan
+from nmwitness.choi import (
+    choi_of_generator,
+    default_classification_tol,
+    max_entangled_state,
+    scan,
+)
 from nmwitness.cli import (
     SpecError,
     _Matrix,
     _render_json,
     _Rows,
+    build_parser,
     cmd_analyze,
     cmd_geometry,
     cmd_verify,
@@ -385,18 +391,24 @@ def test_witness_matrix_writer_matches_json_dumps(dim, pool, seed, count):
 
 
 def test_witness_csv_matches_json(tmp_path):
-    spec = write_spec(tmp_path / "s.json", pauli_spec(1.0, 1.0, -0.3))
+    # Two spectral witnesses: the CSV carries both, in JSON order, and parses
+    # back to every JSON witness matrix exactly.
+    spec = write_spec(tmp_path / "s.json", pauli_spec(1.0, -0.3, -0.5))
     out_json, out_csv = tmp_path / "w.json", tmp_path / "w.csv"
     cmd_witness(spec, 0.0, 1e-3, "spectral", str(out_json), "json")
     cmd_witness(spec, 0.0, 1e-3, "spectral", str(out_csv), "csv")
-    matrix = json.loads(out_json.read_text())["witnesses"][0]["matrix"]
-    rows = out_csv.read_text().strip().splitlines()
-    assert rows[0] == "row,col,re,im"
-    assert len(rows) == 1 + 16
-    for row in rows[1:]:
-        r, c, re, im = row.split(",")
-        assert float(re) == matrix[int(r)][int(c)][0]
-        assert float(im) == matrix[int(r)][int(c)][1]
+    matrices = [w["matrix"] for w in json.loads(out_json.read_text())["witnesses"]]
+    assert len(matrices) == 2
+    header, *rows = out_csv.read_text().splitlines()
+    assert header == "witness,row,col,re,im"
+    assert len(rows) == 2 * 16
+    back = [[[None] * 4 for _ in range(4)] for _ in matrices]
+    for row in rows:
+        k, r, c, re, im = row.split(",")
+        back[int(k)][int(r)][int(c)] = [float(re), float(im)]
+    assert back == matrices
+    assert [row.split(",")[:3] for row in rows] == [
+        [str(k), str(r), str(c)] for k in range(2) for r in range(4) for c in range(4)]
 
 
 def test_spectral_report_with_two_witnesses(tmp_path):
@@ -433,17 +445,31 @@ def test_geometry_separation_with_spec(tmp_path):
                         spec_path=nm_spec, t=0.0)
     assert code == 0
     assert json.loads(out.read_text())["failures"] == 0
+
+
+def test_geometry_separation_on_a_markovian_target_has_nothing_to_witness(tmp_path, capsys):
+    # As for witness: exit 2 with the same message and no report, not an
+    # input error.
     markovian = write_spec(tmp_path / "m.json", dephasing_spec(1.0))
+    out = tmp_path / "sep.json"
+    assert main(["witness", "--spec", markovian, "--out", str(out)]) == 2
+    message = capsys.readouterr().err
+    assert message.startswith("nothing to witness")
     assert main(["geometry", "--probe", "separation", "--n", "10", "--seed", "1",
-                 "--spec", markovian]) == 1
+                 "--spec", markovian, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()
 
 
-def test_verify_n_zero_is_input_error(tmp_path):
+def test_verify_n_zero_is_input_error(tmp_path, capsys):
     neg = [[[1.0, 0.0] if i == j else [0.0, 0.0] for j in range(4)]
            for i in range(4)]
     path = tmp_path / "w.json"
     path.write_text(json.dumps(neg))
-    assert main(["verify", "--witness", str(path), "--n", "0", "--seed", "1"]) == 1
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--witness", str(path), "--n", "0", "--seed", "1"])
+    assert info.value.code == 1
+    assert "argument --n: expected a positive integer, got '0'" in capsys.readouterr().err
 
 
 def test_main_argparse_error_exit_code(capsys):
@@ -646,9 +672,14 @@ _GEOMETRY_ARGV = ["geometry", "--probe", "convexity", "--n", "10"]
     *(pytest.param(_GEOMETRY_ARGV + ["--seed", "1"], "--dim", dim, "an integer >= 2",
                    id=f"dim{dim}")
       for dim in ("0", "-2", "1", "2.5")),
+    *(pytest.param(argv, flag, value, "a positive integer", id=f"{argv[0]}-{flag[2:]}{value}")
+      for argv, flag in ((["analyze", "--spec", "{witness}", "--t1", "1"], "--steps"),
+                         (["verify", "--witness", "{witness}", "--seed", "1"], "--n"),
+                         (["geometry", "--probe", "convexity", "--seed", "1"], "--n"))
+      for value in ("0", "-3", "1.5")),
 ])
 def test_main_rejects_a_bad_seed_by_name(tmp_path, capsys, argv, flag, value, rule):
-    # A bad --seed, or a bad --dim, is a parser error that names its flag.
+    # A bad --seed, --dim, --steps or --n is a parser error that names its flag.
     witness = tmp_path / "w.json"
     witness.write_text(json.dumps(matrix_to_pairs(np.eye(4))))
     argv = [a.format(witness=witness) for a in argv] + [flag, value]
@@ -677,6 +708,64 @@ def test_geometry_separation_dimension_comes_from_the_target(tmp_path, capsys):
         assert "--dim" in capsys.readouterr().err
         assert not out.exists()
     assert main(base + ["--dim", "2"]) == 0
+
+
+def test_main_builds_its_parser_once(tmp_path):
+    # One process running every subcommand builds the parser on the first
+    # call only.
+    spec = write_spec(tmp_path / "s.json", pauli_spec(1.0, 1.0, -0.3))
+    witness, out = str(tmp_path / "w.json"), str(tmp_path / "out.json")
+    build_parser.cache_clear()
+    assert main(["analyze", "--spec", spec, "--t1", "1", "--steps", "8", "--out", out]) == 3
+    assert main(["witness", "--spec", spec, "--mode", "theorem3-gksl", "--out", witness]) == 0
+    assert main(["verify", "--witness", witness, "--n", "50", "--seed", "1", "--out", out]) == 0
+    assert main(["geometry", "--probe", "hsnorm", "--n", "20", "--seed", "1", "--out", out]) == 0
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+def test_parsed_options_do_not_carry_between_calls(tmp_path):
+    spec = write_spec(tmp_path / "s.json", pauli_spec(1.0, 1.0, -0.3))
+    out = tmp_path / "out.json"
+    argv = ["analyze", "--spec", spec, "--t1", "1", "--steps", "8", "--out", str(out)]
+    main(argv + ["--tol", "0.5"])
+    assert json.loads(out.read_text())["tol"] == 0.5
+    main(argv)
+    assert json.loads(out.read_text())["tol"] == default_classification_tol(1e-3)
+
+
+def test_a_usage_error_between_calls_changes_no_report(tmp_path, capsys):
+    spec = write_spec(tmp_path / "s.json", pauli_spec(1.0, 1.0, -0.3))
+    out = tmp_path / "out.json"
+    argv = ["geometry", "--probe", "separation", "--spec", spec, "--t0", "0.5",
+            "--eps", "1e-2", "--n", "30", "--seed", "5", "--out", str(out)]
+
+    def report():
+        assert main(argv) == 0
+        return [line for line in out.read_text().splitlines() if '"timestamp"' not in line]
+
+    first = report()
+    with pytest.raises(SystemExit) as info:
+        main(["geometry", "--probe", "convexity", "--dim", "3", "--n", "0", "--seed", "2"])
+    assert info.value.code == 1
+    assert report() == first
+
+
+@pytest.mark.parametrize("command", [[], ["analyze"], ["witness"], ["verify"], ["geometry"]])
+def test_help_matches_a_freshly_built_parser(capsys, command):
+    # The shared parser, after a usage error, prints the same help bytes as a
+    # parser built for this call alone.
+    with pytest.raises(SystemExit):
+        main(["verify", "--n", "0"])
+    texts = []
+    for parse in (main, build_parser.__wrapped__().parse_args):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as info:
+            parse(command + ["--help"])
+        assert info.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert texts[0].startswith(f"usage: {' '.join(['nmwitness', *command])} ")
 
 
 def test_main_geometry_requires_seed():
