@@ -74,6 +74,7 @@ from .witness import (
     verify_witness,
 )
 from .geometry import (
+    MarkovianTargetError,
     ProbeReport,
     convexity_probe,
     extreme_point_probe,

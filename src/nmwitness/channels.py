@@ -161,12 +161,18 @@ def haar_unitaries(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     the whole batch. R then has a positive real diagonal, the phase
     convention that makes Q Haar distributed (Mezzadri, Notices AMS 54, 592
     (2007)); it is the Q of a LAPACK QR with its phases fixed the same way.
+    The real and then the imaginary parts of Z are drawn as (n, dim, dim)
+    standard normals and written, scaled, straight into the column layout.
     """
-    z = (rng.standard_normal((n, dim, dim))
-         + 1.0j * rng.standard_normal((n, dim, dim))) / np.sqrt(2.0)
     # cols[k] is column k of every Z, then of every Q, as a (dim, n) block:
-    # each pass runs along the contiguous batch axis.
-    cols = np.ascontiguousarray(z.transpose(2, 1, 0))
+    # each pass runs along the contiguous batch axis. Scaling by s = 1/sqrt(2)
+    # is bit for bit (re + 1j*im) / sqrt(2), which numpy divides as
+    # (re*s, im*s).
+    cols = np.empty((dim, dim, n), dtype=complex)
+    scale = 1.0 / np.sqrt(2.0)
+    for part in (cols.real, cols.imag):
+        np.multiply(rng.standard_normal((n, dim, dim)), scale,
+                    out=part.transpose(2, 1, 0))
     for k in range(dim):
         v = cols[k]
         for _ in range(2 if k else 0):

@@ -33,8 +33,8 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
-import tempfile
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from . import __version__
 from .channels import LindbladGenerator, builtin_pauli
 from .choi import ChoiMatrix, choi_of_generator, classify, scan
 from .geometry import (
+    MarkovianTargetError,
     ProbeReport,
     convexity_probe,
     extreme_point_probe,
@@ -205,10 +206,23 @@ def _metadata(seed: int | None, eps: float) -> dict:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write text to a fresh file beside path, then rename it over path.
+
+    The fresh file is created with mode 0o666, which the umask trims as it
+    does for any new file; when path already exists, its permission bits
+    carry over to the replacement.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".nmwitness-")
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
+    tmp = os.path.join(directory, f".nmwitness-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            if mode is not None:
+                os.chmod(tmp, mode)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -507,10 +521,10 @@ def cmd_geometry(probe: str, dim: int | None, eps: float, n: int, seed: int,
         elif probe == "extreme":
             report = extreme_point_probe(dim, eps, n, seed)
         elif probe == "separation":
-            cn = choi_of_generator(gen, t, eps)
-            if classify(cn).is_markovian:
+            try:
+                report = separation_demo(choi_of_generator(gen, t, eps), n, seed)
+            except MarkovianTargetError:
                 return _nothing_to_witness()
-            report = separation_demo(cn, n, seed)
         else:
             raise SpecError(f"unknown probe {probe!r}")
     emit_report(_probe_payload(report, seed, eps), out_path, fmt)

@@ -111,6 +111,10 @@ def hs_norm_probe(dim: int, eps: float, n_trials: int, seed: int) -> ProbeReport
     )
 
 
+class MarkovianTargetError(ValueError):
+    """A separation target that classifies as Markovian: nothing to separate."""
+
+
 def separation_demo(cn: ChoiMatrix, n_samples: int, seed: int) -> ProbeReport:
     """Separate a non-Markovian Choi state from sampled divisible ones.
 
@@ -118,11 +122,11 @@ def separation_demo(cn: ChoiMatrix, n_samples: int, seed: int) -> ProbeReport:
     and checks it with verify_witness on n_samples divisible Chois at cn's
     dimension and eps. Each violation is a failure; a nonnegative
     expectation on cn itself is a failure as well. cn must classify as
-    non-Markovian.
+    non-Markovian, or MarkovianTargetError is raised.
     """
     verdict = classify(cn)
     if verdict.is_markovian:
-        raise ValueError(
+        raise MarkovianTargetError(
             f"separation_demo: Choi state classifies as Markovian "
             f"(min eigenvalue {verdict.min_eigenvalue:.3e}); nothing to separate")
     nearest = nearest_mcs_full_gksl(cn)
@@ -155,8 +159,11 @@ def extreme_point_probe(dim: int, eps: float, n_unitaries: int,
     assertable surrogate for the set not being a polytope.
 
     Pure states lie sqrt(2 - 2|<u|v>|^2) apart, falling as the overlap grows:
-    the largest off-diagonal overlap gives the smallest distance, and only
-    pairs with overlap above 0.5 can be closer than 1e-8.
+    the largest overlap of two distinct trials gives the smallest distance.
+    The census forms each of the n(n-1)/2 unordered pairs once, 512 rows at
+    a time: a row block meets only the columns from its own first row on.
+    Only pairs with overlap above 0.999 can be closer than 1e-8 (an overlap
+    of at most 1 - 1e-12 is at least 1.4e-6 away), so only those are tested.
     """
     if n_unitaries < 2:
         raise ValueError(
@@ -170,18 +177,24 @@ def extreme_point_probe(dim: int, eps: float, n_unitaries: int,
         return np.sqrt(np.clip(2.0 - 2.0 * overlap, 0.0, None))
 
     largest, coincident = 0.0, 0
+    bras = uvec.conj().T
+    below_diagonal = np.tri(_OVERLAP_ROWS, dtype=bool)
     for start in range(0, n_unitaries, _OVERLAP_ROWS):
-        overlaps = np.abs(uvec[start:start + _OVERLAP_ROWS] @ uvec.conj().T)
+        block = uvec[start:start + _OVERLAP_ROWS]
+        rows = block.shape[0]
+        # Pairs (i, j) with j > i only: columns from the block's first row on,
+        # with the diagonal and below of the block's own square zeroed.
+        overlaps = np.abs(block @ bras[:, start:])
         np.square(overlaps, out=overlaps)
-        np.fill_diagonal(overlaps[:, start:], 0.0)
+        overlaps[:, :rows][below_diagonal[:rows, :rows]] = 0.0
         largest = max(largest, overlaps.max())
-        coincident += np.count_nonzero(distance(overlaps[overlaps > 0.5]) < 1e-8)
+        coincident += np.count_nonzero(distance(overlaps[overlaps > 0.999]) < 1e-8)
     min_distance = float(distance(largest))
     purity_failures = int(np.count_nonzero(np.abs(purities - 1.0) > 1e-10))
     return ProbeReport(
         probe_name="extreme",
         n_trials=n_unitaries,
-        failures=purity_failures + int(coincident) // 2,
+        failures=purity_failures + int(coincident),
         worst_value=min_distance,
         details=purities,
         summary={"min_pairwise_distance": min_distance},

@@ -6,8 +6,9 @@ oracle is a dense grid search, the exponential oracle is a plain Taylor
 series, the sampled-generator oracle sums one pure Choi state per jump, the
 extreme-point oracle builds the full pairwise distance matrix, the
 full-GKSL projection oracle is Dykstra's alternating projections, the
-dissipator oracle goes through the np.kron superoperator, the Haar oracle is a
-LAPACK QR with its phases fixed, and the verification oracles form the whole
+dissipator oracle goes through the np.kron superoperator, the Haar oracles are
+a LAPACK QR with its phases fixed and the first batched Gram-Schmidt with its
+draw formed out of place, and the verification oracles form the whole
 (n, d^2, d^2) stack of sampled states, out of place, and contract W with it.
 
 The superoperator helpers (`apply_superop`, `channel_of_choi`), the trace
@@ -207,6 +208,25 @@ def qr_haar_unitaries(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     diag = np.einsum("nii->ni", r)
     return q * (diag / np.abs(diag))[:, None, :]
+
+
+def reference_haar_unitaries(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """`haar_unitaries` as first written: the Ginibre draws formed as
+    (a + 1j*b) / sqrt(2) and copied transposed into the column layout, then
+    the same batched Gram-Schmidt. The in-place draw must match it byte for
+    byte."""
+    z = (rng.standard_normal((n, dim, dim))
+         + 1.0j * rng.standard_normal((n, dim, dim))) / np.sqrt(2.0)
+    cols = np.ascontiguousarray(z.transpose(2, 1, 0))
+    for k in range(dim):
+        v = cols[k]
+        for _ in range(2 if k else 0):
+            basis = cols[:k]
+            v = v - np.einsum("kjn,kn->jn", basis, np.einsum("kjn,jn->kn", basis.conj(), v))
+        v /= np.sqrt(np.einsum("jn,jn->n", v.real, v.real)
+                     + np.einsum("jn,jn->n", v.imag, v.imag))
+        cols[k] = v
+    return np.ascontiguousarray(cols.transpose(2, 1, 0))
 
 
 def gram_generators(dim: int, n: int, rng: np.random.Generator,

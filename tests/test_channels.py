@@ -13,7 +13,8 @@ from nmwitness.channels import (
 from nmwitness.choi import choi_of_channel, choi_of_generator
 from nmwitness.linalg import SIGMA_X, SIGMA_Z, ShapeError, dagger, hs_norm
 from nmwitness.rates import ConstantRate, RateEvalError, TableRate
-from oracles import apply_superop, qr_haar_unitaries, random_markovian
+from oracles import (apply_superop, qr_haar_unitaries, random_markovian,
+                     reference_haar_unitaries)
 
 
 def vec_identity(dim):
@@ -232,6 +233,21 @@ def test_haar_unitaries_are_unitary():
     us = haar_unitaries(3, 50, rng)
     for u in us:
         assert np.abs(dagger(u) @ u - np.eye(3)).max() < 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_haar_unitaries_match_out_of_place_draw_bytes(dim, seed):
+    # Writing the scaled draws into the column array in place is bit for bit
+    # (a + 1j*b) / sqrt(2), and takes the same numbers from the stream.
+    for n in (1, 2, 17, 1000):
+        rng, ref_rng = np.random.default_rng((seed, n)), np.random.default_rng((seed, n))
+        us = haar_unitaries(dim, n, rng)
+        ref = reference_haar_unitaries(dim, n, ref_rng)
+        assert us.shape == ref.shape == (n, dim, dim)
+        assert us.flags.c_contiguous
+        assert us.tobytes() == ref.tobytes()
+        assert rng.random() == ref_rng.random()
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nmwitness
+from nmwitness import choi
 from nmwitness.channels import builtin_pauli
 from nmwitness.choi import (
     choi_of_generator,
@@ -459,6 +461,46 @@ def test_geometry_separation_on_a_markovian_target_has_nothing_to_witness(tmp_pa
                  "--spec", markovian, "--out", str(out)]) == 2
     assert capsys.readouterr().err == message
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rates,code", [((1.0, 1.0, -0.3), 0), ((0.5, 0.5, 0.5), 2)])
+def test_geometry_separation_classifies_its_target_once(tmp_path, monkeypatch, rates,
+                                                         code):
+    original, calls = choi.classify, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in vars(nmwitness).values():
+        if getattr(module, "classify", None) is original:
+            monkeypatch.setattr(module, "classify", counted)
+    spec = write_spec(tmp_path / "s.json", pauli_spec(*rates))
+    out = tmp_path / "sep.json"
+    assert cmd_geometry("separation", None, 1e-3, 20, 4, str(out), "json",
+                        spec_path=spec) == code
+    assert len(calls) == 1
+    assert out.exists() == (code == 0)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_reports_get_the_umask_mode_or_keep_the_replaced_file_mode(tmp_path, fmt):
+    out = tmp_path / f"probe.{fmt}"
+    old_umask = os.umask(0o022)
+    try:
+        assert cmd_geometry("hsnorm", 2, 1e-3, 5, 1, str(out), fmt) == 0
+        assert out.stat().st_mode & 0o777 == 0o644
+        os.umask(0o077)
+        out.chmod(0o640)
+        assert cmd_geometry("hsnorm", 2, 1e-3, 6, 1, str(out), fmt) == 0
+        assert out.stat().st_mode & 0o777 == 0o640
+        fresh = tmp_path / f"fresh.{fmt}"
+        assert cmd_geometry("hsnorm", 2, 1e-3, 5, 1, str(fresh), fmt) == 0
+        assert fresh.stat().st_mode & 0o777 == 0o600
+    finally:
+        os.umask(old_umask)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([out.name, fresh.name])
+    assert out.read_text().count("\n") > fresh.read_text().count("\n")
 
 
 def test_verify_n_zero_is_input_error(tmp_path, capsys):

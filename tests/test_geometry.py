@@ -159,6 +159,41 @@ def test_extreme_point_probe_counts_coincident_pairs(monkeypatch):
     assert np.array_equal(report.details, purities)
 
 
+@pytest.mark.parametrize("planted", [False, True])
+@pytest.mark.parametrize("dim,seed", [(2, 21), (3, 22), (4, 23)])
+def test_extreme_point_probe_matches_full_distance_matrix_across_row_blocks(
+        monkeypatch, dim, seed, planted):
+    # n = 1100 spans three 512-row blocks. Planted repeats straddle the block
+    # boundaries: the identity at 1, 600 and 1099, and a signed cyclic
+    # permutation at 511, 512, 520 and 1024 (512 and 520 share a block); the
+    # two groups are orthogonal, and hold 3 + 6 coincident pairs. Both
+    # are scaled by 1 + 1e-14, so that no rounding of 1/sqrt(d) takes a
+    # repeat's overlap below 1: its distance is exactly 0, and its purity
+    # stays within 1e-10 of 1.
+    n = 1100
+    assert n > 2 * geometry._OVERLAP_ROWS
+    scale = 1.0 + 1e-14
+    perm = np.roll(np.eye(dim), 1, axis=0)
+    perm[0] *= -1.0
+
+    def draw(d, count, rng):
+        us = haar_unitaries(d, count, rng)
+        if planted:
+            us[[1, 600, 1099]] = scale * np.eye(d)
+            us[[511, 512, 520, 1024]] = scale * perm
+        return us
+
+    monkeypatch.setattr(geometry, "haar_unitaries", draw)
+    report = extreme_point_probe(dim, EPS, n, seed)
+    purities, min_distance, coincidences, failures = _census_reference(
+        draw(dim, n, np.random.default_rng(seed)))
+    assert coincidences == (9 if planted else 0)
+    assert report.worst_value == min_distance
+    assert (min_distance == 0.0) == planted
+    assert report.failures == failures
+    assert np.array_equal(report.details, purities)
+
+
 def test_depolarizing_choi_is_mixed():
     # a strictly dissipative channel is excluded from the pure census
     gamma = 0.5
