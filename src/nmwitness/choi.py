@@ -34,9 +34,12 @@ def default_classification_tol(eps: float) -> float:
 
 def choi_kets(a: np.ndarray) -> np.ndarray:
     """The Choi ket (1 (x) A)|phi> = vec(A)/sqrt(d) of one d x d matrix, or the
-    (..., d^2) kets of a stack."""
+    (..., d^2) kets of a stack: one fresh C-contiguous array, scaled in place."""
     d = a.shape[-1]
-    return np.swapaxes(a, -1, -2).reshape(a.shape[:-2] + (d * d,)) / np.sqrt(d)
+    scale = np.sqrt(d)
+    kets = np.array(np.swapaxes(a, -1, -2), dtype=np.result_type(a, scale), order="C")
+    kets /= scale
+    return kets.reshape(a.shape[:-2] + (d * d,))
 
 
 def max_entangled_state(dim: int) -> np.ndarray:

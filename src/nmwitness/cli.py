@@ -360,7 +360,11 @@ def emit_report(payload: dict, out_path: str | None, fmt: str) -> None:
     else:
         raise SpecError(f"unknown format {fmt!r}")
     if out_path:
-        _atomic_write(out_path, text)
+        try:
+            _atomic_write(out_path, text)
+        except (FileNotFoundError, NotADirectoryError) as exc:
+            raise SpecError(f"--out {out_path}: {exc.strerror}; its directory "
+                            f"must exist") from exc
     else:
         sys.stdout.write(text)
 

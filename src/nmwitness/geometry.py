@@ -14,20 +14,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import witness
 from .choi import ChoiMatrix, classify, max_entangled_state, unitary_chois
 from .channels import haar_unitaries
 from .witness import (
     _draw_generators,
+    _sample_blocks,
     expectation,
     nearest_mcs_full_gksl,
-    sample_markovian_chois,
     theorem3_witness,
     verify_witness,
 )
 
 
-# Rows of the n x n pairwise overlap matrix that extreme_point_probe holds at once.
-_OVERLAP_ROWS = 512
+def _census_rows(n: int) -> int:
+    """Rows of the n x n pairwise overlap matrix that extreme_point_probe holds
+    at once: all n, or a multiple of 16 whose (rows, n) complex block fits the
+    sample blocks' budget, `witness._BLOCK_BYTES`, where 16 rows do.
+
+    A block's product has n - start columns, and BLAS rounds the trailing
+    columns short of its kernel width their own way. With starts a multiple
+    of 16, every block's column count has n's residue, so each overlap is
+    rounded as in the upper triangle of one n x n product.
+    """
+    return min(n, 16 * max(1, witness._BLOCK_BYTES // (16 * 16 * n)))
 
 
 @dataclass(frozen=True)
@@ -59,20 +69,25 @@ def convexity_probe(dim: int, eps: float, n_trials: int, seed: int) -> ProbeRepo
     """Mixtures of two random divisible first-order Chois stay PSD.
 
     Per trial two divisible Chois and a uniform weight p are drawn; the trial
-    fails when the mixture's smallest eigenvalue drops below -1e-12.
+    fails when the mixture's smallest eigenvalue drops below -1e-12. Trial k
+    mixes sample k with sample n_trials + k of one `sample_markovian_chois`
+    draw without Hamiltonians; the states are formed, mixed and eigensolved
+    one block of trials at a time.
     """
     if eps <= 0:
         raise ValueError(f"convexity_probe: eps must be > 0, got {eps}")
     if n_trials < 1:
         raise ValueError(f"convexity_probe: n_trials must be >= 1, got {n_trials}")
-    chois = sample_markovian_chois(dim, eps, 2 * n_trials, seed,
-                                   include_hamiltonian=False)
-    mixed, second = chois[:n_trials], chois[n_trials:]
+    gens = _draw_generators(dim, 2 * n_trials, np.random.default_rng(seed))
     p = np.random.default_rng((seed, 1)).uniform(size=n_trials)
-    mixed *= p[:, None, None]
-    second *= (1.0 - p)[:, None, None]
-    mixed += second
-    min_eigs = np.linalg.eigvalsh(mixed)[:, 0]
+    min_eigs = np.empty(n_trials)
+    for a, b in _sample_blocks(n_trials, dim):
+        mixed = gens.view(a, b).states(eps)
+        second = gens.view(n_trials + a, n_trials + b).states(eps)
+        mixed *= p[a:b, None, None]
+        second *= (1.0 - p[a:b])[:, None, None]
+        mixed += second
+        min_eigs[a:b] = np.linalg.eigvalsh(mixed)[:, 0]
     failures = int(np.count_nonzero(min_eigs < -1e-12))
     return ProbeReport(
         probe_name="convexity",
@@ -89,17 +104,22 @@ def hs_norm_probe(dim: int, eps: float, n_trials: int, seed: int) -> ProbeReport
     Samples divisible and (by sign-flipping rates) non-divisible first-order
     Chois; a trial fails when | ||C||_2 - 1 | exceeds 10 * eps * ||L||_2 with
     ||L||_2 the HS norm of that trial's generator superoperator: d ||C_L||_2,
-    as the Choi rearrangement permutes entries and divides by d.
+    as the Choi rearrangement permutes entries and divides by d. The
+    generators' Chois and the states are formed one block of trials at a time.
     """
     if eps <= 0:
         raise ValueError(f"hs_norm_probe: eps must be > 0, got {eps}")
     if n_trials < 1:
         raise ValueError(f"hs_norm_probe: n_trials must be >= 1, got {n_trials}")
-    gen_chois = _draw_generators(dim, n_trials, np.random.default_rng(seed),
-                                 signed=True).dissipators()
-    chois = max_entangled_state(dim) + eps * gen_chois
-    deviations = np.abs(np.linalg.norm(chois, axis=(1, 2)) - 1.0)
-    bounds = 10.0 * eps * dim * np.linalg.norm(gen_chois, axis=(1, 2))
+    gens = _draw_generators(dim, n_trials, np.random.default_rng(seed), signed=True)
+    phi = max_entangled_state(dim)
+    norms, gen_norms = np.empty(n_trials), np.empty(n_trials)
+    for a, b in _sample_blocks(n_trials, dim):
+        gen_chois = gens.view(a, b).dissipators()
+        norms[a:b] = np.linalg.norm(phi + eps * gen_chois, axis=(1, 2))
+        gen_norms[a:b] = np.linalg.norm(gen_chois, axis=(1, 2))
+    deviations = np.abs(norms - 1.0)
+    bounds = 10.0 * eps * dim * gen_norms
     failures = int(np.count_nonzero(deviations > bounds))
     return ProbeReport(
         probe_name="hsnorm",
@@ -158,29 +178,36 @@ def extreme_point_probe(dim: int, eps: float, n_unitaries: int,
     distance. A growing census of distinct purity-one members is the
     assertable surrogate for the set not being a polytope.
 
-    Pure states lie sqrt(2 - 2|<u|v>|^2) apart, falling as the overlap grows:
-    the largest overlap of two distinct trials gives the smallest distance.
-    The census forms each of the n(n-1)/2 unordered pairs once, 512 rows at
-    a time: a row block meets only the columns from its own first row on.
-    Only pairs with overlap above 0.999 can be closer than 1e-8 (an overlap
-    of at most 1 - 1e-12 is at least 1.4e-6 away), so only those are tested.
+    The purities are read from the pure Choi states one block of trials at a
+    time (`_sample_blocks`). Pure states lie sqrt(2 - 2|<u|v>|^2) apart,
+    falling as the overlap grows: the largest overlap of two distinct trials
+    gives the smallest distance. The census forms each of the n(n-1)/2
+    unordered pairs once, `_census_rows(n)` rows at a time: a row block meets
+    only the columns from its own first row on. Only pairs with overlap
+    above 0.999 can be closer than 1e-8 (an overlap of at most 1 - 1e-12 is
+    at least 1.4e-6 away), so only those are tested.
     """
     if n_unitaries < 2:
         raise ValueError(
             f"extreme_point_probe: n_unitaries must be >= 2, got {n_unitaries}")
     rng = np.random.default_rng(seed)
-    uvec, chois = unitary_chois(haar_unitaries(dim, n_unitaries, rng))
-    purities = np.einsum("nij,nji->n", chois, chois).real
-    del chois  # the overlap blocks below need only the kets
+    us = haar_unitaries(dim, n_unitaries, rng)
+    uvec = np.empty((n_unitaries, dim * dim), dtype=complex)
+    purities = np.empty(n_unitaries)
+    for a, b in _sample_blocks(n_unitaries, dim):
+        uvec[a:b], chois = unitary_chois(us[a:b])
+        purities[a:b] = np.einsum("nij,nji->n", chois, chois).real
+    del us, chois  # the overlap blocks below need only the kets
 
     def distance(overlap):
         return np.sqrt(np.clip(2.0 - 2.0 * overlap, 0.0, None))
 
     largest, coincident = 0.0, 0
     bras = uvec.conj().T
-    below_diagonal = np.tri(_OVERLAP_ROWS, dtype=bool)
-    for start in range(0, n_unitaries, _OVERLAP_ROWS):
-        block = uvec[start:start + _OVERLAP_ROWS]
+    step = _census_rows(n_unitaries)
+    below_diagonal = np.tri(step, dtype=bool)
+    for start in range(0, n_unitaries, step):
+        block = uvec[start:start + step]
         rows = block.shape[0]
         # Pairs (i, j) with j > i only: columns from the block's first row on,
         # with the diagonal and below of the block's own square zeroed.

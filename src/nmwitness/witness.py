@@ -29,10 +29,16 @@ rounding slack that is also computed from the draws, from a bound on the
 generator's entries before any cancellation. `sample_markovian_chois` still
 returns the stack, built in place, for callers that need the states
 themselves.
+
+Every consumer of the draws walks them in the blocks of `_sample_blocks`,
+through range views of `_SampledGenerators`: no temporary holds more than
+one block's (block, d^2, d^2) stack, and each sample's arithmetic is the
+same in any block, so the results do not depend on the block size.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -438,15 +444,42 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix, *, max_iter: int = 50,
 # Monte-Carlo verification
 # ---------------------------------------------------------------------------
 
+# Bytes of one (block, d^2, d^2) complex stack: the one budget that sizes
+# every block of samples (`_sample_blocks`) and of census rows
+# (`geometry.extreme_point_probe`).
+_BLOCK_BYTES = 1 << 20
+
+
+def _sample_blocks(n: int, dim: int) -> list[tuple[int, int]]:
+    """Consecutive ranges (a, b) that cover samples 0..n-1 in order, each of as
+    many samples as one (b - a, d^2, d^2) complex stack holds in _BLOCK_BYTES,
+    and at least one."""
+    step = max(1, _BLOCK_BYTES // (16 * dim ** 4))
+    return [(a, min(a + step, n)) for a in range(0, n, step)]
+
+
+def _row_products(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """rows @ m for a (r, k) array, each row rounded alike for every r.
+
+    numpy hands a one-row product to a vector routine (dot or gemv) whose
+    rounding differs from that of the routine it uses for more rows; a zero
+    row appended keeps a lone row on the latter, so a sample's value does not
+    depend on the block it is contracted in.
+    """
+    if rows.shape[0] != 1:
+        return rows @ m
+    return (np.concatenate((rows, np.zeros_like(rows))) @ m)[:1]
+
+
 @dataclass(frozen=True)
 class _SampledGenerators:
     """n random divisible generators, held as their draws, not as Choi states.
 
     Generator k owns counts[k] consecutive rows of kets (the Choi kets |u_a>
-    of Haar-unitary jumps) and of rates (g_a); when ham is set, the samples
-    where mask is true also carry the traceless Hamiltonian ham[k]. Its
-    first-order Choi state is phi + eps*(X_k + mask_k C_H[k]) with X_k =
-    sum_a g_a (|u_a><u_a| - phi).
+    of Haar-unitary jumps) and of rates (g_a), from row edges[k] on; when
+    ham is set, the samples where mask is true also carry the traceless
+    Hamiltonian ham[k]. Its first-order Choi state is phi + eps*(X_k +
+    mask_k C_H[k]) with X_k = sum_a g_a (|u_a><u_a| - phi).
     """
 
     dim: int
@@ -456,9 +489,18 @@ class _SampledGenerators:
     mask: np.ndarray | None = None
     ham: np.ndarray | None = None
 
-    @property
-    def starts(self) -> np.ndarray:
-        return np.cumsum(self.counts) - self.counts
+    @functools.cached_property
+    def edges(self) -> np.ndarray:
+        """The n + 1 row offsets: generator k's draws are rows edges[k]:edges[k+1]."""
+        return np.concatenate(([0], np.cumsum(self.counts)))
+
+    def view(self, a: int, b: int) -> _SampledGenerators:
+        """Generators a..b-1, their draws sliced from these, not copied."""
+        lo, hi = self.edges[a], self.edges[b]
+        return _SampledGenerators(
+            self.dim, self.counts[a:b], self.kets[lo:hi], self.rates[lo:hi],
+            None if self.mask is None else self.mask[a:b],
+            None if self.ham is None else self.ham[a:b])
 
     def dissipators(self) -> np.ndarray:
         """The (n, d^2, d^2) stack X, one batched Gram product.
@@ -477,7 +519,7 @@ class _SampledGenerators:
         bras[slots] = self.kets.conj()
         x = np.matmul(scaled.transpose(0, 2, 1), bras)
         del scaled, bras
-        rate_sums = np.add.reduceat(self.rates, self.starts)
+        rate_sums = np.add.reduceat(self.rates, self.edges[:-1])
         x[:, ::d + 1, ::d + 1] -= rate_sums[:, None, None] * _phi_block(d)
         return x
 
@@ -507,14 +549,14 @@ class _SampledGenerators:
         d = self.dim
         phi_ket = choi_kets(np.eye(d))
         w_phi = (phi_ket @ w @ phi_ket).real
-        jumps = ((self.kets.conj() @ w) * self.kets).sum(axis=1).real
-        starts = self.starts
+        jumps = (_row_products(self.kets.conj(), w) * self.kets).sum(axis=1).real
+        starts = self.edges[:-1]
         generator = np.add.reduceat(self.rates * (jumps - w_phi), starts)
         bound = np.add.reduceat(np.abs(self.rates) * (
             (self.kets.real ** 2 + self.kets.imag ** 2).max(axis=1) + 1.0 / d), starts)
         if self.ham is not None:
             hkets = choi_kets(self.ham)
-            generator += self.mask * (2.0 * (hkets @ (phi_ket @ w)).imag)
+            generator += self.mask * (2.0 * _row_products(hkets, phi_ket @ w).imag)
             bound += self.mask * (2.0 * np.abs(hkets).max(axis=1) / np.sqrt(d))
         with np.errstate(over="ignore"):
             entries = 1.0 / d + eps * bound
@@ -536,7 +578,8 @@ def _draw_generators(dim: int, n: int, rng: np.random.Generator, signed: bool = 
     Draws, in this order: jump counts (1..dim^2), Haar unitaries U_a with
     Choi kets |u_a> of `choi_kets`, rates g_a uniform on [0, 1], when
     signed a random sign per rate, and when hamiltonian a mask marking about
-    half the samples and a random traceless Hamiltonian per sample.
+    half the samples and a random traceless Hamiltonian per sample. The
+    whole stream is drawn here, so a consumer's blocks leave its order alone.
     """
     d = dim
     counts = rng.integers(1, d * d + 1, size=n)
@@ -563,7 +606,8 @@ def sample_markovian_chois(dim: int, eps: float, n_samples: int, seed: int,
     a random traceless Hamiltonian (the "unitary part"). All draws come from
     one seeded stream in a fixed order (`_draw_generators`), so output is
     reproducible. Returns the (n_samples, dim^2, dim^2) complex stack
-    phi + eps*(C_H + X).
+    phi + eps*(C_H + X): the whole batch as one range, which the probes walk
+    in blocks.
     """
     if n_samples < 1:
         raise ValueError(f"sample_markovian_chois: n_samples must be >= 1, got {n_samples}")
@@ -579,12 +623,15 @@ def verify_witness(w: WitnessOperator, dim: int, eps: float, n_samples: int,
     values, Tr(W C_k) per sample, are contracted with the sampled generators
     (`_SampledGenerators.expectations`); no state is formed. A sample is a
     violation when its value is below -(1e-8 + slack_k), slack_k the
-    rounding bound that `expectations` computes from the same draws.
+    rounding bound that `expectations` computes from the same draws, block by
+    block (`_sample_blocks`).
     """
     if n_samples < 1:
         raise ValueError(f"verify_witness: n_samples must be >= 1, got {n_samples}")
     gens = _draw_generators(dim, n_samples, np.random.default_rng(seed), hamiltonian=True)
-    values, slack = gens.expectations(w.matrix, eps)
+    values, slack = np.empty(n_samples), np.empty(n_samples)
+    for a, b in _sample_blocks(n_samples, dim):
+        values[a:b], slack[a:b] = gens.view(a, b).expectations(w.matrix, eps)
     return VerificationResult(
         min_expectation=float(values.min()),
         violations=int(np.count_nonzero(values < -(1e-8 + slack))),
@@ -601,7 +648,8 @@ def uniqueness_check(cn: ChoiMatrix, cm_star: ChoiMatrix, dim: int, eps: float,
     (rates uniform on [0, 2]) and the left side is Tr[D (phi - C_M*)] +
     eps * rates @ [Tr(D Y_a)], D = C_N - C_M*, one (n, m) @ (m,) product;
     otherwise the samples are those of `sample_markovian_chois` and Tr(D C_M)
-    is contracted with their generators. No sample is formed as a state.
+    is contracted with their generators, block by block. No sample is formed
+    as a state.
     holds is True when the sampled maximum stays below 1e-8.
     """
     if n_samples < 1:
@@ -610,7 +658,10 @@ def uniqueness_check(cn: ChoiMatrix, cm_star: ChoiMatrix, dim: int, eps: float,
     diff = cn.matrix - cm_star.matrix
     if family is None:
         gens = _draw_generators(dim, n_samples, rng, hamiltonian=True)
-        lhs = gens.expectations(diff, eps)[0] - hs_inner(diff, cm_star.matrix).real
+        lhs = np.empty(n_samples)
+        for a, b in _sample_blocks(n_samples, dim):
+            lhs[a:b] = gens.view(a, b).expectations(diff, eps)[0]
+        lhs -= hs_inner(diff, cm_star.matrix).real
     else:
         dirs = dissipator_chois(family.basis_ops)
         rates = rng.uniform(0.0, 2.0, size=(n_samples, dirs.shape[0]))

@@ -14,6 +14,7 @@ from nmwitness.channels import (
 )
 from nmwitness.choi import (
     ChoiMatrix,
+    choi_kets,
     choi_of_channel,
     choi_of_generator,
     classify,
@@ -117,6 +118,20 @@ def test_dissipator_chois_bit_identical_to_kron_route(dim):
         got, want = dissipator_chois(tuple(ops)), kron_dissipator_chois(tuple(ops))
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()
+
+
+def test_choi_kets_are_a_fresh_c_contiguous_copy():
+    # Scaled in place on its own copy: the input is never written, whatever
+    # its layout, and the bits are those of vec(A) / sqrt(d) out of place.
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    for m in (a, a.transpose(0, 2, 1), np.asfortranarray(a[0]), a[0].real, np.eye(3, dtype=int)):
+        before = m.copy()
+        kets = choi_kets(m)
+        assert kets.flags.c_contiguous and not np.shares_memory(kets, m)
+        assert np.array_equal(m, before)
+        want = np.swapaxes(m, -1, -2).reshape(m.shape[:-2] + (9,)) / np.sqrt(3)
+        assert kets.dtype == want.dtype and kets.tobytes() == want.tobytes()
 
 
 def test_roundtrip_identity_superoperator():

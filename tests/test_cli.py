@@ -503,6 +503,16 @@ def test_reports_get_the_umask_mode_or_keep_the_replaced_file_mode(tmp_path, fmt
     assert out.read_text().count("\n") > fresh.read_text().count("\n")
 
 
+@pytest.mark.parametrize("parent", ["missing", "file.txt"])
+def test_out_into_a_missing_directory_is_an_input_error(tmp_path, capsys, parent):
+    (tmp_path / "file.txt").write_text("")
+    out = tmp_path / parent / "f.json"
+    assert main(["geometry", "--probe", "hsnorm", "--n", "5", "--seed", "1",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"nmwitness: error: --out {out}: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["file.txt"]
+
+
 def test_verify_n_zero_is_input_error(tmp_path, capsys):
     neg = [[[1.0, 0.0] if i == j else [0.0, 0.0] for j in range(4)]
            for i in range(4)]

@@ -163,15 +163,16 @@ def test_extreme_point_probe_counts_coincident_pairs(monkeypatch):
 @pytest.mark.parametrize("dim,seed", [(2, 21), (3, 22), (4, 23)])
 def test_extreme_point_probe_matches_full_distance_matrix_across_row_blocks(
         monkeypatch, dim, seed, planted):
-    # n = 1100 spans three 512-row blocks. Planted repeats straddle the block
-    # boundaries: the identity at 1, 600 and 1099, and a signed cyclic
-    # permutation at 511, 512, 520 and 1024 (512 and 520 share a block); the
-    # two groups are orthogonal, and hold 3 + 6 coincident pairs. Both
-    # are scaled by 1 + 1e-14, so that no rounding of 1/sqrt(d) takes a
-    # repeat's overlap below 1: its distance is exactly 0, and its purity
-    # stays within 1e-10 of 1.
+    # n = 1100 spans at least three census blocks of r rows each. Planted
+    # repeats straddle the block boundaries: the identity at 1, 600 and 1099,
+    # and a signed cyclic permutation at r - 1, r, r + 8 and 2r (r and r + 8
+    # share a block); the two groups are orthogonal, and hold 3 + 6
+    # coincident pairs. Both are scaled by 1 + 1e-14, so that no rounding of
+    # 1/sqrt(d) takes a repeat's overlap below 1: its distance is exactly 0,
+    # and its purity stays within 1e-10 of 1.
     n = 1100
-    assert n > 2 * geometry._OVERLAP_ROWS
+    r = geometry._census_rows(n)
+    assert n > 2 * r and r > 8
     scale = 1.0 + 1e-14
     perm = np.roll(np.eye(dim), 1, axis=0)
     perm[0] *= -1.0
@@ -180,7 +181,7 @@ def test_extreme_point_probe_matches_full_distance_matrix_across_row_blocks(
         us = haar_unitaries(d, count, rng)
         if planted:
             us[[1, 600, 1099]] = scale * np.eye(d)
-            us[[511, 512, 520, 1024]] = scale * perm
+            us[[r - 1, r, r + 8, 2 * r]] = scale * perm
         return us
 
     monkeypatch.setattr(geometry, "haar_unitaries", draw)
