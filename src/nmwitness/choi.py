@@ -19,12 +19,14 @@ the per-point minimum eigenvalues, deficits and verdicts as arrays.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import LindbladGenerator, SuperOperator
-from .linalg import ShapeError, as_matrix
+from .linalg import ShapeError, as_matrix, gell_mann_basis
 
 
 def default_classification_tol(eps: float) -> float:
@@ -48,6 +50,34 @@ def max_entangled_state(dim: int) -> np.ndarray:
         raise ValueError(f"max_entangled_state: dim must be >= 2, got {dim}")
     v = choi_kets(np.eye(dim, dtype=complex))
     return np.outer(v, v.conj())
+
+
+def add_phi(stack: np.ndarray, weights: np.ndarray) -> None:
+    """stack[k] += weights[k] * phi for a (n, d^2, d^2) stack, in place on the
+    d x d block of phi's nonzero entries, rows and columns i*(d+1)."""
+    d = math.isqrt(stack.shape[-1])
+    block = max_entangled_state(d)[::d + 1, ::d + 1]
+    stack[:, ::d + 1, ::d + 1] += weights[:, None, None] * block
+
+
+@functools.cache
+def perp_isometry(dim: int) -> np.ndarray:
+    """The d^2 x (d^2 - 1) isometry U onto w_perp = 1 - phi, cached and read-only:
+    its columns are vec(F_j^T) of the traceless `linalg.gell_mann_basis` F_j."""
+    u = np.stack([f.T.reshape(-1) for f in gell_mann_basis(dim)], axis=1)
+    u.flags.writeable = False
+    return u
+
+
+def partial_trace_2(x: np.ndarray) -> np.ndarray:
+    """Tr_2 x, the trace over the second factor of a d^2 x d^2 matrix."""
+    d = math.isqrt(x.shape[-1])
+    return np.einsum("ikjk->ij", x.reshape(d, d, d, d))
+
+
+def lift(m: np.ndarray) -> np.ndarray:
+    """m (x) 1 for a d x d matrix m."""
+    return (m[:, None, :, None] * np.eye(len(m))[:, None]).reshape(m.size, m.size)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ squares, by a Lawson-Hanson active set on the Gram system), and the full family
 {phi + eps X : Tr_2 X = 0, w_perp X w_perp >= 0}, the intersection of the
 trace-preserving subspace with the conditionally completely positive cone K
 (solved by semismooth Newton on the d^2 real dual variables of Tr_2 X = 0,
-each step one closed-form projection onto K).
+each step one closed-form projection onto K, from the layout pieces in `choi`).
 
 Witnesses are checked on random divisible generators (Haar-unitary jumps of
 `channels.haar_unitaries`, drawn by Gram-Schmidt, plus an optional
@@ -45,8 +45,9 @@ import numpy as np
 
 from . import linalg
 from .channels import haar_unitaries
-from .choi import (ChoiMatrix, choi_kets, default_classification_tol, dissipator_chois,
-                   hamiltonian_choi, max_entangled_state)
+from .choi import (ChoiMatrix, add_phi, choi_kets, default_classification_tol,
+                   dissipator_chois, hamiltonian_choi, lift, max_entangled_state,
+                   partial_trace_2, perp_isometry)
 from .linalg import DEGENERACY_GAP, ShapeError, as_matrix, dagger, hs_inner, hs_norm
 
 
@@ -201,8 +202,7 @@ def theorem3_witness(cn: ChoiMatrix, cm_star: ChoiMatrix) -> WitnessOperator:
 # Fixed-basis projection (nonnegative least squares on the Gram system)
 # ---------------------------------------------------------------------------
 
-def nnls_gram(q: np.ndarray, b: np.ndarray,
-              max_iter: int | None = None) -> tuple[np.ndarray, int]:
+def nnls_gram(q: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     """Lawson-Hanson active set for min 1/2 x^T Q x - b^T x with x >= 0.
 
     Q is the (PSD) Gram matrix of the least-squares design; b the projected
@@ -210,8 +210,7 @@ def nnls_gram(q: np.ndarray, b: np.ndarray,
     solved densely; a singular passive block falls back to lstsq.
     """
     m = b.size
-    if max_iter is None:
-        max_iter = 50 * (m + 1)
+    max_iter = 50 * (m + 1)
     scale = max(1.0, float(np.abs(b).max()), float(np.abs(q).max()))
     tol = 1e-13 * scale
     x = np.zeros(m)
@@ -275,6 +274,9 @@ def nearest_mcs_fixed_basis(cn: ChoiMatrix, fam: MarkovianFamily) -> NearestMCSR
     if fam.dim != cn.dim:
         raise ValueError(
             f"nearest_mcs_fixed_basis: family dim {fam.dim} != Choi dim {cn.dim}")
+    if fam.eps != cn.eps:
+        raise ValueError(
+            f"nearest_mcs_fixed_basis: family eps {fam.eps} != Choi eps {cn.eps}")
     d = cn.dim
     eps = fam.eps
     dirs = dissipator_chois(fam.basis_ops)
@@ -338,16 +340,7 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix, *, max_iter: int = 50,
 
     n = d * d
     phi = max_entangled_state(d)
-    eye = np.eye(d)
-    # The vec(F_j^T) of the traceless Gell-Mann basis: an isometry U onto w_perp.
-    u = np.stack([f.T.reshape(-1) for f in linalg.gell_mann_basis(d)], axis=1)
-
-    def tr2(z: np.ndarray) -> np.ndarray:
-        return np.einsum("ikjk->ij", z.reshape(d, d, d, d))
-
-    def lift(m: np.ndarray) -> np.ndarray:
-        """m (x) 1."""
-        return (m[:, None, :, None] * eye[:, None]).reshape(n, n)
+    u = perp_isometry(d)
 
     # ChoiMatrix admits a 1e-10 Hermiticity defect, which dividing by eps
     # would magnify.
@@ -359,11 +352,11 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix, *, max_iter: int = 50,
         w, v = np.linalg.eigh(dagger(u) @ z @ u)
         uv = u @ v
         x = z - (uv * np.minimum(w, 0.0)) @ dagger(uv)
-        return x, tr2(x), w, uv
+        return x, partial_trace_2(x), w, uv
 
     # d*1 - Gram(M) for the images M_ij = U^dag (e_ij (x) 1) U of the unit
     # matrices: <M_pq, M_ij> = (d - 2/d) delta_pi delta_qj + delta_pq delta_ij / d^2.
-    constant = 2.0 / d * np.eye(n) - np.outer(eye, eye) / n
+    constant = 2.0 / d * np.eye(n) - np.outer(np.eye(d), np.eye(d)) / n
 
     def jacobian(w: np.ndarray, uv: np.ndarray) -> np.ndarray:
         """Generalized Jacobian of lam -> Tr_2 X(lam) on vec(lam).
@@ -381,7 +374,7 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix, *, max_iter: int = 50,
         # the last ones as w ascends, so G is formed in two parts: rows
         # m >= k against every column, rows m < k against columns m' >= k.
         k = n - 1 - int(np.count_nonzero(w > 0.0))
-        blocks = uv.reshape(d, d, n - 1)  # blocks[i]: the rows of uv in e_i (x) C^d
+        blocks = uv.reshape(d, d, n - 1)  # blocks[i]: rows of uv in e_i (x) C^d, as in choi.lift
         left = blocks.conj().transpose(0, 2, 1)[:, None]
         jac = constant.astype(complex)
         for rows, cols in ((slice(k, None), slice(None)), (slice(None, k), slice(k, None))):
@@ -508,7 +501,7 @@ class _SampledGenerators:
         Generator k's jumps fill the first slots of zero-padded arrays: row a
         of scaled[k] is g_a|u_a> and row a of bras[k] is <u_a|, so X[k] =
         scaled[k]^T @ bras[k] - (sum_a g_a) phi. The phi term is subtracted
-        on the d x d block where phi is nonzero, in place.
+        in place by `choi.add_phi`.
         """
         d, n = self.dim, self.counts.size
         d2 = d * d
@@ -520,14 +513,14 @@ class _SampledGenerators:
         x = np.matmul(scaled.transpose(0, 2, 1), bras)
         del scaled, bras
         rate_sums = np.add.reduceat(self.rates, self.edges[:-1])
-        x[:, ::d + 1, ::d + 1] -= rate_sums[:, None, None] * _phi_block(d)
+        add_phi(x, -rate_sums)
         return x
 
     def states(self, eps: float) -> np.ndarray:
         """The (n, d^2, d^2) stack phi + eps*(X + mask C_H), built in place on X."""
         chois = self.dissipators()
         chois *= eps
-        chois[:, ::self.dim + 1, ::self.dim + 1] += _phi_block(self.dim)
+        add_phi(chois, np.ones(len(chois)))
         if self.ham is not None:
             chois[self.mask] += eps * hamiltonian_choi(self.ham[self.mask])
         return chois
@@ -564,11 +557,6 @@ class _SampledGenerators:
             raise FloatingPointError("overflow of eps times a sampled generator")
         slack = (d ** 4 + 2) * np.finfo(float).eps * np.abs(w).sum() * entries
         return w_phi + eps * generator, slack
-
-
-def _phi_block(dim: int) -> np.ndarray:
-    """The d x d block of phi's nonzero entries, rows and columns i*(d+1)."""
-    return max_entangled_state(dim)[::dim + 1, ::dim + 1]
 
 
 def _draw_generators(dim: int, n: int, rng: np.random.Generator, signed: bool = False,
@@ -628,6 +616,9 @@ def verify_witness(w: WitnessOperator, dim: int, eps: float, n_samples: int,
     """
     if n_samples < 1:
         raise ValueError(f"verify_witness: n_samples must be >= 1, got {n_samples}")
+    if w.matrix.shape != (dim * dim, dim * dim):
+        raise ShapeError(f"verify_witness: w is {w.matrix.shape[0]}x{w.matrix.shape[1]}, "
+                         f"expected {dim * dim}x{dim * dim} for dim={dim}")
     gens = _draw_generators(dim, n_samples, np.random.default_rng(seed), hamiltonian=True)
     values, slack = np.empty(n_samples), np.empty(n_samples)
     for a, b in _sample_blocks(n_samples, dim):
@@ -654,6 +645,10 @@ def uniqueness_check(cn: ChoiMatrix, cm_star: ChoiMatrix, dim: int, eps: float,
     """
     if n_samples < 1:
         raise ValueError(f"uniqueness_check: n_samples must be >= 1, got {n_samples}")
+    for name, got in (("cn", cn.dim), ("cm_star", cm_star.dim),
+                      ("family", dim if family is None else family.dim)):
+        if got != dim:
+            raise ShapeError(f"uniqueness_check: {name} dim {got} != dim {dim}")
     rng = np.random.default_rng(seed)
     diff = cn.matrix - cm_star.matrix
     if family is None:

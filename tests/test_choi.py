@@ -14,13 +14,17 @@ from nmwitness.channels import (
 )
 from nmwitness.choi import (
     ChoiMatrix,
+    add_phi,
     choi_kets,
     choi_of_channel,
     choi_of_generator,
     classify,
     default_classification_tol,
     dissipator_chois,
+    lift,
     max_entangled_state,
+    partial_trace_2,
+    perp_isometry,
     scan,
 )
 from nmwitness.linalg import hs_norm
@@ -132,6 +136,54 @@ def test_choi_kets_are_a_fresh_c_contiguous_copy():
         assert np.array_equal(m, before)
         want = np.swapaxes(m, -1, -2).reshape(m.shape[:-2] + (9,)) / np.sqrt(3)
         assert kets.dtype == want.dtype and kets.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# layout pieces of the divisible cone, against dense oracles
+# ---------------------------------------------------------------------------
+
+def _random_complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_lift_is_kron_with_identity(d):
+    m = _random_complex(np.random.default_rng(d), (d, d))
+    assert np.array_equal(lift(m), np.kron(m, np.eye(d)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_partial_trace_2_against_explicit_sum(d):
+    rng = np.random.default_rng(10 + d)
+    m = _random_complex(rng, (d, d))
+    assert np.abs(partial_trace_2(lift(m)) - d * m).max() < 1e-13
+    x = _random_complex(rng, (d * d, d * d))
+    # <i|Tr_2 X|j> = sum_k <ik|X|jk>, with |ik> at row i*d+k.
+    want = np.array([[sum(x[i * d + k, j * d + k] for k in range(d)) for j in range(d)]
+                     for i in range(d)])
+    assert np.abs(partial_trace_2(x) - want).max() < 1e-13
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_perp_isometry_spans_w_perp(d):
+    u = perp_isometry(d)
+    assert u.shape == (d * d, d * d - 1)
+    assert np.abs(u.conj().T @ u - np.eye(d * d - 1)).max() < 1e-15
+    assert np.abs(u @ u.conj().T - (np.eye(d * d) - max_entangled_state(d))).max() < 1e-15
+    assert perp_isometry(d) is u
+    assert not u.flags.writeable
+    with pytest.raises(ValueError):
+        u[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_add_phi_matches_out_of_place_sum(d):
+    rng = np.random.default_rng(20 + d)
+    stack = _random_complex(rng, (6, d * d, d * d))
+    weights = rng.standard_normal(6)
+    want = stack + weights[:, None, None] * max_entangled_state(d)
+    add_phi(stack, weights)
+    assert np.array_equal(stack, want)
 
 
 def test_roundtrip_identity_superoperator():

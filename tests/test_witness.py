@@ -24,7 +24,9 @@ from nmwitness.witness import (
 from nmwitness.witness import _draw_generators
 from nmwitness.channels import LindbladGenerator
 
+from nmwitness import choi as choi_module
 from nmwitness import witness as witness_module
+from nmwitness.linalg import ShapeError
 from oracles import (dykstra_full_gksl, gram_generators, gram_sample_chois, per_jump_generators,
                      psd_project, stack_uniqueness_lhs, stack_verify_witness)
 
@@ -178,9 +180,31 @@ def test_fixed_basis_degenerate_directions():
     assert res.residual == pytest.approx(0.5 * EPS * np.sqrt(2.0), rel=1e-8)
 
 
+def test_fixed_basis_rejects_family_at_another_eps():
+    cn = pauli_choi((1.0, 1.0, -0.3))
+    with pytest.raises(ValueError, match=r"family eps 0\.01 != Choi eps 0\.001"):
+        nearest_mcs_fixed_basis(cn, pauli_family(1e-2))
+
+
 # ---------------------------------------------------------------------------
 # full-generator nearest divisible state
 # ---------------------------------------------------------------------------
+
+def test_full_gksl_builds_the_isometry_once_per_dim(monkeypatch):
+    calls = []
+    original = choi_module.gell_mann_basis
+
+    def counted(dim):
+        calls.append(dim)
+        return original(dim)
+
+    monkeypatch.setattr(choi_module, "gell_mann_basis", counted)
+    choi_module.perp_isometry.cache_clear()
+    cn = pauli_choi((1.0, 1.0, -0.3))
+    first, second = nearest_mcs_full_gksl(cn), nearest_mcs_full_gksl(cn)
+    assert calls == [2]
+    assert first.choi_star.matrix.tobytes() == second.choi_star.matrix.tobytes()
+
 
 def test_full_gksl_markovian_membership():
     cn = pauli_choi((0.3, 0.5, 0.2))
@@ -524,6 +548,13 @@ def test_verify_witness_validation():
         verify_witness(w, 2, EPS, 0, seed=1)
 
 
+def test_verify_witness_rejects_dim_of_another_witness():
+    w = WitnessOperator(matrix=np.eye(4, dtype=complex), kind="theorem3",
+                        provenance="id")
+    with pytest.raises(ShapeError, match=r"verify_witness: w is 4x4, expected 9x9 for dim=3"):
+        verify_witness(w, 3, EPS, 10, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # uniqueness inequality
 # ---------------------------------------------------------------------------
@@ -546,6 +577,19 @@ def test_uniqueness_fails_off_projection():
     report = uniqueness_check(cn, perturbed, 2, EPS, 5000, seed=10, family=fam)
     assert not report.holds
     assert report.max_lhs > 1e-8
+
+
+def test_uniqueness_rejects_family_of_another_dim():
+    cn = choi_of_generator(_random_nm_generator(3, 3, (1.0, 0.5, -0.4)), 0.0, EPS)
+    with pytest.raises(ShapeError, match=r"uniqueness_check: family dim 2 != dim 3"):
+        uniqueness_check(cn, cn, 3, EPS, 10, seed=1, family=pauli_family(EPS))
+
+
+@pytest.mark.parametrize("family", [None, pauli_family(EPS)])
+def test_uniqueness_rejects_states_of_another_dim(family):
+    cn = pauli_choi((1.0, 1.0, -0.3))
+    with pytest.raises(ShapeError, match=r"uniqueness_check: cn dim 2 != dim 3"):
+        uniqueness_check(cn, cn, 3, EPS, 10, seed=1, family=family)
 
 
 def test_uniqueness_trivial_self():
