@@ -14,7 +14,9 @@ vec(A X B) = (B^T (x) A) vec(X), and the generator
 traceless in the sense vec(I)^dag S = 0.
 
 `haar_unitaries` draws the random jumps of the samplers: complex Ginibre
-matrices orthonormalised by batched Gram-Schmidt, no LAPACK call.
+matrices orthonormalised in place by batched Gram-Schmidt, no LAPACK call.
+The samplers take the unitaries as a strided view of the finished columns,
+so their Choi kets cost one copy (`choi.choi_kets`), not two.
 """
 
 from __future__ import annotations
@@ -153,16 +155,23 @@ def builtin_pauli(gx: RateLike, gy: RateLike, gz: RateLike) -> LindbladGenerator
     )
 
 
-def haar_unitaries(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
+def haar_unitaries(dim: int, n: int, rng: np.random.Generator,
+                   contiguous: bool = True) -> np.ndarray:
     """n Haar-random unitaries: the Q of complex Ginibre draws Z = QR.
 
     Columns are orthonormalised in order by batched classical Gram-Schmidt
     with one reorthogonalisation, a few small einsum passes per column over
-    the whole batch. R then has a positive real diagonal, the phase
-    convention that makes Q Haar distributed (Mezzadri, Notices AMS 54, 592
-    (2007)); it is the Q of a LAPACK QR with its phases fixed the same way.
-    The real and then the imaginary parts of Z are drawn as (n, dim, dim)
-    standard normals and written, scaled, straight into the column layout.
+    the whole batch, each subtracted in place. R then has a positive real
+    diagonal, the phase convention that makes Q Haar distributed (Mezzadri,
+    Notices AMS 54, 592 (2007)); it is the Q of a LAPACK QR with its phases
+    fixed the same way. The real and then the imaginary parts of Z are drawn
+    as (n, dim, dim) standard normals and written, scaled, straight into the
+    column layout.
+
+    The (n, dim, dim) result is a C-contiguous copy, or with contiguous
+    False a strided view of the column array, the same values without the
+    copy, for a caller that copies them into its own layout anyway
+    (`choi.choi_kets`).
     """
     # cols[k] is column k of every Z, then of every Q, as a (dim, n) block:
     # each pass runs along the contiguous batch axis. Scaling by s = 1/sqrt(2)
@@ -177,8 +186,13 @@ def haar_unitaries(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
         v = cols[k]
         for _ in range(2 if k else 0):
             basis = cols[:k]
-            v = v - np.einsum("kjn,kn->jn", basis, np.einsum("kjn,jn->kn", basis.conj(), v))
+            # <b|v> as conj(sum_j b_j conj(v_j)): the same bits as conjugating
+            # the basis (each product and sum only changes sign), through a
+            # (dim, n) temporary rather than a (k, dim, n) one, so the passes
+            # stay below the two arrays of a ket copy.
+            coef = np.einsum("kjn,jn->kn", basis, v.conj())
+            v -= np.einsum("kjn,kn->jn", basis, np.conjugate(coef, out=coef))
         v /= np.sqrt(np.einsum("jn,jn->n", v.real, v.real)
                      + np.einsum("jn,jn->n", v.imag, v.imag))
-        cols[k] = v
-    return np.ascontiguousarray(cols.transpose(2, 1, 0))
+    us = cols.transpose(2, 1, 0)
+    return np.ascontiguousarray(us) if contiguous else us

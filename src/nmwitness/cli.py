@@ -243,12 +243,12 @@ class _Rows:
         self.columns = columns
         self.keyed = keyed
 
-    def _cells(self, json_form: bool) -> list[list]:
-        """Per column, the values whose str() is each cell's text.
+    def _cells(self, json_form: bool) -> list[list[str]]:
+        """Per column, the text of each cell.
 
-        str() of a float is float.__repr__, json's own spelling of a finite
-        float; JSON spells a non-finite one as json.dumps does, CSV as repr.
-        Bools become true/false.
+        A number's text is repr() of its Python value, which for a float is
+        json's own spelling of a finite float; JSON spells a non-finite one
+        as json.dumps does, CSV as repr. Bools become true/false.
         """
         cells = []
         for column in self.columns:
@@ -258,8 +258,26 @@ class _Rows:
             elif json_form and a.dtype.kind == "f" and not np.isfinite(a).all():
                 cells.append([json.dumps(v) for v in a.tolist()])
             else:
-                cells.append(a.tolist())
+                cells.append(list(map(repr, a.tolist())))
         return cells
+
+    @staticmethod
+    def _join(template: str, sep: str, cells: list[list[str]]) -> str:
+        """The rows, each template with its cells in the %s slots, joined by sep.
+
+        One join over the cell texts of one or more rows interleaved with the
+        template's literal pieces, not one format per row: slot 2j of a row
+        holds the literal before cell j (the first also ends the row before),
+        slot 2j + 1 the cell.
+        """
+        pieces = template.split("%s")
+        literals = [pieces[-1] + sep + pieces[0], *pieces[1:-1]]
+        width = 2 * len(literals)
+        out = [slot for literal in literals for slot in (literal, None)] * len(cells[0])
+        for j, column in enumerate(cells):
+            out[2 * j + 1::width] = column
+        out[0] = pieces[0]
+        return "".join(out) + pieces[-1]
 
     def json(self, pad: str) -> str:
         """The table as json.dumps(indent=2) writes it at indentation pad."""
@@ -271,12 +289,14 @@ class _Rows:
             row = inner + "{\n" + ",\n".join(fields) + f"\n{inner}}}"
         else:
             row = inner + "[\n" + ",\n".join([cell + "%s"] * len(self.keys)) + f"\n{inner}]"
-        return ("[\n" + ",\n".join(map(row.__mod__, zip(*self._cells(True))))
-                + f"\n{pad}]")
+        return "[\n" + self._join(row, ",\n", self._cells(True)) + f"\n{pad}]"
 
     def csv(self) -> list[str]:
-        row = ",".join(["%s"] * len(self.keys))
-        return [",".join(self.keys), *map(row.__mod__, zip(*self._cells(False)))]
+        """The header line, then one line per row (a cell holds no newline)."""
+        if not len(self.columns[0]):
+            return [",".join(self.keys)]
+        body = self._join(",".join(["%s"] * len(self.keys)), "\n", self._cells(False))
+        return [",".join(self.keys), *body.split("\n")]
 
 
 def _record_rows(keys: tuple[str, ...], records) -> _Rows:

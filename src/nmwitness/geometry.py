@@ -88,6 +88,7 @@ def convexity_probe(dim: int, eps: float, n_trials: int, seed: int) -> ProbeRepo
         second *= (1.0 - p[a:b])[:, None, None]
         mixed += second
         min_eigs[a:b] = np.linalg.eigvalsh(mixed)[:, 0]
+        del mixed, second  # not alive while the next block is formed
     failures = int(np.count_nonzero(min_eigs < -1e-12))
     return ProbeReport(
         probe_name="convexity",

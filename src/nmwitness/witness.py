@@ -269,7 +269,8 @@ def nearest_mcs_fixed_basis(cn: ChoiMatrix, fam: MarkovianFamily) -> NearestMCSR
 
     The family Choi map C(rates) = C_id + eps * sum_a rate_a Y_a is affine in
     the rate vector, so the projection is a nonnegative least-squares problem
-    with Gram matrix G_ab = Tr(Y_a Y_b).
+    with Gram matrix G_ab = Tr(Y_a Y_b). The family must carry cn's dim and
+    its (t, eps) tags.
     """
     if fam.dim != cn.dim:
         raise ValueError(
@@ -277,6 +278,9 @@ def nearest_mcs_fixed_basis(cn: ChoiMatrix, fam: MarkovianFamily) -> NearestMCSR
     if fam.eps != cn.eps:
         raise ValueError(
             f"nearest_mcs_fixed_basis: family eps {fam.eps} != Choi eps {cn.eps}")
+    if fam.t != cn.t:
+        raise ValueError(
+            f"nearest_mcs_fixed_basis: family t {fam.t} != Choi t {cn.t}")
     d = cn.dim
     eps = fam.eps
     dirs = dissipator_chois(fam.basis_ops)
@@ -451,6 +455,16 @@ def _sample_blocks(n: int, dim: int) -> list[tuple[int, int]]:
     return [(a, min(a + step, n)) for a in range(0, n, step)]
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=1) of an (r, k) array, as k - 1 elementwise maxima of its
+    columns: numpy reduces each short row in a call of its own, many times
+    slower. A maximum is exact in any order."""
+    peak = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        np.maximum(peak, a[:, j], out=peak)
+    return peak
+
+
 def _row_products(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
     """rows @ m for a (r, k) array, each row rounded alike for every r.
 
@@ -505,12 +519,14 @@ class _SampledGenerators:
         """
         d, n = self.dim, self.counts.size
         d2 = d * d
-        slots = np.arange(d2) < self.counts[:, None]
-        scaled = np.zeros((n, d2, d2), dtype=complex)
-        bras = np.zeros((n, d2, d2), dtype=complex)
+        # Jump a of generator k goes to row k*d^2 + a of the (n*d^2, d^2)
+        # slot arrays: one integer index serves both placements.
+        slots = np.flatnonzero(np.arange(d2) < self.counts[:, None])
+        scaled = np.zeros((n * d2, d2), dtype=complex)
+        bras = np.zeros((n * d2, d2), dtype=complex)
         scaled[slots] = self.rates[:, None] * self.kets
         bras[slots] = self.kets.conj()
-        x = np.matmul(scaled.transpose(0, 2, 1), bras)
+        x = np.matmul(scaled.reshape(n, d2, d2).transpose(0, 2, 1), bras.reshape(n, d2, d2))
         del scaled, bras
         rate_sums = np.add.reduceat(self.rates, self.edges[:-1])
         add_phi(x, -rate_sums)
@@ -546,11 +562,11 @@ class _SampledGenerators:
         starts = self.edges[:-1]
         generator = np.add.reduceat(self.rates * (jumps - w_phi), starts)
         bound = np.add.reduceat(np.abs(self.rates) * (
-            (self.kets.real ** 2 + self.kets.imag ** 2).max(axis=1) + 1.0 / d), starts)
+            _row_max(self.kets.real ** 2 + self.kets.imag ** 2) + 1.0 / d), starts)
         if self.ham is not None:
             hkets = choi_kets(self.ham)
             generator += self.mask * (2.0 * _row_products(hkets, phi_ket @ w).imag)
-            bound += self.mask * (2.0 * np.abs(hkets).max(axis=1) / np.sqrt(d))
+            bound += self.mask * (2.0 * _row_max(np.abs(hkets)) / np.sqrt(d))
         with np.errstate(over="ignore"):
             entries = 1.0 / d + eps * bound
         if not np.isfinite(entries).all():
@@ -571,16 +587,24 @@ def _draw_generators(dim: int, n: int, rng: np.random.Generator, signed: bool = 
     """
     d = dim
     counts = rng.integers(1, d * d + 1, size=n)
-    kets = choi_kets(haar_unitaries(d, int(counts.sum()), rng))
+    # The unitaries as a view of Gram-Schmidt's columns: choi_kets' copy is
+    # the only one.
+    kets = choi_kets(haar_unitaries(d, int(counts.sum()), rng, contiguous=False))
     rates = rng.uniform(0.0, 1.0, size=kets.shape[0])
     if signed:
         rates *= np.where(rng.random(rates.size) < 0.5, 1.0, -1.0)
     if not hamiltonian:
         return _SampledGenerators(d, counts, kets, rates)
     mask = rng.random(n) < 0.5
-    raw = (rng.standard_normal((n, d, d))
-           + 1.0j * rng.standard_normal((n, d, d)))
-    h = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
+    # H = (Z + Z^dag)/2 for Z = a + 1j*b, formed in place: writing the parts
+    # of Z is bit for bit a + 1j*b, and the sum and halving commute exactly.
+    raw = np.empty((n, d, d), dtype=complex)
+    raw.real = rng.standard_normal((n, d, d))
+    raw.imag = rng.standard_normal((n, d, d))
+    h = raw.conj().transpose(0, 2, 1)
+    h += raw
+    h *= 0.5
+    del raw
     h -= (np.einsum("nii->n", h) / d)[:, None, None].real * np.eye(d)
     return _SampledGenerators(d, counts, kets, rates, mask, h)
 
@@ -635,9 +659,10 @@ def uniqueness_check(cn: ChoiMatrix, cm_star: ChoiMatrix, dim: int, eps: float,
                      family: MarkovianFamily | None = None) -> UniquenessResult:
     """Sample the variational inequality Tr[(C_N - C_M*)(C_M - C_M*)] <= 0.
 
-    With family given, samples are drawn from that frozen-basis family
-    (rates uniform on [0, 2]) and the left side is Tr[D (phi - C_M*)] +
-    eps * rates @ [Tr(D Y_a)], D = C_N - C_M*, one (n, m) @ (m,) product;
+    With family given, which must be tagged with eps and cn's t, samples are
+    drawn from that frozen-basis family (rates uniform on [0, 2]) and the
+    left side is Tr[D (phi - C_M*)] + eps * rates @ [Tr(D Y_a)],
+    D = C_N - C_M*, one (n, m) @ (m,) product;
     otherwise the samples are those of `sample_markovian_chois` and Tr(D C_M)
     is contracted with their generators, block by block. No sample is formed
     as a state.
@@ -649,6 +674,11 @@ def uniqueness_check(cn: ChoiMatrix, cm_star: ChoiMatrix, dim: int, eps: float,
                       ("family", dim if family is None else family.dim)):
         if got != dim:
             raise ShapeError(f"uniqueness_check: {name} dim {got} != dim {dim}")
+    if family is not None:
+        if family.eps != eps:
+            raise ValueError(f"uniqueness_check: family eps {family.eps} != eps {eps}")
+        if family.t != cn.t:
+            raise ValueError(f"uniqueness_check: family t {family.t} != Choi t {cn.t}")
     rng = np.random.default_rng(seed)
     diff = cn.matrix - cm_star.matrix
     if family is None:

@@ -8,7 +8,8 @@ extreme-point oracle builds the full pairwise distance matrix, the
 full-GKSL projection oracle is Dykstra's alternating projections, the
 dissipator oracle goes through the np.kron superoperator, the Haar oracles are
 a LAPACK QR with its phases fixed and the first batched Gram-Schmidt with its
-draw formed out of place, and the verification oracles form the whole
+draw formed out of place (and the sampler's draws built from the latter, out
+of place), and the verification oracles form the whole
 (n, d^2, d^2) stack of sampled states, out of place, and contract W with it.
 
 The superoperator helpers (`apply_superop`, `channel_of_choi`), the trace
@@ -227,6 +228,27 @@ def reference_haar_unitaries(dim: int, n: int, rng: np.random.Generator) -> np.n
                      + np.einsum("jn,jn->n", v.imag, v.imag))
         cols[k] = v
     return np.ascontiguousarray(cols.transpose(2, 1, 0))
+
+
+def reference_draw_generators(dim: int, n: int, rng: np.random.Generator,
+                              signed: bool = False, hamiltonian: bool = False) -> dict:
+    """The sampler's draws as first written: jump counts, Choi kets of
+    `reference_haar_unitaries`, rates, signs, and when hamiltonian a mask and
+    H = (Z + Z^dag)/2 with its trace removed, Z = a + 1j*b, every array
+    formed out of place. The sampler must match it byte for byte."""
+    counts = rng.integers(1, dim * dim + 1, size=n)
+    kets = choi_kets(reference_haar_unitaries(dim, int(counts.sum()), rng))
+    rates = rng.uniform(0.0, 1.0, size=kets.shape[0])
+    if signed:
+        rates *= np.where(rng.random(rates.size) < 0.5, 1.0, -1.0)
+    draws = {"counts": counts, "kets": kets, "rates": rates}
+    if hamiltonian:
+        draws["mask"] = rng.random(n) < 0.5
+        raw = (rng.standard_normal((n, dim, dim))
+               + 1.0j * rng.standard_normal((n, dim, dim)))
+        h = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
+        draws["ham"] = h - (np.einsum("nii->n", h) / dim)[:, None, None].real * np.eye(dim)
+    return draws
 
 
 def gram_generators(dim: int, n: int, rng: np.random.Generator,

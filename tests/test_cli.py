@@ -362,6 +362,33 @@ def test_row_writer_matches_json_dumps(rows, keyed):
     assert _Rows(keys, columns, keyed).csv() == ["x,n,ok", *csv_rows]
 
 
+def _per_row_csv(keys, columns):
+    """The CSV lines as the row writer first made them: one %-template per row."""
+    cells = [np.where(c, "true", "false").tolist() if c.dtype == bool else c.tolist()
+             for c in columns]
+    row = ",".join(["%s"] * len(keys))
+    return [",".join(keys), *(row % r for r in zip(*cells))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(_FLOATS, st.integers(-2**63, 2**63 - 1), st.booleans()),
+                     max_size=2),
+       order=st.permutations([0, 1, 2]), width=st.integers(1, 3), keyed=st.booleans(),
+       pad=st.sampled_from(["", "  ", "      "]))
+def test_row_table_join_matches_json_and_per_row_csv(rows, order, width, keyed, pad):
+    # One join over the cells and the template's literal pieces: empty and
+    # one-row tables, any order of float, int and bool columns, any indent.
+    kinds = [("x", float), ("n", np.int64), ("ok", bool)]
+    picked = order[:width]
+    keys = tuple(kinds[i][0] for i in picked)
+    columns = tuple(np.array([r[i] for r in rows], dtype=kinds[i][1]) for i in picked)
+    table = _Rows(keys, columns, keyed)
+    plain = [{k: r[i] for k, i in zip(keys, picked)} if keyed else [r[i] for i in picked]
+             for r in rows]
+    assert table.json(pad) == json.dumps(plain, indent=2).replace("\n", "\n" + pad)
+    assert table.csv() == _per_row_csv(keys, columns)
+
+
 _FINITE_FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-310, 1e16, 1.5e300,

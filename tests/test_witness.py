@@ -186,6 +186,15 @@ def test_fixed_basis_rejects_family_at_another_eps():
         nearest_mcs_fixed_basis(cn, pauli_family(1e-2))
 
 
+def test_fixed_basis_rejects_family_at_another_t():
+    cn = pauli_choi((1.0, 1.0, -0.3))
+    with pytest.raises(ValueError, match=r"family t 5\.0 != Choi t 0\.0"):
+        nearest_mcs_fixed_basis(cn, pauli_family(EPS, t=5.0))
+    # At equal tags away from t = 0 the projection runs, and keeps the tag.
+    res = nearest_mcs_fixed_basis(pauli_choi((1.0, 1.0, -0.3), t=0.7), pauli_family(EPS, t=0.7))
+    assert res.choi_star.t == 0.7
+
+
 # ---------------------------------------------------------------------------
 # full-generator nearest divisible state
 # ---------------------------------------------------------------------------
@@ -585,6 +594,23 @@ def test_uniqueness_rejects_family_of_another_dim():
         uniqueness_check(cn, cn, 3, EPS, 10, seed=1, family=pauli_family(EPS))
 
 
+@pytest.mark.parametrize("family, message", [
+    (pauli_family(1e-2), r"uniqueness_check: family eps 0\.01 != eps 0\.001"),
+    (pauli_family(EPS, t=5.0), r"uniqueness_check: family t 5\.0 != Choi t 0\.0"),
+])
+def test_uniqueness_rejects_family_at_other_tags(family, message):
+    cn = pauli_choi((1.0, 1.0, -0.3))
+    with pytest.raises(ValueError, match=message):
+        uniqueness_check(cn, cn, 2, EPS, 10, seed=1, family=family)
+
+
+def test_uniqueness_accepts_family_at_matching_tags_away_from_zero():
+    cn = pauli_choi((1.0, 1.0, -0.3), t=0.7)
+    fam = pauli_family(EPS, t=0.7)
+    res = nearest_mcs_fixed_basis(cn, fam)
+    assert uniqueness_check(cn, res.choi_star, 2, EPS, 2000, seed=8, family=fam).holds
+
+
 @pytest.mark.parametrize("family", [None, pauli_family(EPS)])
 def test_uniqueness_rejects_states_of_another_dim(family):
     cn = pauli_choi((1.0, 1.0, -0.3))
@@ -610,7 +636,9 @@ def test_uniqueness_check_matches_stack_contraction(dim, eps):
     fam = fixed_basis_family(ops, EPS)
     cm_star = nearest_mcs_fixed_basis(cn, fam).choi_star
     for basis_ops in (None, ops):
-        family = None if basis_ops is None else fam
+        # The check samples the family at the eps it is given, and the
+        # family must carry that tag.
+        family = None if basis_ops is None else fixed_basis_family(ops, eps)
         result = uniqueness_check(cn, cm_star, dim, eps, n, seed, family=family)
         lhs, scale = stack_uniqueness_lhs(cn.matrix, cm_star.matrix, dim, eps, n, seed,
                                           basis_ops)
