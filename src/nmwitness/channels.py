@@ -15,8 +15,9 @@ traceless in the sense vec(I)^dag S = 0.
 
 `haar_unitaries` draws the random jumps of the samplers: complex Ginibre
 matrices orthonormalised in place by batched Gram-Schmidt, no LAPACK call.
-The samplers take the unitaries as a strided view of the finished columns,
-so their Choi kets cost one copy (`choi.choi_kets`), not two.
+The unitaries land in the layout of their Choi kets, so the samplers scale
+them into kets in place (`choi.choi_kets(..., overwrite_a=True)`): the draw
+is the one full array of jumps.
 """
 
 from __future__ import annotations
@@ -155,44 +156,52 @@ def builtin_pauli(gx: RateLike, gy: RateLike, gz: RateLike) -> LindbladGenerator
     )
 
 
-def haar_unitaries(dim: int, n: int, rng: np.random.Generator,
-                   contiguous: bool = True) -> np.ndarray:
+# Bytes of the Gram-Schmidt columns of one block of unitaries: the passes
+# over a block run in cache.
+_COLUMN_BLOCK_BYTES = 1 << 20
+
+
+def haar_unitaries(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """n Haar-random unitaries: the Q of complex Ginibre draws Z = QR.
 
     Columns are orthonormalised in order by batched classical Gram-Schmidt
-    with one reorthogonalisation, a few small einsum passes per column over
-    the whole batch, each subtracted in place. R then has a positive real
-    diagonal, the phase convention that makes Q Haar distributed (Mezzadri,
-    Notices AMS 54, 592 (2007)); it is the Q of a LAPACK QR with its phases
-    fixed the same way. The real and then the imaginary parts of Z are drawn
-    as (n, dim, dim) standard normals and written, scaled, straight into the
-    column layout.
+    with one reorthogonalisation, a few small einsum passes per column, each
+    subtracted in place. R then has a positive real diagonal, the phase
+    convention that makes Q Haar distributed (Mezzadri, Notices AMS 54, 592
+    (2007)); it is the Q of a LAPACK QR with its phases fixed the same way.
+    The real and then the imaginary parts of Z are drawn as (n, dim, dim)
+    standard normals and written, scaled, straight into the result.
 
-    The (n, dim, dim) result is a C-contiguous copy, or with contiguous
-    False a strided view of the column array, the same values without the
-    copy, for a caller that copies them into its own layout anyway
-    (`choi.choi_kets`).
+    The (n, dim, dim) result is a strided view: column k of unitary i is row
+    k of a C-contiguous (dim, dim) block, the layout of the Choi ket vec(U_i)
+    that `choi.choi_kets(..., overwrite_a=True)` scales in place. Gram-Schmidt
+    copies one block of unitaries at a time into a (dim, dim, block) column
+    array, so that each pass runs along the contiguous batch axis, and copies
+    the finished columns back; the draw holds no second full array.
     """
-    # cols[k] is column k of every Z, then of every Q, as a (dim, n) block:
-    # each pass runs along the contiguous batch axis. Scaling by s = 1/sqrt(2)
-    # is bit for bit (re + 1j*im) / sqrt(2), which numpy divides as
-    # (re*s, im*s).
-    cols = np.empty((dim, dim, n), dtype=complex)
+    # vecs[i, k] is column k of unitary i. Scaling by s = 1/sqrt(2) is bit
+    # for bit (re + 1j*im) / sqrt(2), which numpy divides as (re*s, im*s).
+    vecs = np.empty((n, dim, dim), dtype=complex)
+    us = vecs.transpose(0, 2, 1)
     scale = 1.0 / np.sqrt(2.0)
-    for part in (cols.real, cols.imag):
-        np.multiply(rng.standard_normal((n, dim, dim)), scale,
-                    out=part.transpose(2, 1, 0))
-    for k in range(dim):
-        v = cols[k]
-        for _ in range(2 if k else 0):
-            basis = cols[:k]
-            # <b|v> as conj(sum_j b_j conj(v_j)): the same bits as conjugating
-            # the basis (each product and sum only changes sign), through a
-            # (dim, n) temporary rather than a (k, dim, n) one, so the passes
-            # stay below the two arrays of a ket copy.
-            coef = np.einsum("kjn,jn->kn", basis, v.conj())
-            v -= np.einsum("kjn,kn->jn", basis, np.conjugate(coef, out=coef))
-        v /= np.sqrt(np.einsum("jn,jn->n", v.real, v.real)
-                     + np.einsum("jn,jn->n", v.imag, v.imag))
-    us = cols.transpose(2, 1, 0)
-    return np.ascontiguousarray(us) if contiguous else us
+    for part in (us.real, us.imag):
+        np.multiply(rng.standard_normal((n, dim, dim)), scale, out=part)
+    step = max(1, _COLUMN_BLOCK_BYTES // (16 * dim * dim))
+    for a in range(0, n, step):
+        # cols[k] is column k of the block's Z, then of its Q, as a
+        # (dim, block) array.
+        cols = vecs[a:a + step].transpose(1, 2, 0).copy()
+        for k in range(dim):
+            v = cols[k]
+            for _ in range(2 if k else 0):
+                basis = cols[:k]
+                # <b|v> as conj(sum_j b_j conj(v_j)): the same bits as
+                # conjugating the basis (each product and sum only changes
+                # sign), through a (dim, block) temporary rather than a
+                # (k, dim, block) one.
+                coef = np.einsum("kjn,jn->kn", basis, v.conj())
+                v -= np.einsum("kjn,kn->jn", basis, np.conjugate(coef, out=coef))
+            v /= np.sqrt(np.einsum("jn,jn->n", v.real, v.real)
+                         + np.einsum("jn,jn->n", v.imag, v.imag))
+        vecs[a:a + step] = cols.transpose(2, 0, 1)
+    return us

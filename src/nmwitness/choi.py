@@ -34,12 +34,21 @@ def default_classification_tol(eps: float) -> float:
     return max(1e-9, 10.0 * eps * eps)
 
 
-def choi_kets(a: np.ndarray) -> np.ndarray:
+def choi_kets(a: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     """The Choi ket (1 (x) A)|phi> = vec(A)/sqrt(d) of one d x d matrix, or the
-    (..., d^2) kets of a stack: one fresh C-contiguous array, scaled in place."""
+    (..., d^2) kets of a stack: one fresh C-contiguous array, scaled in place.
+
+    With overwrite_a, a writable float or complex stack that is already in
+    the ket layout (its last two axes swapped are C-contiguous, as
+    `channels.haar_unitaries` returns its draws) is scaled in place and the
+    kets are a view of it; any other stack is copied as without it."""
     d = a.shape[-1]
     scale = np.sqrt(d)
-    kets = np.array(np.swapaxes(a, -1, -2), dtype=np.result_type(a, scale), order="C")
+    kets = np.swapaxes(a, -1, -2)
+    dtype = np.result_type(a, scale)
+    if not (overwrite_a and kets.flags.c_contiguous and kets.flags.writeable
+            and kets.dtype == dtype):
+        kets = np.array(kets, dtype=dtype, order="C")
     kets /= scale
     return kets.reshape(a.shape[:-2] + (d * d,))
 

@@ -587,9 +587,9 @@ def _draw_generators(dim: int, n: int, rng: np.random.Generator, signed: bool = 
     """
     d = dim
     counts = rng.integers(1, d * d + 1, size=n)
-    # The unitaries as a view of Gram-Schmidt's columns: choi_kets' copy is
-    # the only one.
-    kets = choi_kets(haar_unitaries(d, int(counts.sum()), rng, contiguous=False))
+    # haar_unitaries lands in the ket layout: the kets are the draw itself,
+    # scaled in place, not a copy of it.
+    kets = choi_kets(haar_unitaries(d, int(counts.sum()), rng), overwrite_a=True)
     rates = rng.uniform(0.0, 1.0, size=kets.shape[0])
     if signed:
         rates *= np.where(rng.random(rates.size) < 0.5, 1.0, -1.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nmwitness import channels
 from nmwitness.channels import (
     LindbladGenerator,
     builtin_dephasing,
@@ -238,16 +239,31 @@ def test_haar_unitaries_are_unitary():
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 @pytest.mark.parametrize("seed", [0, 7, 2024])
 def test_haar_unitaries_match_out_of_place_draw_bytes(dim, seed):
-    # Writing the scaled draws into the column array in place is bit for bit
+    # Writing the scaled draws into the result in place is bit for bit
     # (a + 1j*b) / sqrt(2), and takes the same numbers from the stream.
     for n in (1, 2, 17, 1000):
         rng, ref_rng = np.random.default_rng((seed, n)), np.random.default_rng((seed, n))
         us = haar_unitaries(dim, n, rng)
         ref = reference_haar_unitaries(dim, n, ref_rng)
         assert us.shape == ref.shape == (n, dim, dim)
-        assert us.flags.c_contiguous
         assert us.tobytes() == ref.tobytes()
         assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+@pytest.mark.parametrize("per_block", [1, 7, None])
+def test_haar_unitaries_are_the_same_bits_in_any_blocks(dim, per_block, monkeypatch):
+    # Gram-Schmidt runs one block of unitaries at a time; each unitary gets
+    # the arithmetic of the whole batch, down to a last block of one.
+    if per_block is None:
+        n = 2 * (channels._COLUMN_BLOCK_BYTES // (16 * dim * dim)) + 1
+    else:
+        monkeypatch.setattr(channels, "_COLUMN_BLOCK_BYTES", per_block * 16 * dim * dim)
+        n = 50
+    rng, ref_rng = np.random.default_rng((dim, n)), np.random.default_rng((dim, n))
+    us = haar_unitaries(dim, n, rng)
+    assert us.tobytes() == reference_haar_unitaries(dim, n, ref_rng).tobytes()
+    assert rng.random() == ref_rng.random()
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])

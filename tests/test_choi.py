@@ -138,6 +138,27 @@ def test_choi_kets_are_a_fresh_c_contiguous_copy():
         assert kets.dtype == want.dtype and kets.tobytes() == want.tobytes()
 
 
+def test_choi_kets_overwrite_scales_a_stack_in_the_ket_layout():
+    # A writable float or complex stack whose swapped last axes are
+    # C-contiguous becomes its own kets; any other stack is copied and left as
+    # it was. The bits are those of the copy either way.
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    want = choi_kets(a)
+    in_layout = a.transpose(0, 2, 1).copy().transpose(0, 2, 1)
+    kets = choi_kets(in_layout, overwrite_a=True)
+    assert np.shares_memory(kets, in_layout)
+    assert kets.shape == want.shape and kets.tobytes() == want.tobytes()
+    read_only = a.transpose(0, 2, 1).copy().transpose(0, 2, 1)
+    read_only.flags.writeable = False
+    integers = np.arange(45).reshape(5, 3, 3).transpose(0, 2, 1)
+    for m in (a, read_only, integers, np.eye(3, dtype=int)):
+        before = m.copy()
+        kets = choi_kets(m, overwrite_a=True)
+        assert not np.shares_memory(kets, m) and np.array_equal(m, before)
+        assert kets.tobytes() == choi_kets(m).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # layout pieces of the divisible cone, against dense oracles
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
-"""The Monte-Carlo draws land as Choi kets through one copy.
+"""The Monte-Carlo draws land as Choi kets without a copy.
 
-`witness._draw_generators` takes its kets from a strided view of the
-Gram-Schmidt columns (`haar_unitaries(..., contiguous=False)`) and forms its
-Hamiltonians in place; the contraction takes its row maxima column by
+`witness._draw_generators` scales the unitaries of `haar_unitaries`, which
+land in the ket layout, into its kets in place, and forms its Hamiltonians
+in place; the contraction takes its row maxima column by
 column, and the Gram product places each jump by integer row index. Each
 must give the bits of the out-of-place code it replaced, and leave the
 random stream where that code left it.
@@ -11,8 +11,7 @@ random stream where that code left it.
 import numpy as np
 import pytest
 
-from nmwitness import witness
-from nmwitness.channels import haar_unitaries
+from nmwitness import channels
 from nmwitness.choi import add_phi, choi_kets
 from nmwitness.witness import _draw_generators
 
@@ -49,30 +48,6 @@ def test_draws_match_the_out_of_place_draws(dim, n, signed, hamiltonian):
     assert rng.random() == ref_rng.random()
 
 
-def test_draws_copy_the_gram_schmidt_columns_once(monkeypatch):
-    # The unitaries reach choi_kets as a view of the column array, so the
-    # kets are the only copy of the draw.
-    layouts = []
-
-    def spy(*args, **kwargs):
-        us = haar_unitaries(*args, **kwargs)
-        layouts.append(us.flags.c_contiguous)
-        return us
-
-    monkeypatch.setattr(witness, "haar_unitaries", spy)
-    _draw_generators(3, 20, np.random.default_rng(0))
-    assert layouts == [False]
-
-
-@pytest.mark.parametrize("dim", DIMS)
-def test_column_view_holds_the_contiguous_unitaries(dim):
-    us = haar_unitaries(dim, 40, np.random.default_rng(dim), contiguous=False)
-    ref = haar_unitaries(dim, 40, np.random.default_rng(dim))
-    assert not us.flags.c_contiguous and ref.flags.c_contiguous
-    assert np.ascontiguousarray(us).tobytes() == ref.tobytes()
-    assert choi_kets(us).tobytes() == choi_kets(ref).tobytes()
-
-
 @pytest.mark.parametrize("dim", DIMS)
 @pytest.mark.parametrize("n", SIZES)
 def test_expectation_slack_matches_row_reductions(dim, n):
@@ -105,15 +80,17 @@ def test_dissipators_match_the_mask_placement(dim, n, signed):
     assert gens.dissipators().tobytes() == want.tobytes()
 
 
-# The traced peak of the verify draw at d = 2 and n = 20 000 (about 50 000
-# jumps; numpy 2.4, x86-64) is 6.3 MiB: the Gram-Schmidt columns and the kets
-# copied from them. It was 7.8 MiB when each reorthogonalisation pass
-# allocated a new column and copied it back. The limit sits between the two,
-# closer than the 1.3x of the blocked probes so that the old peak fails. Two
-# copies of the draw also peak at two full arrays, one alive while the next
-# is made, so the single copy is pinned by
-# test_draws_copy_the_gram_schmidt_columns_once instead.
-def test_draw_keeps_its_memory_peak():
-    peak = _traced_peak_mb(
-        lambda: _draw_generators(2, 20_000, np.random.default_rng(1), hamiltonian=True))
-    assert peak < 7.2
+# A draw of N jumps holds one full array of N*d^2 complex numbers: the
+# unitaries, written in the ket layout and scaled into kets in place. While
+# the real or the imaginary parts are drawn it also holds N*d^2 normals, half
+# an array; while Gram-Schmidt runs, one block of columns and its
+# temporaries, under three blocks' bytes. A copy of the draw would hold two
+# full arrays, which at these sizes (about 12 MiB an array) is above the
+# limit. The Hamiltonians are left out: their arrays are per sample.
+@pytest.mark.parametrize("dim, n", [(2, 80_000), (3, 16_000), (4, 6_000)])
+def test_draw_keeps_its_memory_peak(dim, n):
+    jumps = int(np.random.default_rng(1).integers(1, dim * dim + 1, size=n).sum())
+    array_mb = jumps * dim * dim * np.dtype(complex).itemsize / 2 ** 20
+    limit_mb = 1.5 * array_mb + 3 * channels._COLUMN_BLOCK_BYTES / 2 ** 20
+    assert limit_mb < 2 * array_mb
+    assert _traced_peak_mb(lambda: _draw_generators(dim, n, np.random.default_rng(1))) < limit_mb
