@@ -17,11 +17,12 @@ files, reports). Exit codes: 0 ok / fully Markovian, 1 input error,
 2 nothing to witness, 3 non-Markovianity found / violations / probe
 failures, 4 solver did not converge.
 
-A JSON report is byte for byte `json.dumps(payload, indent=2)` plus a
-newline. Its row tables (the `analyze` points and nm_intervals, the
-`geometry` details) are written straight from their columns and witness
-matrices straight from their arrays, one row template per table or matrix;
-the CSV form reads the same columns and arrays.
+A JSON report is `json.dumps(payload, indent=2)` plus a newline, laid out
+by json itself. Its tables (the `analyze` points and nm_intervals, the
+`geometry` details, the witness matrices) reach json only as placeholders:
+each table fills json's own row template, the json.dumps text of a one-row
+skeleton, from its columns or array, and is spliced in where json leaves its
+placeholder. The CSV form is written from the same tables.
 """
 
 from __future__ import annotations
@@ -91,10 +92,6 @@ def matrix_from_pairs(obj, name: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def matrix_to_pairs(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m)]
-
-
 @contextlib.contextmanager
 def _overflow_names(where: str):
     """Floating-point overflow, invalid or divide-by-zero in the body is an
@@ -122,13 +119,17 @@ def _parse_rate(obj, name: str):
             raise SpecError(f"{name}: {exc}") from exc
     if isinstance(obj, dict) and "table" in obj:
         table = obj["table"]
-        if (not isinstance(table, list)
-                or not all(isinstance(p, list) and len(p) == 2 for p in table)):
+        if not isinstance(table, list):
             raise SpecError(f"{name}: table must be a list of [t, value] pairs")
+        for k, p in enumerate(table):
+            # A bool or a numeric string is not a number here, as for a constant.
+            if not (isinstance(p, list) and len(p) == 2 and {type(v) for v in p} <= {int, float}):
+                raise SpecError(f"{name}: table[{k}] {json.dumps(p)} is not a [t, value] "
+                                f"pair of numbers")
         try:
             return TableRate(times=tuple(float(p[0]) for p in table),
                              values=tuple(float(p[1]) for p in table))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise SpecError(f"{name}: {exc}") from exc
     raise SpecError(f"{name}: rate must be a number, expression string or table")
 
@@ -140,6 +141,8 @@ def _read_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise SpecError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"{path}: invalid JSON at byte {exc.pos}: {exc.msg}") from exc
 
@@ -176,12 +179,10 @@ def load_witness_matrix(path: str) -> np.ndarray:
     """Read a witness matrix: a bare pair-matrix or a report carrying one."""
     doc = _read_json(path)
     if isinstance(doc, dict):
-        if "matrix" in doc:
-            doc = doc["matrix"]
-        elif "witnesses" in doc and doc["witnesses"]:
-            doc = doc["witnesses"][0]["matrix"]
-        else:
-            raise SpecError(f"{path}: no witness matrix found")
+        try:
+            doc = doc["matrix"] if "matrix" in doc else doc["witnesses"][0]["matrix"]
+        except (KeyError, IndexError, TypeError):
+            raise SpecError(f"{path}: no witness matrix found") from None
     m = matrix_from_pairs(doc, f"{path}: witness")
     if m.shape[0] != m.shape[1]:
         raise SpecError(f"{path}: witness must be square, got {m.shape}")
@@ -283,25 +284,16 @@ class _Rows:
         """The table as json.dumps(indent=2) writes it at indentation pad."""
         if not len(self.columns[0]):
             return "[]"
-        inner, cell = pad + "  ", pad + "    "
-        if self.keyed:
-            fields = [f"{cell}{json.dumps(key)}: %s" for key in self.keys]
-            row = inner + "{\n" + ",\n".join(fields) + f"\n{inner}}}"
-        else:
-            row = inner + "[\n" + ",\n".join([cell + "%s"] * len(self.keys)) + f"\n{inner}]"
-        return "[\n" + self._join(row, ",\n", self._cells(True)) + f"\n{pad}]"
+        skeleton = dict.fromkeys(self.keys, "%s") if self.keyed else ["%s"] * len(self.keys)
+        row, end = _row_template(skeleton, pad)
+        return "[\n" + self._join(row, ",\n", self._cells(True)) + end
 
-    def csv(self) -> list[str]:
+    def csv(self) -> str:
         """The header line, then one line per row (a cell holds no newline)."""
-        if not len(self.columns[0]):
-            return [",".join(self.keys)]
-        body = self._join(",".join(["%s"] * len(self.keys)), "\n", self._cells(False))
-        return [",".join(self.keys), *body.split("\n")]
-
-
-def _record_rows(keys: tuple[str, ...], records) -> _Rows:
-    """Array rows from a sequence of equal-length records."""
-    return _Rows(keys, tuple(zip(*records)) or ((),) * len(keys), keyed=False)
+        rows = []
+        if len(self.columns[0]):
+            rows = [self._join(",".join(["%s"] * len(self.keys)), "\n", self._cells(False))]
+        return "\n".join([",".join(self.keys), *rows]) + "\n"
 
 
 class _Matrix:
@@ -317,59 +309,71 @@ class _Matrix:
 
     def json(self, pad: str) -> str:
         """The matrix as json.dumps(indent=2) writes its pairs at indentation pad."""
-        rows, pair, cell = pad + "  ", pad + "    ", pad + "      "
-        entry = f"{pair}[\n{cell}%s,\n{cell}%s\n{pair}]"
-        row = f"{rows}[\n" + ",\n".join([entry] * self.matrix.shape[1]) + f"\n{rows}]"
+        row, end = _row_template([["%s", "%s"]] * self.matrix.shape[1], pad)
         # Per matrix row, the real and imaginary parts of its entries in turn.
         cells = np.stack([self.matrix.real, self.matrix.imag], axis=-1)
         cells = cells.reshape(self.matrix.shape[0], -1).tolist()
-        return "[\n" + ",\n".join(row % tuple(r) for r in cells) + f"\n{pad}]"
+        return "[\n" + ",\n".join(row % tuple(r) for r in cells) + end
 
 
-def _json(value, pad: str) -> str:
-    """json.dumps(value, indent=2) as written at indentation pad.
+def _row_template(skeleton, pad: str) -> tuple[str, str]:
+    """The row and the closing text of json.dumps([skeleton], indent=2) at pad.
 
-    Row tables and matrices write themselves, and the lists and objects that
-    hold matrices (a witness report's witnesses) are walked as json's
-    encoder walks them. Any other value is json.dumps(indent=2) shifted to
-    pad, exact because a JSON string never holds a raw newline.
+    Each "%s" string of the skeleton is left as a bare %s slot for a cell.
     """
-    if isinstance(value, (_Rows, _Matrix)):
-        return value.json(pad)
-    inner = pad + "  "
-    if isinstance(value, dict) and any(isinstance(v, _Matrix) for v in value.values()):
-        items = [f"{inner}{json.dumps(key)}: {_json(v, inner)}" for key, v in value.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
-        return "[\n" + ",\n".join(inner + _json(v, inner) for v in value) + f"\n{pad}]"
-    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+    text = json.dumps([skeleton], indent=2).replace("\n", "\n" + pad)
+    text = text.replace('"%s"', "%s")
+    return text[2:-len(pad) - 2], text[-len(pad) - 2:]
+
+
+# The string a table stands in for while json lays out a report.
+_PLACEHOLDER = "\0table\0"
 
 
 def _render_json(payload: dict) -> str:
-    """json.dumps(payload, indent=2) + newline, tables and matrices from their arrays."""
-    items = [f"  {json.dumps(key)}: {_json(value, '  ')}" for key, value in payload.items()]
-    return "{\n" + ",\n".join(items) + "\n}\n"
+    """json.dumps(payload, indent=2) + newline, tables and matrices from their arrays.
+
+    json lays out the payload with a placeholder string for each table,
+    which is then replaced by the table's own text at the indentation of the
+    line that holds it. Table contents never pass through json's encoder.
+    """
+    tables = []
+
+    def hold(value):
+        if not isinstance(value, (_Rows, _Matrix)):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        tables.append(value)
+        return _PLACEHOLDER
+
+    text, *pieces = json.dumps(payload, indent=2, default=hold).split(json.dumps(_PLACEHOLDER))
+    if len(pieces) != len(tables):
+        raise ValueError(f"a report string equals the table placeholder {_PLACEHOLDER!r}")
+    for table, piece in zip(tables, pieces):
+        line = text[text.rfind("\n") + 1:]
+        text += table.json(line[:len(line) - len(line.lstrip(" "))]) + piece
+    return text + "\n"
 
 
 def _render_csv(payload: dict) -> str:
     command = payload["command"]
     if command == "analyze":
-        lines = payload["points"].csv()
+        table = payload["points"]
     elif command == "geometry":
-        lines = payload["details"].csv()
+        table = payload["details"]
     elif command == "verify":
-        lines = ["n_samples,violations,min_expectation",
-                 f"{payload['n_samples']},{payload['violations']},"
-                 f"{payload['min_expectation']!r}"]
+        keys = ("n_samples", "violations", "min_expectation")
+        table = _Rows(keys, tuple([payload[key]] for key in keys))
     elif command == "witness":
-        # Every witness in JSON order, each matrix row by row.
-        lines = _record_rows(
-            ("witness", "row", "col", "re", "im"),
-            [(k, r, c, v.real, v.imag) for k, entry in enumerate(payload["witnesses"])
-             for (r, c), v in np.ndenumerate(entry["matrix"].matrix)]).csv()
+        # Every witness in JSON order, each matrix row by row (ndmin: no
+        # witness at all is an empty table).
+        matrices = np.array([entry["matrix"].matrix for entry in payload["witnesses"]],
+                            ndmin=3)
+        values = matrices.ravel()
+        table = _Rows(("witness", "row", "col", "re", "im"),
+                      (*np.indices(matrices.shape).reshape(3, -1), values.real, values.imag))
     else:
         raise SpecError(f"no CSV rendering for command {command!r}")
-    return "\n".join(lines) + "\n"
+    return table.csv()
 
 
 def emit_report(payload: dict, out_path: str | None, fmt: str) -> None:
@@ -407,7 +411,8 @@ def cmd_analyze(spec_path: str, t0: float, t1: float, steps: int, eps: float,
         "points": _Rows(("t", "min_eigenvalue", "deficit", "is_markovian"),
                         (report.grid, report.min_eigenvalues, report.deficits,
                          report.is_markovian)),
-        "nm_intervals": _record_rows(("start", "end"), report.nm_intervals),
+        "nm_intervals": _Rows(("start", "end"),
+                              tuple(np.reshape(report.nm_intervals, (-1, 2)).T), keyed=False),
         "integrated_measure": report.integrated_measure,
     }
     emit_report(payload, out_path, fmt)
@@ -591,29 +596,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _real(rule: str = "finite", ok=lambda value: True):
-    """argparse type: a finite float that ok accepts; anything else is an input error."""
-    def parse(text: str) -> float:
+def _argument(convert, rule: str, ok):
+    """argparse type: convert(text) where ok accepts it; anything else is an input error."""
+    def parse(text: str):
         try:
-            value = float(text)
-        except ValueError:
-            value = math.nan
-        if not (math.isfinite(value) and ok(value)):
-            raise argparse.ArgumentTypeError(f"expected a {rule} number, got {text!r}")
-        return value
-    return parse
-
-
-_FINITE = _real()
-_EPS = _real("finite positive", lambda value: value > 0)
-_TOL = _real("finite nonnegative", lambda value: value >= 0)
-
-
-def _integer(rule: str, ok):
-    """argparse type: an integer that ok accepts; anything else is an input error."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
             value = None
         if value is None or not ok(value):
@@ -622,9 +609,13 @@ def _integer(rule: str, ok):
     return parse
 
 
-_SEED = _integer("a nonnegative integer", lambda value: value >= 0)
-_DIM = _integer("an integer >= 2", lambda value: value >= 2)
-_COUNT = _integer("a positive integer", lambda value: value >= 1)
+# A NaN fails every comparison, so the bounds below refuse it.
+_FINITE = _argument(float, "a finite number", math.isfinite)
+_EPS = _argument(float, "a finite positive number", lambda value: 0 < value < math.inf)
+_TOL = _argument(float, "a finite nonnegative number", lambda value: 0 <= value < math.inf)
+_SEED = _argument(int, "a nonnegative integer", lambda value: value >= 0)
+_DIM = _argument(int, "an integer >= 2", lambda value: value >= 2)
+_COUNT = _argument(int, "a positive integer", lambda value: value >= 1)
 
 
 @functools.cache

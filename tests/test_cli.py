@@ -23,6 +23,7 @@ from nmwitness.choi import (
 from nmwitness.cli import (
     SpecError,
     _Matrix,
+    _PLACEHOLDER,
     _render_json,
     _Rows,
     build_parser,
@@ -33,7 +34,6 @@ from nmwitness.cli import (
     load_channel_spec,
     load_witness_matrix,
     matrix_from_pairs,
-    matrix_to_pairs,
     main,
 )
 from golden_expressions import INNERMOST_ERRORS
@@ -52,6 +52,11 @@ SY = [[[0.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]]]
 def write_spec(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def matrix_to_pairs(m):
+    """The [[ [re, im], ... ], ...] literal of a complex matrix, as json writes it."""
+    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m)]
 
 
 def dephasing_spec(rate):
@@ -102,9 +107,20 @@ def test_load_channel_spec_with_hamiltonian(tmp_path):
                                      [[0.0, 0.0], [0.0, 0.0]]]), "Hermitian"),
     *(pytest.param(lambda d, r=rate: d["ops"][0].update(rate=r),
                    rf"ops\[0\]\.rate: .*{fragment}", id=name)
-      for name, rate, fragment in (("nan", math.nan, "non-finite"),
-                                   ("inf", math.inf, "non-finite"),
-                                   ("huge-int", 10 ** 400, "too large"))),
+      for name, rate, fragment in (
+          ("nan", math.nan, "non-finite"),
+          ("inf", math.inf, "non-finite"),
+          ("huge-int", 10 ** 400, "too large"),
+          # A table entry that is not a number is refused by name, as a
+          # constant rate is: not a TypeError from float(), nor a bool or a
+          # string read as a number.
+          ("table-null", {"table": [[0, None], [1, 2]]}, r"table\[0\] \[0, null\] is not"),
+          ("table-list", {"table": [[0, [1]], [1, 2]]}, r"table\[0\] \[0, \[1\]\] is not"),
+          ("table-bool", {"table": [[0, True], [1, 2]]}, r"table\[0\] \[0, true\] is not"),
+          ("table-string", {"table": [[0, "1.5"], [1, 2]]}, r'table\[0\] \[0, "1.5"\] is not'),
+          ("table-null-time", {"table": [[0, 1], [None, 2]]}, r"table\[1\] \[null, 2\] is not"),
+          ("table-triple", {"table": [[0, 1], [1, 2, 3]]}, r"table\[1\] \[1, 2, 3\] is not"),
+          ("table-huge-int", {"table": [[0, 10 ** 400], [1, 2]]}, "too large"))),
 ])
 def test_load_channel_spec_errors(tmp_path, mutate, fragment):
     doc = dephasing_spec(1.0)
@@ -119,6 +135,27 @@ def test_load_channel_spec_bad_json(tmp_path):
     path.write_text('{"dim": 2,,}')
     with pytest.raises(SpecError, match="byte"):
         load_channel_spec(str(path))
+
+
+def test_a_file_that_is_not_utf8_is_named(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"dim": 2, "note": "\xff"}')
+    with pytest.raises(SpecError, match="latin1.json: not UTF-8 text"):
+        load_channel_spec(str(path))
+    assert main(["verify", "--witness", str(path), "--n", "5", "--seed", "1"]) == 1
+    assert capsys.readouterr().err.startswith(f"nmwitness: error: {path}: not UTF-8 text: ")
+
+
+@pytest.mark.parametrize("witnesses", [[{}], [1], 5, "x", [], [["matrix"]]],
+                         ids=["empty-object", "number-entry", "number", "string",
+                              "empty-list", "list-entry"])
+def test_witness_file_without_a_matrix_is_an_input_error(tmp_path, capsys, witnesses):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"witnesses": witnesses}))
+    with pytest.raises(SpecError, match="no witness matrix found"):
+        load_witness_matrix(str(path))
+    assert main(["verify", "--witness", str(path), "--n", "5", "--seed", "1"]) == 1
+    assert capsys.readouterr().err == f"nmwitness: error: {path}: no witness matrix found\n"
 
 
 def test_matrix_pairs_roundtrip():
@@ -359,15 +396,15 @@ def test_row_writer_matches_json_dumps(rows, keyed):
     text = _render_json({**head, "table": _Rows(keys, columns, keyed), "tail": 1e-300})
     assert text == json.dumps({**head, "table": plain_rows, "tail": 1e-300}, indent=2) + "\n"
     csv_rows = [f"{x!r},{n},{'true' if ok else 'false'}" for x, n, ok in rows]
-    assert _Rows(keys, columns, keyed).csv() == ["x,n,ok", *csv_rows]
+    assert _Rows(keys, columns, keyed).csv() == "\n".join(["x,n,ok", *csv_rows]) + "\n"
 
 
 def _per_row_csv(keys, columns):
-    """The CSV lines as the row writer first made them: one %-template per row."""
+    """The CSV text as the row writer first made it: one %-template per row."""
     cells = [np.where(c, "true", "false").tolist() if c.dtype == bool else c.tolist()
              for c in columns]
     row = ",".join(["%s"] * len(keys))
-    return [",".join(keys), *(row % r for r in zip(*cells))]
+    return "\n".join([",".join(keys), *(row % r for r in zip(*cells))]) + "\n"
 
 
 @settings(max_examples=200, deadline=None)
@@ -417,6 +454,78 @@ def test_witness_matrix_writer_matches_json_dumps(dim, pool, seed, count):
 
     text = _render_json(payload(_Matrix))
     assert text == json.dumps(payload(matrix_to_pairs), indent=2) + "\n"
+
+
+def _is_json_fixed_point(text):
+    return text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_every_command_writes_a_json_fixed_point(tmp_path):
+    # Every command's report, at tiny sizes, is exactly what json.dumps(indent=2)
+    # writes for its own parse: the tables spliced in where json left them.
+    specs = {"cos": dephasing_spec("cos(t)"), "flat": dephasing_spec(1.0),
+             "two": pauli_spec(1.0, -0.3, -0.5), "pauli": pauli_spec(1.0, 1.0, -0.3)}
+    paths = {name: write_spec(tmp_path / f"{name}.json", doc) for name, doc in specs.items()}
+    runs = {
+        "analyze-nm": (["analyze", "--spec", paths["cos"], "--t1", "3.2", "--steps", "40"], 3),
+        "analyze-flat": (["analyze", "--spec", paths["flat"], "--t1", "1", "--steps", "5"], 0),
+        "spectral": (["witness", "--spec", paths["two"]], 0),
+        "fixed": (["witness", "--spec", paths["pauli"], "--mode", "theorem3-fixed"], 0),
+        "gksl": (["witness", "--spec", paths["pauli"], "--mode", "theorem3-gksl"], 0),
+        "verify": (["verify", "--witness", str(tmp_path / "gksl.out"), "--n", "20",
+                    "--seed", "1"], 0),
+        **{probe: (["geometry", "--probe", probe, "--n", "20", "--seed", "1"], 0)
+           for probe in ("convexity", "hsnorm", "extreme", "separation")},
+    }
+    for name, (argv, code) in runs.items():
+        out = tmp_path / f"{name}.out"
+        assert main([*argv, "--out", str(out)]) == code, name
+        assert _is_json_fixed_point(out.read_text()), name
+    report = json.loads((tmp_path / "analyze-nm.out").read_text())
+    assert report["nm_intervals"] and not json.loads(
+        (tmp_path / "analyze-flat.out").read_text())["nm_intervals"]
+    assert len(json.loads((tmp_path / "spectral.out").read_text())["witnesses"]) == 2
+
+
+def _table_and_plain(n_rows, keyed):
+    keys = ("x", "ok")
+    rows = [(0.5 * k - 1.0, k % 2 == 0) for k in range(n_rows)]
+    columns = (np.array([r[0] for r in rows], dtype=float), np.array([r[1] for r in rows]))
+    plain = [dict(zip(keys, r)) if keyed else list(r) for r in rows]
+    return _Rows(keys, columns, keyed), plain
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 3])
+@pytest.mark.parametrize("keyed", [True, False])
+def test_tables_splice_at_any_depth(n_rows, keyed):
+    # A table at the top level, as an object's value, as a list item and inside
+    # a list of objects, beside matrices and plain values.
+    table, plain = _table_and_plain(n_rows, keyed)
+    m = np.array([[1.0 + 2.0j, -0.0], [3e-310, 1e22 - 1j]])
+
+    def shaped(t, mat):
+        return {"head": {"t": t, "n": 1, "inner": {"t": t}},
+                "items": [t, {"t": t, "m": mat}, {"m": mat, "note": "a\nb"}],
+                "empty": [], "tail": t}
+
+    assert _render_json(table) == json.dumps(plain, indent=2) + "\n"
+    assert (_render_json(shaped(table, _Matrix(m)))
+            == json.dumps(shaped(plain, matrix_to_pairs(m)), indent=2) + "\n")
+
+
+def test_splice_refuses_what_is_neither_a_table_nor_json():
+    table, _ = _table_and_plain(2, True)
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        _render_json({"t": table, "flag": np.bool_(True)})
+
+
+@pytest.mark.parametrize("where", ["value", "key", "tables-too"])
+def test_a_string_equal_to_the_placeholder_is_not_spliced_over(where):
+    table, _ = _table_and_plain(2, False)
+    payload = {"value": {"x": _PLACEHOLDER}, "key": {_PLACEHOLDER: 1},
+               "tables-too": {"a": table, "x": [_PLACEHOLDER], "b": table}}[where]
+    with pytest.raises(ValueError, match="placeholder"):
+        _render_json(payload)
 
 
 def test_witness_csv_matches_json(tmp_path):
