@@ -456,10 +456,6 @@ def test_witness_matrix_writer_matches_json_dumps(dim, pool, seed, count):
     assert text == json.dumps(payload(matrix_to_pairs), indent=2) + "\n"
 
 
-def _is_json_fixed_point(text):
-    return text == json.dumps(json.loads(text), indent=2) + "\n"
-
-
 def test_every_command_writes_a_json_fixed_point(tmp_path):
     # Every command's report, at tiny sizes, is exactly what json.dumps(indent=2)
     # writes for its own parse: the tables spliced in where json left them.
@@ -480,7 +476,8 @@ def test_every_command_writes_a_json_fixed_point(tmp_path):
     for name, (argv, code) in runs.items():
         out = tmp_path / f"{name}.out"
         assert main([*argv, "--out", str(out)]) == code, name
-        assert _is_json_fixed_point(out.read_text()), name
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", name
     report = json.loads((tmp_path / "analyze-nm.out").read_text())
     assert report["nm_intervals"] and not json.loads(
         (tmp_path / "analyze-flat.out").read_text())["nm_intervals"]
