@@ -176,9 +176,12 @@ def load_channel_spec(path: str) -> LindbladGenerator:
 
 
 def load_witness_matrix(path: str) -> np.ndarray:
-    """Read a witness matrix: a bare pair-matrix or a report carrying one."""
+    """Read a witness matrix: a bare pair-matrix or a report carrying one witness."""
     doc = _read_json(path)
     if isinstance(doc, dict):
+        witnesses = doc.get("witnesses")
+        if "matrix" not in doc and isinstance(witnesses, list) and len(witnesses) > 1:
+            raise SpecError(f"{path}: holds {len(witnesses)} witnesses; verify checks one")
         try:
             doc = doc["matrix"] if "matrix" in doc else doc["witnesses"][0]["matrix"]
         except (KeyError, IndexError, TypeError):
@@ -397,9 +400,9 @@ def emit_report(payload: dict, out_path: str | None, fmt: str) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_analyze(spec_path: str, t0: float, t1: float, steps: int, eps: float,
-                out_path: str | None, fmt: str, tol: float | None = None) -> int:
-    gen = load_channel_spec(spec_path)
+def cmd_analyze(spec: str, t0: float, t1: float, steps: int, eps: float,
+                out: str | None, fmt: str, tol: float | None = None) -> int:
+    gen = load_channel_spec(spec)
     report = scan(gen, t0, t1, steps, eps, tol)
     payload = {
         "command": "analyze",
@@ -415,7 +418,7 @@ def cmd_analyze(spec_path: str, t0: float, t1: float, steps: int, eps: float,
                               tuple(np.reshape(report.nm_intervals, (-1, 2)).T), keyed=False),
         "integrated_measure": report.integrated_measure,
     }
-    emit_report(payload, out_path, fmt)
+    emit_report(payload, out, fmt)
     return 3 if report.nm_intervals else 0
 
 
@@ -434,75 +437,82 @@ def _nothing_to_witness() -> int:
     return 2
 
 
-def cmd_witness(spec_path: str, t: float, eps: float, mode: str,
-                out_path: str | None, fmt: str, tol: float | None = None) -> int:
-    if mode not in ("spectral", "theorem3-fixed", "theorem3-gksl"):
+def _spectral(gen, cn, t, eps, tol) -> tuple[dict, int]:
+    return {"witnesses": [_witness_entry(w, cn) for w in spectral_witnesses(cn, tol)]}, 0
+
+
+def _theorem3(cn: ChoiMatrix, result, **fields) -> dict:
+    """fields, then the Theorem-3 witness of a projection result and the result's own."""
+    w = theorem3_witness(cn, result.choi_star)
+    return {**fields, "witnesses": [_witness_entry(w, cn)], "residual": result.residual,
+            "c0": w.c0, "kkt_ok": result.kkt_ok, "iterations": result.iterations}
+
+
+def _theorem3_fixed(gen, cn, t, eps, tol) -> tuple[dict, int]:
+    result = nearest_mcs_fixed_basis(cn, fixed_basis_family(gen.ops, eps, t))
+    return _theorem3(cn, result, rates=[float(g) for g in result.rates]), 0
+
+
+def _theorem3_gksl(gen, cn, t, eps, tol) -> tuple[dict, int]:
+    result = nearest_mcs_full_gksl(cn)
+    return _theorem3(cn, result), 0 if result.kkt_ok else 4
+
+
+# Witness mode -> builder(gen, cn, t, eps, tol) of the report fields and the
+# exit code for a non-Markovian target cn.
+_WITNESS_MODES = {"spectral": _spectral, "theorem3-fixed": _theorem3_fixed,
+                  "theorem3-gksl": _theorem3_gksl}
+
+
+def cmd_witness(spec: str, t0: float, eps: float, mode: str,
+                out: str | None, fmt: str, tol: float | None = None) -> int:
+    if mode not in _WITNESS_MODES:
         raise SpecError(f"unknown witness mode {mode!r}")
-    gen = load_channel_spec(spec_path)
+    gen = load_channel_spec(spec)
     # A target whose numbers leave the double range (rates near 1e308) is an
     # input error naming (t, eps) in every mode.
-    with _overflow_names(f"witness: {mode} at t={t}, eps={eps}"):
-        cn = choi_of_generator(gen, t, eps)
+    with _overflow_names(f"witness: {mode} at t={t0}, eps={eps}"):
+        cn = choi_of_generator(gen, t0, eps)
         verdict = classify(cn, tol)
-        payload = {
-            "command": "witness",
-            "metadata": _metadata(None, eps),
-            "mode": mode,
-            "t": t,
-            "classification": {
-                "min_eigenvalue": verdict.min_eigenvalue,
-                "deficit": verdict.trace_norm_deficit,
-                "is_markovian": verdict.is_markovian,
-            },
-        }
         if verdict.is_markovian:
             return _nothing_to_witness()
-        exit_code = 0
-        if mode == "spectral":
-            witnesses = spectral_witnesses(cn, tol)
-            payload["witnesses"] = [_witness_entry(w, cn) for w in witnesses]
-        else:
-            if mode == "theorem3-fixed":
-                fam = fixed_basis_family(gen.ops, eps, t)
-                result = nearest_mcs_fixed_basis(cn, fam)
-                payload["rates"] = [float(g) for g in result.rates]
-            else:
-                result = nearest_mcs_full_gksl(cn)
-                if not result.kkt_ok:
-                    exit_code = 4
-            w = theorem3_witness(cn, result.choi_star)
-            payload["witnesses"] = [_witness_entry(w, cn)]
-            payload["residual"] = result.residual
-            payload["c0"] = w.c0
-            payload["kkt_ok"] = result.kkt_ok
-            payload["iterations"] = result.iterations
-    emit_report(payload, out_path, fmt)
+        fields, exit_code = _WITNESS_MODES[mode](gen, cn, t0, eps, tol)
+    payload = {
+        "command": "witness",
+        "metadata": _metadata(None, eps),
+        "mode": mode,
+        "t": t0,
+        "classification": {
+            "min_eigenvalue": verdict.min_eigenvalue,
+            "deficit": verdict.trace_norm_deficit,
+            "is_markovian": verdict.is_markovian,
+        },
+        **fields,
+    }
+    emit_report(payload, out, fmt)
     return exit_code
 
 
-def cmd_verify(witness_path: str, eps: float, n: int, seed: int,
-               out_path: str | None, fmt: str) -> int:
-    if n < 1:
-        raise SpecError(f"n must be >= 1, got {n}")
-    matrix = load_witness_matrix(witness_path)
+def cmd_verify(witness: str, eps: float, n: int, seed: int, out: str | None, fmt: str) -> int:
+    matrix = load_witness_matrix(witness)
     dim = int(round(np.sqrt(matrix.shape[0])))
     if dim * dim != matrix.shape[0] or dim < 2:
         raise SpecError(
             f"witness of shape {matrix.shape} is not a d^2 x d^2 matrix with d >= 2")
-    w = WitnessOperator(matrix=matrix, kind="theorem3", provenance=f"file:{witness_path}")
+    w = WitnessOperator(matrix=matrix, kind="theorem3", provenance=f"file:{witness}")
     # eps near the top of the double range overflows the sampled states.
     with _overflow_names(f"verify: d={dim}, eps={eps}"):
         result = verify_witness(w, dim, eps, n, seed)
     payload = {
         "command": "verify",
         "metadata": _metadata(seed, eps),
-        "witness_path": witness_path,
+        "witness_path": witness,
         "dim": dim,
         "n_samples": n,
         "violations": result.violations,
         "min_expectation": result.min_expectation,
     }
-    emit_report(payload, out_path, fmt)
+    emit_report(payload, out, fmt)
     return 0 if result.violations == 0 else 3
 
 
@@ -522,41 +532,42 @@ def _probe_payload(report: ProbeReport, seed: int, eps: float) -> dict:
     return payload
 
 
+# Sampled probe name -> probe(dim, eps, n, seed). Each looks its probe up in
+# this module when called, so a wrapper put in its place here is what runs.
+_SAMPLED_PROBES = {
+    "convexity": lambda *args: convexity_probe(*args),
+    "hsnorm": lambda *args: hs_norm_probe(*args),
+    "extreme": lambda *args: extreme_point_probe(*args),
+}
+
+
 def cmd_geometry(probe: str, dim: int | None, eps: float, n: int, seed: int,
-                 out_path: str | None, fmt: str,
-                 spec_path: str | None = None, t: float = 0.0) -> int:
+                 out: str | None, fmt: str, spec: str | None = None, t0: float = 0.0) -> int:
     """Run one probe. dim None is 2, or for separation the target's dimension,
     which an explicit dim must match. A separation target that classifies as
     Markovian has nothing to separate: exit 2 with no report, as witness does."""
     if probe == "separation":
-        if spec_path is not None:
-            gen = load_channel_spec(spec_path)
-        else:
-            # Default demonstration instance: a Pauli channel with one
-            # negative rate, non-Markovian at every time.
-            gen = builtin_pauli(1.0, 1.0, -0.3)
+        # Default demonstration instance: a Pauli channel with one negative
+        # rate, non-Markovian at every time.
+        gen = builtin_pauli(1.0, 1.0, -0.3) if spec is None else load_channel_spec(spec)
         if dim is not None and dim != gen.dim:
             raise SpecError(f"--dim {dim} differs from the separation target's "
                             f"dimension {gen.dim}")
         dim = gen.dim
-    elif dim is None:
-        dim = 2
+
+        def run(dim, eps, n, seed):
+            return separation_demo(choi_of_generator(gen, t0, eps), n, seed)
+    elif probe in _SAMPLED_PROBES:
+        run, dim = _SAMPLED_PROBES[probe], 2 if dim is None else dim
+    else:
+        raise SpecError(f"unknown probe {probe!r}")
     # eps near the top of the double range overflows the sampled states.
     with _overflow_names(f"geometry: {probe} probe at d={dim}, eps={eps}"):
-        if probe == "convexity":
-            report = convexity_probe(dim, eps, n, seed)
-        elif probe == "hsnorm":
-            report = hs_norm_probe(dim, eps, n, seed)
-        elif probe == "extreme":
-            report = extreme_point_probe(dim, eps, n, seed)
-        elif probe == "separation":
-            try:
-                report = separation_demo(choi_of_generator(gen, t, eps), n, seed)
-            except MarkovianTargetError:
-                return _nothing_to_witness()
-        else:
-            raise SpecError(f"unknown probe {probe!r}")
-    emit_report(_probe_payload(report, seed, eps), out_path, fmt)
+        try:
+            report = run(dim, eps, n, seed)
+        except MarkovianTargetError:
+            return _nothing_to_witness()
+    emit_report(_probe_payload(report, seed, eps), out, fmt)
     return 0 if report.failures == 0 else 3
 
 
@@ -622,8 +633,9 @@ _COUNT = _argument(int, "a positive integer", lambda value: value >= 1)
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared by every later one.
 
-    Building it takes about ten times as long as a parse (argparse makes a
-    HelpFormatter for each argument), a large share of a small witness's
+    A subcommand's parse fills its handler's parameters and names the handler
+    `run`. Building takes about ten times as long as a parse (argparse makes
+    a HelpFormatter for each argument), a large share of a small witness's
     cost. Reuse carries no state between calls: each parse fills a fresh
     namespace.
     """
@@ -632,68 +644,53 @@ def build_parser() -> argparse.ArgumentParser:
                                  "detect and witness non-Markovianity.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="scan a time window for divisibility breaking")
-    p.add_argument("--spec", required=True, help="channel spec JSON")
-    p.add_argument("--t0", type=_FINITE, default=0.0)
-    p.add_argument("--t1", type=_FINITE, required=True)
-    p.add_argument("--steps", type=_COUNT, required=True)
-    p.add_argument("--eps", type=_EPS, default=1e-3)
-    p.add_argument("--tol", type=_TOL, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    def command(name: str, run, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("witness", help="build a witness at one instant")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--t0", type=_FINITE, default=0.0, help="time of the snapshot")
-    p.add_argument("--eps", type=_EPS, default=1e-3)
-    p.add_argument("--tol", type=_TOL, default=None)
-    p.add_argument("--mode", default="spectral",
-                   help="spectral | theorem3-fixed | theorem3-gksl")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    analyze = command("analyze", cmd_analyze, "scan a time window for divisibility breaking")
+    analyze.add_argument("--spec", required=True, help="channel spec JSON")
+    analyze.add_argument("--t0", type=_FINITE, default=0.0)
+    analyze.add_argument("--t1", type=_FINITE, required=True)
+    analyze.add_argument("--steps", type=_COUNT, required=True)
+    analyze.add_argument("--tol", type=_TOL, default=None)
 
-    p = sub.add_parser("verify", help="Monte-Carlo check a witness file")
-    p.add_argument("--witness", required=True, help="witness JSON (bare matrix "
-                   "or a witness report)")
-    p.add_argument("--eps", type=_EPS, default=1e-3)
-    p.add_argument("--n", type=_COUNT, required=True)
-    p.add_argument("--seed", type=_SEED, required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    witness = command("witness", cmd_witness, "build a witness at one instant")
+    witness.add_argument("--spec", required=True)
+    witness.add_argument("--t0", type=_FINITE, default=0.0, help="time of the snapshot")
+    witness.add_argument("--tol", type=_TOL, default=None)
+    witness.add_argument("--mode", choices=_WITNESS_MODES, default="spectral")
 
-    p = sub.add_parser("geometry", help="run a convex-geometry probe")
-    p.add_argument("--probe", required=True,
-                   help="convexity | hsnorm | extreme | separation")
-    p.add_argument("--dim", type=_DIM, default=None,
-                   help="default 2; separation: the target's dimension, which "
-                        "--dim must match")
-    p.add_argument("--eps", type=_EPS, default=1e-3)
-    p.add_argument("--n", type=_COUNT, required=True)
-    p.add_argument("--seed", type=_SEED, required=True)
-    p.add_argument("--spec", default=None,
-                   help="separation only: channel supplying the target state")
-    p.add_argument("--t0", type=_FINITE, default=0.0)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    verify = command("verify", cmd_verify, "Monte-Carlo check a witness file")
+    verify.add_argument("--witness", required=True,
+                        help="witness JSON (bare matrix or a one-witness report)")
+
+    geometry = command("geometry", cmd_geometry, "run a convex-geometry probe")
+    geometry.add_argument("--probe", required=True, choices=(*_SAMPLED_PROBES, "separation"))
+    geometry.add_argument("--dim", type=_DIM, default=None,
+                          help="default 2; separation: the target's dimension, which "
+                               "--dim must match")
+    geometry.add_argument("--spec", default=None,
+                          help="separation only: channel supplying the target state")
+    geometry.add_argument("--t0", type=_FINITE, default=0.0)
+
+    for p in (verify, geometry):
+        p.add_argument("--n", type=_COUNT, required=True)
+        p.add_argument("--seed", type=_SEED, required=True)
+    for p in sub.choices.values():
+        p.add_argument("--eps", type=_EPS, default=1e-3)
+        p.add_argument("--out", default=None)
+        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    del args["command"]
+    run = args.pop("run")
     try:
-        if args.command == "analyze":
-            return cmd_analyze(args.spec, args.t0, args.t1, args.steps, args.eps,
-                               args.out, args.format, args.tol)
-        if args.command == "witness":
-            return cmd_witness(args.spec, args.t0, args.eps, args.mode,
-                               args.out, args.format, args.tol)
-        if args.command == "verify":
-            return cmd_verify(args.witness, args.eps, args.n, args.seed,
-                              args.out, args.format)
-        if args.command == "geometry":
-            return cmd_geometry(args.probe, args.dim, args.eps, args.n, args.seed,
-                                args.out, args.format, args.spec, args.t0)
-        raise SpecError(f"unknown command {args.command!r}")
+        return run(**args)
     except (SpecError, RateParseError, RateEvalError, ValueError) as exc:
         print(f"nmwitness: error: {exc}", file=sys.stderr)
         return 1

@@ -3,9 +3,11 @@
 Convexity is literally assertable (mixtures of divisible first-order Chois
 stay positive semidefinite); compactness is probed only through the
 boundedness surrogate |  ||C||_2 - 1 | <= 10 eps ||L||_2 (closedness is not
-numerically testable and is not claimed by any probe); the non-polytope
-evidence is a census of arbitrarily many distinct purity-one extreme points
-from Haar-random unitary channels.
+numerically testable and is not claimed by any probe). The census of
+distinct purity-one Choi states of Haar-random unitary channels shows that
+the set of all channels is not a polytope. Those states lie in the divisible
+family only because every CPTP Choi state does, and the census never reads
+eps, so it does not show this for the divisible (Markovian) set.
 """
 
 from __future__ import annotations
@@ -176,8 +178,11 @@ def extreme_point_probe(dim: int, eps: float, n_unitaries: int,
     Every unitary-channel Choi must have purity 1 within 1e-10 and all pairs
     must stay HS-separated by more than 1e-8; each purity deviation and each
     coincident pair counts as a failure. worst_value is the smallest pairwise
-    distance. A growing census of distinct purity-one members is the
-    assertable surrogate for the set not being a polytope.
+    distance. The members are Choi states of unitary channels: they lie in
+    the divisible family only because every CPTP Choi state does, and eps is
+    not read. A growing census of distinct purity-one members therefore
+    shows that the set of all channels is not a polytope, not that the
+    divisible set is not one.
 
     The purities are read from the pure Choi states one block of trials at a
     time (`_sample_blocks`). Pure states lie sqrt(2 - 2|<u|v>|^2) apart,

@@ -609,22 +609,20 @@ def _draw_generators(dim: int, n: int, rng: np.random.Generator, signed: bool = 
     return _SampledGenerators(d, counts, kets, rates, mask, h)
 
 
-def sample_markovian_chois(dim: int, eps: float, n_samples: int, seed: int,
-                           include_hamiltonian: bool = True) -> np.ndarray:
+def sample_markovian_chois(dim: int, eps: float, n_samples: int, seed: int) -> np.ndarray:
     """Batch of first-order Choi states of random divisible generators.
 
     Per sample: 1..dim^2 Haar-unitary jump operators with rates uniform on
-    [0, 1]; when include_hamiltonian is set, about half the samples also carry
-    a random traceless Hamiltonian (the "unitary part"). All draws come from
-    one seeded stream in a fixed order (`_draw_generators`), so output is
-    reproducible. Returns the (n_samples, dim^2, dim^2) complex stack
-    phi + eps*(C_H + X): the whole batch as one range, which the probes walk
-    in blocks.
+    [0, 1]; about half the samples also carry a random traceless Hamiltonian
+    (the "unitary part"). All draws come from one seeded stream in a fixed
+    order (`_draw_generators`), so output is reproducible. Returns the
+    (n_samples, dim^2, dim^2) complex stack phi + eps*(C_H + X): the whole
+    batch as one range, which the probes walk in blocks.
     """
     if n_samples < 1:
         raise ValueError(f"sample_markovian_chois: n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
-    return _draw_generators(dim, n_samples, rng, hamiltonian=include_hamiltonian).states(eps)
+    return _draw_generators(dim, n_samples, rng, hamiltonian=True).states(eps)
 
 
 def verify_witness(w: WitnessOperator, dim: int, eps: float, n_samples: int,

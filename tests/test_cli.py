@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import math
 import os
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nmwitness
-from nmwitness import choi
+from nmwitness import choi, cli
 from nmwitness.channels import builtin_pauli
 from nmwitness.choi import (
     choi_of_generator,
@@ -156,6 +158,30 @@ def test_witness_file_without_a_matrix_is_an_input_error(tmp_path, capsys, witne
         load_witness_matrix(str(path))
     assert main(["verify", "--witness", str(path), "--n", "5", "--seed", "1"]) == 1
     assert capsys.readouterr().err == f"nmwitness: error: {path}: no witness matrix found\n"
+
+
+def test_verify_refuses_a_report_of_several_witnesses(tmp_path, capsys):
+    # The spectral report of this target holds two witnesses; verify would
+    # check one of them without saying which, so it checks none.
+    spec = write_spec(tmp_path / "s.json", pauli_spec(1.0, -0.3, -0.5))
+    report = tmp_path / "w.json"
+    assert main(["witness", "--spec", spec, "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert len(doc["witnesses"]) == 2
+    with pytest.raises(SpecError, match="holds 2 witnesses"):
+        load_witness_matrix(str(report))
+    verify = ["verify", "--n", "50", "--seed", "1", "--out", str(tmp_path / "v.json")]
+    assert main(verify + ["--witness", str(report)]) == 1
+    assert capsys.readouterr().err == f"nmwitness: error: {report}: holds 2 witnesses; " \
+                                      f"verify checks one\n"
+    # Each witness on its own, as a one-witness report or a bare matrix, verifies.
+    for entry in doc["witnesses"]:
+        for one in ({**doc, "witnesses": [entry]}, entry["matrix"]):
+            path = tmp_path / "one.json"
+            path.write_text(json.dumps(one))
+            assert np.array_equal(load_witness_matrix(str(path)),
+                                  matrix_from_pairs(entry["matrix"], "witness"))
+            assert main(verify + ["--witness", str(path)]) == 0
 
 
 def test_matrix_pairs_roundtrip():
@@ -577,7 +603,7 @@ def test_geometry_separation_with_spec(tmp_path):
     nm_spec = write_spec(tmp_path / "nm.json", pauli_spec(1.0, 1.0, -0.3))
     out = tmp_path / "sep.json"
     code = cmd_geometry("separation", 2, 1e-3, 200, 4, str(out), "json",
-                        spec_path=nm_spec, t=0.0)
+                        spec=nm_spec, t0=0.0)
     assert code == 0
     assert json.loads(out.read_text())["failures"] == 0
 
@@ -611,7 +637,7 @@ def test_geometry_separation_classifies_its_target_once(tmp_path, monkeypatch, r
     spec = write_spec(tmp_path / "s.json", pauli_spec(*rates))
     out = tmp_path / "sep.json"
     assert cmd_geometry("separation", None, 1e-3, 20, 4, str(out), "json",
-                        spec_path=spec) == code
+                        spec=spec) == code
     assert len(calls) == 1
     assert out.exists() == (code == 0)
 
@@ -951,6 +977,72 @@ def test_help_matches_a_freshly_built_parser(capsys, command):
         texts.append(capsys.readouterr().out)
     assert texts[0] == texts[1]
     assert texts[0].startswith(f"usage: {' '.join(['nmwitness', *command])} ")
+
+
+# A parse that fills each subcommand's required options and nothing else.
+MINIMAL_ARGV = {
+    "analyze": ["--spec", "s.json", "--t1", "1", "--steps", "2"],
+    "witness": ["--spec", "s.json"],
+    "verify": ["--witness", "w.json", "--n", "1", "--seed", "0"],
+    "geometry": ["--probe", "hsnorm", "--n", "1", "--seed", "0"],
+}
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def test_each_subcommand_parses_into_its_handlers_parameters():
+    # An option without a handler parameter, or a parameter without an
+    # option, fails here rather than at a user's first run.
+    parser = build_parser.__wrapped__()
+    assert list(_subparsers(parser).choices) == list(MINIMAL_ARGV)
+    for command, argv in MINIMAL_ARGV.items():
+        args = vars(parser.parse_args([command, *argv]))
+        assert args.pop("command") == command
+        run = args.pop("run")
+        assert run is getattr(cli, f"cmd_{command}")
+        assert set(args) == set(inspect.signature(run).parameters), command
+
+
+def test_mode_and_probe_choices_are_the_dispatch_tables():
+    subcommands = _subparsers(build_parser.__wrapped__()).choices
+
+    def choices(command, option):
+        action, = (a for a in subcommands[command]._actions if option in a.option_strings)
+        return action.choices
+
+    assert choices("witness", "--mode") is cli._WITNESS_MODES
+    assert list(cli._WITNESS_MODES) == ["spectral", "theorem3-fixed", "theorem3-gksl"]
+    assert choices("geometry", "--probe") == (*cli._SAMPLED_PROBES, "separation")
+    assert list(cli._SAMPLED_PROBES) == ["convexity", "hsnorm", "extreme"]
+
+
+@pytest.mark.parametrize("argv", [["witness", "--spec", "s.json", "--mode", "bogus"],
+                                  ["geometry", "--probe", "bogus", "--n", "5", "--seed", "1"]])
+def test_an_unknown_mode_or_probe_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("probe,name", [("convexity", "convexity_probe"),
+                                        ("hsnorm", "hs_norm_probe"),
+                                        ("extreme", "extreme_point_probe")])
+def test_sampled_probes_are_looked_up_when_called(tmp_path, monkeypatch, probe, name):
+    # A wrapper put in the cli module's namespace (as a tracer does) is the
+    # function the probe table calls.
+    original, calls = getattr(cli, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, name, counted)
+    out = str(tmp_path / "p.json")
+    assert main(["geometry", "--probe", probe, "--n", "5", "--seed", "1", "--out", out]) == 0
+    assert calls == [(2, 1e-3, 5, 1)]
 
 
 def test_main_geometry_requires_seed():

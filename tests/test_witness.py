@@ -463,9 +463,14 @@ def test_sampled_chois_hermitian(dim):
 @pytest.mark.parametrize("hamiltonian", [False, True])
 def test_sampled_states_equal_the_out_of_place_expression(dim, hamiltonian):
     # Built in place, the stack is the out-of-place expression on the same
-    # draws, entry for entry.
+    # draws, entry for entry. Without a Hamiltonian it is drawn as the
+    # convexity probe draws it.
     for eps in (EPS, 0.7):
-        chois = sample_markovian_chois(dim, eps, 200, seed=dim, include_hamiltonian=hamiltonian)
+        if hamiltonian:
+            chois = sample_markovian_chois(dim, eps, 200, seed=dim)
+        else:
+            rng = np.random.default_rng(dim)
+            chois = _draw_generators(dim, 200, rng, hamiltonian=False).states(eps)
         ref = gram_sample_chois(dim, eps, 200, seed=dim, include_hamiltonian=hamiltonian)
         assert np.array_equal(chois, ref)
     rng, ref_rng = np.random.default_rng(dim), np.random.default_rng(dim)
