@@ -35,7 +35,6 @@ from .rates import (
     as_rate,
     evaluate,
     parse,
-    pretty,
 )
 from .channels import (
     LindbladGenerator,

@@ -13,9 +13,10 @@ Channel specs are JSON documents::
     }
 
 Matrices are nested arrays of [re, im] pairs everywhere (specs, witness
-files, reports). Exit codes: 0 ok / fully Markovian, 1 input error,
-2 nothing to witness, 3 non-Markovianity found / violations / probe
-failures, 4 solver did not converge.
+files, reports); each number read, in a matrix or a rate, is a JSON int or
+float, never a bool, string or null. Exit codes: 0 ok / fully Markovian,
+1 input error, 2 nothing to witness, 3 non-Markovianity found /
+violations / probe failures, 4 solver did not converge.
 
 A JSON report is `json.dumps(payload, indent=2)` plus a newline, laid out
 by json itself. Its tables (the `analyze` points and nm_intervals, the
@@ -51,7 +52,7 @@ from .geometry import (
     separation_demo,
 )
 from .linalg import hermiticity_defect
-from .rates import RateEvalError, RateParseError, TableRate, as_rate
+from .rates import TableRate, as_rate
 from .witness import (
     WitnessOperator,
     expectation,
@@ -72,24 +73,44 @@ class SpecError(ValueError):
 # Input parsing
 # ---------------------------------------------------------------------------
 
+# A JSON number is an int or a float; a bool, a string or null is not.
+_NUMBER = frozenset({int, float})
+
+
+def _number_pairs(items: list, name: str, label, form: str) -> np.ndarray:
+    """items, [x, y] pairs of numbers, as an (n, 2) float array: one pass checks
+    them and one np.array call converts them. An item that is not a pair of
+    numbers (form names the pair) or holds an int beyond the double range is a
+    SpecError naming it by label(k)."""
+    bad = next((k for k, p in enumerate(items) if type(p) is not list or len(p) != 2
+                or type(p[0]) not in _NUMBER or type(p[1]) not in _NUMBER), None)
+    if bad is not None:
+        raise SpecError(f"{name}: {label(bad)} {json.dumps(items[bad])} is not a {form} "
+                        f"pair of numbers")
+    try:
+        return np.array(items, dtype=float).reshape(-1, 2)
+    except OverflowError:
+        for k, p in enumerate(items):
+            try:
+                float(p[0]), float(p[1])
+            except OverflowError:
+                raise SpecError(f"{name}: {label(k)} holds an int too large for a double") from None
+        raise
+
+
 def matrix_from_pairs(obj, name: str) -> np.ndarray:
     """Parse a nested [[ [re, im], ... ], ...] literal."""
-    if not isinstance(obj, list) or not obj:
+    if type(obj) is not list or not obj:
         raise SpecError(f"{name}: expected a non-empty list of rows")
-    rows = []
-    width = None
+    width = len(obj[0]) if type(obj[0]) is list else -1
     for r, row in enumerate(obj):
-        if not isinstance(row, list) or (width is not None and len(row) != width):
+        if type(row) is not list or len(row) != width:
             raise SpecError(f"{name}: row {r} is not a list of equal length")
-        width = len(row)
-        entries = []
-        for c, pair in enumerate(row):
-            if (not isinstance(pair, list) or len(pair) != 2
-                    or not all(isinstance(v, (int, float)) for v in pair)):
-                raise SpecError(f"{name}: entry ({r},{c}) is not an [re, im] pair")
-            entries.append(complex(pair[0], pair[1]))
-        rows.append(entries)
-    return np.array(rows, dtype=complex)
+    pairs = _number_pairs([p for row in obj for p in row], name,
+                          lambda k: f"entry ({k // width},{k % width})", "[re, im]")
+    if not np.isfinite(pairs).all():
+        raise SpecError(f"{name}: contains non-finite entries")
+    return pairs.view(complex).reshape(len(obj), width)
 
 
 @contextlib.contextmanager
@@ -105,31 +126,20 @@ def _overflow_names(where: str):
 
 
 def _parse_rate(obj, name: str):
-    if isinstance(obj, bool):
-        raise SpecError(f"{name}: rate must be a number, expression string or table")
-    if isinstance(obj, (int, float)):
-        try:
-            return as_rate(float(obj))
-        except (ValueError, OverflowError) as exc:
-            raise SpecError(f"{name}: {exc}") from exc
-    if isinstance(obj, str):
+    if type(obj) in _NUMBER or isinstance(obj, str):
         try:
             return as_rate(obj)
-        except RateParseError as exc:
+        except (ValueError, OverflowError) as exc:
             raise SpecError(f"{name}: {exc}") from exc
     if isinstance(obj, dict) and "table" in obj:
         table = obj["table"]
         if not isinstance(table, list):
             raise SpecError(f"{name}: table must be a list of [t, value] pairs")
-        for k, p in enumerate(table):
-            # A bool or a numeric string is not a number here, as for a constant.
-            if not (isinstance(p, list) and len(p) == 2 and {type(v) for v in p} <= {int, float}):
-                raise SpecError(f"{name}: table[{k}] {json.dumps(p)} is not a [t, value] "
-                                f"pair of numbers")
+        points = _number_pairs(table, name, lambda k: f"table[{k}]", "[t, value]")
         try:
-            return TableRate(times=tuple(float(p[0]) for p in table),
-                             values=tuple(float(p[1]) for p in table))
-        except (ValueError, OverflowError) as exc:
+            return TableRate(times=tuple(points[:, 0].tolist()),
+                             values=tuple(points[:, 1].tolist()))
+        except ValueError as exc:
             raise SpecError(f"{name}: {exc}") from exc
     raise SpecError(f"{name}: rate must be a number, expression string or table")
 
@@ -145,6 +155,10 @@ def _read_json(path: str):
         raise SpecError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"{path}: invalid JSON at byte {exc.pos}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:
+        # Nesting as deep as the recursion limit, or an int longer than
+        # sys.get_int_max_str_digits(); the advice after a ';' is for Python code.
+        raise SpecError(f"{path}: cannot read JSON: {str(exc).split(';')[0]}") from exc
 
 
 def load_channel_spec(path: str) -> LindbladGenerator:
@@ -158,8 +172,7 @@ def load_channel_spec(path: str) -> LindbladGenerator:
     ops_doc = doc.get("ops")
     if not isinstance(ops_doc, list) or not ops_doc:
         raise SpecError(f"{path}: 'ops' must be a non-empty list")
-    ops = []
-    rates = []
+    ops, rates = [], []
     for i, entry in enumerate(ops_doc):
         if not isinstance(entry, dict) or "matrix" not in entry or "rate" not in entry:
             raise SpecError(f"{path}: ops[{i}] must have 'matrix' and 'rate'")
@@ -169,8 +182,7 @@ def load_channel_spec(path: str) -> LindbladGenerator:
     if doc.get("hamiltonian") is not None:
         ham = matrix_from_pairs(doc["hamiltonian"], f"{path}: hamiltonian")
     try:
-        return LindbladGenerator(dim=dim, ops=tuple(ops), rates=tuple(rates),
-                                 hamiltonian=ham)
+        return LindbladGenerator(dim=dim, ops=tuple(ops), rates=tuple(rates), hamiltonian=ham)
     except ValueError as exc:
         raise SpecError(f"{path}: {exc}") from exc
 
@@ -265,68 +277,57 @@ class _Rows:
                 cells.append(list(map(repr, a.tolist())))
         return cells
 
-    @staticmethod
-    def _join(template: str, sep: str, cells: list[list[str]]) -> str:
-        """The rows, each template with its cells in the %s slots, joined by sep.
-
-        One join over the cell texts of one or more rows interleaved with the
-        template's literal pieces, not one format per row: slot 2j of a row
-        holds the literal before cell j (the first also ends the row before),
-        slot 2j + 1 the cell.
-        """
-        pieces = template.split("%s")
-        literals = [pieces[-1] + sep + pieces[0], *pieces[1:-1]]
-        width = 2 * len(literals)
-        out = [slot for literal in literals for slot in (literal, None)] * len(cells[0])
-        for j, column in enumerate(cells):
-            out[2 * j + 1::width] = column
-        out[0] = pieces[0]
-        return "".join(out) + pieces[-1]
-
     def json(self, pad: str) -> str:
         """The table as json.dumps(indent=2) writes it at indentation pad."""
         if not len(self.columns[0]):
             return "[]"
         skeleton = dict.fromkeys(self.keys, "%s") if self.keyed else ["%s"] * len(self.keys)
-        row, end = _row_template(skeleton, pad)
-        return "[\n" + self._join(row, ",\n", self._cells(True)) + end
+        return _json_rows(skeleton, pad, self._cells(True))
 
     def csv(self) -> str:
         """The header line, then one line per row (a cell holds no newline)."""
         rows = []
         if len(self.columns[0]):
-            rows = [self._join(",".join(["%s"] * len(self.keys)), "\n", self._cells(False))]
+            rows = [_join(",".join(["%s"] * len(self.keys)), "\n", self._cells(False))]
         return "\n".join([",".join(self.keys), *rows]) + "\n"
 
 
-class _Matrix:
-    """A complex matrix written as rows of [re, im] pairs, one template per row.
+def _join(template: str, sep: str, cells: list[list[str]]) -> str:
+    """The rows, each template with its cells in the %s slots, joined by sep.
 
-    A JSON cell is str() of a Python float, float.__repr__, json's own
-    spelling of a finite float; a witness matrix is finite (WitnessOperator
-    rejects anything else).
+    One join over the cell texts of one or more rows interleaved with the
+    template's literal pieces, not one format per row: slot 2j of a row
+    holds the literal before cell j (the first also ends the row before),
+    slot 2j + 1 the cell.
     """
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
-
-    def json(self, pad: str) -> str:
-        """The matrix as json.dumps(indent=2) writes its pairs at indentation pad."""
-        row, end = _row_template([["%s", "%s"]] * self.matrix.shape[1], pad)
-        # Per matrix row, the real and imaginary parts of its entries in turn.
-        cells = np.stack([self.matrix.real, self.matrix.imag], axis=-1)
-        cells = cells.reshape(self.matrix.shape[0], -1).tolist()
-        return "[\n" + ",\n".join(row % tuple(r) for r in cells) + end
+    pieces = template.split("%s")
+    literals = [pieces[-1] + sep + pieces[0], *pieces[1:-1]]
+    width = 2 * len(literals)
+    out = [slot for literal in literals for slot in (literal, None)] * len(cells[0])
+    for j, column in enumerate(cells):
+        out[2 * j + 1::width] = column
+    out[0] = pieces[0]
+    return "".join(out) + pieces[-1]
 
 
-def _row_template(skeleton, pad: str) -> tuple[str, str]:
-    """The row and the closing text of json.dumps([skeleton], indent=2) at pad.
+def _matrix_json(matrix: np.ndarray, pad: str) -> str:
+    """A complex matrix as json.dumps(indent=2) writes its rows of [re, im] pairs at pad.
 
-    Each "%s" string of the skeleton is left as a bare %s slot for a cell.
+    A cell is repr() of a Python float, json's own spelling of a finite float;
+    a witness matrix is finite (WitnessOperator rejects anything else).
     """
-    text = json.dumps([skeleton], indent=2).replace("\n", "\n" + pad)
-    text = text.replace('"%s"', "%s")
-    return text[2:-len(pad) - 2], text[-len(pad) - 2:]
+    width = 2 * matrix.shape[1]
+    # Each entry's real then imaginary part, row by row: cell j of a row is cells[j::width].
+    cells = list(map(repr, np.stack([matrix.real, matrix.imag], axis=-1).ravel().tolist()))
+    return _json_rows([["%s", "%s"]] * matrix.shape[1], pad,
+                      [cells[j::width] for j in range(width)])
+
+
+def _json_rows(skeleton, pad: str, cells: list[list[str]]) -> str:
+    """json.dumps(rows, indent=2) at indentation pad, for one or more rows shaped
+    like skeleton whose "%s" strings are the slots that cells fill."""
+    text = json.dumps([skeleton], indent=2).replace("\n", "\n" + pad).replace('"%s"', "%s")
+    return "[\n" + _join(text[2:-len(pad) - 2], ",\n", cells) + text[-len(pad) - 2:]
 
 
 # The string a table stands in for while json lays out a report.
@@ -343,7 +344,7 @@ def _render_json(payload: dict) -> str:
     tables = []
 
     def hold(value):
-        if not isinstance(value, (_Rows, _Matrix)):
+        if not isinstance(value, (_Rows, np.ndarray)):
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
         tables.append(value)
         return _PLACEHOLDER
@@ -353,7 +354,8 @@ def _render_json(payload: dict) -> str:
         raise ValueError(f"a report string equals the table placeholder {_PLACEHOLDER!r}")
     for table, piece in zip(tables, pieces):
         line = text[text.rfind("\n") + 1:]
-        text += table.json(line[:len(line) - len(line.lstrip(" "))]) + piece
+        pad = line[:len(line) - len(line.lstrip(" "))]
+        text += (table.json(pad) if isinstance(table, _Rows) else _matrix_json(table, pad)) + piece
     return text + "\n"
 
 
@@ -369,8 +371,7 @@ def _render_csv(payload: dict) -> str:
     elif command == "witness":
         # Every witness in JSON order, each matrix row by row (ndmin: no
         # witness at all is an empty table).
-        matrices = np.array([entry["matrix"].matrix for entry in payload["witnesses"]],
-                            ndmin=3)
+        matrices = np.array([entry["matrix"] for entry in payload["witnesses"]], ndmin=3)
         values = matrices.ravel()
         table = _Rows(("witness", "row", "col", "re", "im"),
                       (*np.indices(matrices.shape).reshape(3, -1), values.real, values.imag))
@@ -389,9 +390,8 @@ def emit_report(payload: dict, out_path: str | None, fmt: str) -> None:
     if out_path:
         try:
             _atomic_write(out_path, text)
-        except (FileNotFoundError, NotADirectoryError) as exc:
-            raise SpecError(f"--out {out_path}: {exc.strerror}; its directory "
-                            f"must exist") from exc
+        except OSError as exc:
+            raise SpecError(f"--out {out_path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -427,7 +427,7 @@ def _witness_entry(w: WitnessOperator, c: ChoiMatrix) -> dict:
         "kind": w.kind,
         "provenance": w.provenance,
         "expectation": expectation(w, c),
-        "matrix": _Matrix(w.matrix),
+        "matrix": w.matrix,
     }
 
 
@@ -691,7 +691,7 @@ def main(argv=None) -> int:
     run = args.pop("run")
     try:
         return run(**args)
-    except (SpecError, RateParseError, RateEvalError, ValueError) as exc:
+    except ValueError as exc:  # SpecError and the rate errors among them
         print(f"nmwitness: error: {exc}", file=sys.stderr)
         return 1
 

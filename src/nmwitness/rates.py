@@ -317,53 +317,6 @@ def evaluate(expr: RateExpression, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Pretty printer (inverse of parse, up to whitespace)
-# ---------------------------------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
-
-
-def _render(node: Node) -> tuple[str, int]:
-    """Return (text, precedence); atoms have precedence 9."""
-    match node:
-        case Literal(value=v):
-            return repr(v), 9
-        case TimeVar():
-            return "t", 9
-        case Const(name=name):
-            return name, 9
-        case Call(func=f, arg=a):
-            return f"{f}({_render(a)[0]})", 9
-        case Neg(operand=x):
-            text, prec = _render(x)
-            if prec < 9:
-                text = f"({text})"
-            return f"-{text}", 4
-        case BinOp(op=op, left=l, right=r):
-            my = _PREC[op]
-            lt, lp = _render(l)
-            rt, rp = _render(r)
-            # '+,-,*,/' are left-associative, '^' is right-associative.
-            if op == "^":
-                if lp <= my:
-                    lt = f"({lt})"
-                if rp < my:
-                    rt = f"({rt})"
-            else:
-                if lp < my:
-                    lt = f"({lt})"
-                if rp <= my:
-                    rt = f"({rt})"
-            return f"{lt} {op} {rt}", my
-    raise TypeError(f"unknown node {node!r}")
-
-
-def pretty(expr: RateExpression) -> str:
-    """Render back to parseable source text."""
-    return _render(expr.root)[0]
-
-
-# ---------------------------------------------------------------------------
 # Rate function wrappers
 # ---------------------------------------------------------------------------
 

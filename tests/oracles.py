@@ -14,7 +14,9 @@ of place), and the verification oracles form the whole
 
 The superoperator helpers (`apply_superop`, `channel_of_choi`), the trace
 norm, the PSD projection and the random divisible generators serve only as
-references here; the library itself works in Choi form.
+references here; the library itself works in Choi form. The expression
+printer `pretty`, the inverse of `rates.parse`, is test-only too: the tests
+write expression trees as source text with it, and the library prints none.
 """
 
 import math
@@ -26,7 +28,8 @@ from nmwitness.channels import LindbladGenerator, SuperOperator, haar_unitaries
 from nmwitness.choi import (ChoiMatrix, choi_kets, dissipator_chois, hamiltonian_choi,
                             max_entangled_state, unitary_chois)
 from nmwitness.linalg import hermitian_eig
-from nmwitness.rates import ConstantRate
+from nmwitness.rates import (BinOp, Call, Const, ConstantRate, Literal, Neg, Node,
+                             RateExpression, TimeVar)
 
 _FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
           "tanh": math.tanh, "abs": abs}
@@ -125,6 +128,53 @@ def shunting_yard_eval(src: str, t: float) -> float:
     if len(vals) != 1:
         raise ValueError("oracle: malformed RPN")
     return vals[0]
+
+
+# ---------------------------------------------------------------------------
+# Expression printer (inverse of rates.parse, up to whitespace)
+# ---------------------------------------------------------------------------
+
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
+
+
+def _render(node: Node) -> tuple[str, int]:
+    """Return (text, precedence); atoms have precedence 9."""
+    match node:
+        case Literal(value=v):
+            return repr(v), 9
+        case TimeVar():
+            return "t", 9
+        case Const(name=name):
+            return name, 9
+        case Call(func=f, arg=a):
+            return f"{f}({_render(a)[0]})", 9
+        case Neg(operand=x):
+            text, prec = _render(x)
+            if prec < 9:
+                text = f"({text})"
+            return f"-{text}", 4
+        case BinOp(op=op, left=l, right=r):
+            my = _PREC[op]
+            lt, lp = _render(l)
+            rt, rp = _render(r)
+            # '+,-,*,/' are left-associative, '^' is right-associative.
+            if op == "^":
+                if lp <= my:
+                    lt = f"({lt})"
+                if rp < my:
+                    rt = f"({rt})"
+            else:
+                if lp < my:
+                    lt = f"({lt})"
+                if rp <= my:
+                    rt = f"({rt})"
+            return f"{lt} {op} {rt}", my
+    raise TypeError(f"unknown node {node!r}")
+
+
+def pretty(expr: RateExpression) -> str:
+    """Render back to parseable source text."""
+    return _render(expr.root)[0]
 
 
 PAULI_GRAM = np.array([[2.0, 1.0, 1.0],

@@ -24,7 +24,6 @@ from nmwitness.choi import (
 )
 from nmwitness.cli import (
     SpecError,
-    _Matrix,
     _PLACEHOLDER,
     _render_json,
     _Rows,
@@ -123,6 +122,14 @@ def test_load_channel_spec_with_hamiltonian(tmp_path):
           ("table-null-time", {"table": [[0, 1], [None, 2]]}, r"table\[1\] \[null, 2\] is not"),
           ("table-triple", {"table": [[0, 1], [1, 2, 3]]}, r"table\[1\] \[1, 2, 3\] is not"),
           ("table-huge-int", {"table": [[0, 10 ** 400], [1, 2]]}, "too large"))),
+    # A matrix entry follows the same number rule as a rate table.
+    pytest.param(lambda d: d["ops"][0].update(matrix=[[[True, False], [0, 0]], SZ[1]]),
+                 r"ops\[0\]\.matrix: entry \(0,0\) \[true, false\] is not", id="matrix-bool"),
+    pytest.param(lambda d: d["ops"][0].update(matrix=[SZ[0], [[0, 0], [10 ** 400, 0]]]),
+                 r"ops\[0\]\.matrix: entry \(1,1\) holds an int too large",
+                 id="matrix-huge-int"),
+    pytest.param(lambda d: d.update(hamiltonian=[[[0, 0], [1, 0]], [[1, 0], [0, -10 ** 400]]]),
+                 r"hamiltonian: entry \(1,1\) holds an int too large", id="hamiltonian-huge-int"),
 ])
 def test_load_channel_spec_errors(tmp_path, mutate, fragment):
     doc = dephasing_spec(1.0)
@@ -182,6 +189,94 @@ def test_verify_refuses_a_report_of_several_witnesses(tmp_path, capsys):
             assert np.array_equal(load_witness_matrix(str(path)),
                                   matrix_from_pairs(entry["matrix"], "witness"))
             assert main(verify + ["--witness", str(path)]) == 0
+
+
+@pytest.mark.parametrize("entry,message", [
+    ([True, False], "entry (0,0) [true, false] is not a [re, im] pair of numbers"),
+    ([10 ** 400, 0], "entry (0,0) holds an int too large for a double"),
+    ([0, -10 ** 400], "entry (0,0) holds an int too large for a double"),
+    ([None, 0], "entry (0,0) [null, 0] is not a [re, im] pair of numbers"),
+    (["1", 0], 'entry (0,0) ["1", 0] is not a [re, im] pair of numbers'),
+    ([1, 0, 0], "entry (0,0) [1, 0, 0] is not a [re, im] pair of numbers"),
+    ([math.nan, 0], "contains non-finite entries"),
+    ([1, math.inf], "contains non-finite entries"),
+], ids=["bool", "huge-re", "huge-im", "null", "string", "triple", "nan", "inf"])
+def test_a_witness_entry_that_is_not_a_double_is_an_input_error(tmp_path, capsys, entry,
+                                                                  message):
+    # A bare witness matrix reads its entries by the spec's number rule.
+    m = matrix_to_pairs(np.eye(4))
+    m[0][0] = entry
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(m))
+    with pytest.raises(SpecError) as info:
+        load_witness_matrix(str(path))
+    assert str(info.value) == f"{path}: witness: {message}"
+    assert main(["verify", "--witness", str(path), "--n", "5", "--seed", "1"]) == 1
+    assert capsys.readouterr().err == f"nmwitness: error: {path}: witness: {message}\n"
+
+
+@pytest.mark.parametrize("text,fragment", [
+    ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+    ('{"dim": 2, "ops": [{"matrix": [[[' + "1" * 5000 + ', 0]]], "rate": 1}]}',
+     r"Exceeds the limit \(\d+[^)]*\) for integer string conversion: value has 5000 digits$"),
+], ids=["deep", "digits"])
+def test_json_past_the_readers_limits_is_named(tmp_path, capsys, text, fragment):
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    with pytest.raises(SpecError, match=rf"big\.json: cannot read JSON: {fragment}"):
+        load_channel_spec(str(path))
+    assert main(["verify", "--witness", str(path), "--n", "5", "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"nmwitness: error: {path}: cannot read JSON: ")
+    assert err.count("\n") == 1
+
+
+# JSON leaves of every kind the readers meet: ints (some beyond the double
+# range), floats (nan, infinities and -0.0 among them), bools, null, strings.
+def _mostly(usual, other):
+    """usual nine times in ten, else other (st.one_of weighs each of other's
+    own branches as much as usual)."""
+    return st.integers(0, 9).flatmap(lambda k: usual if k else other)
+
+
+_NUMBERS = _mostly(st.one_of(st.integers(-2, 2), st.floats(-2, 2)), st.one_of(
+    st.floats(), st.sampled_from([10 ** 400, -10 ** 400, -0.0, math.nan, math.inf, -math.inf])))
+_LEAVES = st.one_of(_NUMBERS, st.booleans(), st.none(), st.text(max_size=3))
+
+
+def _square(pairs):
+    return st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.lists(pairs, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+_PAIRS = _mostly(st.lists(_LEAVES, min_size=2, max_size=2),
+                 st.one_of(st.lists(_LEAVES, max_size=3), _LEAVES))
+# Square matrices of number pairs, else of any pairs, ragged ones, or a leaf.
+_MATRICES = _mostly(_square(st.lists(_NUMBERS, min_size=2, max_size=2)), st.one_of(
+    _square(_PAIRS), st.lists(st.lists(_PAIRS, max_size=3), max_size=3), _LEAVES))
+_SPEC_DOCS = st.fixed_dictionaries(
+    {"dim": _mostly(st.just(2), _LEAVES),
+     "ops": st.lists(st.fixed_dictionaries({"matrix": _MATRICES, "rate": st.one_of(
+         _LEAVES, st.sampled_from(["cos(t)", "1/t", "t +", "exp(t)^400"]),
+         st.fixed_dictionaries({"table": st.lists(_PAIRS, max_size=3)}))}),
+         min_size=1, max_size=2)},
+    optional={"hamiltonian": _MATRICES})
+_WITNESS_DOCS = st.one_of(
+    _MATRICES, st.fixed_dictionaries({"matrix": _MATRICES}),
+    st.fixed_dictionaries({"witnesses": st.lists(st.fixed_dictionaries({"matrix": _MATRICES}),
+                                                 max_size=2)}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_SPEC_DOCS, witness=_WITNESS_DOCS)
+def test_readers_return_or_raise_spec_error(tmp_path_factory, spec, witness):
+    path = tmp_path_factory.getbasetemp() / "doc.json"
+    for doc, read in ((spec, load_channel_spec), (witness, load_witness_matrix)):
+        path.write_text(json.dumps(doc))
+        try:
+            read(str(path))
+        except SpecError:
+            pass
 
 
 def test_matrix_pairs_roundtrip():
@@ -478,7 +573,7 @@ def test_witness_matrix_writer_matches_json_dumps(dim, pool, seed, count):
         return {"command": "witness", "metadata": {"seed": None}, "mode": "theorem3-gksl",
                 "witnesses": entries, "residual": 2.5e-4, "kkt_ok": True}
 
-    text = _render_json(payload(_Matrix))
+    text = _render_json(payload(np.asarray))
     assert text == json.dumps(payload(matrix_to_pairs), indent=2) + "\n"
 
 
@@ -532,7 +627,7 @@ def test_tables_splice_at_any_depth(n_rows, keyed):
                 "empty": [], "tail": t}
 
     assert _render_json(table) == json.dumps(plain, indent=2) + "\n"
-    assert (_render_json(shaped(table, _Matrix(m)))
+    assert (_render_json(shaped(table, m))
             == json.dumps(shaped(plain, matrix_to_pairs(m)), indent=2) + "\n")
 
 
@@ -662,14 +757,17 @@ def test_reports_get_the_umask_mode_or_keep_the_replaced_file_mode(tmp_path, fmt
     assert out.read_text().count("\n") > fresh.read_text().count("\n")
 
 
-@pytest.mark.parametrize("parent", ["missing", "file.txt"])
+@pytest.mark.parametrize("parent", ["missing", "file.txt", "dir"])
 def test_out_into_a_missing_directory_is_an_input_error(tmp_path, capsys, parent):
+    # "dir": --out names an existing directory, which no report replaces.
     (tmp_path / "file.txt").write_text("")
+    (tmp_path / "dir" / "f.json").mkdir(parents=True)
     out = tmp_path / parent / "f.json"
     assert main(["geometry", "--probe", "hsnorm", "--n", "5", "--seed", "1",
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"nmwitness: error: --out {out}: ")
-    assert [p.name for p in tmp_path.iterdir()] == ["file.txt"]
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
+        "dir", os.path.join("dir", "f.json"), "file.txt"]
 
 
 def test_verify_n_zero_is_input_error(tmp_path, capsys):

@@ -19,11 +19,10 @@ from nmwitness.rates import (
     as_rate,
     evaluate,
     parse,
-    pretty,
 )
 from nmwitness.channels import LindbladGenerator, builtin_dephasing
 from golden_expressions import GOLDEN_EXPRESSIONS, INNERMOST_ERRORS, MALFORMED_EXPRESSIONS
-from oracles import shunting_yard_eval
+from oracles import pretty, shunting_yard_eval
 
 
 def test_constant():
