@@ -17,7 +17,8 @@ traceless in the sense vec(I)^dag S = 0.
 matrices orthonormalised in place by batched Gram-Schmidt, no LAPACK call.
 The unitaries land in the layout of their Choi kets, so the samplers scale
 them into kets in place (`choi.choi_kets(..., overwrite_a=True)`): the draw
-is the one full array of jumps.
+is the one full array of jumps. `_blocks` sizes every block of the package
+(unitaries, samples, census rows) by one budget, `_BLOCK_BYTES`.
 """
 
 from __future__ import annotations
@@ -156,9 +157,14 @@ def builtin_pauli(gx: RateLike, gy: RateLike, gz: RateLike) -> LindbladGenerator
     )
 
 
-# Bytes of the Gram-Schmidt columns of one block of unitaries: the passes
-# over a block run in cache.
-_COLUMN_BLOCK_BYTES = 1 << 20
+_BLOCK_BYTES = 1 << 20
+
+
+def _blocks(n: int, item_bytes: int, multiple: int = 1) -> list[tuple[int, int]]:
+    """Consecutive ranges (a, b) covering items 0..n-1 in order, each of as many
+    items as _BLOCK_BYTES holds, in whole multiples of `multiple`, at least one."""
+    step = multiple * max(1, _BLOCK_BYTES // item_bytes // multiple)
+    return [(a, min(a + step, n)) for a in range(0, n, step)]
 
 
 def haar_unitaries(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -186,11 +192,11 @@ def haar_unitaries(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     scale = 1.0 / np.sqrt(2.0)
     for part in (us.real, us.imag):
         np.multiply(rng.standard_normal((n, dim, dim)), scale, out=part)
-    step = max(1, _COLUMN_BLOCK_BYTES // (16 * dim * dim))
-    for a in range(0, n, step):
+    # The passes over one block of Gram-Schmidt columns run in cache.
+    for a, b in _blocks(n, 16 * dim * dim):
         # cols[k] is column k of the block's Z, then of its Q, as a
         # (dim, block) array.
-        cols = vecs[a:a + step].transpose(1, 2, 0).copy()
+        cols = vecs[a:b].transpose(1, 2, 0).copy()
         for k in range(dim):
             v = cols[k]
             for _ in range(2 if k else 0):
@@ -203,5 +209,5 @@ def haar_unitaries(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
                 v -= np.einsum("kjn,kn->jn", basis, np.conjugate(coef, out=coef))
             v /= np.sqrt(np.einsum("jn,jn->n", v.real, v.real)
                          + np.einsum("jn,jn->n", v.imag, v.imag))
-        vecs[a:a + step] = cols.transpose(2, 0, 1)
+        vecs[a:b] = cols.transpose(2, 0, 1)
     return us

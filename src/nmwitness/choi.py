@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import LindbladGenerator, SuperOperator
-from .linalg import ShapeError, as_matrix, gell_mann_basis
+from .linalg import DEFAULT_HERM_TOL, ShapeError, as_matrix, gell_mann_basis
 
 
 def default_classification_tol(eps: float) -> float:
@@ -121,7 +121,7 @@ def _require_states(stack: np.ndarray, ts, eps: float) -> None:
     """
     defect = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     trace = np.einsum("nii->n", stack)
-    bad = np.flatnonzero(~((defect <= 1e-10) & (np.abs(trace - 1.0) <= 1e-10)))
+    bad = np.flatnonzero(~((defect <= DEFAULT_HERM_TOL) & (np.abs(trace - 1.0) <= 1e-10)))
     if bad.size:
         k = bad[0]
         if not np.isfinite(defect[k]):

@@ -51,7 +51,7 @@ from .geometry import (
     hs_norm_probe,
     separation_demo,
 )
-from .linalg import hermiticity_defect
+from .linalg import DEFAULT_HERM_TOL, hermiticity_defect
 from .rates import TableRate, as_rate
 from .witness import (
     WitnessOperator,
@@ -202,7 +202,7 @@ def load_witness_matrix(path: str) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise SpecError(f"{path}: witness must be square, got {m.shape}")
     defect = hermiticity_defect(m)
-    if defect > 1e-10:
+    if defect > DEFAULT_HERM_TOL:
         raise SpecError(f"{path}: witness not Hermitian, defect {defect:.3e}")
     return m
 

@@ -8,6 +8,8 @@ distinct purity-one Choi states of Haar-random unitary channels shows that
 the set of all channels is not a polytope. Those states lie in the divisible
 family only because every CPTP Choi state does, and the census never reads
 eps, so it does not show this for the divisible (Markovian) set.
+Trials and census rows are walked in the blocks of `channels._blocks`, which
+one budget, `channels._BLOCK_BYTES`, sizes.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import witness
 from .choi import ChoiMatrix, classify, max_entangled_state, unitary_chois
-from .channels import haar_unitaries
+from .channels import _blocks, haar_unitaries
 from .witness import (
     _draw_generators,
     _sample_blocks,
@@ -27,19 +28,6 @@ from .witness import (
     theorem3_witness,
     verify_witness,
 )
-
-
-def _census_rows(n: int) -> int:
-    """Rows of the n x n pairwise overlap matrix that extreme_point_probe holds
-    at once: all n, or a multiple of 16 whose (rows, n) complex block fits the
-    sample blocks' budget, `witness._BLOCK_BYTES`, where 16 rows do.
-
-    A block's product has n - start columns, and BLAS rounds the trailing
-    columns short of its kernel width their own way. With starts a multiple
-    of 16, every block's column count has n's residue, so each overlap is
-    rounded as in the upper triangle of one n x n product.
-    """
-    return min(n, 16 * max(1, witness._BLOCK_BYTES // (16 * 16 * n)))
 
 
 @dataclass(frozen=True)
@@ -188,10 +176,10 @@ def extreme_point_probe(dim: int, eps: float, n_unitaries: int,
     time (`_sample_blocks`). Pure states lie sqrt(2 - 2|<u|v>|^2) apart,
     falling as the overlap grows: the largest overlap of two distinct trials
     gives the smallest distance. The census forms each of the n(n-1)/2
-    unordered pairs once, `_census_rows(n)` rows at a time: a row block meets
-    only the columns from its own first row on. Only pairs with overlap
-    above 0.999 can be closer than 1e-8 (an overlap of at most 1 - 1e-12 is
-    at least 1.4e-6 away), so only those are tested.
+    unordered pairs once, one block of rows (`_blocks`, a multiple of 16) at
+    a time: a row block meets only the columns from its own first row on.
+    Only pairs with overlap above 0.999 can be closer than 1e-8 (an overlap
+    of at most 1 - 1e-12 is at least 1.4e-6 away), so only those are tested.
     """
     if n_unitaries < 2:
         raise ValueError(
@@ -210,16 +198,17 @@ def extreme_point_probe(dim: int, eps: float, n_unitaries: int,
 
     largest, coincident = 0.0, 0
     bras = uvec.conj().T
-    step = _census_rows(n_unitaries)
-    below_diagonal = np.tri(step, dtype=bool)
-    for start in range(0, n_unitaries, step):
-        block = uvec[start:start + step]
-        rows = block.shape[0]
+    # BLAS rounds the trailing columns short of its kernel width its own way;
+    # block starts a multiple of 16 keep each block's n - a columns at n's
+    # residue, so each overlap rounds as in one n x n product's upper triangle.
+    blocks = _blocks(n_unitaries, 16 * n_unitaries, multiple=16)
+    below_diagonal = np.tri(blocks[0][1], dtype=bool)
+    for a, b in blocks:
         # Pairs (i, j) with j > i only: columns from the block's first row on,
         # with the diagonal and below of the block's own square zeroed.
-        overlaps = np.abs(block @ bras[:, start:])
+        overlaps = np.abs(uvec[a:b] @ bras[:, a:])
         np.square(overlaps, out=overlaps)
-        overlaps[:, :rows][below_diagonal[:rows, :rows]] = 0.0
+        overlaps[:, :b - a][below_diagonal[:b - a, :b - a]] = 0.0
         largest = max(largest, overlaps.max())
         coincident += np.count_nonzero(distance(overlaps[overlaps > 0.999]) < 1e-8)
     min_distance = float(distance(largest))

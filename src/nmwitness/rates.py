@@ -10,7 +10,11 @@ multiplication):
     atom   := number | 't' | ident '(' expr ')' | '(' expr ')'
 
 Known functions: sin, cos, exp, tanh, abs. Known constants: pi, e
-(identifiers without call syntax). The only variable is t.
+(identifiers without call syntax). The only variable is t. `parse` refuses
+(RateParseError) more than MAX_DEPTH = 64 parentheses open at once or 64
+operators and calls on one path down the tree ("t+t+t" has 2). The parser
+recurses only per parenthesis and the evaluator per level, so the limit,
+not the caller's stack, decides what parses.
 
 Every Rate evaluates on a whole time grid at once (`rate.on_grid(ts)`);
 its value at one time (`rate(t)`) is the one-point grid's. One walker,
@@ -57,6 +61,8 @@ FUNCTIONS = {
 }
 
 CONSTANTS = {"pi": math.pi, "e": math.e}
+
+MAX_DEPTH = 64  # parentheses open at once, and levels of operators and calls
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +141,7 @@ class _Token:
 
 def _tokenize(src: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
+    i = depth = 0
     n = len(src)
     while i < n:
         if src[i].isspace():
@@ -144,8 +150,11 @@ def _tokenize(src: str) -> list[_Token]:
         m = _TOKEN_RE.match(src, i)
         if m is None:
             raise RateParseError(f"unexpected character {src[i]!r}", i)
-        kind = m.lastgroup
-        tokens.append(_Token(kind, m.group(), i))
+        text = m.group()
+        depth += (text == "(") - (text == ")")
+        if depth > MAX_DEPTH:
+            raise RateParseError(f"more than {MAX_DEPTH} parentheses open", i)
+        tokens.append(_Token(m.lastgroup, text, i))
         i = m.end()
     tokens.append(_Token("end", "", n))
     return tokens
@@ -187,10 +196,14 @@ class _Parser:
         return node
 
     def factor(self) -> Node:
-        node = self.unary()
-        if self.at_op("^"):
-            tok = self.advance()
-            node = BinOp("^", node, self.factor(), pos=tok.pos)
+        # unary ('^' unary)*, folded from the right in a loop, not by recursion.
+        operands, carets = [self.unary()], []
+        while self.at_op("^"):
+            carets.append(self.advance())
+            operands.append(self.unary())
+        node = operands.pop()
+        for tok in reversed(carets):
+            node = BinOp("^", operands.pop(), node, pos=tok.pos)
         return node
 
     def unary(self) -> Node:
@@ -238,6 +251,13 @@ def parse(src: str) -> RateExpression:
     root = parser.expr()
     if parser.cur.kind != "end":
         raise RateParseError(f"trailing input {parser.cur.text!r}", parser.cur.pos)
+    # Each operator and call is a token, so only a longer expression can be too deep.
+    below = [(root, 0)] if len(parser.tokens) > MAX_DEPTH else []
+    while below:
+        node, depth = below.pop()
+        if depth > MAX_DEPTH:
+            raise RateParseError(f"more than {MAX_DEPTH} nested operators and calls", node.pos)
+        below += [(child, depth + 1) for child in vars(node).values() if isinstance(child, Node)]
     return RateExpression(root=root, source=src)
 
 

@@ -30,10 +30,11 @@ generator's entries before any cancellation. `sample_markovian_chois` still
 returns the stack, built in place, for callers that need the states
 themselves.
 
-Every consumer of the draws walks them in the blocks of `_sample_blocks`,
-through range views of `_SampledGenerators`: no temporary holds more than
-one block's (block, d^2, d^2) stack, and each sample's arithmetic is the
-same in any block, so the results do not depend on the block size.
+Every consumer of the draws walks them in the blocks of `_sample_blocks`
+(`channels._blocks` under the one budget `channels._BLOCK_BYTES`), through
+range views of `_SampledGenerators`: no temporary holds more than one
+block's (block, d^2, d^2) stack, and each sample's arithmetic is the same in
+any block, so the results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import haar_unitaries
+from .channels import _blocks, haar_unitaries
 from .choi import (ChoiMatrix, add_phi, choi_kets, default_classification_tol,
                    dissipator_chois, hamiltonian_choi, lift, max_entangled_state,
                    partial_trace_2, perp_isometry)
@@ -62,7 +63,7 @@ class WitnessOperator:
 
     def __post_init__(self):
         m = as_matrix(self.matrix, "WitnessOperator.matrix")
-        linalg.require_hermitian(m, 1e-10, "WitnessOperator.matrix")
+        linalg.require_hermitian(m, name="WitnessOperator.matrix")
         object.__setattr__(self, "matrix", m)
 
 
@@ -136,28 +137,20 @@ class UniquenessResult:
 def spectral_witnesses(c: ChoiMatrix, tol: float | None = None) -> list[WitnessOperator]:
     """Projectors onto eigenspaces with eigenvalue below -tol.
 
-    Eigenvalues closer than the degeneracy gap are merged into one cluster
-    and a single projector onto the whole cluster is emitted. Returns an
-    empty list when the spectrum is nonnegative within tol.
+    The ascending negative eigenvalues are split where one lies more than the
+    degeneracy gap above the one before; one projector onto each whole
+    cluster is emitted. Returns an empty list for a spectrum >= -tol.
     """
     if tol is None:
         tol = default_classification_tol(c.eps)
     eig = linalg.hermitian_eig(c.matrix)
     w, v = eig.eigenvalues, eig.eigenvectors
     negative = np.flatnonzero(w < -tol)
-    witnesses: list[WitnessOperator] = []
-    cluster: list[int] = []
-    for pos, idx in enumerate(negative):
-        if cluster and w[idx] - w[cluster[-1]] > DEGENERACY_GAP:
-            witnesses.append(_cluster_projector(c, w, v, cluster))
-            cluster = []
-        cluster.append(int(idx))
-    if cluster:
-        witnesses.append(_cluster_projector(c, w, v, cluster))
-    return witnesses
+    clusters = np.split(negative, np.flatnonzero(np.diff(w[negative]) > DEGENERACY_GAP) + 1)
+    return [_cluster_projector(c, w, v, cluster) for cluster in clusters if cluster.size]
 
 
-def _cluster_projector(c: ChoiMatrix, w, v, cluster: list[int]) -> WitnessOperator:
+def _cluster_projector(c: ChoiMatrix, w, v, cluster: np.ndarray) -> WitnessOperator:
     vectors = v[:, cluster]
     proj = vectors @ dagger(vectors)
     proj = 0.5 * (proj + dagger(proj))
@@ -272,15 +265,11 @@ def nearest_mcs_fixed_basis(cn: ChoiMatrix, fam: MarkovianFamily) -> NearestMCSR
     with Gram matrix G_ab = Tr(Y_a Y_b). The family must carry cn's dim and
     its (t, eps) tags.
     """
-    if fam.dim != cn.dim:
-        raise ValueError(
-            f"nearest_mcs_fixed_basis: family dim {fam.dim} != Choi dim {cn.dim}")
-    if fam.eps != cn.eps:
-        raise ValueError(
-            f"nearest_mcs_fixed_basis: family eps {fam.eps} != Choi eps {cn.eps}")
-    if fam.t != cn.t:
-        raise ValueError(
-            f"nearest_mcs_fixed_basis: family t {fam.t} != Choi t {cn.t}")
+    for tag, error, got, want in (("dim", ShapeError, fam.dim, cn.dim),
+                                  ("eps", ValueError, fam.eps, cn.eps),
+                                  ("t", ValueError, fam.t, cn.t)):
+        if got != want:
+            raise error(f"nearest_mcs_fixed_basis: family {tag} {got} != Choi {tag} {want}")
     d = cn.dim
     eps = fam.eps
     dirs = dissipator_chois(fam.basis_ops)
@@ -346,8 +335,8 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix, *, max_iter: int = 50,
     phi = max_entangled_state(d)
     u = perp_isometry(d)
 
-    # ChoiMatrix admits a 1e-10 Hermiticity defect, which dividing by eps
-    # would magnify.
+    # ChoiMatrix admits a Hermiticity defect up to DEFAULT_HERM_TOL, which
+    # dividing by eps would magnify.
     y = (0.5 * (cn.matrix + dagger(cn.matrix)) - phi) / e
 
     def cone_point(lam: np.ndarray):
@@ -441,18 +430,9 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix, *, max_iter: int = 50,
 # Monte-Carlo verification
 # ---------------------------------------------------------------------------
 
-# Bytes of one (block, d^2, d^2) complex stack: the one budget that sizes
-# every block of samples (`_sample_blocks`) and of census rows
-# (`geometry.extreme_point_probe`).
-_BLOCK_BYTES = 1 << 20
-
-
 def _sample_blocks(n: int, dim: int) -> list[tuple[int, int]]:
-    """Consecutive ranges (a, b) that cover samples 0..n-1 in order, each of as
-    many samples as one (b - a, d^2, d^2) complex stack holds in _BLOCK_BYTES,
-    and at least one."""
-    step = max(1, _BLOCK_BYTES // (16 * dim ** 4))
-    return [(a, min(a + step, n)) for a in range(0, n, step)]
+    """The blocks of samples 0..n-1: one sample is a (d^2, d^2) complex stack."""
+    return _blocks(n, 16 * dim ** 4)
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
@@ -625,26 +605,33 @@ def sample_markovian_chois(dim: int, eps: float, n_samples: int, seed: int) -> n
     return _draw_generators(dim, n_samples, rng, hamiltonian=True).states(eps)
 
 
+def _sampled_expectations(w: np.ndarray, dim: int, eps: float, n: int,
+                          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Tr(W C_k) and its rounding slack on n generators drawn from rng, those of
+    `sample_markovian_chois`, contracted one block (`_sample_blocks`) at a time."""
+    gens = _draw_generators(dim, n, rng, hamiltonian=True)
+    values, slack = np.empty(n), np.empty(n)
+    for a, b in _sample_blocks(n, dim):
+        values[a:b], slack[a:b] = gens.view(a, b).expectations(w, eps)
+    return values, slack
+
+
 def verify_witness(w: WitnessOperator, dim: int, eps: float, n_samples: int,
                    seed: int) -> VerificationResult:
     """Check Tr(W C_M) >= 0 on sampled divisible Choi states.
 
     The samples are those of `sample_markovian_chois` with the same seed, but
-    values, Tr(W C_k) per sample, are contracted with the sampled generators
-    (`_SampledGenerators.expectations`); no state is formed. A sample is a
-    violation when its value is below -(1e-8 + slack_k), slack_k the
-    rounding bound that `expectations` computes from the same draws, block by
-    block (`_sample_blocks`).
+    values, Tr(W C_k) per sample, are contracted with the draws
+    (`_sampled_expectations`); no state is formed. A sample is a violation
+    when its value is below -(1e-8 + slack_k), slack_k its rounding bound.
     """
     if n_samples < 1:
         raise ValueError(f"verify_witness: n_samples must be >= 1, got {n_samples}")
     if w.matrix.shape != (dim * dim, dim * dim):
         raise ShapeError(f"verify_witness: w is {w.matrix.shape[0]}x{w.matrix.shape[1]}, "
                          f"expected {dim * dim}x{dim * dim} for dim={dim}")
-    gens = _draw_generators(dim, n_samples, np.random.default_rng(seed), hamiltonian=True)
-    values, slack = np.empty(n_samples), np.empty(n_samples)
-    for a, b in _sample_blocks(n_samples, dim):
-        values[a:b], slack[a:b] = gens.view(a, b).expectations(w.matrix, eps)
+    values, slack = _sampled_expectations(w.matrix, dim, eps, n_samples,
+                                          np.random.default_rng(seed))
     return VerificationResult(
         min_expectation=float(values.min()),
         violations=int(np.count_nonzero(values < -(1e-8 + slack))),
@@ -662,8 +649,8 @@ def uniqueness_check(cn: ChoiMatrix, cm_star: ChoiMatrix, dim: int, eps: float,
     left side is Tr[D (phi - C_M*)] + eps * rates @ [Tr(D Y_a)],
     D = C_N - C_M*, one (n, m) @ (m,) product;
     otherwise the samples are those of `sample_markovian_chois` and Tr(D C_M)
-    is contracted with their generators, block by block. No sample is formed
-    as a state.
+    is contracted with their generators (`_sampled_expectations`). No sample
+    is formed as a state.
     holds is True when the sampled maximum stays below 1e-8.
     """
     if n_samples < 1:
@@ -680,10 +667,7 @@ def uniqueness_check(cn: ChoiMatrix, cm_star: ChoiMatrix, dim: int, eps: float,
     rng = np.random.default_rng(seed)
     diff = cn.matrix - cm_star.matrix
     if family is None:
-        gens = _draw_generators(dim, n_samples, rng, hamiltonian=True)
-        lhs = np.empty(n_samples)
-        for a, b in _sample_blocks(n_samples, dim):
-            lhs[a:b] = gens.view(a, b).expectations(diff, eps)[0]
+        lhs = _sampled_expectations(diff, dim, eps, n_samples, rng)[0]
         lhs -= hs_inner(diff, cm_star.matrix).real
     else:
         dirs = dissipator_chois(family.basis_ops)

@@ -256,9 +256,9 @@ def test_haar_unitaries_are_the_same_bits_in_any_blocks(dim, per_block, monkeypa
     # Gram-Schmidt runs one block of unitaries at a time; each unitary gets
     # the arithmetic of the whole batch, down to a last block of one.
     if per_block is None:
-        n = 2 * (channels._COLUMN_BLOCK_BYTES // (16 * dim * dim)) + 1
+        n = 2 * (channels._BLOCK_BYTES // (16 * dim * dim)) + 1
     else:
-        monkeypatch.setattr(channels, "_COLUMN_BLOCK_BYTES", per_block * 16 * dim * dim)
+        monkeypatch.setattr(channels, "_BLOCK_BYTES", per_block * 16 * dim * dim)
         n = 50
     rng, ref_rng = np.random.default_rng((dim, n)), np.random.default_rng((dim, n))
     us = haar_unitaries(dim, n, rng)

@@ -146,6 +146,31 @@ def test_load_channel_spec_bad_json(tmp_path):
         load_channel_spec(str(path))
 
 
+@pytest.mark.parametrize("rate, message", [
+    ("(" * 3000 + "t" + ")" * 3000, "more than 64 parentheses open (at byte 64)"),
+    ("t" + "^t" * 3000, "more than 64 nested operators and calls (at byte 131)"),
+    ("+".join(["t"] * 20_000), "more than 64 nested operators and calls (at byte 39870)"),
+], ids=["parentheses", "powers", "sum"])
+def test_a_rate_nested_too_deep_is_an_input_error(tmp_path, capsys, rate, message):
+    path = write_spec(tmp_path / "deep.json", dephasing_spec(rate))
+    with pytest.raises(SpecError) as info:
+        load_channel_spec(path)
+    assert str(info.value) == f"{path}: ops[0].rate: {message}"
+    assert main(["analyze", "--spec", path, "--t1", "1", "--steps", "2"]) == 1
+    assert capsys.readouterr().err == f"nmwitness: error: {path}: ops[0].rate: {message}\n"
+
+
+def test_a_rate_at_the_depth_limit_is_analyzed(tmp_path, capsys):
+    # 64 parentheses around a 65-term sum of t (64 levels): the rate 65 t.
+    rate = "(" * 64 + "+".join(["t"] * 65) + ")" * 64
+    path = write_spec(tmp_path / "limit.json", dephasing_spec(rate))
+    assert load_channel_spec(path).rate_grid([0.5]).tolist() == [[32.5]]
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--spec", path, "--t1", "1", "--steps", "2", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert [p["is_markovian"] for p in json.loads(out.read_text())["points"]] == [True, True]
+
+
 def test_a_file_that_is_not_utf8_is_named(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"dim": 2, "note": "\xff"}')

@@ -91,6 +91,6 @@ def test_dissipators_match_the_mask_placement(dim, n, signed):
 def test_draw_keeps_its_memory_peak(dim, n):
     jumps = int(np.random.default_rng(1).integers(1, dim * dim + 1, size=n).sum())
     array_mb = jumps * dim * dim * np.dtype(complex).itemsize / 2 ** 20
-    limit_mb = 1.5 * array_mb + 3 * channels._COLUMN_BLOCK_BYTES / 2 ** 20
+    limit_mb = 1.5 * array_mb + 3 * channels._BLOCK_BYTES / 2 ** 20
     assert limit_mb < 2 * array_mb
     assert _traced_peak_mb(lambda: _draw_generators(dim, n, np.random.default_rng(1))) < limit_mb

@@ -3,7 +3,7 @@ import pytest
 
 from nmwitness.channels import (LindbladGenerator, builtin_dephasing, builtin_pauli,
                                 gksl_superoperator, haar_unitaries)
-from nmwitness import geometry
+from nmwitness import channels, geometry
 from nmwitness.choi import choi_of_generator, unitary_chois
 from nmwitness.linalg import hs_norm
 from nmwitness.geometry import (
@@ -171,7 +171,7 @@ def test_extreme_point_probe_matches_full_distance_matrix_across_row_blocks(
     # 1/sqrt(d) takes a repeat's overlap below 1: its distance is exactly 0,
     # and its purity stays within 1e-10 of 1.
     n = 1100
-    r = geometry._census_rows(n)
+    r = channels._blocks(n, 16 * n, multiple=16)[0][1]  # rows of a census block
     assert n > 2 * r and r > 8
     scale = 1.0 + 1e-14
     perm = np.roll(np.eye(dim), 1, axis=0)

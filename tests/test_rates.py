@@ -16,6 +16,7 @@ from nmwitness.rates import (
     TableRate,
     TimeVar,
     Const,
+    MAX_DEPTH,
     as_rate,
     evaluate,
     parse,
@@ -226,6 +227,61 @@ def test_rate_grid_error_names_first_failing_time_and_rate():
         named = [kind for text, kind in _FAILURE_OF_MESSAGE.items() if text in message]
         assert named == [failure], (srcs, message)
     assert partial > 20
+
+
+DEEP = {
+    "parentheses": "(" * 3000 + "t" + ")" * 3000,
+    "powers": "t" + "^t" * 3000,
+    "sum": "+".join(["t"] * 20_000),
+}
+
+
+@pytest.mark.parametrize("src, offset", [
+    (DEEP["parentheses"], 64),  # the 65th '('
+    (DEEP["powers"], 131),      # the 65th '^' from the left, its right operand's level
+    (DEEP["sum"], 39_870),      # the 65th '+' from the right
+    ("(" * 65 + "t" + ")" * 65, 64),
+    ("-sin(" * 32 + "-t" + ")" * 32, 161),  # t, below 65 levels
+], ids=["parentheses", "powers", "sum", "65-parentheses", "negated-calls"])
+def test_parse_refuses_expressions_deeper_than_the_limit(src, offset):
+    assert MAX_DEPTH == 64
+    with pytest.raises(RateParseError, match=r"more than 64 ") as info:
+        parse(src)
+    assert info.value.offset == offset
+
+
+def _sin_63_times(x):
+    for _ in range(63):
+        x = math.sin(x)
+    return x
+
+
+@pytest.mark.parametrize("src, want", [
+    ("(" * 64 + "t" + ")" * 64, 0.5),
+    ("+".join(["t"] * 65), 32.5),
+    ("2" + "^1" * 64, 2.0),
+    ("sin(" * 63 + "-t" + ")" * 63, _sin_63_times(-0.5)),
+    ("(" * 63 + "+".join(["t"] * 65) + ")" * 63, 32.5),
+], ids=["64-parentheses", "65-term-sum", "64-powers", "63-calls-and-a-negation",
+        "63-parentheses-over-a-64-level-sum"])
+def test_expressions_at_the_limit_evaluate(src, want):
+    expr = parse(src)
+    assert evaluate(expr, 0.5) == want
+    assert ExpressionRate(expr).on_grid(np.array([0.5, 0.5])).tolist() == [want, want]
+
+
+def test_the_depth_limit_does_not_depend_on_the_callers_stack():
+    # At the limit the parser and evaluator use about 330 frames; from a stack
+    # 300 frames deeper the expression still parses, and one level more is
+    # refused at any depth.
+    def at_depth(frames, run):
+        return run() if frames == 0 else at_depth(frames - 1, run)
+
+    limit, beyond = "(" * 64 + "t" + ")" * 64, "(" * 65 + "t" + ")" * 65
+    assert at_depth(300, lambda: evaluate(parse(limit), 0.25)) == 0.25
+    for frames in (0, 300):
+        with pytest.raises(RateParseError, match="more than 64 parentheses open"):
+            at_depth(frames, lambda: parse(beyond))
 
 
 def test_table_rate():

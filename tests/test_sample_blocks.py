@@ -1,6 +1,6 @@
 """The Monte-Carlo probes and checks walk their samples in blocks.
 
-Every block is sized by the one budget `witness._BLOCK_BYTES`. Setting it to
+Every block is sized by the one budget `channels._BLOCK_BYTES`. Setting it to
 one sample's (d^2, d^2) stack, to seven samples' (uneven against the sizes
 here) or to more than the whole batch must not change a bit of any result,
 and the blocked probes must keep their lower memory peaks.
@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nmwitness import geometry, witness
+from nmwitness import channels, geometry
 from nmwitness.channels import builtin_pauli
 from nmwitness.choi import ChoiMatrix, choi_of_generator
 from nmwitness.witness import (
@@ -25,6 +25,11 @@ from nmwitness.witness import (
 
 EPS = 1e-3
 WHOLE_BATCH = 1 << 62
+
+
+def _census_rows(n):
+    """Rows of the extreme-point census's first (largest) block."""
+    return channels._blocks(n, 16 * n, multiple=16)[0][1]
 
 
 def _hermitian(dim, rng):
@@ -50,7 +55,7 @@ def test_range_views_match_the_whole_batch(monkeypatch, dim, samples):
     w = _hermitian(dim, np.random.default_rng(dim))
     states, dissipators = gens.states(eps), gens.dissipators()
     values, slack = gens.expectations(w, eps)
-    monkeypatch.setattr(witness, "_BLOCK_BYTES", samples * 16 * dim ** 4)
+    monkeypatch.setattr(channels, "_BLOCK_BYTES", samples * 16 * dim ** 4)
     blocks = _sample_blocks(n, dim)
     assert [b - a for a, b in blocks] == [samples] * (n // samples) + [1] * (samples == 7)
     for a, b in blocks:
@@ -92,11 +97,11 @@ def test_blocked_results_do_not_depend_on_the_block_size(monkeypatch, dim, sampl
     # n = 40 is 40 one-sample blocks, or five blocks of seven and one of five;
     # the census takes two or three row blocks.
     n, seed = 40, 80 + dim
-    monkeypatch.setattr(witness, "_BLOCK_BYTES", WHOLE_BATCH)
-    assert geometry._census_rows(n) >= n
+    monkeypatch.setattr(channels, "_BLOCK_BYTES", WHOLE_BATCH)
+    assert _census_rows(n) >= n
     whole = {name: run() for name, run in _checks(dim, n, seed).items()}
-    monkeypatch.setattr(witness, "_BLOCK_BYTES", samples * 16 * dim ** 4)
-    assert len(_sample_blocks(n, dim)) > 1 and geometry._census_rows(n) < n
+    monkeypatch.setattr(channels, "_BLOCK_BYTES", samples * 16 * dim ** 4)
+    assert len(_sample_blocks(n, dim)) > 1 and _census_rows(n) < n
     for name, run in _checks(dim, n, seed).items():
         _assert_same(run(), whole[name])
 
@@ -106,7 +111,40 @@ def test_default_budget_blocks():
     assert _sample_blocks(10_000, 2) == [(0, 4096), (4096, 8192), (8192, 10_000)]
     assert _sample_blocks(3, 3)[-1] == (0, 3)
     assert _sample_blocks(2, 16) == [(0, 1), (1, 2)]
-    assert [geometry._census_rows(n) for n in (600, 1100, 2000, 10**6)] == [96, 48, 32, 16]
+    assert [_census_rows(n) for n in (600, 1100, 2000, 10**6)] == [96, 48, 32, 16]
+
+
+def _ranges(n, step):
+    return [(a, min(a + step, n)) for a in range(0, n, step)]
+
+
+def _assert_covers(blocks, n):
+    assert [i for a, b in blocks for i in range(a, b)] == list(range(n))
+    assert all(a < b for a, b in blocks)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_one_block_rule_keeps_the_haar_and_sample_steps(dim):
+    # The steps the Haar draws and the samples took from budgets of their own,
+    # 2**20 bytes each, with n on both sides of a block boundary.
+    haar, sample = max(1, 2**20 // (16 * dim * dim)), max(1, 2**20 // (16 * dim ** 4))
+    for step, item_bytes in ((haar, 16 * dim * dim), (sample, 16 * dim ** 4)):
+        for n in (1, step - 1, step, step + 1, 3 * step - 1, 3 * step, 3 * step + 1):
+            blocks = channels._blocks(n, item_bytes)
+            _assert_covers(blocks, n)
+            assert blocks == _ranges(n, step)
+    assert _sample_blocks(3 * sample + 1, dim) == _ranges(3 * sample + 1, sample)
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 600, 1100, 2000, 2047, 2048, 2049, 4095,
+                               4096, 4097, 65_536, 65_537, 10**6])
+def test_one_block_rule_keeps_the_census_step(n):
+    # The census's own rule: all n rows, or a multiple of 16 whose (rows, n)
+    # complex block fits 2**20 bytes, at least 16. 2048 and 4096 are where it
+    # steps from 32 to 16 rows.
+    blocks = channels._blocks(n, 16 * n, multiple=16)
+    _assert_covers(blocks, n)
+    assert blocks == _ranges(n, min(n, 16 * max(1, 2**20 // (256 * n))))
 
 
 def _traced_peak_mb(run) -> float:

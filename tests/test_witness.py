@@ -5,7 +5,7 @@ import scipy.optimize
 from nmwitness.channels import builtin_dephasing, builtin_pauli, haar_unitaries
 from nmwitness.choi import (ChoiMatrix, choi_of_generator, classify, dissipator_chois,
                             max_entangled_state)
-from nmwitness.linalg import SIGMA_Z, dagger, hs_inner, hs_norm
+from nmwitness.linalg import DEGENERACY_GAP, SIGMA_Z, dagger, hs_inner, hs_norm
 from nmwitness.rates import ConstantRate
 from nmwitness.witness import (
     WitnessOperator,
@@ -96,6 +96,20 @@ def test_spectral_degenerate_cluster_merged():
     assert expectation(w, c) == pytest.approx(-1e-3, abs=1e-10)
 
 
+def test_spectral_cluster_is_a_chain_of_consecutive_gaps():
+    # Negative eigenvalues each within the degeneracy gap of the next form one
+    # cluster, though the chain spans 1.6 gaps; 3 gaps further up a new one starts.
+    gap = DEGENERACY_GAP
+    negative = -1e-3 + gap * np.array([0.0, 0.8, 1.6, 4.6])
+    spectrum = np.concatenate((negative, np.full(5, (1.0 - negative.sum()) / 5)))
+    u = haar_unitaries(9, 1, np.random.default_rng(3))[0]
+    c = ChoiMatrix(dim=3, matrix=(u * spectrum) @ u.conj().T, t=0.0, eps=EPS)
+    ws = spectral_witnesses(c)
+    assert [round(np.trace(w.matrix).real) for w in ws] == [3, 1]
+    assert expectation(ws[0], c) == pytest.approx(negative[:3].sum(), abs=1e-12)
+    assert expectation(ws[1], c) == pytest.approx(negative[3], abs=1e-12)
+
+
 def test_expectation_trivials():
     c = pauli_choi((0.4, 0.2, 0.1))
     eye_w = WitnessOperator(matrix=np.eye(4, dtype=complex), kind="theorem3",
@@ -178,6 +192,13 @@ def test_fixed_basis_degenerate_directions():
     assert res.degenerate
     assert res.kkt_ok
     assert res.residual == pytest.approx(0.5 * EPS * np.sqrt(2.0), rel=1e-8)
+
+
+def test_fixed_basis_rejects_family_of_another_dim():
+    cn = pauli_choi((1.0, 1.0, -0.3))
+    family = fixed_basis_family([np.diag([1.0, -1.0, 0.0])], EPS)
+    with pytest.raises(ShapeError, match=r"family dim 3 != Choi dim 2"):
+        nearest_mcs_fixed_basis(cn, family)
 
 
 def test_fixed_basis_rejects_family_at_another_eps():
