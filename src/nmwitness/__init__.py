@@ -11,7 +11,6 @@ geometry of the divisible set.
 __version__ = "0.1.0"
 
 from .linalg import (
-    HermitianEigen,
     HermiticityError,
     ShapeError,
     SIGMA_X,
@@ -33,7 +32,6 @@ from .rates import (
     RateParseError,
     TableRate,
     as_rate,
-    evaluate,
     parse,
 )
 from .channels import (

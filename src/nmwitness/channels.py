@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_HERM_TOL, ShapeError, as_matrix, dagger, require_hermitian
+from .linalg import ShapeError, as_matrix, dagger, require_hermitian
 from .rates import Rate, RateEvalError, RateLike, as_rate
 from . import linalg
 
@@ -79,14 +79,10 @@ class LindbladGenerator:
             ham = as_matrix(ham, "hamiltonian")
             if ham.shape != (d, d):
                 raise ShapeError(f"hamiltonian: expected {d}x{d}, got {ham.shape}")
-            require_hermitian(ham, DEFAULT_HERM_TOL, "hamiltonian")
+            require_hermitian(ham, "hamiltonian")
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "hamiltonian", ham)
-
-    def rate_values(self, t: float) -> np.ndarray:
-        """Evaluate every rate at time t."""
-        return self.rate_grid([t])[0]
 
     def rate_grid(self, ts) -> np.ndarray:
         """Every rate at every time of ts, shape (len(ts), number of rates).
@@ -119,7 +115,7 @@ def gksl_superoperator(gen: LindbladGenerator, t: float) -> SuperOperator:
     if gen.hamiltonian is not None:
         h = gen.hamiltonian
         s += -1.0j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for g, op in zip(gen.rate_values(t), gen.ops):
+    for g, op in zip(gen.rate_grid([t])[0], gen.ops):
         ldl = dagger(op) @ op
         s += g * (np.kron(op.conj(), op) - 0.5 * np.kron(eye, ldl)
                   - 0.5 * np.kron(ldl.T, eye))

@@ -11,10 +11,11 @@ divisibility-breaking (non-Markovianity) signal.
 
 The first-order step I + eps*L has the Choi state phi + eps*(C_H + sum_a
 g_a Y_a), affine in the rates g_a; every caller builds C_H and the Y_a with
-`hamiltonian_choi` and `dissipator_chois`. `scan` evaluates the rates on
-its whole grid at once (`LindbladGenerator.rate_grid`), assembles the grid
-as one stack and classifies it with one stacked eigensolve; its report holds
-the per-point minimum eigenvalues, deficits and verdicts as arrays.
+`hamiltonian_choi` and `dissipator_chois`, and `first_order_state` is the one
+place that forms phi + eps*X. `scan` evaluates the rates on its whole grid
+at once (`LindbladGenerator.rate_grid`), assembles the grid as one stack and
+classifies it with one stacked eigensolve; its report holds the per-point
+minimum eigenvalues, deficits and verdicts as arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import LindbladGenerator, SuperOperator
-from .linalg import DEFAULT_HERM_TOL, ShapeError, as_matrix, gell_mann_basis
+from .linalg import (DEFAULT_HERM_TOL, ShapeError, as_matrix, gell_mann_basis,
+                     hermitian_part, hermiticity_defect)
 
 
 def default_classification_tol(eps: float) -> float:
@@ -119,7 +121,7 @@ def _require_states(stack: np.ndarray, ts, eps: float) -> None:
     double range, or near enough its edge that their differences are; that
     is named as an overflow of eps * C_L, not as a Hermiticity defect.
     """
-    defect = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    defect = hermiticity_defect(stack)
     trace = np.einsum("nii->n", stack)
     bad = np.flatnonzero(~((defect <= DEFAULT_HERM_TOL) & (np.abs(trace - 1.0) <= 1e-10)))
     if bad.size:
@@ -165,6 +167,12 @@ def hamiltonian_choi(h: np.ndarray) -> np.ndarray:
     return -1.0j * (outer - np.swapaxes(outer, -1, -2).conj())
 
 
+def first_order_state(x: np.ndarray, eps: float) -> np.ndarray:
+    """phi + eps * x for a d^2 x d^2 generator Choi direction x, or for each
+    matrix of a (n, d^2, d^2) stack."""
+    return max_entangled_state(math.isqrt(x.shape[-1])) + eps * x
+
+
 def _first_order_chois(gen: LindbladGenerator, ts, eps: float) -> np.ndarray:
     """phi + eps * (C_H + g(t) @ Y) at each time t in ts, shape (len(ts), d^2, d^2)."""
     if not eps > 0:
@@ -172,7 +180,7 @@ def _first_order_chois(gen: LindbladGenerator, ts, eps: float) -> np.ndarray:
     c_l = np.tensordot(gen.rate_grid(ts), dissipator_chois(gen.ops), axes=1)
     if gen.hamiltonian is not None:
         c_l += hamiltonian_choi(gen.hamiltonian)
-    return max_entangled_state(gen.dim) + eps * c_l
+    return first_order_state(c_l, eps)
 
 
 def choi_of_channel(s: SuperOperator, t: float = 0.0, eps: float = 0.0) -> ChoiMatrix:
@@ -210,7 +218,7 @@ def _verdicts(chois: np.ndarray, tol: float, caller: str,
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            spectra = np.linalg.eigvalsh(0.5 * (chois + chois.conj().transpose(0, 2, 1)))
+            spectra = np.linalg.eigvalsh(hermitian_part(chois))
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"{caller}: eigensolve failed {where} (largest |entry| of the "
                          f"Choi stack {np.abs(chois).max():.3e}): {exc}") from exc
@@ -265,6 +273,9 @@ def scan(gen: LindbladGenerator, t0: float, t1: float, steps: int, eps: float,
     if tol is None:
         tol = default_classification_tol(eps)
     dt = (t1 - t0) / steps
+    if not math.isfinite(dt):
+        raise ValueError(f"scan: window [{t0}, {t1}] is too wide: (t1 - t0) / steps "
+                         f"is {dt}")
     grid = t0 + dt * np.arange(steps)
     # No overflow warnings: an overflowing stack fails the state check, the
     # eigensolve or the finite-measure check, each an error naming eps and

@@ -51,7 +51,7 @@ from .geometry import (
     hs_norm_probe,
     separation_demo,
 )
-from .linalg import DEFAULT_HERM_TOL, hermiticity_defect
+from .linalg import require_hermitian
 from .rates import TableRate, as_rate
 from .witness import (
     WitnessOperator,
@@ -199,11 +199,10 @@ def load_witness_matrix(path: str) -> np.ndarray:
         except (KeyError, IndexError, TypeError):
             raise SpecError(f"{path}: no witness matrix found") from None
     m = matrix_from_pairs(doc, f"{path}: witness")
-    if m.shape[0] != m.shape[1]:
-        raise SpecError(f"{path}: witness must be square, got {m.shape}")
-    defect = hermiticity_defect(m)
-    if defect > DEFAULT_HERM_TOL:
-        raise SpecError(f"{path}: witness not Hermitian, defect {defect:.3e}")
+    try:
+        require_hermitian(m, "witness")
+    except ValueError as exc:
+        raise SpecError(f"{path}: {exc}") from exc
     return m
 
 
@@ -691,8 +690,8 @@ def main(argv=None) -> int:
     run = args.pop("run")
     try:
         return run(**args)
-    except ValueError as exc:  # SpecError and the rate errors among them
-        print(f"nmwitness: error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:  # SpecError, rate errors, sizes beyond memory
+        print(f"nmwitness: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choi import ChoiMatrix, classify, max_entangled_state, unitary_chois
+from .choi import ChoiMatrix, classify, first_order_state, unitary_chois
 from .channels import _blocks, haar_unitaries
 from .witness import (
     _draw_generators,
@@ -103,11 +103,10 @@ def hs_norm_probe(dim: int, eps: float, n_trials: int, seed: int) -> ProbeReport
     if n_trials < 1:
         raise ValueError(f"hs_norm_probe: n_trials must be >= 1, got {n_trials}")
     gens = _draw_generators(dim, n_trials, np.random.default_rng(seed), signed=True)
-    phi = max_entangled_state(dim)
     norms, gen_norms = np.empty(n_trials), np.empty(n_trials)
     for a, b in _sample_blocks(n_trials, dim):
         gen_chois = gens.view(a, b).dissipators()
-        norms[a:b] = np.linalg.norm(phi + eps * gen_chois, axis=(1, 2))
+        norms[a:b] = np.linalg.norm(first_order_state(gen_chois, eps), axis=(1, 2))
         gen_norms[a:b] = np.linalg.norm(gen_chois, axis=(1, 2))
     deviations = np.abs(norms - 1.0)
     bounds = 10.0 * eps * dim * gen_norms

@@ -2,11 +2,12 @@
 
 All operations act on plain complex numpy arrays. Dimensions in this package
 stay tiny (at most d^2 x d^2 with d <= 9), so everything is dense and eager.
+`hermitian_part` and `hermiticity_defect` are the one place the package
+forms (a + a^dag)/2 and max |a - a^dag|, of a matrix or of each matrix of a
+stack.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,8 +49,8 @@ def _require_square(a: np.ndarray, name: str = "matrix") -> None:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(a, -1, -2).conj()
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -65,38 +66,31 @@ def hs_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    """Largest entrywise deviation |a - a^dag|."""
-    return float(np.abs(a - dagger(a)).max())
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(a + a^dag) / 2 of a matrix, or of each matrix of a stack."""
+    return 0.5 * (a + dagger(a))
 
 
-def require_hermitian(a: np.ndarray, tol: float = DEFAULT_HERM_TOL,
-                      name: str = "matrix") -> None:
-    """Raise HermiticityError when a deviates from a^dag beyond tol."""
+def hermiticity_defect(a: np.ndarray) -> float | np.ndarray:
+    """Largest entrywise |a - a^dag|: a float for a matrix, an array of one
+    per matrix for a stack."""
+    return np.abs(a - dagger(a)).max(axis=(-2, -1))
+
+
+def require_hermitian(a: np.ndarray, name: str = "matrix") -> None:
+    """Raise HermiticityError when a deviates from a^dag beyond DEFAULT_HERM_TOL."""
     _require_square(a, name)
     defect = hermiticity_defect(a)
-    if defect > tol:
-        raise HermiticityError(
-            f"{name}: not Hermitian, max |a - a^dag| = {defect:.3e} > {tol:.1e}")
+    if defect > DEFAULT_HERM_TOL:
+        raise HermiticityError(f"{name}: not Hermitian, max |a - a^dag| = {defect:.3e} "
+                               f"> {DEFAULT_HERM_TOL:.1e}")
 
 
-@dataclass(frozen=True)
-class HermitianEigen:
-    """Spectral decomposition of a Hermitian matrix.
-
-    eigenvalues are ascending; eigenvectors holds the matching unit
-    eigenvectors as columns, so A = V diag(w) V^dag.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(a: np.ndarray, tol: float = DEFAULT_HERM_TOL) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    require_hermitian(a, tol, "hermitian_eig")
-    w, v = np.linalg.eigh(0.5 * (a + dagger(a)))
-    return HermitianEigen(eigenvalues=w, eigenvectors=v)
+def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v) = np.linalg.eigh of a's Hermitian part: ascending eigenvalues and
+    the matching unit eigenvectors as columns, so a = v diag(w) v^dag."""
+    require_hermitian(a, "hermitian_eig")
+    return np.linalg.eigh(hermitian_part(a))
 
 
 def matrix_exp(a: np.ndarray) -> np.ndarray:

@@ -112,13 +112,14 @@ Node = Literal | TimeVar | Const | Neg | BinOp | Call
 
 @dataclass(frozen=True)
 class RateExpression:
-    """Parsed rate expression; evaluate with expression(t) or evaluate()."""
+    """Parsed rate expression; expression(t) is its value at time t, the
+    one-point grid's, and RateEvalError where it fails."""
 
     root: Node
     source: str = field(default="", compare=False)
 
     def __call__(self, t: float) -> float:
-        return evaluate(self, t)
+        return _evaluate_grid(self, np.array([t], dtype=float))[0].item()
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +332,6 @@ def _evaluate_grid(expr: RateExpression, ts: np.ndarray) -> np.ndarray:
     return values
 
 
-def evaluate(expr: RateExpression, t: float) -> float:
-    """Evaluate at time t; raises RateEvalError on division by zero etc."""
-    return _evaluate_grid(expr, np.array([t], dtype=float))[0].item()
-
-
 # ---------------------------------------------------------------------------
 # Rate function wrappers
 # ---------------------------------------------------------------------------
@@ -370,7 +366,7 @@ class ExpressionRate(Rate):
     expression: RateExpression
 
     def __call__(self, t: float) -> float:
-        return evaluate(self.expression, t)
+        return self.expression(t)
 
     def on_grid(self, ts: np.ndarray) -> np.ndarray:
         return _evaluate_grid(self.expression, ts)

@@ -47,9 +47,10 @@ import numpy as np
 from . import linalg
 from .channels import _blocks, haar_unitaries
 from .choi import (ChoiMatrix, add_phi, choi_kets, default_classification_tol,
-                   dissipator_chois, hamiltonian_choi, lift, max_entangled_state,
-                   partial_trace_2, perp_isometry)
-from .linalg import DEGENERACY_GAP, ShapeError, as_matrix, dagger, hs_inner, hs_norm
+                   dissipator_chois, first_order_state, hamiltonian_choi, lift,
+                   max_entangled_state, partial_trace_2, perp_isometry)
+from .linalg import (DEGENERACY_GAP, ShapeError, as_matrix, dagger, hermitian_part,
+                     hs_inner, hs_norm)
 
 
 @dataclass(frozen=True)
@@ -93,9 +94,8 @@ class MarkovianFamily:
 
 def fixed_basis_family(basis_ops, eps: float, t: float = 0.0) -> MarkovianFamily:
     """Family of Choi states reachable with the given frozen jump operators."""
-    ops = tuple(as_matrix(op) for op in basis_ops)
-    dim = ops[0].shape[0]
-    return MarkovianFamily(dim=dim, basis_ops=ops, eps=eps, t=t)
+    ops = tuple(basis_ops)
+    return MarkovianFamily(dim=len(ops[0]), basis_ops=ops, eps=eps, t=t)
 
 
 def pauli_family(eps: float, t: float = 0.0) -> MarkovianFamily:
@@ -143,8 +143,7 @@ def spectral_witnesses(c: ChoiMatrix, tol: float | None = None) -> list[WitnessO
     """
     if tol is None:
         tol = default_classification_tol(c.eps)
-    eig = linalg.hermitian_eig(c.matrix)
-    w, v = eig.eigenvalues, eig.eigenvectors
+    w, v = linalg.hermitian_eig(c.matrix)
     negative = np.flatnonzero(w < -tol)
     clusters = np.split(negative, np.flatnonzero(np.diff(w[negative]) > DEGENERACY_GAP) + 1)
     return [_cluster_projector(c, w, v, cluster) for cluster in clusters if cluster.size]
@@ -152,8 +151,7 @@ def spectral_witnesses(c: ChoiMatrix, tol: float | None = None) -> list[WitnessO
 
 def _cluster_projector(c: ChoiMatrix, w, v, cluster: np.ndarray) -> WitnessOperator:
     vectors = v[:, cluster]
-    proj = vectors @ dagger(vectors)
-    proj = 0.5 * (proj + dagger(proj))
+    proj = hermitian_part(vectors @ dagger(vectors))
     values = ", ".join(f"{w[i]:.6e}" for i in cluster)
     return WitnessOperator(
         matrix=proj,
@@ -248,13 +246,13 @@ def nnls_gram(q: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _kkt_fixed_basis(gram: np.ndarray, proj: np.ndarray, rates: np.ndarray,
-                     eps: float, tol: float = 1e-8) -> bool:
-    """Certify stationarity of ||r - eps * sum_a rate_a Y_a||^2 at rates >= 0."""
+                     eps: float) -> bool:
+    """Certify stationarity of ||r - eps * sum_a rate_a Y_a||^2 at rates >= 0, to 1e-8."""
     grad = 2.0 * eps * eps * (gram @ rates) - 2.0 * eps * proj
     active = rates <= 0.0
-    if np.any(grad[active] < -tol):
+    if np.any(grad[active] < -1e-8):
         return False
-    return bool(np.all(np.abs(grad[~active]) <= tol))
+    return bool(np.all(np.abs(grad[~active]) <= 1e-8))
 
 
 def nearest_mcs_fixed_basis(cn: ChoiMatrix, fam: MarkovianFamily) -> NearestMCSResult:
@@ -280,7 +278,7 @@ def nearest_mcs_fixed_basis(cn: ChoiMatrix, fam: MarkovianFamily) -> NearestMCSR
     degenerate = bool(eigs[0] <= 1e-12 * max(1.0, eigs[-1]))
     rates, iterations = nnls_gram(2.0 * eps * eps * gram, 2.0 * eps * proj)
     kkt_ok = _kkt_fixed_basis(gram, proj, rates, eps)
-    star = max_entangled_state(d) + eps * np.tensordot(rates, dirs, axes=1)
+    star = first_order_state(np.tensordot(rates, dirs, axes=1), eps)
     choi_star = ChoiMatrix(dim=d, matrix=star, t=cn.t, eps=eps)
     return NearestMCSResult(
         choi_star=choi_star,
@@ -337,7 +335,7 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix, *, max_iter: int = 50,
 
     # ChoiMatrix admits a Hermiticity defect up to DEFAULT_HERM_TOL, which
     # dividing by eps would magnify.
-    y = (0.5 * (cn.matrix + dagger(cn.matrix)) - phi) / e
+    y = (hermitian_part(cn.matrix) - phi) / e
 
     def cone_point(lam: np.ndarray):
         """X(lam) with Tr_2 X, the w_perp block's eigenvalues and U @ eigenvectors."""
@@ -390,8 +388,7 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix, *, max_iter: int = 50,
         # LAPACK driver in memory.
         curv, basis = np.linalg.eigh(jacobian(w, uv))
         step = basis @ ((basis.conj().T @ -x_tr2.reshape(-1)) / (curv + min(1e-2, residual)))
-        step = step.reshape(d, d)
-        step = 0.5 * (step + dagger(step))
+        step = hermitian_part(step.reshape(d, d))
         objective, slope = 0.5 * hs_norm(x) ** 2, np.vdot(x_tr2, step).real
         for t in 0.5 ** np.arange(40):
             trial = cone_point(lam + t * step)
@@ -415,7 +412,7 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix, *, max_iter: int = 50,
     # w_perp block (w_perp phi = 0), so the returned generator stays in the cone.
     defect = lift(x_tr2)
     x = x - 0.5 * d * (phi @ defect + defect @ phi)
-    star = phi + e * x
+    star = first_order_state(x, e)
     return NearestMCSResult(
         choi_star=ChoiMatrix(dim=d, matrix=star, t=cn.t, eps=e),
         residual=hs_norm(cn.matrix - star),
@@ -576,14 +573,12 @@ def _draw_generators(dim: int, n: int, rng: np.random.Generator, signed: bool = 
     if not hamiltonian:
         return _SampledGenerators(d, counts, kets, rates)
     mask = rng.random(n) < 0.5
-    # H = (Z + Z^dag)/2 for Z = a + 1j*b, formed in place: writing the parts
-    # of Z is bit for bit a + 1j*b, and the sum and halving commute exactly.
+    # H = (Z + Z^dag)/2 for Z = a + 1j*b: writing the parts of Z is bit for
+    # bit a + 1j*b.
     raw = np.empty((n, d, d), dtype=complex)
     raw.real = rng.standard_normal((n, d, d))
     raw.imag = rng.standard_normal((n, d, d))
-    h = raw.conj().transpose(0, 2, 1)
-    h += raw
-    h *= 0.5
+    h = hermitian_part(raw)
     del raw
     h -= (np.einsum("nii->n", h) / d)[:, None, None].real * np.eye(d)
     return _SampledGenerators(d, counts, kets, rates, mask, h)

@@ -458,9 +458,8 @@ def trace_norm(a: np.ndarray) -> float:
 def psd_project(a: np.ndarray) -> np.ndarray:
     """Nearest (in HS norm) positive semidefinite matrix to Hermitian a:
     clamps negative eigenvalues to zero and reconstructs."""
-    eig = hermitian_eig(a)
-    v = eig.eigenvectors
-    out = (v * np.clip(eig.eigenvalues, 0.0, None)) @ v.conj().T
+    w, v = hermitian_eig(a)
+    out = (v * np.clip(w, 0.0, None)) @ v.conj().T
     return 0.5 * (out + out.conj().T)
 
 

@@ -21,6 +21,7 @@ from nmwitness.choi import (
     classify,
     default_classification_tol,
     dissipator_chois,
+    first_order_state,
     lift,
     max_entangled_state,
     partial_trace_2,
@@ -31,6 +32,15 @@ from nmwitness.linalg import hs_norm
 from nmwitness.rates import RateEvalError, TableRate
 from oracles import (apply_superop, channel_of_choi, kron_dissipator_chois, random_markovian,
                      trace_norm)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_first_order_state_is_phi_plus_eps_x(d):
+    rng = np.random.default_rng(d)
+    xs = rng.standard_normal((5, d * d, d * d)) + 1j * rng.standard_normal((5, d * d, d * d))
+    for x in (xs, xs[0]):
+        want = max_entangled_state(d) + 1e-3 * x
+        assert first_order_state(x, 1e-3).tobytes() == want.tobytes()
 
 
 def test_max_entangled_state_qubit():
@@ -341,6 +351,16 @@ def test_scan_validation():
         scan(gen, 0.0, 1.0, 0, 1e-3)
 
 
+def test_scan_refuses_a_window_whose_width_overflows():
+    # t1 - t0 = 2e308 is beyond the double range: an error naming the window,
+    # not an invalid-value warning from the grid.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"^scan: window \[-1e\+308, 1e\+308\] is too "
+                                             r"wide: \(t1 - t0\) / steps is inf$"):
+            scan(builtin_dephasing(1.0), -1e308, 1e308, 3, 1e-3)
+
+
 def test_scan_propagates_rate_failure():
     gen = LindbladGenerator(
         dim=2,
@@ -367,7 +387,7 @@ def test_scan_rate_error_matches_point_loop(rates):
     gen = LindbladGenerator(dim=2, ops=(np.diag([1.0, -1.0]),) * len(rates), rates=rates)
     with pytest.raises(RateEvalError) as point:
         for t in 0.25 * np.arange(12):  # scan's grid of [0, 3] in 12 steps
-            gen.rate_values(float(t))
+            gen.rate_grid([float(t)])
     with pytest.raises(RateEvalError) as stacked:
         scan(gen, 0.0, 3.0, 12, 1e-3)
     assert str(stacked.value) == str(point.value)

@@ -397,6 +397,21 @@ def test_verify_rejects_non_hermitian(tmp_path):
         load_witness_matrix(str(path))
 
 
+@pytest.mark.parametrize("matrix,message", [
+    (np.ones((2, 3)), "expected a square matrix, got shape (2, 3)"),
+    (np.triu(np.ones((4, 4))), "not Hermitian, max |a - a^dag| = 1.000e+00 > 1.0e-10"),
+], ids=["non-square", "non-hermitian"])
+def test_a_witness_that_is_not_a_hermitian_square_matrix_is_named(tmp_path, capsys, matrix,
+                                                                   message):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(matrix_to_pairs(matrix)))
+    with pytest.raises(SpecError) as info:
+        load_witness_matrix(str(path))
+    assert str(info.value) == f"{path}: witness: {message}"
+    assert main(["verify", "--witness", str(path), "--n", "5", "--seed", "1"]) == 1
+    assert capsys.readouterr().err == f"nmwitness: error: {path}: witness: {message}\n"
+
+
 def test_geometry_probes_exit_codes(tmp_path):
     for probe in ("convexity", "hsnorm", "extreme"):
         out = tmp_path / f"{probe}.json"
@@ -909,6 +924,43 @@ def test_main_overflow_names_eps(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("nmwitness: error: ") and err.count("\n") == 1
     assert f"eps={float(argv[argv.index('--eps') + 1])}" in err
+
+
+# Each size is far beyond the 128 TiB of a 64-bit user address space, so its
+# allocation fails at once, whatever the machine's memory and overcommit.
+@pytest.mark.parametrize("argv,message", [
+    (["analyze", "--spec", "{spec}", "--t0=-1e308", "--t1", "1e308", "--steps", "3"],
+     "scan: window [-1e+308, 1e+308] is too wide: (t1 - t0) / steps is inf"),
+    (["analyze", "--spec", "{spec}", "--t1", "1", "--steps", "1000000000000000"],
+     "Unable to allocate 7.11 PiB"),
+    (["geometry", "--probe", "convexity", "--n", "1000000000000000", "--seed", "1"],
+     "Unable to allocate 14.2 PiB"),
+    (["verify", "--witness", "{witness}", "--n", "1000000000000000", "--seed", "1"],
+     "Unable to allocate 7.11 PiB"),
+], ids=["window", "analyze-steps", "convexity-n", "verify-n"])
+def test_main_reports_a_window_or_size_beyond_reach_as_an_input_error(tmp_path, capsys,
+                                                                       argv, message):
+    spec = write_spec(tmp_path / "s.json", pauli_spec(1.0, 1.0, -0.3))
+    witness = tmp_path / "w.json"
+    witness.write_text(json.dumps(matrix_to_pairs(np.eye(4))))
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([a.format(spec=spec, witness=witness) for a in argv] + ["--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"nmwitness: error: {message}") and err.count("\n") == 1
+
+
+def test_main_reports_a_bare_memory_error_as_an_input_error(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "scan", out_of_memory)
+    spec = write_spec(tmp_path / "s.json", dephasing_spec(1.0))
+    assert main(["analyze", "--spec", spec, "--t1", "1", "--steps", "4"]) == 1
+    assert capsys.readouterr().err == "nmwitness: error: MemoryError\n"
 
 
 @pytest.mark.parametrize("eps,n,seed", [

@@ -10,6 +10,8 @@ from nmwitness.linalg import (
     dagger,
     gell_mann_basis,
     hermitian_eig,
+    hermitian_part,
+    hermiticity_defect,
     hs_inner,
     hs_norm,
     matrix_exp,
@@ -48,6 +50,19 @@ def test_dagger():
     rng = np.random.default_rng(3)
     a, b = random_complex(rng, 3), random_complex(rng, 3)
     assert np.abs(dagger(a @ b) - dagger(b) @ dagger(a)).max() < 1e-12
+
+
+@pytest.mark.parametrize("k", [4, 9, 16, 25])
+def test_hermitian_part_and_defect_of_a_stack_are_those_of_each_matrix(k):
+    # Bit for bit, through the bytes: a signed zero or a last-bit change shows.
+    rng = np.random.default_rng(k)
+    stack = rng.standard_normal((3, k, k)) + 1j * rng.standard_normal((3, k, k))
+    parts, defects = hermitian_part(stack), hermiticity_defect(stack)
+    assert parts.shape == stack.shape and defects.shape == (3,)
+    for a, part, defect in zip(stack, parts, defects):
+        want_part, want_defect = 0.5 * (a + a.conj().T), np.abs(a - a.conj().T).max()
+        assert part.tobytes() == hermitian_part(a).tobytes() == want_part.tobytes()
+        assert defect == hermiticity_defect(a) == want_defect
 
 
 def test_hs_inner():
@@ -101,13 +116,13 @@ def test_trace_norm_bounds_trace():
 # ---------------------------------------------------------------------------
 
 def test_hermitian_eig_sigma_z():
-    eig = hermitian_eig(SIGMA_Z)
-    assert np.allclose(eig.eigenvalues, [-1.0, 1.0])
+    w, _ = hermitian_eig(SIGMA_Z)
+    assert np.allclose(w, [-1.0, 1.0])
 
 
 def test_hermitian_eig_dephasing_choi():
-    eig = hermitian_eig(dephasing_choi(1.0, 1e-3))
-    assert np.abs(eig.eigenvalues - np.array([0.0, 0.0, 1e-3, 0.999])).max() < 1e-12
+    w, _ = hermitian_eig(dephasing_choi(1.0, 1e-3))
+    assert np.abs(w - np.array([0.0, 0.0, 1e-3, 0.999])).max() < 1e-12
 
 
 def test_hermitian_eig_reconstruction():
@@ -115,22 +130,34 @@ def test_hermitian_eig_reconstruction():
     for _ in range(50):
         n = int(rng.integers(2, 9))
         a = random_hermitian(rng, n)
-        eig = hermitian_eig(a)
+        w, v = hermitian_eig(a)
         scale = max(1.0, hs_norm(a))
-        v = eig.eigenvectors
-        assert hs_norm(a - (v * eig.eigenvalues) @ dagger(v)) <= 1e-10 * scale
-        assert np.all(np.diff(eig.eigenvalues) >= 0)
-        assert eig.eigenvalues.sum() == pytest.approx(np.trace(a).real, abs=1e-10)
+        assert hs_norm(a - (v * w) @ dagger(v)) <= 1e-10 * scale
+        assert np.all(np.diff(w) >= 0)
+        assert w.sum() == pytest.approx(np.trace(a).real, abs=1e-10)
         assert np.abs(dagger(v) @ v - np.eye(n)).max() < 1e-10
 
 
 def test_hermitian_eig_deterministic():
     rng = np.random.default_rng(7)
     a = random_hermitian(rng, 5)
-    e1 = hermitian_eig(a)
-    e2 = hermitian_eig(a)
-    assert np.array_equal(e1.eigenvalues, e2.eigenvalues)
-    assert np.array_equal(e1.eigenvectors, e2.eigenvectors)
+    w1, v1 = hermitian_eig(a)
+    w2, v2 = hermitian_eig(a)
+    assert np.array_equal(w1, w2)
+    assert np.array_equal(v1, v2)
+
+
+def test_hermitian_eig_is_eigh_of_the_hermitian_part():
+    rng = np.random.default_rng(8)
+    a = random_hermitian(rng, 6)
+    a[0, 1] += 5e-11  # a defect within the tolerance
+    w, v = hermitian_eig(a)
+    want_w, want_v = np.linalg.eigh(0.5 * (a + a.conj().T))
+    assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+    a[0, 1] += 1e-10
+    with pytest.raises(HermiticityError, match=r"hermitian_eig: not Hermitian, "
+                                               r"max \|a - a\^dag\| = 1\.500e-10 > 1\.0e-10"):
+        hermitian_eig(a)
 
 
 def test_hermitian_eig_rejects_non_hermitian():

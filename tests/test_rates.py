@@ -18,7 +18,6 @@ from nmwitness.rates import (
     Const,
     MAX_DEPTH,
     as_rate,
-    evaluate,
     parse,
 )
 from nmwitness.channels import LindbladGenerator, builtin_dephasing
@@ -27,49 +26,49 @@ from oracles import pretty, shunting_yard_eval
 
 
 def test_constant():
-    assert evaluate(parse("1.5"), 0.0) == 1.5
+    assert parse("1.5")(0.0) == 1.5
 
 
 def test_tanh_at_zero():
-    assert evaluate(parse("-tanh(t)"), 0.0) == 0.0
+    assert parse("-tanh(t)")(0.0) == 0.0
 
 
 def test_analytic_value():
-    assert evaluate(parse("cos(2*t) + 0.5"), 0.0) == pytest.approx(1.5)
+    assert parse("cos(2*t) + 0.5")(0.0) == pytest.approx(1.5)
 
 
 def test_power_right_associative():
-    assert evaluate(parse("2^3^2"), 0.0) == 512.0
+    assert parse("2^3^2")(0.0) == 512.0
 
 
 def test_linear():
-    assert evaluate(parse("1 - 2*t"), 0.25) == pytest.approx(0.5)
+    assert parse("1 - 2*t")(0.25) == pytest.approx(0.5)
 
 
 def test_division_by_zero():
     expr = parse("sin(t)/t")
     with pytest.raises(RateEvalError):
-        evaluate(expr, 0.0)
-    assert evaluate(expr, 1.0) == pytest.approx(math.sin(1.0))
+        expr(0.0)
+    assert expr(1.0) == pytest.approx(math.sin(1.0))
 
 
 def test_zero_to_negative_power():
     with pytest.raises(RateEvalError):
-        evaluate(parse("0^-1"), 0.0)
+        parse("0^-1")(0.0)
     with pytest.raises(RateEvalError):
-        evaluate(parse("(t - 1)^0.5"), 0.0)
+        parse("(t - 1)^0.5")(0.0)
 
 
 def test_math_domain_error_names_function_and_offset():
     with pytest.raises(RateEvalError, match=r"sin: math domain error \(at byte 2\)"):
-        evaluate(parse("1+sin(exp(700)*exp(700))"), 0.0)
+        parse("1+sin(exp(700)*exp(700))")(0.0)
 
 
 @pytest.mark.parametrize("src, message", INNERMOST_ERRORS,
                          ids=[src for src, _ in INNERMOST_ERRORS])
 def test_error_names_only_the_innermost_failing_node(src, message):
     with pytest.raises(RateEvalError) as point:
-        evaluate(parse(src), 0.0)
+        parse(src)(0.0)
     assert str(point.value) == message
     with pytest.raises(RateEvalError) as grid:
         builtin_dephasing(src).rate_grid([0.0, 0.5])
@@ -79,7 +78,7 @@ def test_error_names_only_the_innermost_failing_node(src, message):
 def test_golden_corpus():
     assert len(GOLDEN_EXPRESSIONS) >= 50
     for src, t, expected in GOLDEN_EXPRESSIONS:
-        value = evaluate(parse(src), t)
+        value = parse(src)(t)
         assert value == pytest.approx(expected, abs=1e-12), src
         assert ExpressionRate(parse(src)).on_grid(np.array([t, t])).tolist() == [value] * 2, src
 
@@ -150,7 +149,7 @@ def test_random_expressions_match_shunting_yard_oracle():
         values = []
         for t in ts:
             try:
-                mine = evaluate(expr, float(t))
+                mine = expr(float(t))
             except RateEvalError:
                 with pytest.raises((ZeroDivisionError, ValueError, OverflowError)):
                     shunting_yard_eval(expr_src, float(t))
@@ -266,7 +265,7 @@ def _sin_63_times(x):
         "63-parentheses-over-a-64-level-sum"])
 def test_expressions_at_the_limit_evaluate(src, want):
     expr = parse(src)
-    assert evaluate(expr, 0.5) == want
+    assert expr(0.5) == want
     assert ExpressionRate(expr).on_grid(np.array([0.5, 0.5])).tolist() == [want, want]
 
 
@@ -278,7 +277,7 @@ def test_the_depth_limit_does_not_depend_on_the_callers_stack():
         return run() if frames == 0 else at_depth(frames - 1, run)
 
     limit, beyond = "(" * 64 + "t" + ")" * 64, "(" * 65 + "t" + ")" * 65
-    assert at_depth(300, lambda: evaluate(parse(limit), 0.25)) == 0.25
+    assert at_depth(300, lambda: parse(limit)(0.25)) == 0.25
     for frames in (0, 300):
         with pytest.raises(RateParseError, match="more than 64 parentheses open"):
             at_depth(frames, lambda: parse(beyond))
