@@ -28,7 +28,6 @@ from .rates import (
     ExpressionRate,
     Rate,
     RateEvalError,
-    RateExpression,
     RateParseError,
     TableRate,
     as_rate,

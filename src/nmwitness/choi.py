@@ -117,19 +117,24 @@ class ChoiMatrix:
 def _require_states(stack: np.ndarray, ts, eps: float) -> None:
     """ChoiMatrix's checks on a stack of states at times ts: Hermitian, trace one.
 
-    A state whose Hermiticity defect is not finite has entries beyond the
-    double range, or near enough its edge that their differences are; that
-    is named as an overflow of eps * C_L, not as a Hermiticity defect.
+    A failing state is blamed on eps * C_L, not on its Hermiticity or trace,
+    when its Hermiticity defect is not finite (entries beyond the double
+    range, or near enough its edge that their differences are) or when its
+    largest |entry| is so large that rounding alone can break the trace
+    test: d^2 * u * max|entry| > trace_tol, with u the machine epsilon. Then
+    eps * C_L has swamped phi, whose entries are at most 1/d.
     """
+    trace_tol = 1e-10
     defect = hermiticity_defect(stack)
     trace = np.einsum("nii->n", stack)
-    bad = np.flatnonzero(~((defect <= DEFAULT_HERM_TOL) & (np.abs(trace - 1.0) <= 1e-10)))
+    bad = np.flatnonzero(~((defect <= DEFAULT_HERM_TOL) & (np.abs(trace - 1.0) <= trace_tol)))
     if bad.size:
         k = bad[0]
-        if not np.isfinite(defect[k]):
-            raise ValueError(f"Choi state at t={ts[k]}, eps={eps}: phi + eps*C_L overflows "
-                             f"the double range (largest |entry| "
-                             f"{np.abs(stack[k]).max():.3e})")
+        largest = np.abs(stack[k]).max()
+        if (not np.isfinite(defect[k])
+                or stack.shape[-1] * np.finfo(float).eps * largest > trace_tol):
+            raise ValueError(f"Choi state at t={ts[k]}, eps={eps}: eps*C_L swamps phi or "
+                             f"overflows the double range (largest |entry| {largest:.3e})")
         raise ValueError(f"Choi state at t={ts[k]}: Hermiticity defect {defect[k]:.3e}, "
                          f"trace {complex(trace[k])!r}; need Hermitian with trace 1")
 
@@ -265,7 +270,11 @@ class ScanReport:
 
 def scan(gen: LindbladGenerator, t0: float, t1: float, steps: int, eps: float,
          tol: float | None = None) -> ScanReport:
-    """Classify the first-order small-time step at each grid point of [t0, t1]."""
+    """Classify the first-order small-time step at each grid point of [t0, t1].
+
+    The steps + 1 cell edges t0 + k*dt must be finite and strictly
+    increasing; a window too wide or too narrow for that is a ValueError.
+    """
     if t1 <= t0:
         raise ValueError(f"scan: need t1 > t0, got [{t0}, {t1}]")
     if steps < 1:
@@ -277,6 +286,10 @@ def scan(gen: LindbladGenerator, t0: float, t1: float, steps: int, eps: float,
         raise ValueError(f"scan: window [{t0}, {t1}] is too wide: (t1 - t0) / steps "
                          f"is {dt}")
     grid = t0 + dt * np.arange(steps)
+    edges = np.append(grid, grid[-1] + dt)
+    if not (np.diff(edges) > 0).all():
+        raise ValueError(f"scan: window [{t0}, {t1}] is too narrow for {steps} steps: "
+                         f"the cell edges t0 + k*dt, dt = {dt}, are not strictly increasing")
     # No overflow warnings: an overflowing stack fails the state check, the
     # eigensolve or the finite-measure check, each an error naming eps and
     # the time or window.
@@ -287,7 +300,6 @@ def scan(gen: LindbladGenerator, t0: float, t1: float, steps: int, eps: float,
                                                  f"on [{t0}, {t1}] with {steps} steps")
     # Runs of non-Markovian cells open and close where the zero-padded verdicts flip.
     flips = np.flatnonzero(np.diff(np.pad(~markovian, 1)))
-    edges = np.append(grid, grid[-1] + dt)
     # Python's left-to-right sum, not np.sum's pairwise one, keeps the
     # reported measure bit-for-bit stable.
     measure = float(sum(np.maximum(deficits, 0.0).tolist()) * dt / eps)

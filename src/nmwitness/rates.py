@@ -110,18 +110,6 @@ class Call:
 Node = Literal | TimeVar | Const | Neg | BinOp | Call
 
 
-@dataclass(frozen=True)
-class RateExpression:
-    """Parsed rate expression; expression(t) is its value at time t, the
-    one-point grid's, and RateEvalError where it fails."""
-
-    root: Node
-    source: str = field(default="", compare=False)
-
-    def __call__(self, t: float) -> float:
-        return _evaluate_grid(self, np.array([t], dtype=float))[0].item()
-
-
 # ---------------------------------------------------------------------------
 # Tokenizer
 # ---------------------------------------------------------------------------
@@ -246,8 +234,8 @@ class _Parser:
             tok.pos)
 
 
-def parse(src: str) -> RateExpression:
-    """Parse expression text; raises RateParseError with a byte offset."""
+def parse(src: str) -> ExpressionRate:
+    """Parse expression text into its Rate; raises RateParseError with a byte offset."""
     parser = _Parser(_tokenize(src))
     root = parser.expr()
     if parser.cur.kind != "end":
@@ -259,7 +247,7 @@ def parse(src: str) -> RateExpression:
         if depth > MAX_DEPTH:
             raise RateParseError(f"more than {MAX_DEPTH} nested operators and calls", node.pos)
         below += [(child, depth + 1) for child in vars(node).values() if isinstance(child, Node)]
-    return RateExpression(root=root, source=src)
+    return ExpressionRate(root)
 
 
 # ---------------------------------------------------------------------------
@@ -321,17 +309,6 @@ def _eval_grid(node: Node, ts: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown node {node!r}")
 
 
-def _evaluate_grid(expr: RateExpression, ts: np.ndarray) -> np.ndarray:
-    """expr at every t of ts; RateEvalError where it fails or is not finite."""
-    with np.errstate(all="ignore"):
-        values = _eval_grid(expr.root, ts)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        k = bad[0]
-        raise RateEvalError(f"non-finite value {values[k].item()!r} at t={ts[k].item()}")
-    return values
-
-
 # ---------------------------------------------------------------------------
 # Rate function wrappers
 # ---------------------------------------------------------------------------
@@ -363,13 +340,22 @@ class ConstantRate(Rate):
 
 @dataclass(frozen=True)
 class ExpressionRate(Rate):
-    expression: RateExpression
+    """A parsed expression (`parse` builds one); RateEvalError where it fails
+    or is not finite."""
+
+    root: Node
 
     def __call__(self, t: float) -> float:
-        return self.expression(t)
+        return self.on_grid(np.array([t], dtype=float))[0].item()
 
     def on_grid(self, ts: np.ndarray) -> np.ndarray:
-        return _evaluate_grid(self.expression, ts)
+        with np.errstate(all="ignore"):
+            values = _eval_grid(self.root, ts)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            k = bad[0]
+            raise RateEvalError(f"non-finite value {values[k].item()!r} at t={ts[k].item()}")
+        return values
 
 
 @dataclass(frozen=True)
@@ -400,15 +386,13 @@ class TableRate(Rate):
         return np.interp(ts, self.times, self.values)
 
 
-RateLike = Rate | RateExpression | float | int | str
+RateLike = Rate | float | int | str
 
 
 def as_rate(x: RateLike) -> Rate:
-    """Coerce a number, expression text or RateExpression to a Rate."""
+    """Coerce a number or expression text to a Rate."""
     if isinstance(x, Rate):
         return x
-    if isinstance(x, RateExpression):
-        return ExpressionRate(x)
     if isinstance(x, bool):
         raise TypeError("as_rate: bool is not a rate")
     if isinstance(x, (int, float)):
@@ -416,5 +400,5 @@ def as_rate(x: RateLike) -> Rate:
             raise ValueError(f"as_rate: non-finite constant {x!r}")
         return ConstantRate(float(x))
     if isinstance(x, str):
-        return ExpressionRate(parse(x))
+        return parse(x)
     raise TypeError(f"as_rate: cannot interpret {type(x).__name__} as a rate")

@@ -28,8 +28,8 @@ from nmwitness.channels import LindbladGenerator, SuperOperator, haar_unitaries
 from nmwitness.choi import (ChoiMatrix, choi_kets, dissipator_chois, hamiltonian_choi,
                             max_entangled_state, unitary_chois)
 from nmwitness.linalg import hermitian_eig
-from nmwitness.rates import (BinOp, Call, Const, ConstantRate, Literal, Neg, Node,
-                             RateExpression, TimeVar)
+from nmwitness.rates import (BinOp, Call, Const, ConstantRate, ExpressionRate, Literal, Neg,
+                             Node, TimeVar)
 
 _FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
           "tanh": math.tanh, "abs": abs}
@@ -172,7 +172,7 @@ def _render(node: Node) -> tuple[str, int]:
     raise TypeError(f"unknown node {node!r}")
 
 
-def pretty(expr: RateExpression) -> str:
+def pretty(expr: ExpressionRate) -> str:
     """Render back to parseable source text."""
     return _render(expr.root)[0]
 

@@ -349,6 +349,30 @@ def test_scan_validation():
         scan(gen, 1.0, 0.0, 10, 1e-3)
     with pytest.raises(ValueError):
         scan(gen, 0.0, 1.0, 0, 1e-3)
+    with pytest.raises(ValueError, match=r"^scan: need t1 > t0, got \[0\.5, 0\.5\]$"):
+        scan(gen, 0.5, 0.5, 4, 1e-3)
+
+
+def test_choi_of_generator_refuses_eps_zero():
+    with pytest.raises(ValueError, match=r"eps must be > 0, got 0\.0$"):
+        choi_of_generator(builtin_dephasing(1.0), 0.0, 0.0)
+
+
+@pytest.mark.parametrize("t0, t1, steps, dt", [
+    # dt = 0.5 is a quarter of the spacing 2 of the doubles at 1e16: the
+    # first three edges round to t0.
+    (1e16, 1.0000000000000002e16, 4, "0.5"),
+    # Half the smallest subnormal rounds to dt = 0.
+    (0.0, 5e-324, 2, "0.0"),
+], ids=["spacing-at-1e16", "subnormal"])
+def test_scan_refuses_a_window_narrower_than_the_double_spacing(t0, t1, steps, dt):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError) as narrow:
+            scan(builtin_dephasing(1.0), t0, t1, steps, 1e-3)
+    assert str(narrow.value) == (
+        f"scan: window [{t0}, {t1}] is too narrow for {steps} steps: the cell edges "
+        f"t0 + k*dt, dt = {dt}, are not strictly increasing")
 
 
 def test_scan_refuses_a_window_whose_width_overflows():

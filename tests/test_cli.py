@@ -905,15 +905,20 @@ def test_main_witness_overflow_is_an_input_error(tmp_path, capsys, rate, eps, mo
     ["analyze", "--spec", "{minus}", "--t1", "1", "--steps", "3", "--eps", "2"],
     ["geometry", "--probe", "hsnorm", "--eps", "1e308", "--n", "50", "--seed", "1"],
     ["verify", "--witness", "{identity}", "--eps", "1e308", "--n", "100", "--seed", "1"],
+    *([*command, "--eps", eps] for eps in ("1e20", "1e300")
+      for command in (["analyze", "--spec", "{pauli}", "--t1", "1", "--steps", "3"],
+                      ["witness", "--spec", "{pauli}"])),
 ])
 def test_main_overflow_names_eps(tmp_path, capsys, command):
-    # eps times the generator leaves the double range: an input error naming
-    # eps, not a Hermiticity complaint, an Infinity in the report or a
-    # violation of a witness that is nonnegative on every state.
+    # eps times the generator leaves the double range, or swamps phi so that
+    # rounding alone breaks the trace test: an input error naming eps, not a
+    # Hermiticity complaint, an Infinity in the report or a violation of a
+    # witness that is nonnegative on every state.
     identity = tmp_path / "identity.json"
     identity.write_text(json.dumps(matrix_to_pairs(np.eye(4))))
     argv = [a.format(plus=write_spec(tmp_path / "p.json", dephasing_spec(1.7e308)),
                      minus=write_spec(tmp_path / "m.json", dephasing_spec(-1.7e308)),
+                     pauli=write_spec(tmp_path / "pauli.json", pauli_spec(1.0, 1.0, -0.3)),
                      identity=identity) for a in command]
     out = tmp_path / "out.json"
     with warnings.catch_warnings():
@@ -937,7 +942,15 @@ def test_main_overflow_names_eps(tmp_path, capsys, command):
      "Unable to allocate 14.2 PiB"),
     (["verify", "--witness", "{witness}", "--n", "1000000000000000", "--seed", "1"],
      "Unable to allocate 7.11 PiB"),
-], ids=["window", "analyze-steps", "convexity-n", "verify-n"])
+    (["analyze", "--spec", "{spec}", "--t0", "1e16", "--t1", "1.0000000000000002e16",
+      "--steps", "4"],
+     "scan: window [1e+16, 1.0000000000000002e+16] is too narrow for 4 steps: the cell "
+     "edges t0 + k*dt, dt = 0.5, are not strictly increasing"),
+    (["analyze", "--spec", "{spec}", "--t0", "0", "--t1", "5e-324", "--steps", "2"],
+     "scan: window [0.0, 5e-324] is too narrow for 2 steps: the cell edges t0 + k*dt, "
+     "dt = 0.0, are not strictly increasing"),
+], ids=["window", "analyze-steps", "convexity-n", "verify-n", "narrow-window-at-1e16",
+        "subnormal-window"])
 def test_main_reports_a_window_or_size_beyond_reach_as_an_input_error(tmp_path, capsys,
                                                                        argv, message):
     spec = write_spec(tmp_path / "s.json", pauli_spec(1.0, 1.0, -0.3))

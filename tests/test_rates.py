@@ -11,7 +11,6 @@ from nmwitness.rates import (
     Literal,
     Neg,
     RateEvalError,
-    RateExpression,
     RateParseError,
     TableRate,
     TimeVar,
@@ -34,7 +33,9 @@ def test_tanh_at_zero():
 
 
 def test_analytic_value():
-    assert parse("cos(2*t) + 0.5")(0.0) == pytest.approx(1.5)
+    rate = parse("cos(2*t) + 0.5")
+    assert isinstance(rate, ExpressionRate)
+    assert rate(0.0) == pytest.approx(1.5)
 
 
 def test_power_right_associative():
@@ -80,7 +81,7 @@ def test_golden_corpus():
     for src, t, expected in GOLDEN_EXPRESSIONS:
         value = parse(src)(t)
         assert value == pytest.approx(expected, abs=1e-12), src
-        assert ExpressionRate(parse(src)).on_grid(np.array([t, t])).tolist() == [value] * 2, src
+        assert parse(src).on_grid(np.array([t, t])).tolist() == [value] * 2, src
 
 
 def test_malformed_corpus_offsets():
@@ -141,7 +142,7 @@ def test_random_expressions_match_shunting_yard_oracle():
     rng = np.random.default_rng(20260810)
     checked = 0
     for _ in range(1000):
-        expr_src = pretty(RateExpression(root=_random_node(rng, int(rng.integers(1, 4)))))
+        expr_src = pretty(ExpressionRate(_random_node(rng, int(rng.integers(1, 4)))))
         expr = parse(expr_src)
         # printer round trip holds on random trees too
         assert parse(pretty(expr)).root == expr.root
@@ -159,10 +160,10 @@ def test_random_expressions_match_shunting_yard_oracle():
             values.append(mine)
             checked += 1
         if len(values) == len(ts):
-            assert ExpressionRate(expr).on_grid(ts).tolist() == values, expr_src
+            assert expr.on_grid(ts).tolist() == values, expr_src
         else:
             with pytest.raises(RateEvalError):
-                ExpressionRate(expr).on_grid(ts)
+                expr.on_grid(ts)
     assert checked > 5000
 
 
@@ -209,7 +210,7 @@ def test_rate_grid_error_names_first_failing_time_and_rate():
     ops = (np.diag([1.0, -1.0]),) * 2
     partial = 0
     for _ in range(300):
-        srcs = [pretty(RateExpression(root=_failing_node(rng, int(rng.integers(1, 4)))))
+        srcs = [pretty(ExpressionRate(_failing_node(rng, int(rng.integers(1, 4)))))
                 for _ in ops]
         gen = LindbladGenerator(dim=2, ops=ops, rates=srcs)
         failing = [(t, i, failure) for t in ts.tolist() for i, src in enumerate(srcs)
@@ -266,7 +267,7 @@ def _sin_63_times(x):
 def test_expressions_at_the_limit_evaluate(src, want):
     expr = parse(src)
     assert expr(0.5) == want
-    assert ExpressionRate(expr).on_grid(np.array([0.5, 0.5])).tolist() == [want, want]
+    assert expr.on_grid(np.array([0.5, 0.5])).tolist() == [want, want]
 
 
 def test_the_depth_limit_does_not_depend_on_the_callers_stack():

@@ -194,6 +194,11 @@ def test_fixed_basis_degenerate_directions():
     assert res.residual == pytest.approx(0.5 * EPS * np.sqrt(2.0), rel=1e-8)
 
 
+def test_fixed_basis_family_refuses_eps_zero():
+    with pytest.raises(ValueError, match=r"^MarkovianFamily: eps must be > 0, got 0\.0$"):
+        fixed_basis_family([SIGMA_Z], 0.0)
+
+
 def test_fixed_basis_rejects_family_of_another_dim():
     cn = pauli_choi((1.0, 1.0, -0.3))
     family = fixed_basis_family([np.diag([1.0, -1.0, 0.0])], EPS)
