@@ -7,8 +7,10 @@ Four probes, each a sampled surrogate for a structural statement:
                   boundedness half of compactness; closedness is not
                   numerically probeable);
   * extreme     - Haar-random unitary channels give arbitrarily many
-                  distinct purity-one extreme points, so the set is not a
-                  polytope (a polytope has finitely many);
+                  distinct purity-one extreme points, so the set of all
+                  channels is not a polytope (a polytope has finitely many);
+                  the census never reads eps, so it says nothing of this
+                  kind about the divisible set;
   * separation  - a non-Markovian Choi is separated from sampled divisible
                   ones by the hyperplane through its nearest divisible state.
 """
@@ -36,7 +38,7 @@ r = extreme_point_probe(dim=2, eps=1e-3, n_unitaries=1000, seed=13)
 print(f"failures {r.failures}, min pairwise HS distance "
       f"{r.summary['min_pairwise_distance']:.3e}")
 print("every census member is a distinct purity-one state; the census grows "
-      "without repetition,\nso no finite vertex set can span the divisible set")
+      "without repetition,\nso no finite vertex set can span the set of all channels")
 
 print("\n--- separation: Pauli rates (1, 1, -0.3) against 10000 samples ---")
 cn = choi_of_generator(builtin_pauli(1.0, 1.0, -0.3), t=0.0, eps=1e-3)

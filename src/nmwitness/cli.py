@@ -45,7 +45,6 @@ from .channels import LindbladGenerator, builtin_pauli
 from .choi import ChoiMatrix, choi_of_generator, classify, scan
 from .geometry import (
     MarkovianTargetError,
-    ProbeReport,
     convexity_probe,
     extreme_point_probe,
     hs_norm_probe,
@@ -400,12 +399,10 @@ def emit_report(payload: dict, out_path: str | None, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(spec: str, t0: float, t1: float, steps: int, eps: float,
-                out: str | None, fmt: str, tol: float | None = None) -> int:
+                tol: float | None = None) -> tuple[dict, int]:
     gen = load_channel_spec(spec)
     report = scan(gen, t0, t1, steps, eps, tol)
-    payload = {
-        "command": "analyze",
-        "metadata": _metadata(None, eps),
+    fields = {
         "t0": t0,
         "t1": t1,
         "steps": steps,
@@ -417,8 +414,7 @@ def cmd_analyze(spec: str, t0: float, t1: float, steps: int, eps: float,
                               tuple(np.reshape(report.nm_intervals, (-1, 2)).T), keyed=False),
         "integrated_measure": report.integrated_measure,
     }
-    emit_report(payload, out, fmt)
-    return 3 if report.nm_intervals else 0
+    return fields, 3 if report.nm_intervals else 0
 
 
 def _witness_entry(w: WitnessOperator, c: ChoiMatrix) -> dict:
@@ -430,13 +426,7 @@ def _witness_entry(w: WitnessOperator, c: ChoiMatrix) -> dict:
     }
 
 
-def _nothing_to_witness() -> int:
-    print("nothing to witness: channel is Markovian at the requested time",
-          file=sys.stderr)
-    return 2
-
-
-def _spectral(gen, cn, t, eps, tol) -> tuple[dict, int]:
+def _spectral(gen, cn, tol) -> tuple[dict, int]:
     return {"witnesses": [_witness_entry(w, cn) for w in spectral_witnesses(cn, tol)]}, 0
 
 
@@ -447,24 +437,26 @@ def _theorem3(cn: ChoiMatrix, result, **fields) -> dict:
             "c0": w.c0, "kkt_ok": result.kkt_ok, "iterations": result.iterations}
 
 
-def _theorem3_fixed(gen, cn, t, eps, tol) -> tuple[dict, int]:
-    result = nearest_mcs_fixed_basis(cn, fixed_basis_family(gen.ops, eps, t))
+def _theorem3_fixed(gen, cn, tol) -> tuple[dict, int]:
+    result = nearest_mcs_fixed_basis(cn, fixed_basis_family(gen.ops, cn.eps, cn.t))
     return _theorem3(cn, result, rates=[float(g) for g in result.rates]), 0
 
 
-def _theorem3_gksl(gen, cn, t, eps, tol) -> tuple[dict, int]:
+def _theorem3_gksl(gen, cn, tol) -> tuple[dict, int]:
     result = nearest_mcs_full_gksl(cn)
     return _theorem3(cn, result), 0 if result.kkt_ok else 4
 
 
-# Witness mode -> builder(gen, cn, t, eps, tol) of the report fields and the
-# exit code for a non-Markovian target cn.
+# Witness mode -> builder(gen, cn, tol) of the report fields and the exit
+# code for a non-Markovian target cn, the Choi state of gen at (cn.t, cn.eps).
 _WITNESS_MODES = {"spectral": _spectral, "theorem3-fixed": _theorem3_fixed,
                   "theorem3-gksl": _theorem3_gksl}
 
 
 def cmd_witness(spec: str, t0: float, eps: float, mode: str,
-                out: str | None, fmt: str, tol: float | None = None) -> int:
+                tol: float | None = None) -> tuple[dict, int]:
+    """The report fields and exit code of a witness of the Choi state at (t0, eps).
+    A target that classifies as Markovian raises MarkovianTargetError."""
     if mode not in _WITNESS_MODES:
         raise SpecError(f"unknown witness mode {mode!r}")
     gen = load_channel_spec(spec)
@@ -474,25 +466,18 @@ def cmd_witness(spec: str, t0: float, eps: float, mode: str,
         cn = choi_of_generator(gen, t0, eps)
         verdict = classify(cn, tol)
         if verdict.is_markovian:
-            return _nothing_to_witness()
-        fields, exit_code = _WITNESS_MODES[mode](gen, cn, t0, eps, tol)
-    payload = {
-        "command": "witness",
-        "metadata": _metadata(None, eps),
-        "mode": mode,
-        "t": t0,
-        "classification": {
-            "min_eigenvalue": verdict.min_eigenvalue,
-            "deficit": verdict.trace_norm_deficit,
-            "is_markovian": verdict.is_markovian,
-        },
-        **fields,
+            raise MarkovianTargetError(f"witness: Choi state at t={t0}, eps={eps} "
+                                       f"classifies as Markovian")
+        fields, exit_code = _WITNESS_MODES[mode](gen, cn, tol)
+    classification = {
+        "min_eigenvalue": verdict.min_eigenvalue,
+        "deficit": verdict.trace_norm_deficit,
+        "is_markovian": verdict.is_markovian,
     }
-    emit_report(payload, out, fmt)
-    return exit_code
+    return {"mode": mode, "t": t0, "classification": classification, **fields}, exit_code
 
 
-def cmd_verify(witness: str, eps: float, n: int, seed: int, out: str | None, fmt: str) -> int:
+def cmd_verify(witness: str, eps: float, n: int, seed: int) -> tuple[dict, int]:
     matrix = load_witness_matrix(witness)
     dim = int(round(np.sqrt(matrix.shape[0])))
     if dim * dim != matrix.shape[0] or dim < 2:
@@ -502,33 +487,14 @@ def cmd_verify(witness: str, eps: float, n: int, seed: int, out: str | None, fmt
     # eps near the top of the double range overflows the sampled states.
     with _overflow_names(f"verify: d={dim}, eps={eps}"):
         result = verify_witness(w, dim, eps, n, seed)
-    payload = {
-        "command": "verify",
-        "metadata": _metadata(seed, eps),
+    fields = {
         "witness_path": witness,
         "dim": dim,
         "n_samples": n,
         "violations": result.violations,
         "min_expectation": result.min_expectation,
     }
-    emit_report(payload, out, fmt)
-    return 0 if result.violations == 0 else 3
-
-
-def _probe_payload(report: ProbeReport, seed: int, eps: float) -> dict:
-    payload = {
-        "command": "geometry",
-        "metadata": _metadata(seed, eps),
-        "probe": report.probe_name,
-        "n_trials": report.n_trials,
-        "failures": report.failures,
-        "worst_value": report.worst_value,
-        "details": _Rows(("trial", "value"),
-                         (np.arange(report.details.size), report.details), keyed=False),
-    }
-    if report.summary is not None:
-        payload["summary"] = report.summary
-    return payload
+    return fields, 0 if result.violations == 0 else 3
 
 
 # Sampled probe name -> probe(dim, eps, n, seed). Each looks its probe up in
@@ -541,10 +507,11 @@ _SAMPLED_PROBES = {
 
 
 def cmd_geometry(probe: str, dim: int | None, eps: float, n: int, seed: int,
-                 out: str | None, fmt: str, spec: str | None = None, t0: float = 0.0) -> int:
+                 spec: str | None = None, t0: float | None = None) -> tuple[dict, int]:
     """Run one probe. dim None is 2, or for separation the target's dimension,
-    which an explicit dim must match. A separation target that classifies as
-    Markovian has nothing to separate: exit 2 with no report, as witness does."""
+    which an explicit dim must match. spec and t0 (None: 0.0) choose the
+    separation target; a sampled probe takes neither. A separation target
+    that classifies as Markovian raises MarkovianTargetError, as witness does."""
     if probe == "separation":
         # Default demonstration instance: a Pauli channel with one negative
         # rate, non-Markovian at every time.
@@ -555,19 +522,29 @@ def cmd_geometry(probe: str, dim: int | None, eps: float, n: int, seed: int,
         dim = gen.dim
 
         def run(dim, eps, n, seed):
-            return separation_demo(choi_of_generator(gen, t0, eps), n, seed)
+            cn = choi_of_generator(gen, 0.0 if t0 is None else t0, eps)
+            return separation_demo(cn, n, seed)
     elif probe in _SAMPLED_PROBES:
+        for option, value in (("--spec", spec), ("--t0", t0)):
+            if value is not None:
+                raise SpecError(f"{option} is for the separation probe only, not {probe}")
         run, dim = _SAMPLED_PROBES[probe], 2 if dim is None else dim
     else:
         raise SpecError(f"unknown probe {probe!r}")
     # eps near the top of the double range overflows the sampled states.
     with _overflow_names(f"geometry: {probe} probe at d={dim}, eps={eps}"):
-        try:
-            report = run(dim, eps, n, seed)
-        except MarkovianTargetError:
-            return _nothing_to_witness()
-    emit_report(_probe_payload(report, seed, eps), out, fmt)
-    return 0 if report.failures == 0 else 3
+        report = run(dim, eps, n, seed)
+    fields = {
+        "probe": report.probe_name,
+        "n_trials": report.n_trials,
+        "failures": report.failures,
+        "worst_value": report.worst_value,
+        "details": _Rows(("trial", "value"),
+                         (np.arange(report.details.size), report.details), keyed=False),
+    }
+    if report.summary is not None:
+        fields["summary"] = report.summary
+    return fields, 0 if report.failures == 0 else 3
 
 
 # ---------------------------------------------------------------------------
@@ -632,11 +609,11 @@ _COUNT = _argument(int, "a positive integer", lambda value: value >= 1)
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared by every later one.
 
-    A subcommand's parse fills its handler's parameters and names the handler
-    `run`. Building takes about ten times as long as a parse (argparse makes
-    a HelpFormatter for each argument), a large share of a small witness's
-    cost. Reuse carries no state between calls: each parse fills a fresh
-    namespace.
+    A subcommand's parse fills its handler's parameters, plus `out` and `fmt`
+    for `main`, and names the handler `run`. Building takes about ten times
+    as long as a parse (argparse makes a HelpFormatter for each argument), a
+    large share of a small witness's cost. Reuse carries no state between
+    calls: each parse fills a fresh namespace.
     """
     parser = _Parser(prog="nmwitness",
                      description="Small-time Choi states of Lindblad dynamics: "
@@ -672,7 +649,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "--dim must match")
     geometry.add_argument("--spec", default=None,
                           help="separation only: channel supplying the target state")
-    geometry.add_argument("--t0", type=_FINITE, default=0.0)
+    geometry.add_argument("--t0", type=_FINITE, default=None,
+                          help="separation only: time of the target state (default 0)")
 
     for p in (verify, geometry):
         p.add_argument("--n", type=_COUNT, required=True)
@@ -685,14 +663,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Parse argv, run the subcommand's handler on its own options and write
+    its fields under the report header to --out (stdout when absent) in
+    --format; return the exit code. A Markovian target is exit 2 with no
+    report, any input error exit 1 with a one-line message."""
     args = vars(build_parser().parse_args(argv))
-    del args["command"]
-    run = args.pop("run")
+    command, run, out, fmt = (args.pop(key) for key in ("command", "run", "out", "fmt"))
     try:
-        return run(**args)
+        fields, exit_code = run(**args)
+        header = {"command": command, "metadata": _metadata(args.get("seed"), args["eps"])}
+        emit_report({**header, **fields}, out, fmt)
+    except MarkovianTargetError:
+        print("nothing to witness: channel is Markovian at the requested time",
+              file=sys.stderr)
+        return 2
     except (ValueError, MemoryError) as exc:  # SpecError, rate errors, sizes beyond memory
         print(f"nmwitness: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
+    return exit_code
 
 
 if __name__ == "__main__":

@@ -60,9 +60,9 @@ def convexity_probe(dim: int, eps: float, n_trials: int, seed: int) -> ProbeRepo
 
     Per trial two divisible Chois and a uniform weight p are drawn; the trial
     fails when the mixture's smallest eigenvalue drops below -1e-12. Trial k
-    mixes sample k with sample n_trials + k of one `sample_markovian_chois`
-    draw without Hamiltonians; the states are formed, mixed and eigensolved
-    one block of trials at a time.
+    mixes generator k with generator n_trials + k of one `_draw_generators`
+    draw of 2 n_trials generators without Hamiltonians; the states are
+    formed, mixed and eigensolved one block of trials at a time.
     """
     if eps <= 0:
         raise ValueError(f"convexity_probe: eps must be > 0, got {eps}")

@@ -27,8 +27,7 @@ Hamiltonians) and never build the (n, d^2, d^2) stack of sampled states.
 A sample violates the witness when its value is below -1e-8 by more than a
 rounding slack that is also computed from the draws, from a bound on the
 generator's entries before any cancellation. `sample_markovian_chois` still
-returns the stack, built in place, for callers that need the states
-themselves.
+returns the stack, for callers that need the states themselves.
 
 Every consumer of the draws walks them in the blocks of `_sample_blocks`
 (`channels._blocks` under the one budget `channels._BLOCK_BYTES`), through
@@ -510,10 +509,9 @@ class _SampledGenerators:
         return x
 
     def states(self, eps: float) -> np.ndarray:
-        """The (n, d^2, d^2) stack phi + eps*(X + mask C_H), built in place on X."""
-        chois = self.dissipators()
-        chois *= eps
-        add_phi(chois, np.ones(len(chois)))
+        """The (n, d^2, d^2) stack phi + eps*(X + mask C_H): `first_order_state`
+        of X, then eps*C_H added to the masked samples."""
+        chois = first_order_state(self.dissipators(), eps)
         if self.ham is not None:
             chois[self.mask] += eps * hamiltonian_choi(self.ham[self.mask])
         return chois
@@ -591,8 +589,9 @@ def sample_markovian_chois(dim: int, eps: float, n_samples: int, seed: int) -> n
     [0, 1]; about half the samples also carry a random traceless Hamiltonian
     (the "unitary part"). All draws come from one seeded stream in a fixed
     order (`_draw_generators`), so output is reproducible. Returns the
-    (n_samples, dim^2, dim^2) complex stack phi + eps*(C_H + X): the whole
-    batch as one range, which the probes walk in blocks.
+    (n_samples, dim^2, dim^2) complex stack phi + eps*(C_H + X), the whole
+    batch at once; the probes form their states from `_draw_generators` one
+    block at a time instead.
     """
     if n_samples < 1:
         raise ValueError(f"sample_markovian_chois: n_samples must be >= 1, got {n_samples}")

@@ -39,6 +39,7 @@ from nmwitness.cli import (
 )
 from golden_expressions import INNERMOST_ERRORS
 from nmwitness.geometry import (
+    MarkovianTargetError,
     convexity_probe,
     extreme_point_probe,
     hs_norm_probe,
@@ -70,6 +71,15 @@ def pauli_spec(gx, gy, gz):
         {"matrix": SY, "rate": gy},
         {"matrix": SZ, "rate": gz},
     ]}
+
+
+def run_main(command, out, fmt="json", **options):
+    """main on command, each option given as --name value, the report written
+    to out in fmt; the exit code."""
+    argv = [command]
+    for name, value in options.items():
+        argv += [f"--{name}", str(value)]
+    return main([*argv, "--out", str(out), "--format", fmt])
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +328,7 @@ def test_matrix_pairs_roundtrip():
 def test_analyze_markovian_exit_zero(tmp_path):
     spec = write_spec(tmp_path / "s.json", dephasing_spec(1.0))
     out = tmp_path / "report.json"
-    code = cmd_analyze(spec, 0.0, 1.0, 50, 1e-3, str(out), "json")
+    code = run_main("analyze", out, spec=spec, t0=0.0, t1=1.0, steps=50, eps=1e-3)
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["nm_intervals"] == []
@@ -328,7 +338,7 @@ def test_analyze_markovian_exit_zero(tmp_path):
 def test_analyze_cosine_exit_three(tmp_path):
     spec = write_spec(tmp_path / "s.json", dephasing_spec("cos(t)"))
     out = tmp_path / "report.json"
-    code = cmd_analyze(spec, 0.0, 3.2, 320, 1e-3, str(out), "json")
+    code = run_main("analyze", out, spec=spec, t0=0.0, t1=3.2, steps=320, eps=1e-3)
     assert code == 3
     payload = json.loads(out.read_text())
     (start, end), = payload["nm_intervals"]
@@ -342,7 +352,7 @@ def test_witness_modes(tmp_path):
                            ("theorem3-fixed", -1.2e-7),
                            ("theorem3-gksl", -1.2e-7)]:
         out = tmp_path / f"{mode}.json"
-        code = cmd_witness(spec, 0.0, 1e-3, mode, str(out), "json")
+        code = run_main("witness", out, spec=spec, t0=0.0, eps=1e-3, mode=mode)
         assert code == 0
         payload = json.loads(out.read_text())
         value = payload["witnesses"][0]["expectation"]
@@ -355,7 +365,8 @@ def test_witness_modes(tmp_path):
 
 def test_witness_markovian_exit_two(tmp_path, capsys):
     spec = write_spec(tmp_path / "s.json", dephasing_spec(1.0))
-    code = cmd_witness(spec, 0.0, 1e-3, "spectral", str(tmp_path / "w.json"), "json")
+    code = run_main("witness", tmp_path / "w.json", spec=spec, t0=0.0, eps=1e-3,
+                    mode="spectral")
     assert code == 2
     assert "nothing to witness" in capsys.readouterr().err
 
@@ -363,15 +374,15 @@ def test_witness_markovian_exit_two(tmp_path, capsys):
 def test_witness_unknown_mode(tmp_path):
     spec = write_spec(tmp_path / "s.json", dephasing_spec(1.0))
     with pytest.raises(SpecError):
-        cmd_witness(spec, 0.0, 1e-3, "bogus", None, "json")
+        cmd_witness(spec, 0.0, 1e-3, "bogus")
 
 
 def test_verify_roundtrip_from_witness_report(tmp_path):
     spec = write_spec(tmp_path / "s.json", pauli_spec(1.0, 1.0, -0.3))
     wout = tmp_path / "w.json"
-    assert cmd_witness(spec, 0.0, 1e-3, "theorem3-fixed", str(wout), "json") == 0
+    assert run_main("witness", wout, spec=spec, t0=0.0, eps=1e-3, mode="theorem3-fixed") == 0
     vout = tmp_path / "v.json"
-    code = cmd_verify(str(wout), 1e-3, 2000, 42, str(vout), "json")
+    code = run_main("verify", vout, witness=wout, eps=1e-3, n=2000, seed=42)
     assert code == 0
     payload = json.loads(vout.read_text())
     assert payload["violations"] == 0
@@ -384,7 +395,7 @@ def test_verify_invalid_witness_exit_three(tmp_path):
     path = tmp_path / "neg.json"
     path.write_text(json.dumps(neg))
     out = tmp_path / "v.json"
-    code = cmd_verify(str(path), 1e-3, 100, 1, str(out), "json")
+    code = run_main("verify", out, witness=path, eps=1e-3, n=100, seed=1)
     assert code == 3
     assert json.loads(out.read_text())["violations"] == 100
 
@@ -415,15 +426,15 @@ def test_a_witness_that_is_not_a_hermitian_square_matrix_is_named(tmp_path, caps
 def test_geometry_probes_exit_codes(tmp_path):
     for probe in ("convexity", "hsnorm", "extreme"):
         out = tmp_path / f"{probe}.json"
-        code = cmd_geometry(probe, 2, 1e-4, 200, 3, str(out), "json")
+        code = run_main("geometry", out, probe=probe, dim=2, eps=1e-4, n=200, seed=3)
         assert code == 0, probe
         payload = json.loads(out.read_text())
         assert payload["failures"] == 0
-    code = cmd_geometry("separation", 2, 1e-3, 500, 4,
-                        str(tmp_path / "sep.json"), "json")
+    code = run_main("geometry", tmp_path / "sep.json", probe="separation", dim=2, eps=1e-3,
+                    n=500, seed=4)
     assert code == 0
     with pytest.raises(SpecError, match="probe"):
-        cmd_geometry("bogus", 2, 1e-3, 10, 1, None, "json")
+        cmd_geometry("bogus", 2, 1e-3, 10, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -437,16 +448,16 @@ def strip_timestamp(text):
 def test_json_determinism_modulo_timestamp(tmp_path):
     spec = write_spec(tmp_path / "s.json", dephasing_spec("cos(t)"))
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    cmd_analyze(spec, 0.0, 3.2, 64, 1e-3, str(out1), "json")
-    cmd_analyze(spec, 0.0, 3.2, 64, 1e-3, str(out2), "json")
+    for out in (out1, out2):
+        run_main("analyze", out, spec=spec, t0=0.0, t1=3.2, steps=64, eps=1e-3)
     assert strip_timestamp(out1.read_text()) == strip_timestamp(out2.read_text())
 
 
 def test_csv_and_json_numeric_identity(tmp_path):
     spec = write_spec(tmp_path / "s.json", dephasing_spec("cos(t)"))
     out_json, out_csv = tmp_path / "r.json", tmp_path / "r.csv"
-    cmd_analyze(spec, 0.0, 3.2, 64, 1e-3, str(out_json), "json")
-    cmd_analyze(spec, 0.0, 3.2, 64, 1e-3, str(out_csv), "csv")
+    for out, fmt in ((out_json, "json"), (out_csv, "csv")):
+        run_main("analyze", out, fmt, spec=spec, t0=0.0, t1=3.2, steps=64, eps=1e-3)
     payload = json.loads(out_json.read_text())
     rows = out_csv.read_text().strip().splitlines()
     assert rows[0] == "t,min_eigenvalue,deficit,is_markovian"
@@ -490,8 +501,8 @@ def plain_analyze_payload(report, metadata, t0, t1, steps):
 def test_analyze_report_bytes_match_json_dumps(tmp_path, rate, t0, t1, steps, n_intervals):
     spec = write_spec(tmp_path / "s.json", dephasing_spec(rate))
     out_json, out_csv = tmp_path / "r.json", tmp_path / "r.csv"
-    cmd_analyze(spec, t0, t1, steps, 1e-3, str(out_json), "json")
-    cmd_analyze(spec, t0, t1, steps, 1e-3, str(out_csv), "csv")
+    for out, fmt in ((out_json, "json"), (out_csv, "csv")):
+        run_main("analyze", out, fmt, spec=spec, t0=t0, t1=t1, steps=steps, eps=1e-3)
     report = scan(load_channel_spec(spec), t0, t1, steps, 1e-3)
     assert len(report.nm_intervals) == n_intervals
     text = out_json.read_text()
@@ -513,8 +524,8 @@ def test_analyze_report_bytes_match_json_dumps(tmp_path, rate, t0, t1, steps, n_
 def test_geometry_report_bytes_match_json_dumps(tmp_path, probe, run):
     dim = 3 if probe == "hsnorm" else 2
     out_json, out_csv = tmp_path / "g.json", tmp_path / "g.csv"
-    cmd_geometry(probe, dim, 1e-3, 300, 5, str(out_json), "json")
-    cmd_geometry(probe, dim, 1e-3, 300, 5, str(out_csv), "csv")
+    for out, fmt in ((out_json, "json"), (out_csv, "csv")):
+        run_main("geometry", out, fmt, probe=probe, dim=dim, eps=1e-3, n=300, seed=5)
     report = run()
     text = out_json.read_text()
     plain = {
@@ -691,8 +702,8 @@ def test_witness_csv_matches_json(tmp_path):
     # back to every JSON witness matrix exactly.
     spec = write_spec(tmp_path / "s.json", pauli_spec(1.0, -0.3, -0.5))
     out_json, out_csv = tmp_path / "w.json", tmp_path / "w.csv"
-    cmd_witness(spec, 0.0, 1e-3, "spectral", str(out_json), "json")
-    cmd_witness(spec, 0.0, 1e-3, "spectral", str(out_csv), "csv")
+    for out, fmt in ((out_json, "json"), (out_csv, "csv")):
+        run_main("witness", out, fmt, spec=spec, t0=0.0, eps=1e-3, mode="spectral")
     matrices = [w["matrix"] for w in json.loads(out_json.read_text())["witnesses"]]
     assert len(matrices) == 2
     header, *rows = out_csv.read_text().splitlines()
@@ -710,7 +721,7 @@ def test_witness_csv_matches_json(tmp_path):
 def test_spectral_report_with_two_witnesses(tmp_path):
     spec = write_spec(tmp_path / "s.json", pauli_spec(-0.5, -0.2, 1.0))
     out = tmp_path / "w.json"
-    assert cmd_witness(spec, 0.0, 1e-3, "spectral", str(out), "json") == 0
+    assert run_main("witness", out, spec=spec, t0=0.0, eps=1e-3, mode="spectral") == 0
     payload = json.loads(out.read_text())
     values = sorted(w["expectation"] for w in payload["witnesses"])
     assert values == pytest.approx([-5e-4, -2e-4], abs=1e-12)
@@ -718,7 +729,8 @@ def test_spectral_report_with_two_witnesses(tmp_path):
 
 def test_geometry_and_verify_csv(tmp_path):
     out = tmp_path / "probe.csv"
-    assert cmd_geometry("extreme", 2, 1e-3, 50, 9, str(out), "csv") == 0
+    assert run_main("geometry", out, "csv", probe="extreme", dim=2, eps=1e-3, n=50,
+                    seed=9) == 0
     rows = out.read_text().strip().splitlines()
     assert rows[0] == "trial,value"
     assert len(rows) == 51
@@ -728,7 +740,7 @@ def test_geometry_and_verify_csv(tmp_path):
     wpath = tmp_path / "neg.json"
     wpath.write_text(json.dumps(neg))
     vout = tmp_path / "v.csv"
-    assert cmd_verify(str(wpath), 1e-3, 50, 2, str(vout), "csv") == 3
+    assert run_main("verify", vout, "csv", witness=wpath, eps=1e-3, n=50, seed=2) == 3
     header, row = vout.read_text().strip().splitlines()
     assert header == "n_samples,violations,min_expectation"
     assert row.split(",")[:2] == ["50", "50"]
@@ -737,8 +749,8 @@ def test_geometry_and_verify_csv(tmp_path):
 def test_geometry_separation_with_spec(tmp_path):
     nm_spec = write_spec(tmp_path / "nm.json", pauli_spec(1.0, 1.0, -0.3))
     out = tmp_path / "sep.json"
-    code = cmd_geometry("separation", 2, 1e-3, 200, 4, str(out), "json",
-                        spec=nm_spec, t0=0.0)
+    code = run_main("geometry", out, probe="separation", dim=2, eps=1e-3, n=200, seed=4,
+                    spec=nm_spec, t0=0.0)
     assert code == 0
     assert json.loads(out.read_text())["failures"] == 0
 
@@ -771,10 +783,66 @@ def test_geometry_separation_classifies_its_target_once(tmp_path, monkeypatch, r
             monkeypatch.setattr(module, "classify", counted)
     spec = write_spec(tmp_path / "s.json", pauli_spec(*rates))
     out = tmp_path / "sep.json"
-    assert cmd_geometry("separation", None, 1e-3, 20, 4, str(out), "json",
-                        spec=spec) == code
+    assert run_main("geometry", out, probe="separation", eps=1e-3, n=20, seed=4,
+                    spec=spec) == code
     assert len(calls) == 1
     assert out.exists() == (code == 0)
+
+
+def test_handlers_return_their_fields_and_write_nothing(tmp_path, monkeypatch, capsys):
+    # A handler returns its report fields, without the header, and its exit
+    # code; main writes the header, then those fields, to --out.
+    monkeypatch.chdir(tmp_path)
+    spec = write_spec(tmp_path / "s.json", pauli_spec(1.0, 1.0, -0.3))
+    witness = tmp_path / "w.json"
+    witness.write_text(json.dumps(matrix_to_pairs(np.eye(4))))
+    calls = {
+        "analyze": (cmd_analyze, dict(spec=spec, t0=0.0, t1=1.0, steps=4, eps=1e-3), 3),
+        "witness": (cmd_witness, dict(spec=spec, t0=0.0, eps=1e-3, mode="spectral"), 0),
+        "verify": (cmd_verify, dict(witness=str(witness), eps=1e-3, n=10, seed=1), 0),
+        "geometry": (cmd_geometry, dict(probe="hsnorm", dim=2, eps=1e-3, n=10, seed=1), 0),
+    }
+    inputs = sorted(os.listdir(tmp_path))
+    out = tmp_path / "out.json"
+    for command, (handler, options, code) in calls.items():
+        fields, exit_code = handler(**options)
+        assert exit_code == code, command
+        assert "command" not in fields and "metadata" not in fields, command
+        assert sorted(os.listdir(tmp_path)) == inputs, command
+        assert capsys.readouterr() == ("", ""), command
+        assert run_main(command, out, **options) == code, command
+        assert list(json.loads(out.read_text())) == ["command", "metadata", *fields], command
+        out.unlink()
+
+
+def test_a_markovian_witness_target_raises_and_main_exits_two(tmp_path, capsys):
+    spec = write_spec(tmp_path / "m.json", dephasing_spec(1.0))
+    with pytest.raises(MarkovianTargetError):
+        cmd_witness(spec, 0.0, 1e-3, "spectral")
+    assert capsys.readouterr().err == ""
+    out = tmp_path / "w.json"
+    assert main(["witness", "--spec", spec, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "nothing to witness: channel is Markovian at the requested time\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("probe", ["convexity", "hsnorm", "extreme"])
+@pytest.mark.parametrize("extra,option", [
+    (["--spec", "missing.json"], "--spec"),
+    (["--t0", "0"], "--t0"),
+    (["--t0", "5", "--spec", "missing.json"], "--spec"),
+], ids=["spec", "t0-zero", "both"])
+def test_a_sampled_probe_refuses_the_separation_target_options(tmp_path, capsys, probe,
+                                                                extra, option):
+    # --spec and --t0 choose the separation target; a sampled probe names
+    # them as input errors instead of running without them.
+    out = tmp_path / "p.json"
+    argv = ["geometry", "--probe", probe, "--n", "3", "--seed", "1", *extra, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"nmwitness: error: {option} is for the separation probe only, not {probe}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -782,14 +850,17 @@ def test_reports_get_the_umask_mode_or_keep_the_replaced_file_mode(tmp_path, fmt
     out = tmp_path / f"probe.{fmt}"
     old_umask = os.umask(0o022)
     try:
-        assert cmd_geometry("hsnorm", 2, 1e-3, 5, 1, str(out), fmt) == 0
+        assert run_main("geometry", out, fmt, probe="hsnorm", dim=2, eps=1e-3, n=5,
+                        seed=1) == 0
         assert out.stat().st_mode & 0o777 == 0o644
         os.umask(0o077)
         out.chmod(0o640)
-        assert cmd_geometry("hsnorm", 2, 1e-3, 6, 1, str(out), fmt) == 0
+        assert run_main("geometry", out, fmt, probe="hsnorm", dim=2, eps=1e-3, n=6,
+                        seed=1) == 0
         assert out.stat().st_mode & 0o777 == 0o640
         fresh = tmp_path / f"fresh.{fmt}"
-        assert cmd_geometry("hsnorm", 2, 1e-3, 5, 1, str(fresh), fmt) == 0
+        assert run_main("geometry", fresh, fmt, probe="hsnorm", dim=2, eps=1e-3, n=5,
+                        seed=1) == 0
         assert fresh.stat().st_mode & 0o777 == 0o600
     finally:
         os.umask(old_umask)
@@ -1190,6 +1261,8 @@ def test_each_subcommand_parses_into_its_handlers_parameters():
         assert args.pop("command") == command
         run = args.pop("run")
         assert run is getattr(cli, f"cmd_{command}")
+        # out and fmt are main's: it writes the report the handler returns.
+        assert (args.pop("out"), args.pop("fmt")) == (None, "json")
         assert set(args) == set(inspect.signature(run).parameters), command
 
 
