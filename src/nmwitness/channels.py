@@ -70,6 +70,11 @@ class LindbladGenerator:
         for i, op in enumerate(ops):
             if op.shape != (d, d):
                 raise ShapeError(f"ops[{i}]: expected {d}x{d}, got {op.shape}")
+            # Every Y_a is formed before eps scales it, so no eps could help.
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = np.isfinite(dagger(op) @ op).all()
+            if not finite:
+                raise ValueError(f"ops[{i}]: L^dag L overflows the double range")
         rates = tuple(as_rate(r) for r in self.rates)
         if len(rates) != len(ops):
             raise ValueError(

@@ -10,12 +10,16 @@ small-time step is completely positive; a negative eigenvalue is the
 divisibility-breaking (non-Markovianity) signal.
 
 The first-order step I + eps*L has the Choi state phi + eps*(C_H + sum_a
-g_a Y_a), affine in the rates g_a; every caller builds C_H and the Y_a with
-`hamiltonian_choi` and `dissipator_chois`, and `first_order_state` is the one
-place that forms phi + eps*X. `scan` evaluates the rates on its whole grid
-at once (`LindbladGenerator.rate_grid`), assembles the grid as one stack and
-classifies it with one stacked eigensolve; its report holds the per-point
-minimum eigenvalues, deficits and verdicts as arrays.
+g_a Y_a), affine in the rates g_a. A generator's C_H and Y_a come from
+`hamiltonian_choi` and `dissipator_chois`. The Monte-Carlo sampler
+(`witness._SampledGenerators.dissipators`) draws unitary jumps only, whose
+Y_a is the special case |u_a><u_a| - phi for the Choi ket |u_a> of a Haar
+unitary, and forms sum_a g_a Y_a from the kets in one batched product.
+`first_order_state` is the one place that forms phi + eps*X. `scan`
+evaluates the rates on its whole grid at once (`LindbladGenerator.rate_grid`),
+assembles the grid as one stack and classifies it with one stacked
+eigensolve; its report holds the per-point minimum eigenvalues, deficits and
+verdicts as arrays.
 """
 
 from __future__ import annotations

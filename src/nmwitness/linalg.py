@@ -78,10 +78,12 @@ def hermiticity_defect(a: np.ndarray) -> float | np.ndarray:
 
 
 def require_hermitian(a: np.ndarray, name: str = "matrix") -> None:
-    """Raise HermiticityError when a deviates from a^dag beyond DEFAULT_HERM_TOL."""
+    """Raise HermiticityError when a deviates from a^dag beyond DEFAULT_HERM_TOL;
+    a defect past the double range is inf, and refused, without a warning."""
     _require_square(a, name)
-    defect = hermiticity_defect(a)
-    if defect > DEFAULT_HERM_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = hermiticity_defect(a)
+    if not defect <= DEFAULT_HERM_TOL:
         raise HermiticityError(f"{name}: not Hermitian, max |a - a^dag| = {defect:.3e} "
                                f"> {DEFAULT_HERM_TOL:.1e}")
 

@@ -1,19 +1,21 @@
 """Time-dependent rate functions and a small expression language for them.
 
-Grammar (whitespace ignored, '^' right-associative, no implicit
-multiplication):
+Grammar (whitespace ignored, no implicit multiplication), one `_Parser`
+method per rule:
 
-    expr   := term (('+'|'-') term)*
-    term   := factor (('*'|'/') factor)*
-    factor := unary ('^' factor)?
-    unary  := '-'? atom
-    atom   := number | 't' | ident '(' expr ')' | '(' expr ')'
+    binary(0) := binary(1) (('+'|'-') binary(1))*     folded from the left
+    binary(1) := factor (('*'|'/') factor)*           folded from the left
+    factor    := unary ('^' unary)*                   folded from the right
+    unary     := '-'? atom
+    atom      := number | 't' | constant | function '(' group | '(' group
+    group     := binary(0) ')'
 
 Known functions: sin, cos, exp, tanh, abs. Known constants: pi, e
 (identifiers without call syntax). The only variable is t. `parse` refuses
 (RateParseError) more than MAX_DEPTH = 64 parentheses open at once or 64
 operators and calls on one path down the tree ("t+t+t" has 2). The parser
-recurses only per parenthesis and the evaluator per level, so the limit,
+recurses seven frames per open parenthesis (binary at levels 0, 1 and 2,
+factor, unary, atom, group) and the evaluator one per level, so the limit,
 not the caller's stack, decides what parses.
 
 Every Rate evaluates on a whole time grid at once (`rate.on_grid(ts)`);
@@ -115,37 +117,28 @@ Node = Literal | TimeVar | Const | Neg | BinOp | Call
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"\s*(?:(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>\S))"  # \S, not '.': trailing whitespace makes no token
 )
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str          # 'num', 'ident', 'op', 'end'
-    text: str
-    pos: int
+Token = tuple[str, str, int]  # (kind, text, pos); kind is 'num', 'ident', 'op' or 'end'
 
 
-def _tokenize(src: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = depth = 0
-    n = len(src)
-    while i < n:
-        if src[i].isspace():
-            i += 1
-            continue
-        m = _TOKEN_RE.match(src, i)
-        if m is None:
-            raise RateParseError(f"unexpected character {src[i]!r}", i)
-        text = m.group()
+def _tokenize(src: str) -> list[Token]:
+    tokens: list[Token] = []
+    depth = 0
+    for m in _TOKEN_RE.finditer(src):
+        kind = m.lastgroup
+        text, pos = m[kind], m.start(kind)
+        if kind == "bad":
+            raise RateParseError(f"unexpected character {text!r}", pos)
         depth += (text == "(") - (text == ")")
         if depth > MAX_DEPTH:
-            raise RateParseError(f"more than {MAX_DEPTH} parentheses open", i)
-        tokens.append(_Token(m.lastgroup, text, i))
-        i = m.end()
-    tokens.append(_Token("end", "", n))
+            raise RateParseError(f"more than {MAX_DEPTH} parentheses open", pos)
+        tokens.append((kind, text, pos))
+    tokens.append(("end", "end of input", len(src)))
     return tokens
 
 
@@ -153,93 +146,80 @@ def _tokenize(src: str) -> list[_Token]:
 # Recursive-descent parser
 # ---------------------------------------------------------------------------
 
+_LEVELS = ("+-", "*/")  # left-associative operators, loosest first; '^' is factor's
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.cur
-        self.i += 1
+    def take(self, ops: str) -> Token:
+        """The current token, consumed if it is one of the operators in ops (no
+        other token's text, 'end of input' included, is a substring of ops)."""
+        tok = self.tokens[self.i]
+        self.i += tok[1] in ops
         return tok
 
-    def at_op(self, *ops: str) -> bool:
-        return self.cur.kind == "op" and self.cur.text in ops
-
-    def expr(self) -> Node:
-        node = self.term()
-        while self.at_op("+", "-"):
-            tok = self.advance()
-            node = BinOp(tok.text, node, self.term(), pos=tok.pos)
-        return node
-
-    def term(self) -> Node:
-        node = self.factor()
-        while self.at_op("*", "/"):
-            tok = self.advance()
-            node = BinOp(tok.text, node, self.factor(), pos=tok.pos)
+    def binary(self, level: int = 0) -> Node:
+        if level == len(_LEVELS):
+            return self.factor()
+        ops = _LEVELS[level]
+        node = self.binary(level + 1)
+        while (tok := self.take(ops))[1] in ops:
+            node = BinOp(tok[1], node, self.binary(level + 1), pos=tok[2])
         return node
 
     def factor(self) -> Node:
         # unary ('^' unary)*, folded from the right in a loop, not by recursion.
         operands, carets = [self.unary()], []
-        while self.at_op("^"):
-            carets.append(self.advance())
+        while (tok := self.take("^"))[1] == "^":
+            carets.append(tok[2])
             operands.append(self.unary())
         node = operands.pop()
-        for tok in reversed(carets):
-            node = BinOp("^", operands.pop(), node, pos=tok.pos)
+        for pos in reversed(carets):
+            node = BinOp("^", operands.pop(), node, pos=pos)
         return node
 
     def unary(self) -> Node:
-        if self.at_op("-"):
-            tok = self.advance()
-            return Neg(self.atom(), pos=tok.pos)
-        return self.atom()
+        _, text, pos = self.take("-")
+        return Neg(self.atom(), pos=pos) if text == "-" else self.atom()
 
     def atom(self) -> Node:
-        tok = self.cur
-        if tok.kind == "num":
-            self.advance()
-            return Literal(float(tok.text), pos=tok.pos)
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text == "t":
-                return TimeVar(pos=tok.pos)
-            if self.at_op("("):
-                if tok.text not in FUNCTIONS:
-                    raise RateParseError(f"unknown function {tok.text!r}", tok.pos)
-                self.advance()
-                arg = self.expr()
-                if not self.at_op(")"):
-                    raise RateParseError("unbalanced parentheses", self.cur.pos)
-                self.advance()
-                return Call(tok.text, arg, pos=tok.pos)
-            if tok.text in CONSTANTS:
-                return Const(tok.text, pos=tok.pos)
-            raise RateParseError(f"unknown identifier {tok.text!r}", tok.pos)
-        if self.at_op("("):
-            self.advance()
-            node = self.expr()
-            if not self.at_op(")"):
-                raise RateParseError("unbalanced parentheses", self.cur.pos)
-            self.advance()
-            return node
-        raise RateParseError(
-            f"expected a number, 't', function or '(', got {tok.text or 'end of input'!r}",
-            tok.pos)
+        kind, text, pos = self.take("(")
+        if text == "(":
+            return self.group()
+        if kind not in ("num", "ident"):
+            raise RateParseError(f"expected a number, 't', function or '(', got {text!r}", pos)
+        self.i += 1
+        if kind == "num":
+            return Literal(float(text), pos=pos)
+        if text == "t":
+            return TimeVar(pos=pos)
+        if self.take("(")[1] == "(":
+            if text not in FUNCTIONS:
+                raise RateParseError(f"unknown function {text!r}", pos)
+            return Call(text, self.group(), pos=pos)
+        if text in CONSTANTS:
+            return Const(text, pos=pos)
+        raise RateParseError(f"unknown identifier {text!r}", pos)
+
+    def group(self) -> Node:
+        # binary(0) ')', its '(' already taken: a parenthesised expression or an argument.
+        node = self.binary()
+        _, text, pos = self.take(")")
+        if text != ")":
+            raise RateParseError("unbalanced parentheses", pos)
+        return node
 
 
 def parse(src: str) -> ExpressionRate:
     """Parse expression text into its Rate; raises RateParseError with a byte offset."""
     parser = _Parser(_tokenize(src))
-    root = parser.expr()
-    if parser.cur.kind != "end":
-        raise RateParseError(f"trailing input {parser.cur.text!r}", parser.cur.pos)
+    root = parser.binary()
+    kind, text, pos = parser.tokens[parser.i]
+    if kind != "end":
+        raise RateParseError(f"trailing input {text!r}", pos)
     # Each operator and call is a token, so only a longer expression can be too deep.
     below = [(root, 0)] if len(parser.tokens) > MAX_DEPTH else []
     while below:

@@ -57,6 +57,17 @@ def test_generator_validation():
         LindbladGenerator(dim=2, ops=(np.eye(3, dtype=complex),), rates=(1.0,))
 
 
+def test_a_jump_whose_ldag_l_overflows_is_refused():
+    # Its Y_a would be NaN before eps scales it; refused by index, with no
+    # overflow warning.
+    big = np.array([[0.0, 1e308], [1e308, 0.0]], dtype=complex)
+    with pytest.raises(ValueError) as info:
+        LindbladGenerator(dim=2, ops=(SIGMA_Z, big), rates=(1.0, 1.0))
+    assert str(info.value) == "ops[1]: L^dag L overflows the double range"
+    # 1e154^2 is still a double, so that jump is kept.
+    LindbladGenerator(dim=2, ops=(1e154 * SIGMA_X,), rates=(1.0,))
+
+
 # ---------------------------------------------------------------------------
 # generator superoperator
 # ---------------------------------------------------------------------------

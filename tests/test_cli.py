@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nmwitness
@@ -131,7 +131,12 @@ def test_load_channel_spec_with_hamiltonian(tmp_path):
           ("table-string", {"table": [[0, "1.5"], [1, 2]]}, r'table\[0\] \[0, "1.5"\] is not'),
           ("table-null-time", {"table": [[0, 1], [None, 2]]}, r"table\[1\] \[null, 2\] is not"),
           ("table-triple", {"table": [[0, 1], [1, 2, 3]]}, r"table\[1\] \[1, 2, 3\] is not"),
-          ("table-huge-int", {"table": [[0, 10 ** 400], [1, 2]]}, "too large"))),
+          ("table-huge-int", {"table": [[0, 10 ** 400], [1, 2]]}, "too large"),
+          # Entries that are numbers but that TableRate refuses; 1e400 in the
+          # file reads as inf.
+          ("table-decreasing", {"table": [[1, 0], [0, 1]]},
+           "TableRate: times must be strictly increasing"),
+          ("table-inf", {"table": [[0, math.inf], [1, 2]]}, "TableRate: non-finite entries"))),
     # A matrix entry follows the same number rule as a rate table.
     pytest.param(lambda d: d["ops"][0].update(matrix=[[[True, False], [0, 0]], SZ[1]]),
                  r"ops\[0\]\.matrix: entry \(0,0\) \[true, false\] is not", id="matrix-bool"),
@@ -140,6 +145,10 @@ def test_load_channel_spec_with_hamiltonian(tmp_path):
                  id="matrix-huge-int"),
     pytest.param(lambda d: d.update(hamiltonian=[[[0, 0], [1, 0]], [[1, 0], [0, -10 ** 400]]]),
                  r"hamiltonian: entry \(1,1\) holds an int too large", id="hamiltonian-huge-int"),
+    # a - a^dag overflows to inf: refused, with no overflow warning.
+    pytest.param(lambda d: d.update(hamiltonian=[[[0, 0], [9e307, 0]], [[-9e307, 0], [0, 0]]]),
+                 r"hamiltonian: not Hermitian, max \|a - a\^dag\| = inf > 1\.0e-10$",
+                 id="hamiltonian-defect-overflows"),
 ])
 def test_load_channel_spec_errors(tmp_path, mutate, fragment):
     doc = dephasing_spec(1.0)
@@ -147,6 +156,31 @@ def test_load_channel_spec_errors(tmp_path, mutate, fragment):
     path = write_spec(tmp_path / "bad.json", doc)
     with pytest.raises(SpecError, match=fragment):
         load_channel_spec(path)
+
+
+@pytest.mark.parametrize("text", ["[]", "[1, 2]", "5", '"spec"', "null"])
+def test_a_spec_whose_top_level_is_not_an_object_is_an_input_error(tmp_path, capsys, text):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    with pytest.raises(SpecError) as info:
+        load_channel_spec(str(path))
+    assert str(info.value) == f"{path}: top level must be an object"
+    assert main(["analyze", "--spec", str(path), "--t1", "1", "--steps", "2"]) == 1
+    assert capsys.readouterr().err == f"nmwitness: error: {path}: top level must be an object\n"
+
+
+def test_a_jump_whose_ldag_l_overflows_is_named_not_eps(tmp_path, capsys):
+    doc = {"dim": 2, "ops": [{"matrix": matrix_to_pairs([[0, 1e308], [1e308, 0]]), "rate": 1}]}
+    path = write_spec(tmp_path / "big.json", doc)
+    out = tmp_path / "report.json"
+    for argv in (["analyze", "--t1", "1", "--steps", "2"],
+                 ["witness", "--mode", "spectral"],
+                 ["witness", "--mode", "theorem3-gksl"],
+                 ["geometry", "--probe", "separation", "--n", "5", "--seed", "1"]):
+        assert main([*argv, "--spec", path, "--out", str(out)]) == 1, argv
+        assert capsys.readouterr().err == (
+            f"nmwitness: error: {path}: ops[0]: L^dag L overflows the double range\n")
+    assert not out.exists()
 
 
 def test_load_channel_spec_bad_json(tmp_path):
@@ -304,6 +338,8 @@ _WITNESS_DOCS = st.one_of(
 
 @settings(max_examples=100, deadline=None)
 @given(spec=_SPEC_DOCS, witness=_WITNESS_DOCS)
+# A 1x1 witness whose a - a^dag overflows to inf.
+@example(spec=dephasing_spec(1.0), witness=[[[0.0, 8.98846567431158e+307]]])
 def test_readers_return_or_raise_spec_error(tmp_path_factory, spec, witness):
     path = tmp_path_factory.getbasetemp() / "doc.json"
     for doc, read in ((spec, load_channel_spec), (witness, load_witness_matrix)):
@@ -411,7 +447,9 @@ def test_verify_rejects_non_hermitian(tmp_path):
 @pytest.mark.parametrize("matrix,message", [
     (np.ones((2, 3)), "expected a square matrix, got shape (2, 3)"),
     (np.triu(np.ones((4, 4))), "not Hermitian, max |a - a^dag| = 1.000e+00 > 1.0e-10"),
-], ids=["non-square", "non-hermitian"])
+    # a - a^dag overflows to inf: refused, with no overflow warning.
+    (np.array([[8.98846567431158e307j]]), "not Hermitian, max |a - a^dag| = inf > 1.0e-10"),
+], ids=["non-square", "non-hermitian", "defect-overflows"])
 def test_a_witness_that_is_not_a_hermitian_square_matrix_is_named(tmp_path, capsys, matrix,
                                                                    message):
     path = tmp_path / "w.json"
@@ -421,6 +459,17 @@ def test_a_witness_that_is_not_a_hermitian_square_matrix_is_named(tmp_path, caps
     assert str(info.value) == f"{path}: witness: {message}"
     assert main(["verify", "--witness", str(path), "--n", "5", "--seed", "1"]) == 1
     assert capsys.readouterr().err == f"nmwitness: error: {path}: witness: {message}\n"
+
+
+def test_verify_refuses_a_hermitian_witness_that_is_not_d2_by_d2(tmp_path, capsys):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(matrix_to_pairs(np.eye(3))))
+    out = tmp_path / "v.json"
+    assert main(["verify", "--witness", str(path), "--n", "5", "--seed", "1",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "nmwitness: error: witness of shape (3, 3) is not a d^2 x d^2 matrix with d >= 2\n")
+    assert not out.exists()
 
 
 def test_geometry_probes_exit_codes(tmp_path):
@@ -443,6 +492,23 @@ def test_geometry_probes_exit_codes(tmp_path):
 
 def strip_timestamp(text):
     return "\n".join(line for line in text.splitlines() if "timestamp" not in line)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_report_without_out_goes_to_stdout(tmp_path, capsys, fmt):
+    spec = write_spec(tmp_path / "s.json", dephasing_spec("cos(t)"))
+    out = tmp_path / f"report.{fmt}"
+    argv = ["analyze", "--spec", spec, "--t1", "3.2", "--steps", "64", "--format", fmt]
+    assert main([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 3
+    printed = capsys.readouterr().out
+
+    def unstamped(text):  # a CSV report has no timestamp
+        return [line for line in text.splitlines(keepends=True) if '"timestamp"' not in line]
+
+    assert printed.count('"timestamp"') == (fmt == "json")
+    assert unstamped(printed) == unstamped(out.read_text())
 
 
 def test_json_determinism_modulo_timestamp(tmp_path):

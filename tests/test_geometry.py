@@ -57,6 +57,16 @@ def test_hs_norm_probe_no_failures():
         assert report.worst_value < 100 * eps
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("eps", [1e-15, 1e-18])
+def test_hs_norm_probe_does_not_count_rounding_as_failure(dim, eps):
+    # At these eps the bound 10 eps d ||L|| is below the rounding of ||C||
+    # itself (1 - 2.2e-16 at d = 2), which the probe's slack absorbs.
+    report = hs_norm_probe(dim, eps, 2000 if dim == 2 else 500, seed=1)
+    assert report.failures == 0
+    assert report.worst_value < 1e-13
+
+
 def test_hs_norm_probe_scaling():
     coarse = hs_norm_probe(2, 1e-3, 500, seed=4)
     fine = hs_norm_probe(2, 1e-4, 500, seed=4)

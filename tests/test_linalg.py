@@ -15,6 +15,7 @@ from nmwitness.linalg import (
     hs_inner,
     hs_norm,
     matrix_exp,
+    require_hermitian,
 )
 from oracles import psd_project, taylor_expm, trace_norm
 
@@ -114,6 +115,15 @@ def test_trace_norm_bounds_trace():
 # ---------------------------------------------------------------------------
 # eigendecomposition and PSD projection
 # ---------------------------------------------------------------------------
+
+def test_require_hermitian_refuses_a_defect_past_the_double_range():
+    # a - a^dag overflows to inf: refused by name, with no overflow warning.
+    for a in (np.array([[8.98846567431158e307j]]),
+              np.array([[0.0, 9e307], [-9e307, 0.0]], dtype=complex)):
+        with pytest.raises(HermiticityError) as info:
+            require_hermitian(a, "huge")
+        assert str(info.value) == "huge: not Hermitian, max |a - a^dag| = inf > 1.0e-10"
+
 
 def test_hermitian_eig_sigma_z():
     w, _ = hermitian_eig(SIGMA_Z)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -271,7 +272,7 @@ def test_expressions_at_the_limit_evaluate(src, want):
 
 
 def test_the_depth_limit_does_not_depend_on_the_callers_stack():
-    # At the limit the parser and evaluator use about 330 frames; from a stack
+    # At the limit the parser and evaluator use about 460 frames; from a stack
     # 300 frames deeper the expression still parses, and one level more is
     # refused at any depth.
     def at_depth(frames, run):
@@ -282,6 +283,19 @@ def test_the_depth_limit_does_not_depend_on_the_callers_stack():
     for frames in (0, 300):
         with pytest.raises(RateParseError, match="more than 64 parentheses open"):
             at_depth(frames, lambda: parse(beyond))
+
+
+def test_the_deepest_call_nest_parses_from_a_caller_400_frames_deep():
+    # 64 nested calls is as deep as parse accepts: seven parser frames per
+    # open parenthesis still fit under the default limit below 400 frames.
+    assert sys.getrecursionlimit() == 1000
+
+    def at_depth(frames, run):
+        return run() if frames == 0 else at_depth(frames - 1, run)
+
+    src = "abs(" * 64 + "t" + ")" * 64
+    assert at_depth(400, lambda: parse(src)) == parse(src)
+    assert parse(src)(-0.25) == 0.25
 
 
 def test_table_rate():
