@@ -2,7 +2,10 @@
 """Numerical probes of the convex geometry of divisible small-time Chois.
 
 Four probes, each a sampled surrogate for a structural statement:
-  * convexity   - mixtures of divisible first-order Chois stay PSD;
+  * convexity   - mixtures of sampled unitary-jump first-order Chois stay
+                  PSD (each is (1 - eps sum g) phi + eps sum_a g_a |u_a><u_a|,
+                  PSD for eps sum g <= 1; divisible generators in general are
+                  not PSD at first order, e.g. strong amplitude damping);
   * hsnorm      - every small-time Choi has HS norm close to 1 (the
                   boundedness half of compactness; closedness is not
                   numerically probeable);

@@ -44,12 +44,14 @@ from .channels import (
 )
 from .choi import (
     ChoiMatrix,
+    MarkovianTargetError,
     NMClassification,
     ScanReport,
     choi_of_channel,
     choi_of_generator,
     classify,
     max_entangled_state,
+    require_non_markovian,
     scan,
 )
 from .witness import (
@@ -70,7 +72,6 @@ from .witness import (
     verify_witness,
 )
 from .geometry import (
-    MarkovianTargetError,
     ProbeReport,
     convexity_probe,
     extreme_point_probe,

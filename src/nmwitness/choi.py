@@ -250,6 +250,20 @@ def classify(c: ChoiMatrix, tol: float | None = None) -> NMClassification:
                             is_markovian=bool(markovian[0]))
 
 
+class MarkovianTargetError(ValueError):
+    """A witness or separation target that is Markovian: nothing to witness."""
+
+
+def require_non_markovian(c: ChoiMatrix, tol: float | None = None) -> NMClassification:
+    """classify(c, tol) of a non-Markovian c; a Markovian c raises MarkovianTargetError."""
+    verdict = classify(c, tol)
+    if verdict.is_markovian:
+        raise MarkovianTargetError(
+            f"Choi state at t={c.t}, eps={c.eps} classifies as Markovian "
+            f"(min eigenvalue {verdict.min_eigenvalue:.3e}); nothing to witness")
+    return verdict
+
+
 @dataclass(frozen=True)
 class ScanReport:
     """Divisibility scan over a time grid of small-time steps.

@@ -42,9 +42,9 @@ import numpy as np
 
 from . import __version__
 from .channels import LindbladGenerator, builtin_pauli
-from .choi import ChoiMatrix, choi_of_generator, classify, scan
+from .choi import (ChoiMatrix, MarkovianTargetError, choi_of_generator,
+                   require_non_markovian, scan)
 from .geometry import (
-    MarkovianTargetError,
     convexity_probe,
     extreme_point_probe,
     hs_norm_probe,
@@ -427,7 +427,13 @@ def _witness_entry(w: WitnessOperator, c: ChoiMatrix) -> dict:
 
 
 def _spectral(gen, cn, tol) -> tuple[dict, int]:
-    return {"witnesses": [_witness_entry(w, cn) for w in spectral_witnesses(cn, tol)]}, 0
+    # The verdict's eigvalsh and the projectors' eigh can round the minimum
+    # eigenvalue to either side of -tol: no projector is nothing to witness.
+    witnesses = spectral_witnesses(cn, tol)
+    if not witnesses:
+        raise MarkovianTargetError(f"witness: no spectral projector for the Choi "
+                                   f"state at t={cn.t}, eps={cn.eps}")
+    return {"witnesses": [_witness_entry(w, cn) for w in witnesses]}, 0
 
 
 def _theorem3(cn: ChoiMatrix, result, **fields) -> dict:
@@ -456,7 +462,8 @@ _WITNESS_MODES = {"spectral": _spectral, "theorem3-fixed": _theorem3_fixed,
 def cmd_witness(spec: str, t0: float, eps: float, mode: str,
                 tol: float | None = None) -> tuple[dict, int]:
     """The report fields and exit code of a witness of the Choi state at (t0, eps).
-    A target that classifies as Markovian raises MarkovianTargetError."""
+    A target that classifies as Markovian (`require_non_markovian`), or has
+    no spectral projector in spectral mode, raises MarkovianTargetError."""
     if mode not in _WITNESS_MODES:
         raise SpecError(f"unknown witness mode {mode!r}")
     gen = load_channel_spec(spec)
@@ -464,10 +471,7 @@ def cmd_witness(spec: str, t0: float, eps: float, mode: str,
     # input error naming (t, eps) in every mode.
     with _overflow_names(f"witness: {mode} at t={t0}, eps={eps}"):
         cn = choi_of_generator(gen, t0, eps)
-        verdict = classify(cn, tol)
-        if verdict.is_markovian:
-            raise MarkovianTargetError(f"witness: Choi state at t={t0}, eps={eps} "
-                                       f"classifies as Markovian")
+        verdict = require_non_markovian(cn, tol)
         fields, exit_code = _WITNESS_MODES[mode](gen, cn, tol)
     classification = {
         "min_eigenvalue": verdict.min_eigenvalue,

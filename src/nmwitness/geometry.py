@@ -1,11 +1,16 @@
 """Numerical probes of the convex geometry of divisible small-time Choi states.
 
-Convexity is literally assertable (mixtures of divisible first-order Chois
-stay positive semidefinite); compactness is probed only through the
-boundedness surrogate |  ||C||_2 - 1 | <= 10 eps ||L||_2 (closedness is not
-numerically testable and is not claimed by any probe). The census of
-distinct purity-one Choi states of Haar-random unitary channels shows that
-the set of all channels is not a polytope. Those states lie in the divisible
+The convexity probe asserts that mixtures of its samples stay positive
+semidefinite. Its samples are the unitary-jump first-order Chois of
+`witness._draw_generators`, phi + eps*sum_a g_a (|u_a><u_a| - phi) =
+(1 - eps*sum g) phi + eps*sum_a g_a |u_a><u_a|, PSD whenever
+eps*sum g <= 1, so their mixtures are too. This does not hold for divisible
+generators in general: at first order, amplitude damping at rate 30 and
+eps = 1e-3 has minimum eigenvalue -5.7e-5. Compactness is probed only
+through the boundedness surrogate |  ||C||_2 - 1 | <= 10 eps ||L||_2
+(closedness is not numerically testable and is not claimed by any probe).
+The census of distinct purity-one Choi states of Haar-random unitary
+channels shows that the set of all channels is not a polytope. Those states lie in the divisible
 family only because every CPTP Choi state does, and the census never reads
 eps, so it does not show this for the divisible (Markovian) set.
 Trials and census rows are walked in the blocks of `channels._blocks`, which
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choi import ChoiMatrix, classify, first_order_state, unitary_chois
+from .choi import ChoiMatrix, first_order_state, require_non_markovian, unitary_chois
 from .channels import _blocks, haar_unitaries
 from .witness import (
     _draw_generators,
@@ -56,7 +61,7 @@ class ProbeReport:
 
 
 def convexity_probe(dim: int, eps: float, n_trials: int, seed: int) -> ProbeReport:
-    """Mixtures of two random divisible first-order Chois stay PSD.
+    """Mixtures of two sampled unitary-jump first-order Chois stay PSD.
 
     Per trial two divisible Chois and a uniform weight p are drawn; the trial
     fails when the mixture's smallest eigenvalue drops below -1e-12. Trial k
@@ -127,24 +132,17 @@ def hs_norm_probe(dim: int, eps: float, n_trials: int, seed: int) -> ProbeReport
     )
 
 
-class MarkovianTargetError(ValueError):
-    """A separation target that classifies as Markovian: nothing to separate."""
-
-
 def separation_demo(cn: ChoiMatrix, n_samples: int, seed: int) -> ProbeReport:
     """Separate a non-Markovian Choi state from sampled divisible ones.
 
     Projects cn onto the full divisible family, builds the distance witness
     and checks it with verify_witness on n_samples divisible Chois at cn's
-    dimension and eps. Each violation is a failure; a nonnegative
-    expectation on cn itself is a failure as well. cn must classify as
-    non-Markovian, or MarkovianTargetError is raised.
+    dimension and eps, draws of the full family the witness is guaranteed
+    on. Each violation is a failure; a nonnegative expectation on cn itself
+    is a failure as well. cn must classify as non-Markovian, or
+    `choi.require_non_markovian` raises MarkovianTargetError.
     """
-    verdict = classify(cn)
-    if verdict.is_markovian:
-        raise MarkovianTargetError(
-            f"separation_demo: Choi state classifies as Markovian "
-            f"(min eigenvalue {verdict.min_eigenvalue:.3e}); nothing to separate")
+    require_non_markovian(cn)
     nearest = nearest_mcs_full_gksl(cn)
     w = theorem3_witness(cn, nearest.choi_star)
     check = verify_witness(w, cn.dim, cn.eps, n_samples, seed)

@@ -19,15 +19,17 @@ trace-preserving subspace with the conditionally completely positive cone K
 (solved by semismooth Newton on the d^2 real dual variables of Tr_2 X = 0,
 each step one closed-form projection onto K, from the layout pieces in `choi`).
 
-Witnesses are checked on random divisible generators (Haar-unitary jumps of
+Each witness is checked on the family it is guaranteed on. `verify_witness`
+samples the full family, random divisible generators (Haar-unitary jumps of
 `channels.haar_unitaries`, drawn by Gram-Schmidt, plus an optional
-Hamiltonian). Tr(W C) is affine in the generator, so `verify_witness` and
-`uniqueness_check` contract W with the draws (the jump kets, rates and
-Hamiltonians) and never build the (n, d^2, d^2) stack of sampled states.
-A sample violates the witness when its value is below -1e-8 by more than a
-rounding slack that is also computed from the draws, from a bound on the
-generator's entries before any cancellation. `sample_markovian_chois` still
-returns the stack, for callers that need the states themselves.
+Hamiltonian); `uniqueness_check` samples a frozen-basis family with rates on
+[0, 2]. Tr(W C) is affine in the generator, so both contract W with the draws
+(the jump kets, rates and Hamiltonians, or the frozen rates) and never build
+the (n, d^2, d^2) stack of sampled states. A sample violates a witness when
+its value is below -1e-8 by more than a rounding slack that is also computed
+from the draws, from a bound on the generator's entries before any
+cancellation. `sample_markovian_chois` still returns the stack, for callers
+that need the states themselves.
 
 Every consumer of the draws walks them in the blocks of `_sample_blocks`
 (`channels._blocks` under the one budget `channels._BLOCK_BYTES`), through
@@ -229,7 +231,7 @@ def nnls_gram(q: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
             denom = x[idx][shrink] - z[shrink]
             with np.errstate(divide="ignore", invalid="ignore"):
                 steps = np.where(denom > 0, x[idx][shrink] / denom, np.inf)
-            alpha = float(np.min(steps)) if steps.size else 0.0
+            alpha = float(np.min(steps))
             if not np.isfinite(alpha):
                 alpha = 0.0
             moved = np.zeros(m)
@@ -293,8 +295,12 @@ def nearest_mcs_fixed_basis(cn: ChoiMatrix, fam: MarkovianFamily) -> NearestMCSR
 # Full-generator projection (semismooth Newton on the trace-preserving dual)
 # ---------------------------------------------------------------------------
 
-def nearest_mcs_full_gksl(cn: ChoiMatrix, *, max_iter: int = 50,
-                          tol: float = 1e-12) -> NearestMCSResult:
+# Newton step limit and KKT tolerance (relative to max(1, ||Y||)) of
+# nearest_mcs_full_gksl.
+GKSL_MAX_ITER, GKSL_TOL = 50, 1e-12
+
+
+def nearest_mcs_full_gksl(cn: ChoiMatrix) -> NearestMCSResult:
     """HS projection of cn onto the full divisible family at first order.
 
     The family is {phi + eps X : Tr_2 X = 0, w_perp X w_perp >= 0} with
@@ -311,14 +317,14 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix, *, max_iter: int = 50,
     objective alone stalls at roundoff before the gradient is small.
 
     kkt_ok certifies the cone point X and Q = Y + Lambda (x) 1 - X against
-    s = max(1, ||Y||): primal feasibility d ||Tr_2 X|| <= tol * s; Q lies
-    in the polar cone, its part outside the w_perp block at most tol * s in
-    norm and that block's eigenvalues at most tol * s; complementarity
-    |<Q, X>| <= tol * s^2. X lies in the cone by construction.
+    s = max(1, ||Y||) and tol = GKSL_TOL: primal feasibility d ||Tr_2 X||
+    <= tol * s; Q lies in the polar cone, its part outside the w_perp block
+    at most tol * s in norm and that block's eigenvalues at most tol * s;
+    complementarity |<Q, X>| <= tol * s^2. X lies in the cone by construction.
 
     The returned state is phi + eps X after a projection onto the
     trace-preserving subspace that leaves the w_perp block alone, so it is
-    in the family up to roundoff. On hitting max_iter, or when no step is
+    in the family up to roundoff. On hitting GKSL_MAX_ITER, or when no step is
     accepted, it is still a valid Choi state, returned with kkt_ok=False
     rather than raising. iterations counts Newton steps; dual is Lambda.
     kossakowski is d B^dag X B over the columns vec(F_j) of the Gell-Mann
@@ -375,12 +381,12 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix, *, max_iter: int = 50,
         return jac
 
     scale = max(1.0, hs_norm(y))
-    bound = tol * scale
+    bound = GKSL_TOL * scale
     lam = np.zeros((d, d), dtype=complex)
     x, x_tr2, w, uv = cone_point(lam)
     residual = hs_norm(x_tr2)
     iterations = 0
-    while d * residual > bound and iterations < max_iter:
+    while d * residual > bound and iterations < GKSL_MAX_ITER:
         iterations += 1
         # J is Hermitian with J >= (1/d) 1 (Omega >= 0): eigh, which P_K
         # loads anyway, solves (J + mu) step = -Tr_2 X without another
@@ -599,24 +605,13 @@ def sample_markovian_chois(dim: int, eps: float, n_samples: int, seed: int) -> n
     return _draw_generators(dim, n_samples, rng, hamiltonian=True).states(eps)
 
 
-def _sampled_expectations(w: np.ndarray, dim: int, eps: float, n: int,
-                          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Tr(W C_k) and its rounding slack on n generators drawn from rng, those of
-    `sample_markovian_chois`, contracted one block (`_sample_blocks`) at a time."""
-    gens = _draw_generators(dim, n, rng, hamiltonian=True)
-    values, slack = np.empty(n), np.empty(n)
-    for a, b in _sample_blocks(n, dim):
-        values[a:b], slack[a:b] = gens.view(a, b).expectations(w, eps)
-    return values, slack
-
-
 def verify_witness(w: WitnessOperator, dim: int, eps: float, n_samples: int,
                    seed: int) -> VerificationResult:
-    """Check Tr(W C_M) >= 0 on sampled divisible Choi states.
+    """Check Tr(W C_M) >= 0 on sampled divisible Choi states of the full family.
 
     The samples are those of `sample_markovian_chois` with the same seed, but
-    values, Tr(W C_k) per sample, are contracted with the draws
-    (`_sampled_expectations`); no state is formed. A sample is a violation
+    values, Tr(W C_k) per sample, are contracted with the draws one block
+    (`_sample_blocks`) at a time; no state is formed. A sample is a violation
     when its value is below -(1e-8 + slack_k), slack_k its rounding bound.
     """
     if n_samples < 1:
@@ -624,8 +619,10 @@ def verify_witness(w: WitnessOperator, dim: int, eps: float, n_samples: int,
     if w.matrix.shape != (dim * dim, dim * dim):
         raise ShapeError(f"verify_witness: w is {w.matrix.shape[0]}x{w.matrix.shape[1]}, "
                          f"expected {dim * dim}x{dim * dim} for dim={dim}")
-    values, slack = _sampled_expectations(w.matrix, dim, eps, n_samples,
-                                          np.random.default_rng(seed))
+    gens = _draw_generators(dim, n_samples, np.random.default_rng(seed), hamiltonian=True)
+    values, slack = np.empty(n_samples), np.empty(n_samples)
+    for a, b in _sample_blocks(n_samples, dim):
+        values[a:b], slack[a:b] = gens.view(a, b).expectations(w.matrix, eps)
     return VerificationResult(
         min_expectation=float(values.min()),
         violations=int(np.count_nonzero(values < -(1e-8 + slack))),
@@ -634,39 +631,29 @@ def verify_witness(w: WitnessOperator, dim: int, eps: float, n_samples: int,
 
 
 def uniqueness_check(cn: ChoiMatrix, cm_star: ChoiMatrix, dim: int, eps: float,
-                     n_samples: int, seed: int,
-                     family: MarkovianFamily | None = None) -> UniquenessResult:
-    """Sample the variational inequality Tr[(C_N - C_M*)(C_M - C_M*)] <= 0.
+                     n_samples: int, seed: int, *,
+                     family: MarkovianFamily) -> UniquenessResult:
+    """Sample Tr[(C_N - C_M*)(C_M - C_M*)] <= 0 on the frozen family cm_star
+    was projected onto: family, tagged with dim, eps and cn's t.
 
-    With family given, which must be tagged with eps and cn's t, samples are
-    drawn from that frozen-basis family (rates uniform on [0, 2]) and the
-    left side is Tr[D (phi - C_M*)] + eps * rates @ [Tr(D Y_a)],
-    D = C_N - C_M*, one (n, m) @ (m,) product;
-    otherwise the samples are those of `sample_markovian_chois` and Tr(D C_M)
-    is contracted with their generators (`_sampled_expectations`). No sample
-    is formed as a state.
-    holds is True when the sampled maximum stays below 1e-8.
+    Rates are drawn uniform on [0, 2], and the left side is Tr[D (phi - C_M*)]
+    + eps * rates @ [Tr(D Y_a)], D = C_N - C_M*, one (n, m) @ (m,) product.
+    holds is True when the sampled maximum stays below 1e-8. On the full
+    family the same check is verify_witness(theorem3_witness(cn, cm_star), ...).
     """
     if n_samples < 1:
         raise ValueError(f"uniqueness_check: n_samples must be >= 1, got {n_samples}")
-    for name, got in (("cn", cn.dim), ("cm_star", cm_star.dim),
-                      ("family", dim if family is None else family.dim)):
+    for name, got in (("cn", cn.dim), ("cm_star", cm_star.dim), ("family", family.dim)):
         if got != dim:
             raise ShapeError(f"uniqueness_check: {name} dim {got} != dim {dim}")
-    if family is not None:
-        if family.eps != eps:
-            raise ValueError(f"uniqueness_check: family eps {family.eps} != eps {eps}")
-        if family.t != cn.t:
-            raise ValueError(f"uniqueness_check: family t {family.t} != Choi t {cn.t}")
-    rng = np.random.default_rng(seed)
+    if family.eps != eps:
+        raise ValueError(f"uniqueness_check: family eps {family.eps} != eps {eps}")
+    if family.t != cn.t:
+        raise ValueError(f"uniqueness_check: family t {family.t} != Choi t {cn.t}")
     diff = cn.matrix - cm_star.matrix
-    if family is None:
-        lhs = _sampled_expectations(diff, dim, eps, n_samples, rng)[0]
-        lhs -= hs_inner(diff, cm_star.matrix).real
-    else:
-        dirs = dissipator_chois(family.basis_ops)
-        rates = rng.uniform(0.0, 2.0, size=(n_samples, dirs.shape[0]))
-        offset = hs_inner(diff, max_entangled_state(dim) - cm_star.matrix).real
-        lhs = offset + eps * (rates @ np.einsum("ij,aji->a", diff, dirs).real)
+    dirs = dissipator_chois(family.basis_ops)
+    rates = np.random.default_rng(seed).uniform(0.0, 2.0, size=(n_samples, dirs.shape[0]))
+    offset = hs_inner(diff, max_entangled_state(dim) - cm_star.matrix).real
+    lhs = offset + eps * (rates @ np.einsum("ij,aji->a", diff, dirs).real)
     max_lhs = float(lhs.max())
     return UniquenessResult(max_lhs=max_lhs, holds=bool(max_lhs <= 1e-8))

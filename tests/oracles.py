@@ -353,17 +353,14 @@ def stack_verify_witness(w: np.ndarray, dim: int, eps: float, n: int, seed: int)
 
 
 def stack_uniqueness_lhs(cn: np.ndarray, cm_star: np.ndarray, dim: int, eps: float,
-                         n: int, seed: int, basis_ops=None):
+                         n: int, seed: int, basis_ops):
     """Tr[D (C_M - C_M*)], D = C_N - C_M*, per sample on the formed stack of
-    samples (the general sampler's, or with basis_ops the frozen family's
-    with rates uniform on [0, 2]), and sum |D| times each sample's largest
-    |entry| of C_M - C_M*, a bound on the value."""
-    if basis_ops is None:
-        chois = gram_sample_chois(dim, eps, n, seed)
-    else:
-        dirs = dissipator_chois(basis_ops)
-        rates = np.random.default_rng(seed).uniform(0.0, 2.0, size=(n, dirs.shape[0]))
-        chois = max_entangled_state(dim) + eps * np.einsum("na,aij->nij", rates, dirs)
+    samples of the frozen family of basis_ops with rates uniform on [0, 2],
+    and sum |D| times each sample's largest |entry| of C_M - C_M*, a bound
+    on the value."""
+    dirs = dissipator_chois(basis_ops)
+    rates = np.random.default_rng(seed).uniform(0.0, 2.0, size=(n, dirs.shape[0]))
+    chois = max_entangled_state(dim) + eps * np.einsum("na,aij->nij", rates, dirs)
     shifted = chois - cm_star
     diff = cn - cm_star
     return (np.einsum("ij,nji->n", diff, shifted).real,

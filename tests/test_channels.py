@@ -4,6 +4,7 @@ import pytest
 from nmwitness import channels
 from nmwitness.channels import (
     LindbladGenerator,
+    SuperOperator,
     builtin_dephasing,
     builtin_pauli,
     exact_channel,
@@ -55,6 +56,18 @@ def test_generator_validation():
                           hamiltonian=np.array([[0, 1], [0, 0]], dtype=complex))
     with pytest.raises(ShapeError):
         LindbladGenerator(dim=2, ops=(np.eye(3, dtype=complex),), rates=(1.0,))
+    with pytest.raises(ValueError, match=r"^LindbladGenerator: dim must be >= 2, got 1$"):
+        LindbladGenerator(dim=1, ops=(np.eye(1),), rates=(1.0,))
+    with pytest.raises(ShapeError, match=r"^hamiltonian: expected 2x2, got \(3, 3\)$"):
+        LindbladGenerator(dim=2, ops=(SIGMA_Z,), rates=(1.0,), hamiltonian=np.eye(3))
+
+
+def test_superoperator_and_exact_channel_input_checks():
+    with pytest.raises(ShapeError, match=r"^SuperOperator: expected 4x4 matrix for dim=2, "
+                                         r"got \(3, 3\)$"):
+        SuperOperator(dim=2, matrix=np.eye(3))
+    with pytest.raises(ValueError, match=r"^exact_channel: eps must be > 0, got 0\.0$"):
+        exact_channel(builtin_dephasing(1.0), 0.0, 0.0)
 
 
 def test_a_jump_whose_ldag_l_overflows_is_refused():

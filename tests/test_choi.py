@@ -14,6 +14,7 @@ from nmwitness.channels import (
 )
 from nmwitness.choi import (
     ChoiMatrix,
+    MarkovianTargetError,
     add_phi,
     choi_kets,
     choi_of_channel,
@@ -26,9 +27,10 @@ from nmwitness.choi import (
     max_entangled_state,
     partial_trace_2,
     perp_isometry,
+    require_non_markovian,
     scan,
 )
-from nmwitness.linalg import hs_norm
+from nmwitness.linalg import ShapeError, hs_norm
 from nmwitness.rates import RateEvalError, TableRate
 from oracles import (apply_superop, channel_of_choi, kron_dissipator_chois, random_markovian,
                      trace_norm)
@@ -263,6 +265,21 @@ def test_classify_deficit_iff_negative():
             assert abs(trace_norm(c.matrix) - 1.0) < 1e-10
 
 
+def test_require_non_markovian_returns_the_verdict_or_names_the_target():
+    c = choi_of_generator(builtin_dephasing(-1.0), 0.5, 1e-3)
+    verdict = require_non_markovian(c)
+    assert verdict.min_eigenvalue == classify(c).min_eigenvalue
+    assert not verdict.is_markovian
+    with pytest.raises(MarkovianTargetError, match=r"^Choi state at t=0\.5, eps=0\.001 "
+                       r"classifies as Markovian \(min eigenvalue -1\.000e-03\); "
+                       r"nothing to witness$"):
+        require_non_markovian(c, tol=2e-3)
+    markovian = choi_of_generator(builtin_dephasing(1.0), 0.0, 1e-3)
+    with pytest.raises(MarkovianTargetError, match=r"t=0\.0, eps=0\.001 classifies"):
+        require_non_markovian(markovian)
+    assert issubclass(MarkovianTargetError, ValueError)
+
+
 def test_choi_matrix_validation():
     with pytest.raises(ValueError):
         ChoiMatrix(dim=2, matrix=np.eye(4, dtype=complex), t=0.0, eps=1e-3)  # trace 4
@@ -270,6 +287,11 @@ def test_choi_matrix_validation():
     bad[0, 1] = 0.5  # breaks Hermiticity
     with pytest.raises(ValueError):
         ChoiMatrix(dim=2, matrix=bad, t=0.0, eps=1e-3)
+    with pytest.raises(ShapeError, match=r"^ChoiMatrix: expected 4x4 for dim=2, "
+                                         r"got \(3, 3\)$"):
+        ChoiMatrix(dim=2, matrix=np.eye(3) / 3, t=0.0, eps=1e-3)
+    with pytest.raises(ValueError, match=r"^max_entangled_state: dim must be >= 2, got 1$"):
+        max_entangled_state(1)
 
 
 # ---------------------------------------------------------------------------

@@ -32,14 +32,15 @@ from nmwitness.cli import (
     cmd_geometry,
     cmd_verify,
     cmd_witness,
+    emit_report,
     load_channel_spec,
     load_witness_matrix,
     matrix_from_pairs,
     main,
 )
 from golden_expressions import INNERMOST_ERRORS
+from nmwitness.choi import MarkovianTargetError
 from nmwitness.geometry import (
-    MarkovianTargetError,
     convexity_probe,
     extreme_point_probe,
     hs_norm_probe,
@@ -136,7 +137,8 @@ def test_load_channel_spec_with_hamiltonian(tmp_path):
           # file reads as inf.
           ("table-decreasing", {"table": [[1, 0], [0, 1]]},
            "TableRate: times must be strictly increasing"),
-          ("table-inf", {"table": [[0, math.inf], [1, 2]]}, "TableRate: non-finite entries"))),
+          ("table-inf", {"table": [[0, math.inf], [1, 2]]}, "TableRate: non-finite entries"),
+          ("table-not-a-list", {"table": 5}, r"table must be a list of \[t, value\] pairs"))),
     # A matrix entry follows the same number rule as a rate table.
     pytest.param(lambda d: d["ops"][0].update(matrix=[[[True, False], [0, 0]], SZ[1]]),
                  r"ops\[0\]\.matrix: entry \(0,0\) \[true, false\] is not", id="matrix-bool"),
@@ -893,6 +895,23 @@ def test_a_markovian_witness_target_raises_and_main_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_spectral_target_without_a_projector_has_nothing_to_witness(tmp_path, monkeypatch,
+                                                                       capsys):
+    # classify's eigvalsh and spectral_witnesses' eigh may round the minimum
+    # eigenvalue to either side of -tol; which targets split this way depends
+    # on the LAPACK build, so the empty projector list is stood in for.
+    monkeypatch.setattr(cli, "spectral_witnesses", lambda c, tol=None: [])
+    spec = write_spec(tmp_path / "s.json", pauli_spec(1.0, 1.0, -0.3))
+    with pytest.raises(MarkovianTargetError, match=r"no spectral projector for the Choi "
+                                                   r"state at t=0\.0, eps=0\.001"):
+        cmd_witness(spec, 0.0, 1e-3, "spectral")
+    out = tmp_path / "w.json"
+    assert main(["witness", "--spec", spec, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "nothing to witness: channel is Markovian at the requested time\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("probe", ["convexity", "hsnorm", "extreme"])
 @pytest.mark.parametrize("extra,option", [
     (["--spec", "missing.json"], "--spec"),
@@ -997,6 +1016,24 @@ def test_main_reads_negative_numbers_after_an_option(tmp_path, value):
     assert main(["analyze", "--spec", spec, f"--t0={value}", *args, "--out", str(glued)]) == 0
     assert json.loads(spaced.read_text())["t0"] == float(value)
     assert strip_timestamp(spaced.read_text()) == strip_timestamp(glued.read_text())
+
+
+def test_a_dash_value_that_is_not_a_number_is_not_glued_to_its_option(capsys):
+    # "--spec -s.json" stays two arguments, so argparse names the option as
+    # missing its value: a usage error, exit 1.
+    with pytest.raises(SystemExit) as info:
+        main(["analyze", "--spec", "-s.json", "--t1", "1", "--steps", "2"])
+    assert info.value.code == 1
+    assert "argument --spec: expected one argument" in capsys.readouterr().err
+
+
+def test_emit_report_refuses_an_unknown_format_or_command(tmp_path):
+    out = tmp_path / "r.out"
+    with pytest.raises(SpecError, match=r"^unknown format 'xml'$"):
+        emit_report({"command": "verify"}, str(out), "xml")
+    with pytest.raises(SpecError, match=r"^no CSV rendering for command 'probe'$"):
+        emit_report({"command": "probe"}, str(out), "csv")
+    assert not out.exists()
 
 
 def test_main_rate_domain_error_names_rate_and_time(tmp_path, capsys):

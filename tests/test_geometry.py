@@ -49,6 +49,22 @@ def test_convexity_probe_validation():
         convexity_probe(2, 1e-4, 0, seed=1)
 
 
+@pytest.mark.parametrize("eps, n_trials, message", [
+    (0.0, 10, r"^hs_norm_probe: eps must be > 0, got 0\.0$"),
+    (1e-3, 0, r"^hs_norm_probe: n_trials must be >= 1, got 0$"),
+])
+def test_hs_norm_probe_validation(eps, n_trials, message):
+    with pytest.raises(ValueError, match=message):
+        hs_norm_probe(2, eps, n_trials, seed=1)
+
+
+def test_a_probe_report_equals_no_other_type():
+    report = convexity_probe(2, 1e-4, 3, seed=1)
+    assert report.__eq__(1) is NotImplemented
+    assert report != 1
+    assert report == convexity_probe(2, 1e-4, 3, seed=1)
+
+
 def test_hs_norm_probe_no_failures():
     for eps in (1e-3, 1e-4):
         report = hs_norm_probe(2, eps, 1000, seed=3)

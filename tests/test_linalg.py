@@ -7,6 +7,7 @@ from nmwitness.linalg import (
     SIGMA_Z,
     HermiticityError,
     ShapeError,
+    as_matrix,
     dagger,
     gell_mann_basis,
     hermitian_eig,
@@ -238,6 +239,18 @@ def test_gell_mann_basis(dim):
         for j, g in enumerate(basis):
             expected = 1.0 if i == j else 0.0
             assert hs_inner(f, g).real == pytest.approx(expected, abs=1e-12)
+
+
+def test_gell_mann_basis_needs_dim_two():
+    with pytest.raises(ValueError, match=r"^gell_mann_basis: dim must be >= 2, got 1$"):
+        gell_mann_basis(1)
+
+
+def test_as_matrix_refuses_other_ranks_and_non_finite_entries():
+    with pytest.raises(ShapeError, match=r"^m: expected a 2-D array, got shape \(3,\)$"):
+        as_matrix(np.ones(3), "m")
+    with pytest.raises(ValueError, match=r"^m: contains non-finite entries$"):
+        as_matrix([[1.0, np.nan], [0.0, 1.0]], "m")
 
 
 def test_gell_mann_qubit_is_scaled_paulis():

@@ -323,5 +323,7 @@ def test_as_rate_coercions():
     assert as_rate(expr_rate) is expr_rate
     with pytest.raises(TypeError):
         as_rate(None)
+    with pytest.raises(TypeError, match=r"^as_rate: bool is not a rate$"):
+        as_rate(True)
     with pytest.raises(ValueError):
         as_rate(float("nan"))

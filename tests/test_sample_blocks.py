@@ -13,13 +13,11 @@ import pytest
 
 from nmwitness import channels, geometry
 from nmwitness.channels import builtin_pauli
-from nmwitness.choi import ChoiMatrix, choi_of_generator
+from nmwitness.choi import choi_of_generator
 from nmwitness.witness import (
     WitnessOperator,
     _draw_generators,
     _sample_blocks,
-    sample_markovian_chois,
-    uniqueness_check,
     verify_witness,
 )
 
@@ -75,15 +73,12 @@ def test_range_views_match_the_whole_batch(monkeypatch, dim, samples):
 def _checks(dim, n, seed):
     """Each blocked probe and check at (dim, n, seed), as zero-argument calls."""
     w = WitnessOperator(_hermitian(dim, np.random.default_rng(seed)), "theorem3", "random")
-    cn, cm = (ChoiMatrix(dim=dim, matrix=m, t=0.0, eps=EPS)
-              for m in sample_markovian_chois(dim, EPS, 2, seed))
     checks = {
         "convexity": lambda: geometry.convexity_probe(dim, EPS, n, seed),
         "hsnorm": lambda: geometry.hs_norm_probe(dim, EPS, n, seed),
         "extreme": lambda: geometry.extreme_point_probe(dim, EPS, n, seed),
         "verify": lambda: verify_witness(w, dim, EPS, n, seed),
         "verify-large-eps": lambda: verify_witness(w, dim, 1e20, n, seed),
-        "uniqueness": lambda: uniqueness_check(cn, cm, dim, EPS, n, seed),
     }
     if dim == 2:
         target = choi_of_generator(builtin_pauli(1.0, 1.0, -0.3), 0.0, EPS)

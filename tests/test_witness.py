@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from nmwitness.channels import builtin_dephasing, builtin_pauli, haar_unitaries
-from nmwitness.choi import (ChoiMatrix, choi_of_generator, classify, dissipator_chois,
-                            max_entangled_state)
+from nmwitness.channels import SuperOperator, builtin_dephasing, builtin_pauli, haar_unitaries
+from nmwitness.choi import (ChoiMatrix, choi_of_channel, choi_of_generator, classify,
+                            dissipator_chois, max_entangled_state)
 from nmwitness.linalg import DEGENERACY_GAP, SIGMA_Z, dagger, hs_inner, hs_norm
 from nmwitness.rates import ConstantRate
 from nmwitness.witness import (
+    MarkovianFamily,
     WitnessOperator,
     expectation,
     fixed_basis_family,
@@ -199,6 +200,15 @@ def test_fixed_basis_family_refuses_eps_zero():
         fixed_basis_family([SIGMA_Z], 0.0)
 
 
+@pytest.mark.parametrize("ops, error, message", [
+    ((SIGMA_Z,) * 5, ValueError, r"^MarkovianFamily: at most dim\^2=4 basis operators, got 5$"),
+    ((SIGMA_Z, np.eye(3)), ShapeError, r"^basis_ops\[1\]: expected 2x2, got \(3, 3\)$"),
+])
+def test_markovian_family_input_checks(ops, error, message):
+    with pytest.raises(error, match=message):
+        MarkovianFamily(dim=2, basis_ops=ops, eps=EPS)
+
+
 def test_fixed_basis_rejects_family_of_another_dim():
     cn = pauli_choi((1.0, 1.0, -0.3))
     family = fixed_basis_family([np.diag([1.0, -1.0, 0.0])], EPS)
@@ -266,9 +276,18 @@ def test_full_gksl_dephasing_containment():
     assert full.residual <= fixed.residual + 1e-6
 
 
-def test_full_gksl_nonconvergence_flag():
+def test_full_gksl_refuses_a_state_tagged_eps_zero():
+    # choi_of_channel tags its state eps=0 unless told otherwise.
+    c = choi_of_channel(SuperOperator(dim=2, matrix=np.eye(4)))
+    with pytest.raises(ValueError, match=r"^nearest_mcs_full_gksl: eps must be > 0, got 0\.0$"):
+        nearest_mcs_full_gksl(c)
+
+
+def test_full_gksl_nonconvergence_flag(monkeypatch):
+    monkeypatch.setattr(witness_module, "GKSL_MAX_ITER", 2)
+    monkeypatch.setattr(witness_module, "GKSL_TOL", 1e-16)
     cn = pauli_choi((1.0, 1.0, -0.3))
-    res = nearest_mcs_full_gksl(cn, max_iter=2, tol=1e-16)
+    res = nearest_mcs_full_gksl(cn)
     assert not res.kkt_ok
     assert res.iterations == 2
     # the last iterate is still returned as a trace-one Choi state
@@ -409,6 +428,14 @@ def test_theorem3_expectation_is_minus_squared_distance():
     assert expectation(w, cn) == pytest.approx(-0.12 * EPS * EPS, rel=1e-9)
 
 
+def test_theorem3_refuses_states_of_two_shapes():
+    cn = pauli_choi((1.0, 1.0, -0.3))
+    other = choi_of_generator(_random_nm_generator(3, 3, (1.0, 0.5, -0.4)), 0.0, EPS)
+    with pytest.raises(ShapeError, match=r"^theorem3_witness: shapes differ, "
+                                         r"\(4, 4\) vs \(9, 9\)$"):
+        theorem3_witness(cn, other)
+
+
 def test_theorem3_identity_for_any_state():
     # Tr(W C_S) = -Tr[(C_S - C_M*)(C_N - C_M*)] for every trace-one C_S
     cn = pauli_choi((1.0, 1.0, -0.3))
@@ -453,6 +480,12 @@ def test_sampler_matches_channel_pipeline():
         u = op.T.reshape(-1) / np.sqrt(2.0)
         direct = direct + EPS * g * (np.outer(u, u.conj()) - phi)
     assert np.abs(direct - pipeline).max() < 1e-13
+
+
+def test_sampler_refuses_no_samples():
+    with pytest.raises(ValueError, match=r"^sample_markovian_chois: n_samples must be >= 1, "
+                                         r"got 0$"):
+        sample_markovian_chois(2, EPS, 0, seed=1)
 
 
 def test_sampler_reproducible_and_trace_one():
@@ -550,7 +583,7 @@ def test_verify_witness_forms_no_sample_stack(monkeypatch):
     w = WitnessOperator(-np.eye(4, dtype=complex), "theorem3", "invalid")
     assert verify_witness(w, 2, EPS, 300, seed=3).violations == 300
     cm = pauli_choi((0.5, 0.1, 0.7))
-    assert uniqueness_check(cm, cm, 2, EPS, 300, seed=3).holds
+    assert uniqueness_check(cm, cm, 2, EPS, 300, seed=3, family=pauli_family(EPS)).holds
 
 
 def test_verify_witness_overflow_is_a_floating_point_error():
@@ -606,8 +639,10 @@ def test_uniqueness_holds_at_projection():
     restricted = uniqueness_check(cn, res.choi_star, 2, EPS, 5000, seed=8,
                                   family=fam)
     assert restricted.holds
-    general = uniqueness_check(cn, res.choi_star, 2, EPS, 5000, seed=9)
-    assert general.holds
+    # On the full family the inequality is the witness of the full projection.
+    full = nearest_mcs_full_gksl(cn)
+    general = verify_witness(theorem3_witness(cn, full.choi_star), 2, EPS, 5000, seed=9)
+    assert general.violations == 0
 
 
 def test_uniqueness_fails_off_projection():
@@ -635,6 +670,18 @@ def test_uniqueness_rejects_family_at_other_tags(family, message):
         uniqueness_check(cn, cn, 2, EPS, 10, seed=1, family=family)
 
 
+def test_uniqueness_refuses_no_samples():
+    cn = pauli_choi((1.0, 1.0, -0.3))
+    with pytest.raises(ValueError, match=r"^uniqueness_check: n_samples must be >= 1, got 0$"):
+        uniqueness_check(cn, cn, 2, EPS, 0, seed=1, family=pauli_family(EPS))
+
+
+def test_uniqueness_needs_the_family_it_samples():
+    cn = pauli_choi((1.0, 1.0, -0.3))
+    with pytest.raises(TypeError, match="family"):
+        uniqueness_check(cn, cn, 2, EPS, 10, seed=1)
+
+
 def test_uniqueness_accepts_family_at_matching_tags_away_from_zero():
     cn = pauli_choi((1.0, 1.0, -0.3), t=0.7)
     fam = pauli_family(EPS, t=0.7)
@@ -642,7 +689,11 @@ def test_uniqueness_accepts_family_at_matching_tags_away_from_zero():
     assert uniqueness_check(cn, res.choi_star, 2, EPS, 2000, seed=8, family=fam).holds
 
 
-@pytest.mark.parametrize("family", [None, pauli_family(EPS)])
+# A family of the check's dim, then one of cn's.
+@pytest.mark.parametrize("family", [
+    fixed_basis_family(haar_unitaries(3, 2, np.random.default_rng(3)), EPS),
+    pauli_family(EPS),
+])
 def test_uniqueness_rejects_states_of_another_dim(family):
     cn = pauli_choi((1.0, 1.0, -0.3))
     with pytest.raises(ShapeError, match=r"uniqueness_check: cn dim 2 != dim 3"):
@@ -651,7 +702,7 @@ def test_uniqueness_rejects_states_of_another_dim(family):
 
 def test_uniqueness_trivial_self():
     cm = pauli_choi((0.5, 0.1, 0.7))
-    report = uniqueness_check(cm, cm, 2, EPS, 1000, seed=11)
+    report = uniqueness_check(cm, cm, 2, EPS, 1000, seed=11, family=pauli_family(EPS))
     assert report.holds
     assert abs(report.max_lhs) < 1e-12
 
@@ -666,12 +717,10 @@ def test_uniqueness_check_matches_stack_contraction(dim, eps):
     cn = choi_of_generator(target, 0.0, EPS)
     fam = fixed_basis_family(ops, EPS)
     cm_star = nearest_mcs_fixed_basis(cn, fam).choi_star
-    for basis_ops in (None, ops):
-        # The check samples the family at the eps it is given, and the
-        # family must carry that tag.
-        family = None if basis_ops is None else fixed_basis_family(ops, eps)
-        result = uniqueness_check(cn, cm_star, dim, eps, n, seed, family=family)
-        lhs, scale = stack_uniqueness_lhs(cn.matrix, cm_star.matrix, dim, eps, n, seed,
-                                          basis_ops)
-        assert abs(result.max_lhs - lhs.max()) <= 1e-13 * scale.max()
-        assert result.holds == bool(lhs.max() <= 1e-8)
+    # The check samples the family at the eps it is given, and the family
+    # must carry that tag.
+    result = uniqueness_check(cn, cm_star, dim, eps, n, seed,
+                              family=fixed_basis_family(ops, eps))
+    lhs, scale = stack_uniqueness_lhs(cn.matrix, cm_star.matrix, dim, eps, n, seed, ops)
+    assert abs(result.max_lhs - lhs.max()) <= 1e-13 * scale.max()
+    assert result.holds == bool(lhs.max() <= 1e-8)
