@@ -9,14 +9,9 @@ that eigenvector is a working witness: its expectation is gamma*eps itself.
 
 import numpy as np
 
-from nmwitness import (
-    builtin_dephasing,
-    choi_of_generator,
-    classify,
-    expectation,
-    spectral_witnesses,
-    verify_witness,
-)
+from nmwitness.channels import builtin_dephasing
+from nmwitness.choi import choi_of_generator, classify
+from nmwitness.witness import expectation, spectral_witnesses, verify_witness
 
 EPS = 1e-3
 

@@ -18,9 +18,9 @@ Choi matrices) is guaranteed. That projection lands on the same point here.
 
 import numpy as np
 
-from nmwitness import (
-    builtin_pauli,
-    choi_of_generator,
+from nmwitness.channels import builtin_pauli
+from nmwitness.choi import choi_of_generator
+from nmwitness.witness import (
     expectation,
     nearest_mcs_fixed_basis,
     nearest_mcs_full_gksl,

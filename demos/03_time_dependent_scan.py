@@ -10,7 +10,8 @@ the rate integral over the non-divisible window.
 
 import math
 
-from nmwitness import builtin_dephasing, scan
+from nmwitness.channels import builtin_dephasing
+from nmwitness.choi import scan
 
 gen = builtin_dephasing("cos(t)")
 report = scan(gen, t0=0.0, t1=math.pi, steps=2000, eps=1e-3)

@@ -18,9 +18,9 @@ Four probes, each a sampled surrogate for a structural statement:
                   ones by the hyperplane through its nearest divisible state.
 """
 
-from nmwitness import (
-    builtin_pauli,
-    choi_of_generator,
+from nmwitness.channels import builtin_pauli
+from nmwitness.choi import choi_of_generator
+from nmwitness.geometry import (
     convexity_probe,
     extreme_point_probe,
     hs_norm_probe,

@@ -6,77 +6,18 @@ its spectrum, and constructs linear witnesses two ways: spectral projectors
 onto negative eigenspaces, and the hyperplane through the nearest divisible
 Choi state found by convex projection. Probe routines sample the convex
 geometry of the divisible set.
+
+Every name is imported from the module that defines it (the package itself
+holds only `__version__`):
+* `linalg`: the dense matrix kernel, Pauli and Gell-Mann matrices.
+* `rates`: rate functions and the rate expression language (`parse`).
+* `channels`: `LindbladGenerator`, the built-in models, Haar unitaries and
+  the reference superoperator route.
+* `choi`: Choi states, `classify`, `require_non_markovian` and `scan`.
+* `witness`: spectral and Theorem-3 witnesses, the two projections onto the
+  divisible set, and the sampled checks `verify_witness`, `uniqueness_check`.
+* `geometry`: the convexity, HS-norm, extreme-point and separation probes.
+* `cli`: the `nmwitness` command and its spec and report formats.
 """
 
 __version__ = "0.1.0"
-
-from .linalg import (
-    HermiticityError,
-    ShapeError,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    dagger,
-    gell_mann_basis,
-    hermitian_eig,
-    hs_inner,
-    hs_norm,
-    matrix_exp,
-)
-from .rates import (
-    ConstantRate,
-    ExpressionRate,
-    Rate,
-    RateEvalError,
-    RateParseError,
-    TableRate,
-    as_rate,
-    parse,
-)
-from .channels import (
-    LindbladGenerator,
-    SuperOperator,
-    builtin_dephasing,
-    builtin_pauli,
-    exact_channel,
-    first_order_channel,
-    gksl_superoperator,
-)
-from .choi import (
-    ChoiMatrix,
-    MarkovianTargetError,
-    NMClassification,
-    ScanReport,
-    choi_of_channel,
-    choi_of_generator,
-    classify,
-    max_entangled_state,
-    require_non_markovian,
-    scan,
-)
-from .witness import (
-    MarkovianFamily,
-    NearestMCSResult,
-    UniquenessResult,
-    VerificationResult,
-    WitnessOperator,
-    expectation,
-    fixed_basis_family,
-    nearest_mcs_fixed_basis,
-    nearest_mcs_full_gksl,
-    pauli_family,
-    sample_markovian_chois,
-    spectral_witnesses,
-    theorem3_witness,
-    uniqueness_check,
-    verify_witness,
-)
-from .geometry import (
-    ProbeReport,
-    convexity_probe,
-    extreme_point_probe,
-    hs_norm_probe,
-    separation_demo,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

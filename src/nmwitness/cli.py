@@ -12,6 +12,7 @@ Channel specs are JSON documents::
       ]
     }
 
+Any other key, at the top level, in an op or in a table rate, is an error.
 Matrices are nested arrays of [re, im] pairs everywhere (specs, witness
 files, reports); each number read, in a matrix or a rate, is a JSON int or
 float, never a bool, string or null. Exit codes: 0 ok / fully Markovian,
@@ -44,24 +45,8 @@ from . import __version__
 from .channels import LindbladGenerator, builtin_pauli
 from .choi import (ChoiMatrix, MarkovianTargetError, choi_of_generator,
                    require_non_markovian, scan)
-from .geometry import (
-    convexity_probe,
-    extreme_point_probe,
-    hs_norm_probe,
-    separation_demo,
-)
 from .linalg import require_hermitian
 from .rates import TableRate, as_rate
-from .witness import (
-    WitnessOperator,
-    expectation,
-    fixed_basis_family,
-    nearest_mcs_fixed_basis,
-    nearest_mcs_full_gksl,
-    spectral_witnesses,
-    theorem3_witness,
-    verify_witness,
-)
 
 
 class SpecError(ValueError):
@@ -124,6 +109,15 @@ def _overflow_names(where: str):
         raise ValueError(f"{where}: floating-point {exc}") from exc
 
 
+def _known_keys(obj: dict, keys: tuple[str, ...], where: str) -> None:
+    """The first key of obj not in keys (a misspelt one, say) is a SpecError
+    naming it at where: no key is silently ignored."""
+    unknown = next((key for key in obj if key not in keys), None)
+    if unknown is not None:
+        raise SpecError(f"{where}: unknown key {json.dumps(unknown)}; "
+                        f"expected {', '.join(keys)}")
+
+
 def _parse_rate(obj, name: str):
     if type(obj) in _NUMBER or isinstance(obj, str):
         try:
@@ -131,6 +125,7 @@ def _parse_rate(obj, name: str):
         except (ValueError, OverflowError) as exc:
             raise SpecError(f"{name}: {exc}") from exc
     if isinstance(obj, dict) and "table" in obj:
+        _known_keys(obj, ("table",), name)
         table = obj["table"]
         if not isinstance(table, list):
             raise SpecError(f"{name}: table must be a list of [t, value] pairs")
@@ -165,6 +160,7 @@ def load_channel_spec(path: str) -> LindbladGenerator:
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise SpecError(f"{path}: top level must be an object")
+    _known_keys(doc, ("dim", "hamiltonian", "ops"), f"{path}: top level")
     dim = doc.get("dim")
     if not isinstance(dim, int) or dim < 2:
         raise SpecError(f"{path}: 'dim' must be an integer >= 2")
@@ -175,6 +171,7 @@ def load_channel_spec(path: str) -> LindbladGenerator:
     for i, entry in enumerate(ops_doc):
         if not isinstance(entry, dict) or "matrix" not in entry or "rate" not in entry:
             raise SpecError(f"{path}: ops[{i}] must have 'matrix' and 'rate'")
+        _known_keys(entry, ("matrix", "rate"), f"{path}: ops[{i}]")
         ops.append(matrix_from_pairs(entry["matrix"], f"{path}: ops[{i}].matrix"))
         rates.append(_parse_rate(entry["rate"], f"{path}: ops[{i}].rate"))
     ham = None
@@ -417,7 +414,8 @@ def cmd_analyze(spec: str, t0: float, t1: float, steps: int, eps: float,
     return fields, 3 if report.nm_intervals else 0
 
 
-def _witness_entry(w: WitnessOperator, c: ChoiMatrix) -> dict:
+def _witness_entry(w, c: ChoiMatrix) -> dict:
+    from .witness import expectation
     return {
         "kind": w.kind,
         "provenance": w.provenance,
@@ -429,6 +427,7 @@ def _witness_entry(w: WitnessOperator, c: ChoiMatrix) -> dict:
 def _spectral(gen, cn, tol) -> tuple[dict, int]:
     # The verdict's eigvalsh and the projectors' eigh can round the minimum
     # eigenvalue to either side of -tol: no projector is nothing to witness.
+    from .witness import spectral_witnesses
     witnesses = spectral_witnesses(cn, tol)
     if not witnesses:
         raise MarkovianTargetError(f"witness: no spectral projector for the Choi "
@@ -438,17 +437,20 @@ def _spectral(gen, cn, tol) -> tuple[dict, int]:
 
 def _theorem3(cn: ChoiMatrix, result, **fields) -> dict:
     """fields, then the Theorem-3 witness of a projection result and the result's own."""
+    from .witness import theorem3_witness
     w = theorem3_witness(cn, result.choi_star)
     return {**fields, "witnesses": [_witness_entry(w, cn)], "residual": result.residual,
             "c0": w.c0, "kkt_ok": result.kkt_ok, "iterations": result.iterations}
 
 
 def _theorem3_fixed(gen, cn, tol) -> tuple[dict, int]:
+    from .witness import fixed_basis_family, nearest_mcs_fixed_basis
     result = nearest_mcs_fixed_basis(cn, fixed_basis_family(gen.ops, cn.eps, cn.t))
     return _theorem3(cn, result, rates=[float(g) for g in result.rates]), 0
 
 
 def _theorem3_gksl(gen, cn, tol) -> tuple[dict, int]:
+    from .witness import nearest_mcs_full_gksl
     result = nearest_mcs_full_gksl(cn)
     return _theorem3(cn, result), 0 if result.kkt_ok else 4
 
@@ -482,6 +484,7 @@ def cmd_witness(spec: str, t0: float, eps: float, mode: str,
 
 
 def cmd_verify(witness: str, eps: float, n: int, seed: int) -> tuple[dict, int]:
+    from .witness import WitnessOperator, verify_witness
     matrix = load_witness_matrix(witness)
     dim = int(round(np.sqrt(matrix.shape[0])))
     if dim * dim != matrix.shape[0] or dim < 2:
@@ -501,13 +504,10 @@ def cmd_verify(witness: str, eps: float, n: int, seed: int) -> tuple[dict, int]:
     return fields, 0 if result.violations == 0 else 3
 
 
-# Sampled probe name -> probe(dim, eps, n, seed). Each looks its probe up in
-# this module when called, so a wrapper put in its place here is what runs.
-_SAMPLED_PROBES = {
-    "convexity": lambda *args: convexity_probe(*args),
-    "hsnorm": lambda *args: hs_norm_probe(*args),
-    "extreme": lambda *args: extreme_point_probe(*args),
-}
+# Sampled probe name -> name of its probe(dim, eps, n, seed) in the geometry
+# module, looked up there when the command runs.
+_SAMPLED_PROBES = {"convexity": "convexity_probe", "hsnorm": "hs_norm_probe",
+                   "extreme": "extreme_point_probe"}
 
 
 def cmd_geometry(probe: str, dim: int | None, eps: float, n: int, seed: int,
@@ -516,6 +516,7 @@ def cmd_geometry(probe: str, dim: int | None, eps: float, n: int, seed: int,
     which an explicit dim must match. spec and t0 (None: 0.0) choose the
     separation target; a sampled probe takes neither. A separation target
     that classifies as Markovian raises MarkovianTargetError, as witness does."""
+    from . import geometry
     if probe == "separation":
         # Default demonstration instance: a Pauli channel with one negative
         # rate, non-Markovian at every time.
@@ -527,12 +528,12 @@ def cmd_geometry(probe: str, dim: int | None, eps: float, n: int, seed: int,
 
         def run(dim, eps, n, seed):
             cn = choi_of_generator(gen, 0.0 if t0 is None else t0, eps)
-            return separation_demo(cn, n, seed)
+            return geometry.separation_demo(cn, n, seed)
     elif probe in _SAMPLED_PROBES:
         for option, value in (("--spec", spec), ("--t0", t0)):
             if value is not None:
                 raise SpecError(f"{option} is for the separation probe only, not {probe}")
-        run, dim = _SAMPLED_PROBES[probe], 2 if dim is None else dim
+        run, dim = getattr(geometry, _SAMPLED_PROBES[probe]), 2 if dim is None else dim
     else:
         raise SpecError(f"unknown probe {probe!r}")
     # eps near the top of the double range overflows the sampled states.

@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nmwitness
-from nmwitness import choi, cli
+from nmwitness import choi, cli, geometry
+from nmwitness import witness as witness_module
 from nmwitness.channels import builtin_pauli
 from nmwitness.choi import (
     choi_of_generator,
@@ -151,6 +152,16 @@ def test_load_channel_spec_with_hamiltonian(tmp_path):
     pytest.param(lambda d: d.update(hamiltonian=[[[0, 0], [9e307, 0]], [[-9e307, 0], [0, 0]]]),
                  r"hamiltonian: not Hermitian, max \|a - a\^dag\| = inf > 1\.0e-10$",
                  id="hamiltonian-defect-overflows"),
+    # A key the format does not know, as a misspelt one, is refused by name,
+    # not ignored.
+    pytest.param(lambda d: d.update(hamiltonain=SX),
+                 r'top level: unknown key "hamiltonain"; expected dim, hamiltonian, ops$',
+                 id="unknown-top-level-key"),
+    pytest.param(lambda d: d["ops"][0].update(rate=-0.5, rates="cos(t)"),
+                 r'ops\[0\]: unknown key "rates"; expected matrix, rate$', id="unknown-op-key"),
+    pytest.param(lambda d: d["ops"][0].update(rate={"table": [[0, 1], [1, 2]], "kind": "cubic"}),
+                 r'ops\[0\]\.rate: unknown key "kind"; expected table$',
+                 id="unknown-table-rate-key"),
 ])
 def test_load_channel_spec_errors(tmp_path, mutate, fragment):
     doc = dephasing_spec(1.0)
@@ -900,7 +911,7 @@ def test_a_spectral_target_without_a_projector_has_nothing_to_witness(tmp_path, 
     # classify's eigvalsh and spectral_witnesses' eigh may round the minimum
     # eigenvalue to either side of -tol; which targets split this way depends
     # on the LAPACK build, so the empty projector list is stood in for.
-    monkeypatch.setattr(cli, "spectral_witnesses", lambda c, tol=None: [])
+    monkeypatch.setattr(witness_module, "spectral_witnesses", lambda c, tol=None: [])
     spec = write_spec(tmp_path / "s.json", pauli_spec(1.0, 1.0, -0.3))
     with pytest.raises(MarkovianTargetError, match=r"no spectral projector for the Choi "
                                                    r"state at t=0\.0, eps=0\.001"):
@@ -1395,15 +1406,15 @@ def test_an_unknown_mode_or_probe_is_a_usage_error(capsys, argv):
                                         ("hsnorm", "hs_norm_probe"),
                                         ("extreme", "extreme_point_probe")])
 def test_sampled_probes_are_looked_up_when_called(tmp_path, monkeypatch, probe, name):
-    # A wrapper put in the cli module's namespace (as a tracer does) is the
-    # function the probe table calls.
-    original, calls = getattr(cli, name), []
+    # A wrapper put in the geometry module's namespace (as a tracer does) is
+    # the function the probe table calls.
+    original, calls = getattr(geometry, name), []
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(cli, name, counted)
+    monkeypatch.setattr(geometry, name, counted)
     out = str(tmp_path / "p.json")
     assert main(["geometry", "--probe", probe, "--n", "5", "--seed", "1", "--out", out]) == 0
     assert calls == [(2, 1e-3, 5, 1)]
@@ -1422,7 +1433,7 @@ def test_cli_import_leaves_scipy_unloaded():
         "import numpy as np\n"
         "import nmwitness.cli\n"
         "assert 'scipy' not in sys.modules, 'scipy imported at start-up'\n"
-        "from nmwitness import builtin_dephasing, exact_channel\n"
+        "from nmwitness.channels import builtin_dephasing, exact_channel\n"
         "from nmwitness.linalg import matrix_exp\n"
         "assert np.allclose(matrix_exp(np.zeros((2, 2))), np.eye(2))\n"
         "s = exact_channel(builtin_dephasing(1.0), 0.0, 0.1)\n"
@@ -1431,4 +1442,27 @@ def test_cli_import_leaves_scipy_unloaded():
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-c", script], cwd=src,
                           capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_loads_witness_and_geometry_only_in_the_commands_that_run_them(tmp_path):
+    # analyze runs on rates, channels and choi alone; witness needs the
+    # witness module but not the probes.
+    spec = write_spec(tmp_path / "s.json", pauli_spec(1.0, 1.0, -0.3))
+    script = (
+        "import sys\n"
+        "import nmwitness.cli\n"
+        "def loaded():\n"
+        "    return [m for m in ('nmwitness.witness', 'nmwitness.geometry') if m in sys.modules]\n"
+        "assert loaded() == [], ('import', loaded())\n"
+        "spec = sys.argv[1]\n"
+        "argv = ['analyze', '--spec', spec, '--t1', '1', '--steps', '4', '--out', 'a.json']\n"
+        "assert nmwitness.cli.main(argv) == 3\n"
+        "assert loaded() == [], ('analyze', loaded())\n"
+        "assert nmwitness.cli.main(['witness', '--spec', spec, '--out', 'w.json']) == 0\n"
+        "assert loaded() == ['nmwitness.witness'], ('witness', loaded())\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", script, spec], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

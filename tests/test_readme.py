@@ -1,4 +1,5 @@
-"""The README's library tour runs as written and gives the values its comments state."""
+"""The README's library tour runs as written and gives the values its comments
+state, and its channel-spec example loads."""
 
 import re
 from pathlib import Path
@@ -6,20 +7,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nmwitness import classify, expectation, spectral_witnesses
+from nmwitness.choi import classify
+from nmwitness.cli import load_channel_spec
+from nmwitness.witness import expectation, spectral_witnesses
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _tour() -> str:
-    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"),
+def _block(language: str) -> str:
+    """The README's one code block in language."""
+    blocks = re.findall(rf"^```{language}\n(.*?)^```$", README.read_text(encoding="utf-8"),
                         flags=re.MULTILINE | re.DOTALL)
     assert len(blocks) == 1
     return blocks[0]
 
 
 def test_the_library_tour_runs_and_states_its_values():
-    tour = _tour()
+    tour = _block("python")
     # The comments state these values; the assertions below check them.
     for stated in ("# False", "expectation -3e-4", "# array([0.9, 0.9, 0. ])",
                    "(= 0.12 * eps^2)", "(= -residual^2)", "# True"):
@@ -35,3 +39,12 @@ def test_the_library_tour_runs_and_states_its_values():
     assert res.residual ** 2 == pytest.approx(0.12 * eps ** 2, rel=1e-9)
     assert expectation(w, cn) == pytest.approx(-res.residual ** 2, rel=1e-9)
     assert check.holds is True
+
+
+def test_the_channel_spec_example_loads(tmp_path):
+    path = tmp_path / "channel.json"
+    path.write_text(_block("json"), encoding="utf-8")
+    gen = load_channel_spec(str(path))
+    assert gen.dim == 2 and len(gen.ops) == 3
+    assert np.array_equal(gen.hamiltonian, gen.hamiltonian.conj().T)
+    assert np.any(gen.hamiltonian)

@@ -8,6 +8,7 @@ otherwise surface only in a traced benchmark run.
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -65,3 +66,25 @@ def test_every_info_extractor_reads_a_real_call(tmp_path):
         assert fields and all(isinstance(v, (bool, int)) for v in fields.values()), (span, fields)
         used.add(info.__name__)
     assert used == {"_gksl_info", "_nnls_info", "_sample_info", "_probe_info", "_emit_info"}
+
+
+def test_the_tracer_reaches_the_functions_the_cli_imports_when_it_runs(tmp_path):
+    # cli looks witness and geometry functions up in their own modules when a
+    # command runs; the tracer's wrappers there are what those commands call.
+    from nmwitness.cli import main
+
+    sz = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"dim": 2, "ops": [{"matrix": sz, "rate": -1.0}]}))
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        assert main(["witness", "--spec", str(spec), "--mode", "theorem3-gksl",
+                     "--out", str(tmp_path / "w.json")]) == 0
+        assert main(["geometry", "--probe", "convexity", "--n", "5", "--seed", "1",
+                     "--out", str(tmp_path / "g.json")]) == 0
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    assert {"witness.nearest_mcs_full_gksl", "witness.theorem3_witness",
+            "geometry.convexity_probe"} <= names, names
