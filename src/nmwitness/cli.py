@@ -435,24 +435,25 @@ def _spectral(gen, cn, tol) -> tuple[dict, int]:
     return {"witnesses": [_witness_entry(w, cn) for w in witnesses]}, 0
 
 
-def _theorem3(cn: ChoiMatrix, result, **fields) -> dict:
-    """fields, then the Theorem-3 witness of a projection result and the result's own."""
+def _theorem3(cn: ChoiMatrix, result, **fields) -> tuple[dict, int]:
+    """fields, then the Theorem-3 witness of a projection result and the result's
+    own; exit 4 when the result's KKT certificate fails."""
     from .witness import theorem3_witness
     w = theorem3_witness(cn, result.choi_star)
-    return {**fields, "witnesses": [_witness_entry(w, cn)], "residual": result.residual,
-            "c0": w.c0, "kkt_ok": result.kkt_ok, "iterations": result.iterations}
+    return ({**fields, "witnesses": [_witness_entry(w, cn)], "residual": result.residual,
+             "c0": w.c0, "kkt_ok": result.kkt_ok, "iterations": result.iterations},
+            0 if result.kkt_ok else 4)
 
 
 def _theorem3_fixed(gen, cn, tol) -> tuple[dict, int]:
     from .witness import fixed_basis_family, nearest_mcs_fixed_basis
     result = nearest_mcs_fixed_basis(cn, fixed_basis_family(gen.ops, cn.eps, cn.t))
-    return _theorem3(cn, result, rates=[float(g) for g in result.rates]), 0
+    return _theorem3(cn, result, rates=[float(g) for g in result.rates])
 
 
 def _theorem3_gksl(gen, cn, tol) -> tuple[dict, int]:
     from .witness import nearest_mcs_full_gksl
-    result = nearest_mcs_full_gksl(cn)
-    return _theorem3(cn, result), 0 if result.kkt_ok else 4
+    return _theorem3(cn, nearest_mcs_full_gksl(cn))
 
 
 # Witness mode -> builder(gen, cn, tol) of the report fields and the exit

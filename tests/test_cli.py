@@ -412,6 +412,39 @@ def test_witness_modes(tmp_path):
                 math.sqrt(0.12) * 1e-3, rel=1e-6)
 
 
+@pytest.mark.parametrize("mode", ["theorem3-fixed", "theorem3-gksl"])
+def test_a_projection_whose_certificate_fails_exits_four(tmp_path, monkeypatch, mode):
+    # Either solver's KKT certificate alone decides the exit code; the
+    # report is still written, with its last iterate.
+    if mode == "theorem3-fixed":
+        monkeypatch.setattr(witness_module, "_kkt_fixed_basis", lambda *args: False)
+    else:
+        monkeypatch.setattr(witness_module, "GKSL_MAX_ITER", 0)
+    spec = write_spec(tmp_path / "s.json", pauli_spec(1.0, 1.0, -0.3))
+    out = tmp_path / "w.json"
+    assert run_main("witness", out, spec=spec, t0=0.0, eps=1e-3, mode=mode) == 4
+    assert json.loads(out.read_text())["kkt_ok"] is False
+
+
+# One Ginibre jump at rate -8004: Tr(W C_N) is about -5e6, and its rounding
+# leaves an imaginary part of about 2e-10.
+FAR_SPEC = {"dim": 2, "ops": [{"matrix": [
+    [[-1.501171966765481, -0.05232545112154809], [0.22586938003892645, -0.35657062393967626]],
+    [[0.044729046791977235, 0.11026007702494671], [0.09113479695435156, -0.7988870401488893]]],
+    "rate": -8004.490219723619}]}
+
+
+@pytest.mark.parametrize("command,options", [
+    ("witness", {"mode": "theorem3-fixed"}),
+    ("witness", {"mode": "theorem3-gksl"}),
+    ("geometry", {"probe": "separation", "n": 2000, "seed": 1}),
+])
+def test_a_large_witness_value_is_real_up_to_its_scale(tmp_path, command, options):
+    spec = write_spec(tmp_path / "s.json", FAR_SPEC)
+    out = tmp_path / "r.json"
+    assert run_main(command, out, spec=spec, eps=0.2, **options) == 0
+
+
 def test_witness_markovian_exit_two(tmp_path, capsys):
     spec = write_spec(tmp_path / "s.json", dephasing_spec(1.0))
     code = run_main("witness", tmp_path / "w.json", spec=spec, t0=0.0, eps=1e-3,

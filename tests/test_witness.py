@@ -131,6 +131,18 @@ def test_expectation_pauli_x_projector():
     assert expectation(w, c) == pytest.approx(gx * EPS, abs=1e-12)
 
 
+def test_expectation_refuses_a_non_real_value_below_its_scale():
+    # W is anti-Hermitian within the Hermiticity tolerance, and C's matching
+    # entries are 5: Tr(W C) = -4e-10 j, whose terms sum to 4e-10 in magnitude.
+    w = WitnessOperator(matrix=4e-11j * np.array([[0, 1, 0, 0], [1, 0, 0, 0],
+                                                  [0, 0, 0, 0], [0, 0, 0, 0]]),
+                        kind="theorem3", provenance="anti-Hermitian defect")
+    c = ChoiMatrix(dim=2, matrix=np.diag([0.5, 0.5, 0.0, 0.0]) + 5.0 * np.array(
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]), t=0.0, eps=EPS)
+    with pytest.raises(ValueError, match=r"^expectation: non-real value"):
+        expectation(w, c)
+
+
 # ---------------------------------------------------------------------------
 # fixed-basis nearest divisible state
 # ---------------------------------------------------------------------------
@@ -153,7 +165,6 @@ def test_fixed_basis_interior_fixed_point():
     assert np.abs(res.rates - rates).max() < 1e-10
     assert res.residual <= 1e-10
     assert res.kkt_ok
-    assert not res.degenerate
 
 
 def test_fixed_basis_pauli_oracle():
@@ -190,7 +201,6 @@ def test_fixed_basis_degenerate_directions():
     cn = choi_of_generator(builtin_dephasing(-0.5), 0.0, EPS)
     fam = fixed_basis_family((SIGMA_Z, SIGMA_Z), EPS)
     res = nearest_mcs_fixed_basis(cn, fam)
-    assert res.degenerate
     assert res.kkt_ok
     assert res.residual == pytest.approx(0.5 * EPS * np.sqrt(2.0), rel=1e-8)
 
@@ -413,6 +423,66 @@ def test_full_gksl_state_is_cone_point_of_dual(gksl_solutions, name):
     block = w_perp @ z @ w_perp
     x = z - block + psd_project(block)
     assert hs_norm(phi + EPS * x - res.choi_star.matrix) <= 1e-12
+
+
+GLOBAL_FAMILIES = ("wide", "far", "tiny", "unitary")
+
+
+def _global_target(family, seed):
+    """A seeded full-GKSL target of one of four families, or None when its
+    state swamps phi, which ChoiMatrix refuses.
+
+    wide: d = 2..5, 1..d^2 Ginibre jumps, rates uniform on [-s, s] with s
+    from 1e-2 to 1e4, eps from 1e-4 to 1e-1; far: s from 1 to 1e6, eps from
+    1e-2 to 3; tiny: rates on [0, 1] but one negative, 1e-12..1e-3 times the
+    sum of the others; unitary: Haar or commuting diagonal unitary jumps,
+    rates on [-1, 1] with 30% zero, eps up to 1. A Hamiltonian on about half.
+    """
+    rng = np.random.default_rng([GLOBAL_FAMILIES.index(family), seed])
+    d = int(rng.integers(2, 6))
+    n_ops = int(rng.integers(1, d * d + 1))
+    if family == "unitary":
+        if rng.random() < 0.5:
+            ops = haar_unitaries(d, n_ops, rng)
+        else:
+            ops = np.exp(2j * np.pi * rng.random((n_ops, d)))[:, :, None] * np.eye(d)
+        rates = rng.uniform(-1.0, 1.0, n_ops) * (rng.random(n_ops) >= 0.3)
+        eps = 10.0 ** rng.uniform(-4, 0)
+    else:
+        ops = rng.standard_normal((n_ops, d, d)) + 1j * rng.standard_normal((n_ops, d, d))
+        if family == "tiny":
+            rates = rng.uniform(0.0, 1.0, n_ops)
+            rates[0] = -10.0 ** rng.uniform(-12, -3) * (rates[1:].sum() if n_ops > 1 else 1.0)
+            eps = 10.0 ** rng.uniform(-4, -1)
+        else:
+            s_log, eps_log = {"wide": ((-2, 4), (-4, -1)),
+                              "far": ((0, 6), (-2, np.log10(3)))}[family]
+            rates = rng.uniform(-1.0, 1.0, n_ops) * 10.0 ** rng.uniform(*s_log)
+            eps = 10.0 ** rng.uniform(*eps_log)
+    ham = None
+    if rng.random() < 0.5:
+        raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        ham = 0.5 * (raw + dagger(raw))
+    gen = LindbladGenerator(dim=d, ops=tuple(ops), rates=tuple(ConstantRate(g) for g in rates),
+                            hamiltonian=ham)
+    try:
+        return choi_of_generator(gen, 0.0, eps)
+    except ValueError as exc:
+        if "swamps phi" not in str(exc):
+            raise
+        return None
+
+
+def test_full_gksl_full_newton_steps_converge_across_scales():
+    # Ten draws per family, far from phi and near it alike: every target
+    # passes its certificate within twelve full Newton steps.
+    targets = {(family, seed): _global_target(family, seed)
+               for family in GLOBAL_FAMILIES for seed in range(10)}
+    results = {key: nearest_mcs_full_gksl(cn) for key, cn in targets.items() if cn is not None}
+    assert len(results) >= 38
+    slow = [(key, res.kkt_ok, res.iterations) for key, res in results.items()
+            if not (res.kkt_ok and res.iterations <= 12)]
+    assert slow == []
 
 
 # ---------------------------------------------------------------------------
