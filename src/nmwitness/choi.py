@@ -210,20 +210,19 @@ class NMClassification:
     """Instantaneous divisibility verdict for one Choi state."""
 
     min_eigenvalue: float
-    negative_eigenvalues: np.ndarray
     trace_norm_deficit: float
     is_markovian: bool
 
 
 def _verdicts(chois: np.ndarray, tol: float, caller: str,
-              where: str) -> tuple[np.ndarray, ...]:
+              where: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One stacked eigensolve of the Hermitian parts of a (n, d^2, d^2) stack.
 
-    Returns the ascending spectra and three columns: minimum eigenvalues,
-    trace-norm deficits sum|lambda| - 1 and the Markovian verdicts, true
-    where no eigenvalue is below -tol. Where the Hermitian part overflows
-    (entries near the largest double), it does so without a warning and the
-    eigensolve fails: a ValueError naming the caller and `where` the states are.
+    Returns three columns: minimum eigenvalues, trace-norm deficits
+    sum|lambda| - 1 and the Markovian verdicts, true where no eigenvalue is
+    below -tol. Where the Hermitian part overflows (entries near the largest
+    double), it does so without a warning and the eigensolve fails: a
+    ValueError naming the caller and `where` the states are.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -232,7 +231,7 @@ def _verdicts(chois: np.ndarray, tol: float, caller: str,
         raise ValueError(f"{caller}: eigensolve failed {where} (largest |entry| of the "
                          f"Choi stack {np.abs(chois).max():.3e}): {exc}") from exc
     mins = spectra[:, 0]
-    return spectra, mins, np.abs(spectra).sum(axis=1) - 1.0, mins >= -tol
+    return mins, np.abs(spectra).sum(axis=1) - 1.0, mins >= -tol
 
 
 def classify(c: ChoiMatrix, tol: float | None = None) -> NMClassification:
@@ -242,10 +241,9 @@ def classify(c: ChoiMatrix, tol: float | None = None) -> NMClassification:
     """
     if tol is None:
         tol = default_classification_tol(c.eps)
-    spectra, mins, deficits, markovian = _verdicts(
+    mins, deficits, markovian = _verdicts(
         c.matrix[None], tol, "classify", f"at t={c.t}, eps={c.eps}")
     return NMClassification(min_eigenvalue=float(mins[0]),
-                            negative_eigenvalues=spectra[0][spectra[0] < -tol],
                             trace_norm_deficit=float(deficits[0]),
                             is_markovian=bool(markovian[0]))
 
@@ -314,8 +312,8 @@ def scan(gen: LindbladGenerator, t0: float, t1: float, steps: int, eps: float,
     with np.errstate(over="ignore", invalid="ignore"):
         chois = _first_order_chois(gen, grid, eps)
         _require_states(chois, grid, eps)
-        _, mins, deficits, markovian = _verdicts(chois, tol, "scan",
-                                                 f"on [{t0}, {t1}] with {steps} steps")
+        mins, deficits, markovian = _verdicts(chois, tol, "scan",
+                                              f"on [{t0}, {t1}] with {steps} steps")
     # Runs of non-Markovian cells open and close where the zero-padded verdicts flip.
     flips = np.flatnonzero(np.diff(np.pad(~markovian, 1)))
     # Python's left-to-right sum, not np.sum's pairwise one, keeps the

@@ -312,9 +312,10 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix) -> NearestMCSResult:
     P_K replaces the w_perp block by its PSD part. Lambda minimizes the dual
     objective 1/2 ||X(Lambda)||^2, whose gradient is Tr_2 X; semismooth
     Newton (Malick 2004; Qi & Sun 2006) finds it from the generalized
-    Jacobian Lambda -> Tr_2 DP_K[Lambda (x) 1], regularized by
-    min(1e-2, ||Tr_2 X||) times the identity, in full steps until the
-    primal test below passes or GKSL_MAX_ITER steps are taken.
+    Jacobian J: Lambda -> Tr_2 DP_K[Lambda (x) 1], in full steps until the
+    primal test below passes or GKSL_MAX_ITER steps are taken. J is
+    Hermitian with J >= (1/d) 1 (its Omega part is PSD), so each step solves
+    J step = -Tr_2 X as it stands.
 
     kkt_ok certifies the cone point X and Q = Y + Lambda (x) 1 - X against
     s = max(1, ||Y||) and tol = GKSL_TOL: primal feasibility d ||Tr_2 X||
@@ -322,11 +323,12 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix) -> NearestMCSResult:
     at most tol * s in norm and that block's eigenvalues at most tol * s;
     complementarity |<Q, X>| <= tol * s^2. X lies in the cone by construction.
 
-    The returned state is phi + eps X after a projection onto the
-    trace-preserving subspace that leaves the w_perp block alone, so it is
-    in the family up to roundoff. On hitting GKSL_MAX_ITER it is still a
-    valid Choi state, returned with kkt_ok=False rather than raising;
-    iterations counts Newton steps, dual is Lambda.
+    The returned state is phi + eps X for the Hermitian part of X after a
+    projection onto the trace-preserving subspace that leaves the w_perp
+    block alone, so it is Hermitian and in the family up to roundoff. On
+    hitting GKSL_MAX_ITER it is still a valid Choi state, returned with
+    kkt_ok=False rather than raising; iterations counts Newton steps, dual
+    is Lambda.
     kossakowski is d B^dag X B over the columns vec(F_j) of the Gell-Mann
     basis, PSD up to roundoff.
     """
@@ -388,11 +390,7 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix) -> NearestMCSResult:
     iterations = 0
     while d * residual > bound and iterations < GKSL_MAX_ITER:
         iterations += 1
-        # J is Hermitian with J >= (1/d) 1 (Omega >= 0): eigh, which P_K
-        # loads anyway, solves (J + mu) step = -Tr_2 X without another
-        # LAPACK driver in memory.
-        curv, basis = np.linalg.eigh(jacobian(w, uv))
-        step = basis @ ((basis.conj().T @ -x_tr2.reshape(-1)) / (curv + min(1e-2, residual)))
+        step = np.linalg.solve(jacobian(w, uv), -x_tr2.reshape(-1))
         lam = lam + hermitian_part(step.reshape(d, d))
         x, x_tr2, w, uv = cone_point(lam)
         residual = hs_norm(x_tr2)
@@ -406,8 +404,10 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix) -> NearestMCSResult:
 
     # Subtracting (d/2){phi, Tr_2 X (x) 1} removes Tr_2 X without touching the
     # w_perp block (w_perp phi = 0), so the returned generator stays in the cone.
+    # Its Hermitian part drops the rounding of cone_point, which far from phi
+    # exceeds the Hermiticity tolerance of ChoiMatrix.
     defect = lift(x_tr2)
-    x = x - 0.5 * d * (phi @ defect + defect @ phi)
+    x = hermitian_part(x - 0.5 * d * (phi @ defect + defect @ phi))
     star = first_order_state(x, e)
     return NearestMCSResult(
         choi_star=ChoiMatrix(dim=d, matrix=star, t=cn.t, eps=e),

@@ -445,6 +445,38 @@ def test_a_large_witness_value_is_real_up_to_its_scale(tmp_path, command, option
     assert run_main(command, out, spec=spec, eps=0.2, **options) == 0
 
 
+# The far-family target of seed 343 in test_witness.py: three Ginibre jumps at
+# rates -2.1e5, -2.6e4 and 2.5e5, and a Hamiltonian. Its projection must pass
+# its own state check.
+FAR343_SPEC = {"dim": 2, "ops": [
+    {"matrix": [
+        [[-1.5878118742522132, -1.2678219990955324], [1.2150034587905396, -0.07798736225864764]],
+        [[0.3600086848907748, -0.15123799210304925], [-1.0601117956663317, 0.7158224194349806]]],
+     "rate": -211792.61805705496},
+    {"matrix": [
+        [[-0.9263684818393658, -0.3340893596600303], [0.8868272269537869, -0.7493031572936638]],
+        [[0.7631772805960939, 1.5337506296518395], [1.4068768625940482, -0.4409755657117805]]],
+     "rate": -25511.52507077624},
+    {"matrix": [
+        [[1.4857404280911095, -0.21790828402240256], [1.222257861466098, -0.33235799375806113]],
+        [[-0.9178671641414361, -0.07742168076760467],
+         [-0.020197912835696955, 0.29319950176335324]]],
+     "rate": 254943.2776161707}],
+    "hamiltonian": [
+        [[0.47628848108311966, 0.0], [-0.9583154142106777, -0.03549838352319046]],
+        [[-0.9583154142106777, 0.03549838352319046], [1.3483332430669068, 0.0]]]}
+
+
+@pytest.mark.parametrize("command,options", [
+    ("witness", {"mode": "theorem3-gksl"}),
+    ("geometry", {"probe": "separation", "n": 2000, "seed": 1}),
+])
+def test_a_far_target_projects_to_its_own_valid_state(tmp_path, command, options):
+    spec = write_spec(tmp_path / "s.json", FAR343_SPEC)
+    out = tmp_path / "r.json"
+    assert run_main(command, out, spec=spec, eps=1.9974189609905546, **options) == 0
+
+
 def test_witness_markovian_exit_two(tmp_path, capsys):
     spec = write_spec(tmp_path / "s.json", dephasing_spec(1.0))
     code = run_main("witness", tmp_path / "w.json", spec=spec, t0=0.0, eps=1e-3,

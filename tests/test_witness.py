@@ -5,7 +5,8 @@ import scipy.optimize
 from nmwitness.channels import SuperOperator, builtin_dephasing, builtin_pauli, haar_unitaries
 from nmwitness.choi import (ChoiMatrix, choi_of_channel, choi_of_generator, classify,
                             dissipator_chois, max_entangled_state)
-from nmwitness.linalg import DEGENERACY_GAP, SIGMA_Z, dagger, hs_inner, hs_norm
+from nmwitness.linalg import (DEGENERACY_GAP, SIGMA_Z, dagger, hermiticity_defect, hs_inner,
+                              hs_norm)
 from nmwitness.rates import ConstantRate
 from nmwitness.witness import (
     MarkovianFamily,
@@ -156,6 +157,12 @@ def test_nnls_gram_against_scipy():
         x_ref, _ = scipy.optimize.nnls(a, b)
         x_mine, _ = nnls_gram(a.T @ a, a.T @ b)
         assert np.abs(x_mine - x_ref).max() < 1e-8
+
+
+def test_nnls_gram_keeps_a_solution_below_the_unit_scale_tolerance():
+    # The tolerance is 1e-13 * max(1, |b|, |Q|): a scale floor above 1 would
+    # take this solution for zero.
+    assert nnls_gram(np.eye(1), np.array([5e-13]))[0].tolist() == [5e-13]
 
 
 def test_fixed_basis_interior_fixed_point():
@@ -475,14 +482,24 @@ def _global_target(family, seed):
 
 def test_full_gksl_full_newton_steps_converge_across_scales():
     # Ten draws per family, far from phi and near it alike: every target
-    # passes its certificate within twelve full Newton steps.
+    # passes its certificate within eight full Newton steps.
     targets = {(family, seed): _global_target(family, seed)
                for family in GLOBAL_FAMILIES for seed in range(10)}
     results = {key: nearest_mcs_full_gksl(cn) for key, cn in targets.items() if cn is not None}
     assert len(results) >= 38
     slow = [(key, res.kkt_ok, res.iterations) for key, res in results.items()
-            if not (res.kkt_ok and res.iterations <= 12)]
+            if not (res.kkt_ok and res.iterations <= 8)]
     assert slow == []
+
+
+@pytest.mark.parametrize("seed", (26, 92, 217, 343, 404))
+def test_full_gksl_far_target_projects_to_a_hermitian_state(seed):
+    # Far from phi, the cone point's rounding exceeds the 1e-10 Hermiticity
+    # tolerance of ChoiMatrix; the returned state must still be Hermitian.
+    res = nearest_mcs_full_gksl(_global_target("far", seed))
+    assert res.kkt_ok
+    assert res.iterations <= 8
+    assert hermiticity_defect(res.choi_star.matrix) == 0
 
 
 # ---------------------------------------------------------------------------
