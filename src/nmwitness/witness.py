@@ -13,11 +13,14 @@ Two witness routes for a non-Markovian Choi state C_N:
 
 Two families are supported: frozen jumps, {phi + eps sum_a g_a Y_a : g_a >= 0}
 over the Choi directions Y_a of `choi.dissipator_chois` (nonnegative least
-squares, by a Lawson-Hanson active set on the Gram system), and the full family
+squares, by a Lawson-Hanson active set on the Gram system of the unit
+directions Y_a / ||Y_a||), and the full family
 {phi + eps X : Tr_2 X = 0, w_perp X w_perp >= 0}, the intersection of the
 trace-preserving subspace with the conditionally completely positive cone K
 (solved by semismooth Newton on the d^2 real dual variables of Tr_2 X = 0,
 each step one closed-form projection onto K, from the layout pieces in `choi`).
+Both project Y = (C_N - phi) / eps, the target in generator units, and share
+one relative KKT certificate, `_kkt_ok`.
 
 Each witness is checked on the family it is guaranteed on. `verify_witness`
 samples the full family, random divisible generators (Haar-unitary jumps of
@@ -195,6 +198,34 @@ def theorem3_witness(cn: ChoiMatrix, cm_star: ChoiMatrix) -> WitnessOperator:
 
 
 # ---------------------------------------------------------------------------
+# Generator units and the certificate both projections share
+# ---------------------------------------------------------------------------
+
+# KKT tolerance of both projections, relative to the scale max(1, ||Y||).
+KKT_TOL = 1e-12
+
+
+def _generator_units(cn: ChoiMatrix) -> tuple[np.ndarray, float]:
+    """Y = (C_N - phi) / eps, the target in generator units, and the scale
+    max(1, ||Y||) of the certificate."""
+    # ChoiMatrix admits a Hermiticity defect up to DEFAULT_HERM_TOL, which
+    # dividing by eps would magnify.
+    y = (hermitian_part(cn.matrix) - max_entangled_state(cn.dim)) / cn.eps
+    return y, max(1.0, hs_norm(y))
+
+
+def _kkt_ok(q: np.ndarray, x: np.ndarray, polar: float, scale: float,
+            primal: float = 0.0) -> bool:
+    """The optimality certificate of a projection X of Y onto a family: a
+    primal defect at most KKT_TOL * scale (0 when X lies in the family by
+    construction); polar, the largest violation of Q lying in the family's
+    polar cone, at most KKT_TOL * scale; and complementarity |<Q, X>| <=
+    KKT_TOL * scale^2."""
+    bound = KKT_TOL * scale
+    return bool(primal <= bound and polar <= bound and abs(np.vdot(q, x)) <= bound * scale)
+
+
+# ---------------------------------------------------------------------------
 # Fixed-basis projection (nonnegative least squares on the Gram system)
 # ---------------------------------------------------------------------------
 
@@ -250,43 +281,41 @@ def nnls_gram(q: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     return x, iterations
 
 
-def _kkt_fixed_basis(gram: np.ndarray, proj: np.ndarray, rates: np.ndarray,
-                     eps: float) -> bool:
-    """Certify stationarity of ||r - eps * sum_a rate_a Y_a||^2 at rates >= 0, to 1e-8."""
-    grad = 2.0 * eps * eps * (gram @ rates) - 2.0 * eps * proj
-    active = rates <= 0.0
-    if np.any(grad[active] < -1e-8):
-        return False
-    return bool(np.all(np.abs(grad[~active]) <= 1e-8))
-
-
 def nearest_mcs_fixed_basis(cn: ChoiMatrix, fam: MarkovianFamily) -> NearestMCSResult:
     """HS projection of cn onto the frozen-basis divisible family.
 
-    The family Choi map C(rates) = C_id + eps * sum_a rate_a Y_a is affine in
-    the rate vector, so the projection is a nonnegative least-squares problem
-    with Gram matrix G_ab = Tr(Y_a Y_b). The family must carry cn's dim and
-    its (t, eps) tags.
+    The family is {phi + eps sum_a rate_a Y_a : rate_a >= 0}, so with Y =
+    (C_N - phi) / eps, as `nearest_mcs_full_gksl` forms it, the projection is
+    the nonnegative least-squares problem min ||Y - sum_a h_a U_a|| over h >=
+    0 on the unit directions U_a = Y_a / ||Y_a||: the Gram matrix has a unit
+    diagonal, so `nnls_gram`'s tolerance is in the units of Y, whatever the
+    scale of the jumps or the unit of time. rates = h / ||Y_a||; a jump
+    proportional to the identity has Y_a = 0 and gets rate 0. The family
+    must carry cn's dim and its (t, eps) tags.
+
+    kkt_ok is `_kkt_ok` with the polar test max_a <U_a, Y - X> for X = sum_a
+    rate_a Y_a.
     """
     for tag, error, got, want in (("dim", ShapeError, fam.dim, cn.dim),
                                   ("eps", ValueError, fam.eps, cn.eps),
                                   ("t", ValueError, fam.t, cn.t)):
         if got != want:
             raise error(f"nearest_mcs_fixed_basis: family {tag} {got} != Choi {tag} {want}")
-    d = cn.dim
-    eps = fam.eps
-    dirs = dissipator_chois(fam.basis_ops)
-    residual_mat = cn.matrix - max_entangled_state(d)
-    gram = np.einsum("aij,bji->ab", dirs, dirs).real
-    proj = np.einsum("aij,ji->a", dirs, residual_mat).real
-    rates, iterations = nnls_gram(2.0 * eps * eps * gram, 2.0 * eps * proj)
-    kkt_ok = _kkt_fixed_basis(gram, proj, rates, eps)
-    star = first_order_state(np.tensordot(rates, dirs, axes=1), eps)
-    choi_star = ChoiMatrix(dim=d, matrix=star, t=cn.t, eps=eps)
+    y, scale = _generator_units(cn)
+    dirs = dissipator_chois(fam.basis_ops).reshape(len(fam.basis_ops), -1)
+    norms = np.linalg.norm(dirs, axis=1)
+    inverse = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
+    bras = dirs.conj() * inverse[:, None]  # row a: the conjugate of U_a
+    h, iterations = nnls_gram((bras @ bras.conj().T).real, (bras @ y.reshape(-1)).real)
+    rates = h * inverse
+    x = (rates @ dirs).reshape(y.shape)
+    q = y - x
+    polar = float((bras @ q.reshape(-1)).real.max())
+    star = first_order_state(x, cn.eps)
     return NearestMCSResult(
-        choi_star=choi_star,
+        choi_star=ChoiMatrix(dim=cn.dim, matrix=star, t=cn.t, eps=cn.eps),
         residual=hs_norm(cn.matrix - star),
-        kkt_ok=kkt_ok,
+        kkt_ok=_kkt_ok(q, x, polar, scale),
         iterations=iterations,
         rates=rates,
     )
@@ -296,9 +325,8 @@ def nearest_mcs_fixed_basis(cn: ChoiMatrix, fam: MarkovianFamily) -> NearestMCSR
 # Full-generator projection (semismooth Newton on the trace-preserving dual)
 # ---------------------------------------------------------------------------
 
-# Newton step limit and KKT tolerance (relative to max(1, ||Y||)) of
-# nearest_mcs_full_gksl.
-GKSL_MAX_ITER, GKSL_TOL = 50, 1e-12
+# Newton step limit of nearest_mcs_full_gksl.
+GKSL_MAX_ITER = 50
 
 
 def nearest_mcs_full_gksl(cn: ChoiMatrix) -> NearestMCSResult:
@@ -317,11 +345,11 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix) -> NearestMCSResult:
     Hermitian with J >= (1/d) 1 (its Omega part is PSD), so each step solves
     J step = -Tr_2 X as it stands.
 
-    kkt_ok certifies the cone point X and Q = Y + Lambda (x) 1 - X against
-    s = max(1, ||Y||) and tol = GKSL_TOL: primal feasibility d ||Tr_2 X||
-    <= tol * s; Q lies in the polar cone, its part outside the w_perp block
-    at most tol * s in norm and that block's eigenvalues at most tol * s;
-    complementarity |<Q, X>| <= tol * s^2. X lies in the cone by construction.
+    kkt_ok is `_kkt_ok` of the cone point X and Q = Y + Lambda (x) 1 - X,
+    which differs from Y - X by a term orthogonal to the trace-preserving
+    subspace: the primal defect is d ||Tr_2 X||, and the polar test is the
+    larger of the norm of Q's part outside the w_perp block and that block's
+    largest eigenvalue. X lies in the cone by construction.
 
     The returned state is phi + eps X for the Hermitian part of X after a
     projection onto the trace-preserving subspace that leaves the w_perp
@@ -339,10 +367,7 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix) -> NearestMCSResult:
     n = d * d
     phi = max_entangled_state(d)
     u = perp_isometry(d)
-
-    # ChoiMatrix admits a Hermiticity defect up to DEFAULT_HERM_TOL, which
-    # dividing by eps would magnify.
-    y = (hermitian_part(cn.matrix) - phi) / e
+    y, scale = _generator_units(cn)
 
     def cone_point(lam: np.ndarray):
         """X(lam) with Tr_2 X, the w_perp block's eigenvalues and U @ eigenvectors."""
@@ -382,8 +407,7 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix) -> NearestMCSResult:
             jac += weighted @ g.T
         return jac
 
-    scale = max(1.0, hs_norm(y))
-    bound = GKSL_TOL * scale
+    bound = KKT_TOL * scale
     lam = np.zeros((d, d), dtype=complex)
     x, x_tr2, w, uv = cone_point(lam)
     residual = hs_norm(x_tr2)
@@ -397,10 +421,8 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix) -> NearestMCSResult:
 
     q = y + lift(lam) - x
     block = dagger(u) @ q @ u
-    kkt_ok = bool(d * residual <= bound
-                  and hs_norm(q - u @ block @ dagger(u)) <= bound
-                  and np.linalg.eigvalsh(block)[-1] <= bound
-                  and abs(np.vdot(q, x)) <= bound * scale)
+    polar = max(hs_norm(q - u @ block @ dagger(u)), np.linalg.eigvalsh(block)[-1])
+    kkt_ok = _kkt_ok(q, x, polar, scale, primal=d * residual)
 
     # Subtracting (d/2){phi, Tr_2 X (x) 1} removes Tr_2 X without touching the
     # w_perp block (w_perp phi = 0), so the returned generator stays in the cone.

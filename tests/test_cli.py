@@ -412,12 +412,22 @@ def test_witness_modes(tmp_path):
                 math.sqrt(0.12) * 1e-3, rel=1e-6)
 
 
+def test_theorem3_fixed_in_a_unit_of_time_1e9_times_shorter(tmp_path):
+    # The Pauli (1, 1, -0.3) target at rates 1e9 times larger and eps=1e-12.
+    spec = write_spec(tmp_path / "s.json", pauli_spec(1e9, 1e9, -3e8))
+    out = tmp_path / "w.json"
+    assert run_main("witness", out, spec=spec, t0=0.0, eps=1e-12, mode="theorem3-fixed") == 0
+    payload = json.loads(out.read_text())
+    assert payload["kkt_ok"]
+    assert payload["residual"] == pytest.approx(0.12 ** 0.5 * 1e-3, rel=1e-12)
+
+
 @pytest.mark.parametrize("mode", ["theorem3-fixed", "theorem3-gksl"])
 def test_a_projection_whose_certificate_fails_exits_four(tmp_path, monkeypatch, mode):
     # Either solver's KKT certificate alone decides the exit code; the
     # report is still written, with its last iterate.
     if mode == "theorem3-fixed":
-        monkeypatch.setattr(witness_module, "_kkt_fixed_basis", lambda *args: False)
+        monkeypatch.setattr(witness_module, "_kkt_ok", lambda *args, **kwargs: False)
     else:
         monkeypatch.setattr(witness_module, "GKSL_MAX_ITER", 0)
     spec = write_spec(tmp_path / "s.json", pauli_spec(1.0, 1.0, -0.3))

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nmwitness.channels import SuperOperator, builtin_dephasing, builtin_pauli, haar_unitaries
 from nmwitness.choi import (ChoiMatrix, choi_of_channel, choi_of_generator, classify,
                             dissipator_chois, max_entangled_state)
-from nmwitness.linalg import (DEGENERACY_GAP, SIGMA_Z, dagger, hermiticity_defect, hs_inner,
-                              hs_norm)
+from nmwitness.linalg import (DEGENERACY_GAP, PAULIS, SIGMA_Z, dagger, hermiticity_defect,
+                              hs_inner, hs_norm)
 from nmwitness.rates import ConstantRate
 from nmwitness.witness import (
     MarkovianFamily,
@@ -182,6 +184,54 @@ def test_fixed_basis_pauli_oracle():
     assert res.kkt_ok
 
 
+def _scaled_pauli(z, rates, eps):
+    """The Pauli target with jumps z*sigma_i and the given rates, and its
+    projection onto the frozen family of those jumps."""
+    gen = LindbladGenerator(dim=2, ops=tuple(z * p for p in PAULIS),
+                            rates=tuple(ConstantRate(g) for g in rates))
+    return nearest_mcs_fixed_basis(choi_of_generator(gen, 0.0, eps),
+                                   fixed_basis_family(gen.ops, eps))
+
+
+@pytest.mark.parametrize("z", [1e-4, 1e4])
+def test_fixed_basis_projection_ignores_the_jump_scale(z):
+    # Jumps z*sigma_i at rates g_i/z^2 are the same generator.
+    rates = np.array([1.0, 1.0, -0.3])
+    reference = _scaled_pauli(1.0, rates, EPS)
+    res = _scaled_pauli(z, rates / z ** 2, EPS)
+    assert res.kkt_ok
+    assert res.residual == pytest.approx(reference.residual, rel=1e-12)
+    assert np.abs(res.rates * z ** 2 - np.array([0.9, 0.9, 0.0])).max() <= 1e-8
+
+
+def test_fixed_basis_projection_ignores_the_unit_of_time():
+    # Rates 1e9 times larger at an eps 1e9 times smaller: the same step.
+    res = _scaled_pauli(1.0, 1e9 * np.array([1.0, 1.0, -0.3]), 1e-12)
+    assert res.kkt_ok
+    assert res.residual == pytest.approx(_scaled_pauli(1.0, (1.0, 1.0, -0.3), EPS).residual,
+                                         rel=1e-12)
+
+
+def test_fixed_basis_certificate_refuses_rates_off_by_1e_9(monkeypatch):
+    original = witness_module.nnls_gram
+
+    def off(q, b):
+        x, iterations = original(q, b)
+        return x * (1.0 + 1e-9), iterations
+
+    monkeypatch.setattr(witness_module, "nnls_gram", off)
+    assert not nearest_mcs_fixed_basis(pauli_choi((1.0, 1.0, -0.3)), pauli_family(EPS)).kkt_ok
+
+
+def test_fixed_basis_jump_proportional_to_the_identity_gets_rate_zero():
+    # Its Choi direction is zero, so it has no unit direction to divide by.
+    ops = (*PAULIS, np.eye(2))
+    res = nearest_mcs_fixed_basis(pauli_choi((1.0, 1.0, -0.3)), fixed_basis_family(ops, EPS))
+    assert res.kkt_ok
+    assert res.rates[3] == 0.0
+    assert np.abs(res.rates[:3] - np.array([0.9, 0.9, 0.0])).max() <= 1e-8
+
+
 def test_fixed_basis_metric_projection_property():
     cn = pauli_choi((1.0, 1.0, -0.3))
     fam = pauli_family(EPS)
@@ -302,7 +352,7 @@ def test_full_gksl_refuses_a_state_tagged_eps_zero():
 
 def test_full_gksl_nonconvergence_flag(monkeypatch):
     monkeypatch.setattr(witness_module, "GKSL_MAX_ITER", 2)
-    monkeypatch.setattr(witness_module, "GKSL_TOL", 1e-16)
+    monkeypatch.setattr(witness_module, "KKT_TOL", 1e-16)
     cn = pauli_choi((1.0, 1.0, -0.3))
     res = nearest_mcs_full_gksl(cn)
     assert not res.kkt_ok
@@ -435,9 +485,9 @@ def test_full_gksl_state_is_cone_point_of_dual(gksl_solutions, name):
 GLOBAL_FAMILIES = ("wide", "far", "tiny", "unitary")
 
 
-def _global_target(family, seed):
-    """A seeded full-GKSL target of one of four families, or None when its
-    state swamps phi, which ChoiMatrix refuses.
+def _global_generator(family, seed):
+    """The generator and eps of a seeded full-GKSL target of one of four
+    families.
 
     wide: d = 2..5, 1..d^2 Ginibre jumps, rates uniform on [-s, s] with s
     from 1e-2 to 1e4, eps from 1e-4 to 1e-1; far: s from 1 to 1e6, eps from
@@ -472,6 +522,13 @@ def _global_target(family, seed):
         ham = 0.5 * (raw + dagger(raw))
     gen = LindbladGenerator(dim=d, ops=tuple(ops), rates=tuple(ConstantRate(g) for g in rates),
                             hamiltonian=ham)
+    return gen, eps
+
+
+def _global_target(family, seed):
+    """The Choi state of `_global_generator`'s target, or None when it swamps
+    phi, which ChoiMatrix refuses."""
+    gen, eps = _global_generator(family, seed)
     try:
         return choi_of_generator(gen, 0.0, eps)
     except ValueError as exc:
@@ -500,6 +557,15 @@ def test_full_gksl_far_target_projects_to_a_hermitian_state(seed):
     assert res.kkt_ok
     assert res.iterations <= 8
     assert hermiticity_defect(res.choi_star.matrix) == 0
+
+
+def test_fixed_basis_far_target_passes_its_certificate():
+    # d = 5, eps = 1.56, rates up to 6.7e4: absolute gradient bounds refused
+    # this projection onto the target's own jumps.
+    gen, eps = _global_generator("far", 337)
+    res = nearest_mcs_fixed_basis(choi_of_generator(gen, 0.0, eps),
+                                  fixed_basis_family(gen.ops, eps))
+    assert res.kkt_ok
 
 
 # ---------------------------------------------------------------------------
@@ -811,3 +877,109 @@ def test_uniqueness_check_matches_stack_contraction(dim, eps):
     lhs, scale = stack_uniqueness_lhs(cn.matrix, cm_star.matrix, dim, eps, n, seed, ops)
     assert abs(result.max_lhs - lhs.max()) <= 1e-13 * scale.max()
     assert result.holds == bool(lhs.max() <= 1e-8)
+
+
+# ---------------------------------------------------------------------------
+# invariance relations of the generator
+# ---------------------------------------------------------------------------
+#
+# Each relation rewrites a generator into one with the same first-order Choi
+# state (or one unitarily equivalent to it), so classify's minimum eigenvalue
+# and the residuals of both projections must not move beyond what rounding
+# and the certificate allow: 64 u max ||C|| for forming the states and their
+# eigensolve, plus, for a residual, the certificate's tolerance in state
+# units, KKT_TOL * eps * max(1, ||Y||) = KKT_TOL * max(eps, ||C - phi||).
+
+_SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+def _relation_target(seed):
+    """A random generator: d = 2..3, 1..3 Ginibre jumps with signed rates on
+    [-1, 1], a Hamiltonian, and eps on [1e-3, 1e-1]; and the stream it came
+    from, for the relation's own draws."""
+    rng = np.random.default_rng(seed)
+    d, n_ops = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+    ops = rng.standard_normal((n_ops, d, d)) + 1j * rng.standard_normal((n_ops, d, d))
+    rates = rng.uniform(-1.0, 1.0, n_ops)
+    raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (ops, rates, 0.5 * (raw + dagger(raw)), 10.0 ** rng.uniform(-3, -1)), rng
+
+
+def _observed(ops, rates, ham, eps, fixed=True):
+    """The state, classify's minimum eigenvalue and the certified residuals
+    of the frozen projection (onto ops) and the full one."""
+    gen = LindbladGenerator(dim=len(ham), ops=tuple(ops),
+                            rates=tuple(ConstantRate(g) for g in rates), hamiltonian=ham)
+    cn = choi_of_generator(gen, 0.0, eps)
+    seen = {"lambda": classify(cn).min_eigenvalue}
+    projections = {"full": nearest_mcs_full_gksl(cn)}
+    if fixed:
+        projections["fixed"] = nearest_mcs_fixed_basis(cn, fixed_basis_family(gen.ops, eps))
+    for name, res in projections.items():
+        assert res.kkt_ok, name
+        seen[name] = res.residual
+    return cn, seen
+
+
+def _assert_same(before, after):
+    (c, seen), (c2, seen2) = before, after
+    phi = max_entangled_state(c.dim)
+    rounding = 64 * np.finfo(float).eps * max(hs_norm(c.matrix), hs_norm(c2.matrix))
+    certificate = witness_module.KKT_TOL * max(c.eps, c2.eps, hs_norm(c.matrix - phi),
+                                               hs_norm(c2.matrix - phi))
+    for name in seen2:
+        bound = rounding + (0.0 if name == "lambda" else certificate)
+        assert abs(seen[name] - seen2[name]) <= bound, (name, seen[name], seen2[name])
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=_SEEDS)
+def test_unitary_covariance(seed):
+    # L_a -> V L_a V^dag, H -> V H V^dag conjugates C by V (x) conj(V).
+    (ops, rates, ham, eps), rng = _relation_target(seed)
+    v = haar_unitaries(len(ham), 1, rng)[0]
+    _assert_same(_observed(ops, rates, ham, eps),
+                 _observed(v @ ops @ dagger(v), rates, v @ ham @ dagger(v), eps))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=_SEEDS)
+def test_jump_shift_gauge(seed):
+    # L_a -> L_a + c_a 1 with H -> H + sum_a g_a (conj(c_a) L_a - c_a L_a^dag)
+    # / (2i) leaves C_L alone. The frozen family moves with its jumps.
+    (ops, rates, ham, eps), rng = _relation_target(seed)
+    c = rng.uniform(-1.0, 1.0, len(ops)) + 1j * rng.uniform(-1.0, 1.0, len(ops))
+    shift = sum(g * (np.conj(ca) * op - ca * dagger(op)) for g, ca, op in zip(rates, c, ops))
+    _assert_same(_observed(ops, rates, ham, eps, fixed=False),
+                 _observed(ops + c[:, None, None] * np.eye(len(ham)), rates, ham + shift / 2j,
+                           eps, fixed=False))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=_SEEDS, log_z=st.floats(-4.0, 4.0), phase=st.floats(0.0, 1.0))
+# Rates near 1e-8 and 1e8, where a tolerance in units of the state misjudges them.
+@example(seed=0, log_z=4.0, phase=0.0)
+@example(seed=0, log_z=-4.0, phase=0.0)
+def test_jump_rescaling_and_splitting(seed, log_z, phase):
+    # L -> z L with g -> g / |z|^2, and one jump split into two copies at
+    # half its rate: the same generator, and the same frozen cone.
+    (ops, rates, ham, eps), _ = _relation_target(seed)
+    before = _observed(ops, rates, ham, eps)
+    z = 10.0 ** log_z * np.exp(2j * np.pi * phase)
+    _assert_same(before, _observed(z * ops, rates / abs(z) ** 2, ham, eps))
+    _assert_same(before, _observed(np.concatenate((ops[:1], ops)),
+                                   np.concatenate((rates[:1] / 2, rates[:1] / 2, rates[1:])),
+                                   ham, eps))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=_SEEDS, log_s=st.floats(-15.0, 3.0))
+# eps = 3.9e-17 and rates near 1e15, where a tolerance in units of the state
+# takes every rate for zero.
+@example(seed=0, log_s=-15.0)
+def test_time_scale(seed, log_s):
+    # (g, H, eps) -> (g/s, H/s, s*eps) leaves C_1 alone. classify's verdict
+    # is not compared: its tolerance depends on eps alone (ROADMAP item 1).
+    (ops, rates, ham, eps), _ = _relation_target(seed)
+    s = 10.0 ** log_s
+    _assert_same(_observed(ops, rates, ham, eps), _observed(ops, rates / s, ham / s, s * eps))
