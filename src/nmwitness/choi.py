@@ -99,8 +99,9 @@ def lift(m: np.ndarray) -> np.ndarray:
 class ChoiMatrix:
     """Choi state of a trace-preserving small-time step, tagged with (t, eps).
 
-    Hermitian with unit trace by construction; positivity is deliberately not
-    required, its failure is the signal everything downstream looks for.
+    The matrix must pass `_require_states`; matrix holds its Hermitian part,
+    so it is exactly Hermitian. Positivity is deliberately not required, its
+    failure is the signal everything downstream looks for.
     """
 
     dim: int
@@ -115,30 +116,35 @@ class ChoiMatrix:
             raise ShapeError(
                 f"ChoiMatrix: expected {d2}x{d2} for dim={self.dim}, got {m.shape}")
         _require_states(m[None], [self.t], self.eps)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", hermitian_part(m))
 
 
 def _require_states(stack: np.ndarray, ts, eps: float) -> None:
-    """ChoiMatrix's checks on a stack of states at times ts: Hermitian, trace one.
+    """ChoiMatrix's checks on a (n, d^2, d^2) stack of states at times ts.
 
-    A failing state is blamed on eps * C_L, not on its Hermiticity or trace,
-    when its Hermiticity defect is not finite (entries beyond the double
-    range, or near enough its edge that their differences are) or when its
-    largest |entry| is so large that rounding alone can break the trace
-    test: d^2 * u * max|entry| > trace_tol, with u the machine epsilon. Then
-    eps * C_L has swamped phi, whose entries are at most 1/d.
+    With u the machine epsilon and m the largest |Re| or |Im| of any entry
+    in the stack, r = d^2 * u * m bounds the rounding of a state's trace
+    and Hermiticity. Where r > 1/d (or is not finite), rounding reaches the
+    entries of phi, which are at most 1/d: eps * C_L has swamped phi, an
+    error naming the first such state's t and eps. Otherwise every state
+    must be Hermitian with trace one, each to DEFAULT_HERM_TOL + r.
     """
-    trace_tol = 1e-10
+    d2 = stack.shape[-1]
+    rounding, phi_entry = d2 * np.finfo(float).eps, 1.0 / math.isqrt(d2)
+    v = np.ascontiguousarray(stack).view(float)
+    r = rounding * max(v.max(), -v.min())
+    if not r <= phi_entry:
+        peaks = np.maximum(v.max(axis=(-2, -1)), -v.min(axis=(-2, -1)))
+        k = np.flatnonzero(~(rounding * peaks <= phi_entry))[0]
+        largest = np.abs(stack[k]).max()
+        raise ValueError(f"Choi state at t={ts[k]}, eps={eps}: eps*C_L swamps phi or "
+                         f"overflows the double range (largest |entry| {largest:.3e})")
+    tol = DEFAULT_HERM_TOL + r
     defect = hermiticity_defect(stack)
     trace = np.einsum("nii->n", stack)
-    bad = np.flatnonzero(~((defect <= DEFAULT_HERM_TOL) & (np.abs(trace - 1.0) <= trace_tol)))
+    bad = np.flatnonzero(~((defect <= tol) & (np.abs(trace - 1.0) <= tol)))
     if bad.size:
         k = bad[0]
-        largest = np.abs(stack[k]).max()
-        if (not np.isfinite(defect[k])
-                or stack.shape[-1] * np.finfo(float).eps * largest > trace_tol):
-            raise ValueError(f"Choi state at t={ts[k]}, eps={eps}: eps*C_L swamps phi or "
-                             f"overflows the double range (largest |entry| {largest:.3e})")
         raise ValueError(f"Choi state at t={ts[k]}: Hermiticity defect {defect[k]:.3e}, "
                          f"trace {complex(trace[k])!r}; need Hermitian with trace 1")
 
@@ -214,22 +220,15 @@ class NMClassification:
     is_markovian: bool
 
 
-def _verdicts(chois: np.ndarray, tol: float, caller: str,
-              where: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One stacked eigensolve of the Hermitian parts of a (n, d^2, d^2) stack.
+def _verdicts(chois: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One stacked eigensolve of the Hermitian parts of a (n, d^2, d^2) stack
+    of states that pass `_require_states`.
 
     Returns three columns: minimum eigenvalues, trace-norm deficits
     sum|lambda| - 1 and the Markovian verdicts, true where no eigenvalue is
-    below -tol. Where the Hermitian part overflows (entries near the largest
-    double), it does so without a warning and the eigensolve fails: a
-    ValueError naming the caller and `where` the states are.
+    below -tol.
     """
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            spectra = np.linalg.eigvalsh(hermitian_part(chois))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"{caller}: eigensolve failed {where} (largest |entry| of the "
-                         f"Choi stack {np.abs(chois).max():.3e}): {exc}") from exc
+    spectra = np.linalg.eigvalsh(hermitian_part(chois))
     mins = spectra[:, 0]
     return mins, np.abs(spectra).sum(axis=1) - 1.0, mins >= -tol
 
@@ -241,8 +240,7 @@ def classify(c: ChoiMatrix, tol: float | None = None) -> NMClassification:
     """
     if tol is None:
         tol = default_classification_tol(c.eps)
-    mins, deficits, markovian = _verdicts(
-        c.matrix[None], tol, "classify", f"at t={c.t}, eps={c.eps}")
+    mins, deficits, markovian = _verdicts(c.matrix[None], tol)
     return NMClassification(min_eigenvalue=float(mins[0]),
                             trace_norm_deficit=float(deficits[0]),
                             is_markovian=bool(markovian[0]))
@@ -306,14 +304,13 @@ def scan(gen: LindbladGenerator, t0: float, t1: float, steps: int, eps: float,
     if not (np.diff(edges) > 0).all():
         raise ValueError(f"scan: window [{t0}, {t1}] is too narrow for {steps} steps: "
                          f"the cell edges t0 + k*dt, dt = {dt}, are not strictly increasing")
-    # No overflow warnings: an overflowing stack fails the state check, the
-    # eigensolve or the finite-measure check, each an error naming eps and
-    # the time or window.
+    # No overflow warnings: an overflowing stack fails the state check or
+    # the finite-measure check, each an error naming eps and the time or
+    # window.
     with np.errstate(over="ignore", invalid="ignore"):
         chois = _first_order_chois(gen, grid, eps)
         _require_states(chois, grid, eps)
-        mins, deficits, markovian = _verdicts(chois, tol, "scan",
-                                              f"on [{t0}, {t1}] with {steps} steps")
+    mins, deficits, markovian = _verdicts(chois, tol)
     # Runs of non-Markovian cells open and close where the zero-padded verdicts flip.
     flips = np.flatnonzero(np.diff(np.pad(~markovian, 1)))
     # Python's left-to-right sum, not np.sum's pairwise one, keeps the

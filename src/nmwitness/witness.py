@@ -208,9 +208,7 @@ KKT_TOL = 1e-12
 def _generator_units(cn: ChoiMatrix) -> tuple[np.ndarray, float]:
     """Y = (C_N - phi) / eps, the target in generator units, and the scale
     max(1, ||Y||) of the certificate."""
-    # ChoiMatrix admits a Hermiticity defect up to DEFAULT_HERM_TOL, which
-    # dividing by eps would magnify.
-    y = (hermitian_part(cn.matrix) - max_entangled_state(cn.dim)) / cn.eps
+    y = (cn.matrix - max_entangled_state(cn.dim)) / cn.eps
     return y, max(1.0, hs_norm(y))
 
 
@@ -552,7 +550,7 @@ class _SampledGenerators:
         d = self.dim
         phi_ket = choi_kets(np.eye(d))
         w_phi = (phi_ket @ w @ phi_ket).real
-        jumps = (_row_products(self.kets.conj(), w) * self.kets).sum(axis=1).real
+        jumps = np.einsum("ni,ni->n", _row_products(self.kets.conj(), w), self.kets).real
         starts = self.edges[:-1]
         generator = np.add.reduceat(self.rates * (jumps - w_phi), starts)
         bound = np.add.reduceat(np.abs(self.rates) * (

@@ -294,6 +294,18 @@ def test_choi_matrix_validation():
         max_entangled_state(1)
 
 
+def test_choi_matrix_holds_the_hermitian_part_of_any_layout():
+    # A Hermiticity defect within tolerance is admitted and dropped, from a
+    # C-ordered, Fortran-ordered or strided matrix alike.
+    m = max_entangled_state(2) + 1e-12j * np.triu(np.ones((4, 4)), 1)
+    strided = np.zeros((8, 8), dtype=complex)
+    strided[::2, ::2] = m
+    for layout in (m, np.asfortranarray(m), strided[::2, ::2]):
+        c = ChoiMatrix(dim=2, matrix=layout, t=0.0, eps=1e-3)
+        assert np.array_equal(c.matrix, 0.5 * (m + m.conj().T))
+        assert np.array_equal(c.matrix, c.matrix.conj().T)
+
+
 # ---------------------------------------------------------------------------
 # scans
 # ---------------------------------------------------------------------------
@@ -439,33 +451,37 @@ def test_scan_rate_error_matches_point_loop(rates):
     assert str(stacked.value) == str(point.value)
 
 
-def test_scan_eigensolve_failure_names_window():
-    # 0.5 * (C + C^H) overflows near 1.7e308, and eigvalsh fails to converge.
+def test_scan_refuses_a_swamped_phi_near_overflow():
+    # Entries near 1e308: rounding reaches phi's entries, an input error that
+    # names the first state's t and eps.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as failed:
             scan(builtin_dephasing(-1.7e308), 0.0, 1.0, 4, 0.6)
-    message = str(failed.value)
-    assert "eigensolve failed on [0.0, 1.0] with 4 steps" in message
-    assert "largest |entry| of the Choi stack 1.020e+308" in message
+    assert str(failed.value) == (
+        "Choi state at t=0.0, eps=0.6: eps*C_L swamps phi or overflows the double "
+        "range (largest |entry| 1.020e+308)")
 
 
-def test_classify_eigensolve_failure_names_time_and_eps():
+def test_choi_of_generator_refuses_a_swamped_phi_near_overflow():
+    # The state is refused before classify could see it.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        c = choi_of_generator(builtin_dephasing(-1.7e308), 0.25, 0.6)
         with pytest.raises(ValueError) as failed:
-            classify(c)
-    assert str(failed.value).startswith(
-        "classify: eigensolve failed at t=0.25, eps=0.6 (largest |entry| of the Choi stack "
-        "1.020e+308)")
+            choi_of_generator(builtin_dephasing(-1.7e308), 0.25, 0.6)
+    assert str(failed.value) == (
+        "Choi state at t=0.25, eps=0.6: eps*C_L swamps phi or overflows the double "
+        "range (largest |entry| 1.020e+308)")
 
 
 def test_scan_rejects_non_finite_measure():
+    # eps * rate is about 1, so no state swamps phi; every deficit is finite,
+    # and their sum * dt / eps is not.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"integrated_measure on \[0.0, 1.0\] is inf"):
-            scan(builtin_dephasing(-1e308), 0.0, 1.0, 4, 0.5)
+        with pytest.raises(ValueError, match=r"integrated_measure on \[0.0, 10000000000.0\] "
+                                             r"is inf"):
+            scan(builtin_dephasing(-1e300), 0.0, 1e10, 4, 1e-300)
 
 
 # ---------------------------------------------------------------------------

@@ -1290,29 +1290,57 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_main_spectral_witness_near_overflow_stays_finite(tmp_path):
-    # The Choi state's entries (about 5e307) still fit in a double, so does
-    # every number of the spectral witness report.
+def test_main_spectral_witness_near_overflow_swamps_phi(tmp_path, capsys):
+    # The Choi state's entries (about 5e307) still fit in a double, but their
+    # rounding reaches phi's entries: an input error, not a witness.
     spec = write_spec(tmp_path / "s.json", dephasing_spec(-1e308))
     out = tmp_path / "w.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["witness", "--spec", spec, "--eps", "0.5", "--mode", "spectral",
                      "--out", str(out)])
-    assert code == 0
-    payload = json.loads(out.read_text(), parse_constant=pytest.fail)
-    assert payload["classification"]["deficit"] == pytest.approx(1e308)
+    assert code == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "nmwitness: error: Choi state at t=0.0, eps=0.5: eps*C_L swamps phi or overflows "
+        "the double range (largest |entry| 5.000e+307)\n")
+
+
+# A Hamiltonian near the top of the double range: at eps = 1e-3 every command
+# refuses the same swamped phi.
+HUGE_HAMILTONIAN_SPEC = {
+    "dim": 2, "ops": [{"matrix": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]], "rate": 1.0}],
+    "hamiltonian": [[[1.7e308, 0], [0, 0]], [[0, 0], [-1.7e308, 0]]]}
+
+
+@pytest.mark.parametrize("command,options", [
+    ("analyze", {"t1": 1, "steps": 4}),
+    *(("witness", {"mode": mode}) for mode in ("spectral", "theorem3-fixed", "theorem3-gksl")),
+    ("geometry", {"probe": "separation", "n": 50, "seed": 1}),
+], ids=["analyze", "spectral", "theorem3-fixed", "theorem3-gksl", "separation"])
+def test_a_hamiltonian_near_overflow_is_one_named_error(tmp_path, capsys, command, options):
+    spec = write_spec(tmp_path / "s.json", HUGE_HAMILTONIAN_SPEC)
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_main(command, out, spec=spec, eps=1e-3, **options) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "nmwitness: error: Choi state at t=0.0, eps=0.001: eps*C_L swamps phi or overflows "
+        "the double range (largest |entry| 1.700e+305)\n")
 
 
 def test_main_rejects_overflowing_integrated_measure(tmp_path, capsys):
-    # Every deficit is finite (about 1e308); their sum * dt / eps is not.
-    spec = write_spec(tmp_path / "s.json", dephasing_spec(-1e308))
+    # eps * rate is about 1, so every deficit is finite; their sum * dt / eps
+    # is not.
+    spec = write_spec(tmp_path / "s.json", dephasing_spec(-1e300))
     out = tmp_path / "out.json"
-    argv = ["analyze", "--spec", spec, "--t1", "1", "--steps", "4", "--eps", "0.5"]
+    argv = ["analyze", "--spec", spec, "--t1", "1e10", "--steps", "4", "--eps", "1e-300"]
     assert main([*argv, "--out", str(out)]) == 1
     assert not out.exists()
     err = capsys.readouterr().err
-    assert err.startswith("nmwitness: error: scan: integrated_measure on [0.0, 1.0] is inf")
+    assert err.startswith(
+        "nmwitness: error: scan: integrated_measure on [0.0, 10000000000.0] is inf")
 
 
 def test_main_input_error_returns_one(tmp_path):

@@ -526,24 +526,25 @@ def _global_generator(family, seed):
 
 
 def _global_target(family, seed):
-    """The Choi state of `_global_generator`'s target, or None when it swamps
-    phi, which ChoiMatrix refuses."""
+    """The Choi state of `_global_generator`'s target."""
     gen, eps = _global_generator(family, seed)
-    try:
-        return choi_of_generator(gen, 0.0, eps)
-    except ValueError as exc:
-        if "swamps phi" not in str(exc):
-            raise
-        return None
+    return choi_of_generator(gen, 0.0, eps)
+
+
+@pytest.mark.parametrize("seed", (2, 31, 50, 109))
+def test_far_target_far_below_overflow_is_a_state(seed):
+    # Entries of 7e5 to 2.2e6 put the trace's rounding above an absolute
+    # 1e-10, but far below phi's entries: a valid state, whose trace and
+    # Hermiticity are judged to its own rounding.
+    gen, eps = _global_generator("far", seed)
+    assert choi_of_generator(gen, 0.0, eps).dim == gen.dim
 
 
 def test_full_gksl_full_newton_steps_converge_across_scales():
     # Ten draws per family, far from phi and near it alike: every target
-    # passes its certificate within eight full Newton steps.
-    targets = {(family, seed): _global_target(family, seed)
+    # is a state and passes its certificate within eight full Newton steps.
+    results = {(family, seed): nearest_mcs_full_gksl(_global_target(family, seed))
                for family in GLOBAL_FAMILIES for seed in range(10)}
-    results = {key: nearest_mcs_full_gksl(cn) for key, cn in targets.items() if cn is not None}
-    assert len(results) >= 38
     slow = [(key, res.kkt_ok, res.iterations) for key, res in results.items()
             if not (res.kkt_ok and res.iterations <= 8)]
     assert slow == []
@@ -557,6 +558,32 @@ def test_full_gksl_far_target_projects_to_a_hermitian_state(seed):
     assert res.kkt_ok
     assert res.iterations <= 8
     assert hermiticity_defect(res.choi_star.matrix) == 0
+
+
+@pytest.mark.parametrize("seed", (85, 702))
+def test_full_gksl_projects_a_far_target_beyond_an_absolute_trace_test(seed):
+    # d = 5, entries 2.4e5 and 3.3e5: the projection misses trace 1 by more than
+    # an absolute 1e-10, but not by more than its own rounding.
+    res = nearest_mcs_full_gksl(_global_target("far", seed))
+    assert res.kkt_ok
+
+
+def test_fixed_basis_projects_a_far_target_beyond_an_absolute_trace_test():
+    # d = 3, eps = 1.57, one jump at rate 1.4e5: the same for the frozen
+    # projection onto the target's own jumps.
+    gen, eps = _global_generator("far", 781)
+    res = nearest_mcs_fixed_basis(_global_target("far", 781), fixed_basis_family(gen.ops, eps))
+    assert res.kkt_ok
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_theorem3_witness_of_a_far_target_has_a_real_diagonal(seed):
+    # Every ChoiMatrix is exactly Hermitian, so W = c0 I + C_M* - C_N is too.
+    gen, eps = _global_generator("far", seed)
+    cn = _global_target("far", seed)
+    for res in (nearest_mcs_full_gksl(cn),
+                nearest_mcs_fixed_basis(cn, fixed_basis_family(gen.ops, eps))):
+        assert np.all(np.diag(theorem3_witness(cn, res.choi_star).matrix).imag == 0)
 
 
 def test_fixed_basis_far_target_passes_its_certificate():
