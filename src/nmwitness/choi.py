@@ -9,17 +9,14 @@ a Hermitian trace-one matrix. It is positive semidefinite exactly when the
 small-time step is completely positive; a negative eigenvalue is the
 divisibility-breaking (non-Markovianity) signal.
 
-The first-order step I + eps*L has the Choi state phi + eps*(C_H + sum_a
-g_a Y_a), affine in the rates g_a. A generator's C_H and Y_a come from
-`hamiltonian_choi` and `dissipator_chois`. The Monte-Carlo sampler
-(`witness._SampledGenerators.dissipators`) draws unitary jumps only, whose
-Y_a is the special case |u_a><u_a| - phi for the Choi ket |u_a> of a Haar
-unitary, and forms sum_a g_a Y_a from the kets in one batched product.
-`first_order_state` is the one place that forms phi + eps*X. `scan`
-evaluates the rates on its whole grid at once (`LindbladGenerator.rate_grid`),
-assembles the grid as one stack and classifies it with one stacked
-eigensolve; its report holds the per-point minimum eigenvalues, deficits and
-verdicts as arrays.
+The first-order step I + eps*L has the Choi state phi + eps*C_L, C_L = C_H +
+sum_a g_a Y_a affine in the rates g_a, with C_H and Y_a from
+`hamiltonian_choi` and `dissipator_chois`. `first_order_state` is the one
+place that forms phi + eps*X; a state built from a generator also carries
+its C_L (`ChoiMatrix.direction`). `scan` evaluates the rates on its whole
+grid at once (`LindbladGenerator.rate_grid`), assembles the grid as one
+stack and classifies it with one stacked eigensolve; its report holds the
+per-point minimum eigenvalues, deficits and verdicts as arrays.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import LindbladGenerator, SuperOperator
-from .linalg import (DEFAULT_HERM_TOL, ShapeError, as_matrix, gell_mann_basis,
+from .linalg import (DEFAULT_HERM_TOL, ShapeError, as_matrix, dagger, gell_mann_basis,
                      hermitian_part, hermiticity_defect)
 
 
@@ -102,21 +99,31 @@ class ChoiMatrix:
     The matrix must pass `_require_states`; matrix holds its Hermitian part,
     so it is exactly Hermitian. Positivity is deliberately not required, its
     failure is the signal everything downstream looks for.
+
+    A state phi + eps*C_L built from a generator carries direction, the
+    Hermitian part of C_L, for the projections to read: (matrix - phi)/eps
+    loses about u/eps of it. A state built from a bare matrix has None.
     """
 
     dim: int
     matrix: np.ndarray
     t: float
     eps: float
+    direction: np.ndarray | None = None
 
     def __post_init__(self):
         m = as_matrix(self.matrix, "ChoiMatrix.matrix")
+        y = m if self.direction is None else as_matrix(self.direction, "ChoiMatrix.direction")
         d2 = self.dim * self.dim
-        if m.shape != (d2, d2):
-            raise ShapeError(
-                f"ChoiMatrix: expected {d2}x{d2} for dim={self.dim}, got {m.shape}")
+        for a in (m, y):
+            if a.shape != (d2, d2):
+                raise ShapeError(
+                    f"ChoiMatrix: expected {d2}x{d2} for dim={self.dim}, got {a.shape}")
         _require_states(m[None], [self.t], self.eps)
         object.__setattr__(self, "matrix", hermitian_part(m))
+        if self.direction is not None:
+            half = 0.5 * y  # halved first: C_L near the double range stays finite
+            object.__setattr__(self, "direction", half + dagger(half))
 
 
 def _require_states(stack: np.ndarray, ts, eps: float) -> None:
@@ -150,11 +157,8 @@ def _require_states(stack: np.ndarray, ts, eps: float) -> None:
 
 
 def unitary_chois(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Choi kets and pure Choi states of a stack of unitaries.
-
-    Returns the (n, d^2) kets of `choi_kets` and the (n, d^2, d^2)
-    projectors onto them.
-    """
+    """The (n, d^2) Choi kets (`choi_kets`) of a stack of unitaries and the
+    (n, d^2, d^2) pure Choi states, the projectors onto them."""
     kets = choi_kets(us)
     return kets, np.einsum("ni,nj->nij", kets, kets.conj())
 
@@ -188,14 +192,15 @@ def first_order_state(x: np.ndarray, eps: float) -> np.ndarray:
     return max_entangled_state(math.isqrt(x.shape[-1])) + eps * x
 
 
-def _first_order_chois(gen: LindbladGenerator, ts, eps: float) -> np.ndarray:
-    """phi + eps * (C_H + g(t) @ Y) at each time t in ts, shape (len(ts), d^2, d^2)."""
+def _first_order_chois(gen: LindbladGenerator, ts, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """C_L = C_H + g(t) @ Y and the state phi + eps * C_L at each time t in ts,
+    two stacks of shape (len(ts), d^2, d^2)."""
     if not eps > 0:
         raise ValueError(f"first-order Choi state: eps must be > 0, got {eps}")
     c_l = np.tensordot(gen.rate_grid(ts), dissipator_chois(gen.ops), axes=1)
     if gen.hamiltonian is not None:
         c_l += hamiltonian_choi(gen.hamiltonian)
-    return first_order_state(c_l, eps)
+    return c_l, first_order_state(c_l, eps)
 
 
 def choi_of_channel(s: SuperOperator, t: float = 0.0, eps: float = 0.0) -> ChoiMatrix:
@@ -207,8 +212,9 @@ def choi_of_channel(s: SuperOperator, t: float = 0.0, eps: float = 0.0) -> ChoiM
 
 
 def choi_of_generator(gen: LindbladGenerator, t: float, eps: float) -> ChoiMatrix:
-    """Choi state of the first-order small-time step I + eps*L(t) of gen."""
-    return ChoiMatrix(dim=gen.dim, matrix=_first_order_chois(gen, [t], eps)[0], t=t, eps=eps)
+    """Choi state of the first-order small-time step I + eps*L(t) of gen, carrying C_L(t)."""
+    c_l, chois = _first_order_chois(gen, [t], eps)
+    return ChoiMatrix(gen.dim, chois[0], t, eps, c_l[0])
 
 
 @dataclass(frozen=True)
@@ -222,12 +228,9 @@ class NMClassification:
 
 def _verdicts(chois: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One stacked eigensolve of the Hermitian parts of a (n, d^2, d^2) stack
-    of states that pass `_require_states`.
-
-    Returns three columns: minimum eigenvalues, trace-norm deficits
-    sum|lambda| - 1 and the Markovian verdicts, true where no eigenvalue is
-    below -tol.
-    """
+    of states that pass `_require_states`: three columns, the minimum
+    eigenvalues, the trace-norm deficits sum|lambda| - 1 and the Markovian
+    verdicts, true where no eigenvalue is below -tol."""
     spectra = np.linalg.eigvalsh(hermitian_part(chois))
     mins = spectra[:, 0]
     return mins, np.abs(spectra).sum(axis=1) - 1.0, mins >= -tol
@@ -308,7 +311,7 @@ def scan(gen: LindbladGenerator, t0: float, t1: float, steps: int, eps: float,
     # the finite-measure check, each an error naming eps and the time or
     # window.
     with np.errstate(over="ignore", invalid="ignore"):
-        chois = _first_order_chois(gen, grid, eps)
+        chois = _first_order_chois(gen, grid, eps)[1]
         _require_states(chois, grid, eps)
     mins, deficits, markovian = _verdicts(chois, tol)
     # Runs of non-Markovian cells open and close where the zero-padded verdicts flip.

@@ -19,26 +19,19 @@ directions Y_a / ||Y_a||), and the full family
 trace-preserving subspace with the conditionally completely positive cone K
 (solved by semismooth Newton on the d^2 real dual variables of Tr_2 X = 0,
 each step one closed-form projection onto K, from the layout pieces in `choi`).
-Both project Y = (C_N - phi) / eps, the target in generator units, and share
-one relative KKT certificate, `_kkt_ok`.
+Both project Y, the target in generator units: the direction C_L that C_N
+carries (`choi.ChoiMatrix.direction`), so the projection C_M* = phi + eps X,
+its residual and C_N - C_M* are all formed from eps (Y - X) and no step
+subtracts phi from C_N. They share one relative KKT certificate, `_kkt_ok`.
 
-Each witness is checked on the family it is guaranteed on. `verify_witness`
-samples the full family, random divisible generators (Haar-unitary jumps of
-`channels.haar_unitaries`, drawn by Gram-Schmidt, plus an optional
-Hamiltonian); `uniqueness_check` samples a frozen-basis family with rates on
-[0, 2]. Tr(W C) is affine in the generator, so both contract W with the draws
-(the jump kets, rates and Hamiltonians, or the frozen rates) and never build
-the (n, d^2, d^2) stack of sampled states. A sample violates a witness when
-its value is below -1e-8 by more than a rounding slack that is also computed
-from the draws, from a bound on the generator's entries before any
-cancellation. `sample_markovian_chois` still returns the stack, for callers
-that need the states themselves.
-
-Every consumer of the draws walks them in the blocks of `_sample_blocks`
-(`channels._blocks` under the one budget `channels._BLOCK_BYTES`), through
-range views of `_SampledGenerators`: no temporary holds more than one
-block's (block, d^2, d^2) stack, and each sample's arithmetic is the same in
-any block, so the results do not depend on the block size.
+Each witness is checked on the family it is guaranteed on: `verify_witness`
+samples the full family, `uniqueness_check` a frozen one. Tr(W C) is affine
+in the generator, so both contract W with the draws and never build the
+stack of sampled states; a sample violates W when its value is below -1e-8
+by more than a rounding slack bounded from the same draws. Every consumer
+walks the draws in the blocks of `_sample_blocks`, through range views of
+`_SampledGenerators`, and a sample's arithmetic is the same in any block, so
+no result depends on the block size.
 """
 
 from __future__ import annotations
@@ -180,14 +173,16 @@ def expectation(w: WitnessOperator, c: ChoiMatrix) -> float:
 def theorem3_witness(cn: ChoiMatrix, cm_star: ChoiMatrix) -> WitnessOperator:
     """W = c0 I + C_M* - C_N with c0 = Tr(C_M* (C_N - C_M*)).
 
-    Satisfies Tr(W C_N) = -||C_N - C_M*||^2 for any trace-one C_N.
+    Satisfies Tr(W C_N) = -||C_N - C_M*||^2 for any trace-one C_N. C_N - C_M*
+    is eps (Y - X) when both states carry directions Y and X at one eps.
     """
     if cn.matrix.shape != cm_star.matrix.shape:
         raise ShapeError(
             f"theorem3_witness: shapes differ, {cn.matrix.shape} vs {cm_star.matrix.shape}")
-    diff = cn.matrix - cm_star.matrix
+    carried = cn.direction is not None and cm_star.direction is not None and cn.eps == cm_star.eps
+    diff = cn.eps * (cn.direction - cm_star.direction) if carried else cn.matrix - cm_star.matrix
     c0 = hs_inner(cm_star.matrix, diff).real
-    w = c0 * np.eye(cn.matrix.shape[0], dtype=complex) + cm_star.matrix - cn.matrix
+    w = c0 * np.eye(cn.matrix.shape[0], dtype=complex) - diff
     return WitnessOperator(
         matrix=w,
         kind="theorem3",
@@ -206,10 +201,21 @@ KKT_TOL = 1e-12
 
 
 def _generator_units(cn: ChoiMatrix) -> tuple[np.ndarray, float]:
-    """Y = (C_N - phi) / eps, the target in generator units, and the scale
-    max(1, ||Y||) of the certificate."""
-    y = (cn.matrix - max_entangled_state(cn.dim)) / cn.eps
-    return y, max(1.0, hs_norm(y))
+    """Y, the target in generator units, and the scale max(1, ||Y||) of the
+    certificate. Y is the direction C_L that cn carries, or (C_N - phi) / eps
+    for a state built from a bare matrix. The certificate squares the scale,
+    so a Y whose ||Y||^2 leaves the double range is a ValueError naming t,
+    eps and Y's largest entry, raised before numpy overflows."""
+    with np.errstate(over="ignore"):
+        y = cn.direction
+        if y is None:
+            y = (cn.matrix - max_entangled_state(cn.dim)) / cn.eps
+        norm = hs_norm(y)
+        if not np.isfinite(norm):
+            raise ValueError(f"Choi state at t={cn.t}, eps={cn.eps}: the generator C_L is "
+                             f"too large to project, ||C_L||^2 leaves the double range "
+                             f"(largest |entry| {np.abs(y).max():.3e})")
+    return y, max(1.0, norm)
 
 
 def _kkt_ok(q: np.ndarray, x: np.ndarray, polar: float, scale: float,
@@ -282,8 +288,8 @@ def nnls_gram(q: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
 def nearest_mcs_fixed_basis(cn: ChoiMatrix, fam: MarkovianFamily) -> NearestMCSResult:
     """HS projection of cn onto the frozen-basis divisible family.
 
-    The family is {phi + eps sum_a rate_a Y_a : rate_a >= 0}, so with Y =
-    (C_N - phi) / eps, as `nearest_mcs_full_gksl` forms it, the projection is
+    The family is {phi + eps sum_a rate_a Y_a : rate_a >= 0}, so with Y
+    from `_generator_units`, as `nearest_mcs_full_gksl` takes it, the projection is
     the nonnegative least-squares problem min ||Y - sum_a h_a U_a|| over h >=
     0 on the unit directions U_a = Y_a / ||Y_a||: the Gram matrix has a unit
     diagonal, so `nnls_gram`'s tolerance is in the units of Y, whatever the
@@ -292,7 +298,7 @@ def nearest_mcs_fixed_basis(cn: ChoiMatrix, fam: MarkovianFamily) -> NearestMCSR
     must carry cn's dim and its (t, eps) tags.
 
     kkt_ok is `_kkt_ok` with the polar test max_a <U_a, Y - X> for X = sum_a
-    rate_a Y_a.
+    rate_a Y_a, and the returned state phi + eps X carries X.
     """
     for tag, error, got, want in (("dim", ShapeError, fam.dim, cn.dim),
                                   ("eps", ValueError, fam.eps, cn.eps),
@@ -309,10 +315,9 @@ def nearest_mcs_fixed_basis(cn: ChoiMatrix, fam: MarkovianFamily) -> NearestMCSR
     x = (rates @ dirs).reshape(y.shape)
     q = y - x
     polar = float((bras @ q.reshape(-1)).real.max())
-    star = first_order_state(x, cn.eps)
     return NearestMCSResult(
-        choi_star=ChoiMatrix(dim=cn.dim, matrix=star, t=cn.t, eps=cn.eps),
-        residual=hs_norm(cn.matrix - star),
+        choi_star=ChoiMatrix(cn.dim, first_order_state(x, cn.eps), cn.t, cn.eps, x),
+        residual=cn.eps * hs_norm(q),
         kkt_ok=_kkt_ok(q, x, polar, scale),
         iterations=iterations,
         rates=rates,
@@ -333,7 +338,7 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix) -> NearestMCSResult:
     The family is {phi + eps X : Tr_2 X = 0, w_perp X w_perp >= 0} with
     w_perp = 1 - phi: trace preservation plus conditional complete
     positivity, which characterize GKSL generators (Wolf & Cirac 2008).
-    With Y = (C_N - phi) / eps, the nearest X is X(Lambda) = P_K(Y + Lambda
+    For Y of `_generator_units`, the nearest X is X(Lambda) = P_K(Y + Lambda
     (x) 1) for the Hermitian d x d multiplier Lambda of Tr_2 X = 0, where
     P_K replaces the w_perp block by its PSD part. Lambda minimizes the dual
     objective 1/2 ||X(Lambda)||^2, whose gradient is Tr_2 X; semismooth
@@ -349,14 +354,12 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix) -> NearestMCSResult:
     larger of the norm of Q's part outside the w_perp block and that block's
     largest eigenvalue. X lies in the cone by construction.
 
-    The returned state is phi + eps X for the Hermitian part of X after a
-    projection onto the trace-preserving subspace that leaves the w_perp
-    block alone, so it is Hermitian and in the family up to roundoff. On
-    hitting GKSL_MAX_ITER it is still a valid Choi state, returned with
-    kkt_ok=False rather than raising; iterations counts Newton steps, dual
-    is Lambda.
-    kossakowski is d B^dag X B over the columns vec(F_j) of the Gell-Mann
-    basis, PSD up to roundoff.
+    The returned state is phi + eps X, carrying X, for the Hermitian part of
+    X after a projection onto the trace-preserving subspace that leaves the
+    w_perp block alone: in the family up to roundoff, and a valid Choi state
+    with kkt_ok=False on hitting GKSL_MAX_ITER. iterations counts Newton
+    steps, dual is Lambda, and kossakowski is d B^dag X B over the columns
+    vec(F_j) of the Gell-Mann basis, PSD up to roundoff.
     """
     d, e = cn.dim, cn.eps
     if e <= 0:
@@ -428,10 +431,9 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix) -> NearestMCSResult:
     # exceeds the Hermiticity tolerance of ChoiMatrix.
     defect = lift(x_tr2)
     x = hermitian_part(x - 0.5 * d * (phi @ defect + defect @ phi))
-    star = first_order_state(x, e)
     return NearestMCSResult(
-        choi_star=ChoiMatrix(dim=d, matrix=star, t=cn.t, eps=e),
-        residual=hs_norm(cn.matrix - star),
+        choi_star=ChoiMatrix(d, first_order_state(x, e), cn.t, e, x),
+        residual=e * hs_norm(y - x),
         kkt_ok=kkt_ok,
         iterations=iterations,
         kossakowski=d * (dagger(u) @ x @ u),
@@ -600,16 +602,10 @@ def _draw_generators(dim: int, n: int, rng: np.random.Generator, signed: bool = 
 
 
 def sample_markovian_chois(dim: int, eps: float, n_samples: int, seed: int) -> np.ndarray:
-    """Batch of first-order Choi states of random divisible generators.
-
-    Per sample: 1..dim^2 Haar-unitary jump operators with rates uniform on
-    [0, 1]; about half the samples also carry a random traceless Hamiltonian
-    (the "unitary part"). All draws come from one seeded stream in a fixed
-    order (`_draw_generators`), so output is reproducible. Returns the
-    (n_samples, dim^2, dim^2) complex stack phi + eps*(C_H + X), the whole
-    batch at once; the probes form their states from `_draw_generators` one
-    block at a time instead.
-    """
+    """The (n_samples, dim^2, dim^2) first-order Choi states phi + eps*(C_H + X)
+    of random divisible generators, drawn by `_draw_generators` from one
+    seeded stream with a Hamiltonian on about half the samples, whole; the
+    probes form their states one block at a time instead."""
     if n_samples < 1:
         raise ValueError(f"sample_markovian_chois: n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)

@@ -23,6 +23,7 @@ from nmwitness.choi import (
     default_classification_tol,
     dissipator_chois,
     first_order_state,
+    hamiltonian_choi,
     lift,
     max_entangled_state,
     partial_trace_2,
@@ -304,6 +305,37 @@ def test_choi_matrix_holds_the_hermitian_part_of_any_layout():
         c = ChoiMatrix(dim=2, matrix=layout, t=0.0, eps=1e-3)
         assert np.array_equal(c.matrix, 0.5 * (m + m.conj().T))
         assert np.array_equal(c.matrix, c.matrix.conj().T)
+
+
+def test_choi_of_generator_carries_the_hermitian_part_of_its_generator():
+    # The state is phi + eps*C_L and carries the Hermitian part of C_L; a
+    # state built from a bare matrix carries nothing.
+    gen = LindbladGenerator(dim=2, ops=(np.array([[0, 1], [0, 0]], dtype=complex),),
+                            rates=(TableRate((0.0, 1.0), (-1.0, 2.0)),),
+                            hamiltonian=np.array([[0.3, 0.1 - 0.2j], [0.1 + 0.2j, -0.3]]))
+    c = choi_of_generator(gen, 0.25, 1e-3)
+    c_l = gen.rates[0](0.25) * dissipator_chois(gen.ops)[0] + hamiltonian_choi(gen.hamiltonian)
+    assert np.array_equal(c.direction, 0.5 * (c_l + c_l.conj().T))
+    assert np.array_equal(c.matrix, ChoiMatrix(2, first_order_state(c_l, 1e-3), 0.25, 1e-3).matrix)
+    assert ChoiMatrix(2, c.matrix, 0.25, 1e-3).direction is None
+
+
+def test_choi_matrix_direction_validation():
+    phi = max_entangled_state(2)
+    with pytest.raises(ShapeError, match=r"^ChoiMatrix: expected 4x4 for dim=2, "
+                                         r"got \(3, 3\)$"):
+        ChoiMatrix(2, phi, 0.0, 1e-3, np.eye(3))
+    with pytest.raises(ValueError, match=r"^ChoiMatrix\.direction: contains non-finite"):
+        ChoiMatrix(2, phi, 0.0, 1e-3, np.full((4, 4), np.inf))
+
+
+def test_choi_matrix_direction_near_the_double_range_stays_finite():
+    # The Hermitian part of a C_L whose a + a^dag would overflow.
+    y = np.zeros((4, 4), dtype=complex)
+    y[0, 3], y[3, 0] = -1.7e308j, 1.7e308j
+    with np.errstate(all="raise"):
+        c = ChoiMatrix(2, max_entangled_state(2), 0.0, 1e-300, y)
+    assert np.array_equal(c.direction, y)
 
 
 # ---------------------------------------------------------------------------

@@ -1330,6 +1330,33 @@ def test_a_hamiltonian_near_overflow_is_one_named_error(tmp_path, capsys, comman
         "the double range (largest |entry| 1.700e+305)\n")
 
 
+# At eps = 1e-300 the same spec's state is valid (entries about 1.7e8), but
+# ||C_L||^2 leaves the double range: the projections refuse it by name, and
+# no command reports numpy's overflow.
+_HUGE_GENERATOR = ("nmwitness: error: Choi state at t=0.0, eps=1e-300: the generator C_L is "
+                   "too large to project, ||C_L||^2 leaves the double range (largest |entry| "
+                   "1.700e+308)\n")
+
+
+@pytest.mark.parametrize("command,options,code,err", [
+    ("analyze", {"t1": 1, "steps": 4}, 1, "nmwitness: error: scan: integrated_measure on "
+     "[0.0, 1.0] is inf; sum max(0, deficit) * dt / eps is not finite\n"),
+    ("witness", {"mode": "spectral"}, 0, ""),
+    *(("witness", {"mode": mode}, 1, _HUGE_GENERATOR)
+      for mode in ("theorem3-fixed", "theorem3-gksl")),
+    ("geometry", {"probe": "separation", "n": 50, "seed": 1}, 1, _HUGE_GENERATOR),
+], ids=["analyze", "spectral", "theorem3-fixed", "theorem3-gksl", "separation"])
+def test_a_hamiltonian_near_overflow_at_eps_1e_300(tmp_path, capsys, command, options, code,
+                                                   err):
+    spec = write_spec(tmp_path / "s.json", HUGE_HAMILTONIAN_SPEC)
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_main(command, out, spec=spec, eps=1e-300, **options) == code
+    assert out.exists() == (code == 0)
+    assert capsys.readouterr().err == err
+
+
 def test_main_rejects_overflowing_integrated_measure(tmp_path, capsys):
     # eps * rate is about 1, so every deficit is finite; their sum * dt / eps
     # is not.

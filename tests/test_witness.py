@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -210,6 +212,54 @@ def test_fixed_basis_projection_ignores_the_unit_of_time():
     assert res.kkt_ok
     assert res.residual == pytest.approx(_scaled_pauli(1.0, (1.0, 1.0, -0.3), EPS).residual,
                                          rel=1e-12)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14])
+def test_projections_read_the_carried_generator_at_every_eps(eps):
+    # Both projections read the C_L that built the target, not (C_N - phi)/eps,
+    # which loses about u/eps: the exact rates (0.9, 0.9, 0) and residual/eps
+    # = sqrt(0.12) hold at every eps.
+    cn = pauli_choi((1.0, 1.0, -0.3), eps)
+    fixed = nearest_mcs_fixed_basis(cn, pauli_family(eps))
+    full = nearest_mcs_full_gksl(cn)
+    assert fixed.kkt_ok and full.kkt_ok
+    assert fixed.rates[:2] == pytest.approx([0.9, 0.9], rel=1e-14, abs=0.0)
+    assert fixed.rates[2] == 0.0
+    for res in (fixed, full):
+        assert res.residual / eps == pytest.approx(np.sqrt(0.12), rel=1e-14, abs=0.0)
+
+
+def test_a_state_without_a_direction_projects_from_its_matrix():
+    # A bare matrix carries no generator: (C_N - phi)/eps is projected, and
+    # the witness is built from the matrices.
+    cn = pauli_choi((1.0, 1.0, -0.3))
+    bare = ChoiMatrix(2, cn.matrix, cn.t, cn.eps)
+    assert bare.direction is None
+    for project in (lambda c: nearest_mcs_fixed_basis(c, pauli_family(EPS)),
+                    nearest_mcs_full_gksl):
+        res, res_bare = project(cn), project(bare)
+        assert res_bare.kkt_ok
+        assert res_bare.residual == pytest.approx(res.residual, rel=1e-9)
+        w, w_bare = (theorem3_witness(c, r.choi_star) for c, r in ((cn, res), (bare, res_bare)))
+        assert np.abs(w_bare.matrix - w.matrix).max() <= 1e-15
+
+
+def test_a_generator_whose_norm_squared_overflows_is_one_named_error():
+    # diag(1.7e308, -1.7e308) at eps = 1e-300: a valid state (entries about
+    # 1.7e8), but ||C_L||^2 leaves the double range; named before numpy warns.
+    gen = LindbladGenerator(dim=2, ops=(np.array([[0, 0], [1, 0]], dtype=complex),),
+                            rates=(ConstantRate(1.0),),
+                            hamiltonian=np.diag([1.7e308, -1.7e308]).astype(complex))
+    cn = choi_of_generator(gen, 0.0, 1e-300)
+    message = (r"^Choi state at t=0\.0, eps=1e-300: the generator C_L is too large to "
+               r"project, \|\|C_L\|\|\^2 leaves the double range \(largest \|entry\| "
+               r"1\.700e\+308\)$")
+    for project in (lambda c: nearest_mcs_fixed_basis(c, fixed_basis_family(gen.ops, 1e-300)),
+                    nearest_mcs_full_gksl):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                project(cn)
 
 
 def test_fixed_basis_certificate_refuses_rates_off_by_1e_9(monkeypatch):
@@ -914,7 +964,8 @@ def test_uniqueness_check_matches_stack_contraction(dim, eps):
 # state (or one unitarily equivalent to it), so classify's minimum eigenvalue
 # and the residuals of both projections must not move beyond what rounding
 # and the certificate allow: 64 u max ||C|| for forming the states and their
-# eigensolve, plus, for a residual, the certificate's tolerance in state
+# eigensolve; for a residual, which the projections form from the carried
+# direction Y, 64 u max eps ||Y|| plus the certificate's tolerance in state
 # units, KKT_TOL * eps * max(1, ||Y||) = KKT_TOL * max(eps, ||C - phi||).
 
 _SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -951,11 +1002,13 @@ def _observed(ops, rates, ham, eps, fixed=True):
 def _assert_same(before, after):
     (c, seen), (c2, seen2) = before, after
     phi = max_entangled_state(c.dim)
-    rounding = 64 * np.finfo(float).eps * max(hs_norm(c.matrix), hs_norm(c2.matrix))
+    rounding = 64 * np.finfo(float).eps
+    state = rounding * max(hs_norm(c.matrix), hs_norm(c2.matrix))
+    direction = rounding * max(c.eps * hs_norm(c.direction), c2.eps * hs_norm(c2.direction))
     certificate = witness_module.KKT_TOL * max(c.eps, c2.eps, hs_norm(c.matrix - phi),
                                                hs_norm(c2.matrix - phi))
     for name in seen2:
-        bound = rounding + (0.0 if name == "lambda" else certificate)
+        bound = state if name == "lambda" else direction + certificate
         assert abs(seen[name] - seen2[name]) <= bound, (name, seen[name], seen2[name])
 
 
