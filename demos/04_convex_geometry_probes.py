@@ -6,9 +6,9 @@ Four probes, each a sampled surrogate for a structural statement:
                   PSD (each is (1 - eps sum g) phi + eps sum_a g_a |u_a><u_a|,
                   PSD for eps sum g <= 1; divisible generators in general are
                   not PSD at first order, e.g. strong amplitude damping);
-  * hsnorm      - every small-time Choi has HS norm close to 1 (the
-                  boundedness half of compactness; closedness is not
-                  numerically probeable);
+  * hsnorm      - every small-time Choi phi + eps C_L has HS norm within
+                  eps ||C_L|| of 1 (the boundedness half of compactness;
+                  closedness is not numerically probeable);
   * extreme     - Haar-random unitary channels give arbitrarily many
                   distinct purity-one extreme points, so the set of all
                   channels is not a polytope (a polytope has finitely many);

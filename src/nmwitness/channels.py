@@ -15,10 +15,10 @@ traceless in the sense vec(I)^dag S = 0.
 
 `haar_unitaries` draws the random jumps of the samplers: complex Ginibre
 matrices orthonormalised in place by batched Gram-Schmidt, no LAPACK call.
-The unitaries land in the layout of their Choi kets, so the samplers scale
-them into kets in place (`choi.choi_kets(..., overwrite_a=True)`): the draw
-is the one full array of jumps. `_blocks` sizes every block of the package
-(unitaries, samples, census rows) by one budget, `_BLOCK_BYTES`.
+The unitaries land in the layout of their Choi kets, so `choi.haar_kets`
+scales them into kets in place: the draw is the one full array of jumps.
+`_blocks` sizes every block of the package (unitaries, samples, census rows)
+by one budget, `_BLOCK_BYTES`.
 """
 
 from __future__ import annotations
@@ -181,10 +181,9 @@ def haar_unitaries(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
     The (n, dim, dim) result is a strided view: column k of unitary i is row
     k of a C-contiguous (dim, dim) block, the layout of the Choi ket vec(U_i)
-    that `choi.choi_kets(..., overwrite_a=True)` scales in place. Gram-Schmidt
-    copies one block of unitaries at a time into a (dim, dim, block) column
-    array, so that each pass runs along the contiguous batch axis, and copies
-    the finished columns back; the draw holds no second full array.
+    that `choi.haar_kets` scales in place. Gram-Schmidt copies one block of
+    unitaries at a time into a (dim, dim, block) column array, so that each
+    pass runs along the contiguous batch axis, and copies it back.
     """
     # vecs[i, k] is column k of unitary i. Scaling by s = 1/sqrt(2) is bit
     # for bit (re + 1j*im) / sqrt(2), which numpy divides as (re*s, im*s).

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import LindbladGenerator, SuperOperator
+from .channels import LindbladGenerator, SuperOperator, haar_unitaries
 from .linalg import (DEFAULT_HERM_TOL, ShapeError, as_matrix, dagger, gell_mann_basis,
                      hermitian_part, hermiticity_defect)
 
@@ -37,23 +37,25 @@ def default_classification_tol(eps: float) -> float:
     return max(1e-9, 10.0 * eps * eps)
 
 
-def choi_kets(a: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
+def choi_kets(a: np.ndarray) -> np.ndarray:
     """The Choi ket (1 (x) A)|phi> = vec(A)/sqrt(d) of one d x d matrix, or the
-    (..., d^2) kets of a stack: one fresh C-contiguous array, scaled in place.
-
-    With overwrite_a, a writable float or complex stack that is already in
-    the ket layout (its last two axes swapped are C-contiguous, as
-    `channels.haar_unitaries` returns its draws) is scaled in place and the
-    kets are a view of it; any other stack is copied as without it."""
+    (..., d^2) kets of a stack: one fresh C-contiguous array, scaled in place."""
     d = a.shape[-1]
     scale = np.sqrt(d)
-    kets = np.swapaxes(a, -1, -2)
-    dtype = np.result_type(a, scale)
-    if not (overwrite_a and kets.flags.c_contiguous and kets.flags.writeable
-            and kets.dtype == dtype):
-        kets = np.array(kets, dtype=dtype, order="C")
+    kets = np.array(np.swapaxes(a, -1, -2), dtype=np.result_type(a, scale), order="C")
     kets /= scale
     return kets.reshape(a.shape[:-2] + (d * d,))
+
+
+def haar_kets(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The (n, d^2) Choi kets of n Haar unitaries drawn by `haar_unitaries`.
+
+    That draw lands in the ket layout (column k of a unitary is one
+    contiguous row), so it is scaled by 1/sqrt(d) in place: the kets are the
+    draw's only array, bit for bit `choi_kets` of it."""
+    kets = np.swapaxes(haar_unitaries(dim, n, rng), -1, -2)
+    kets /= np.sqrt(dim)
+    return kets.reshape(n, dim * dim)
 
 
 def max_entangled_state(dim: int) -> np.ndarray:
@@ -154,13 +156,6 @@ def _require_states(stack: np.ndarray, ts, eps: float) -> None:
         k = bad[0]
         raise ValueError(f"Choi state at t={ts[k]}: Hermiticity defect {defect[k]:.3e}, "
                          f"trace {complex(trace[k])!r}; need Hermitian with trace 1")
-
-
-def unitary_chois(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, d^2) Choi kets (`choi_kets`) of a stack of unitaries and the
-    (n, d^2, d^2) pure Choi states, the projectors onto them."""
-    kets = choi_kets(us)
-    return kets, np.einsum("ni,nj->nij", kets, kets.conj())
 
 
 def dissipator_chois(ops) -> np.ndarray:

@@ -7,7 +7,7 @@ semidefinite. Its samples are the unitary-jump first-order Chois of
 eps*sum g <= 1, so their mixtures are too. This does not hold for divisible
 generators in general: at first order, amplitude damping at rate 30 and
 eps = 1e-3 has minimum eigenvalue -5.7e-5. Compactness is probed only
-through the boundedness surrogate |  ||C||_2 - 1 | <= 10 eps ||L||_2
+through the boundedness surrogate |  ||C||_2 - 1 | <= eps ||C_L||_2
 (closedness is not numerically testable and is not claimed by any probe).
 The census of distinct purity-one Choi states of Haar-random unitary
 channels shows that the set of all channels is not a polytope. Those states lie in the divisible
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choi import ChoiMatrix, first_order_state, require_non_markovian, unitary_chois
-from .channels import _blocks, haar_unitaries
+from .choi import ChoiMatrix, first_order_state, haar_kets, require_non_markovian
+from .channels import _blocks
 from .witness import (
     _draw_generators,
     _sample_blocks,
@@ -98,11 +98,11 @@ def hs_norm_probe(dim: int, eps: float, n_trials: int, seed: int) -> ProbeReport
     """HS norms of small-time Chois concentrate at 1.
 
     Samples divisible and (by sign-flipping rates) non-divisible first-order
-    Chois; a trial fails when | ||C||_2 - 1 | exceeds 10 * eps * ||L||_2 with
-    ||L||_2 the HS norm of that trial's generator superoperator: d ||C_L||_2,
-    as the Choi rearrangement permutes entries and divides by d. The
-    computed ||C||_2 is itself rounded (at d = 2 it can read 1 - 2.2e-16 for a
-    tiny eps), so a failure also exceeds the rounding slack
+    Chois C = phi + eps*C_L; a trial fails when | ||C||_2 - 1 | exceeds
+    eps ||C_L||_2, the reverse triangle inequality with ||phi||_2 = 1, which
+    every phi + eps*C_L meets and a state such as phi + 1.5 eps*C_L can
+    break. The computed ||C||_2 is itself rounded (at d = 2 it can read 1 -
+    2.2e-16 for a tiny eps), so a failure also exceeds the rounding slack
     (d^4 + 2) u ||C||_2, u the machine epsilon: rounding in forming the d^4
     entries of phi + eps*C_L, summing their squares and subtracting 1. The
     reported bounds leave the slack out. The generators' Chois and the states
@@ -119,7 +119,7 @@ def hs_norm_probe(dim: int, eps: float, n_trials: int, seed: int) -> ProbeReport
         norms[a:b] = np.linalg.norm(first_order_state(gen_chois, eps), axis=(1, 2))
         gen_norms[a:b] = np.linalg.norm(gen_chois, axis=(1, 2))
     deviations = np.abs(norms - 1.0)
-    bounds = 10.0 * eps * dim * gen_norms
+    bounds = eps * gen_norms
     slack = (dim ** 4 + 2) * np.finfo(float).eps * norms
     failures = int(np.count_nonzero(deviations > bounds + slack))
     return ProbeReport(
@@ -175,32 +175,28 @@ def extreme_point_probe(dim: int, eps: float, n_unitaries: int,
     shows that the set of all channels is not a polytope, not that the
     divisible set is not one.
 
-    The purities are read from the pure Choi states one block of trials at a
-    time (`_sample_blocks`). Pure states lie sqrt(2 - 2|<u|v>|^2) apart,
-    falling as the overlap grows: the largest overlap of two distinct trials
-    gives the smallest distance. The census forms each of the n(n-1)/2
-    unordered pairs once, one block of rows (`_blocks`, a multiple of 16) at
-    a time: a row block meets only the columns from its own first row on.
+    The members are the kets |u> of `choi.haar_kets`; the purity Tr(P^2) of
+    P = |u><u| is read from its ket as <u|u>^2, with no projector formed.
+    Pure states lie sqrt(2 - 2|<u|v>|^2) apart, falling as the overlap
+    grows: the largest overlap of two distinct trials gives the smallest
+    distance. The census forms each of the n(n-1)/2 unordered pairs once,
+    one block of rows (`_blocks`, a multiple of 16) at a time: a row block
+    meets only the columns from its own first row on.
     Only pairs with overlap above 0.999 can be closer than 1e-8 (an overlap
     of at most 1 - 1e-12 is at least 1.4e-6 away), so only those are tested.
     """
     if n_unitaries < 2:
         raise ValueError(
             f"extreme_point_probe: n_unitaries must be >= 2, got {n_unitaries}")
-    rng = np.random.default_rng(seed)
-    us = haar_unitaries(dim, n_unitaries, rng)
-    uvec = np.empty((n_unitaries, dim * dim), dtype=complex)
-    purities = np.empty(n_unitaries)
-    for a, b in _sample_blocks(n_unitaries, dim):
-        uvec[a:b], chois = unitary_chois(us[a:b])
-        purities[a:b] = np.einsum("nij,nji->n", chois, chois).real
-    del us, chois  # the overlap blocks below need only the kets
+    uvec = haar_kets(dim, n_unitaries, np.random.default_rng(seed))
+    conj = uvec.conj()
+    purities = np.einsum("ni,ni->n", uvec, conj).real ** 2
 
     def distance(overlap):
         return np.sqrt(np.clip(2.0 - 2.0 * overlap, 0.0, None))
 
     largest, coincident = 0.0, 0
-    bras = uvec.conj().T
+    bras = conj.T
     # BLAS rounds the trailing columns short of its kernel width its own way;
     # block starts a multiple of 16 keep each block's n - a columns at n's
     # residue, so each overlap rounds as in one n x n product's upper triangle.

@@ -27,11 +27,12 @@ subtracts phi from C_N. They share one relative KKT certificate, `_kkt_ok`.
 Each witness is checked on the family it is guaranteed on: `verify_witness`
 samples the full family, `uniqueness_check` a frozen one. Tr(W C) is affine
 in the generator, so both contract W with the draws and never build the
-stack of sampled states; a sample violates W when its value is below -1e-8
-by more than a rounding slack bounded from the same draws. Every consumer
-walks the draws in the blocks of `_sample_blocks`, through range views of
-`_SampledGenerators`, and a sample's arithmetic is the same in any block, so
-no result depends on the block size.
+stack of sampled states. Every value scales with eps and W, so a sample
+violates W when its value is below -SAMPLED_TOL * eps * ||W||_F by more than
+a rounding slack bounded from the same draws. Every consumer walks the draws
+in the blocks of `_sample_blocks`, through range views of `_SampledGenerators`,
+and a sample's arithmetic is the same in any block, so no result depends on
+the block size.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import _blocks, haar_unitaries
+from .channels import _blocks
 from .choi import (ChoiMatrix, add_phi, choi_kets, default_classification_tol,
-                   dissipator_chois, first_order_state, hamiltonian_choi, lift,
+                   dissipator_chois, first_order_state, haar_kets, hamiltonian_choi, lift,
                    max_entangled_state, partial_trace_2, perp_isometry)
 from .linalg import (DEGENERACY_GAP, ShapeError, as_matrix, dagger, hermitian_part,
                      hs_inner, hs_norm)
@@ -445,6 +446,10 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix) -> NearestMCSResult:
 # Monte-Carlo verification
 # ---------------------------------------------------------------------------
 
+# Threshold of both sampled checks, in units of eps ||W||_F.
+SAMPLED_TOL = 1e-8
+
+
 def _sample_blocks(n: int, dim: int) -> list[tuple[int, int]]:
     """The blocks of samples 0..n-1: one sample is a (d^2, d^2) complex stack."""
     return _blocks(n, 16 * dim ** 4)
@@ -573,17 +578,15 @@ def _draw_generators(dim: int, n: int, rng: np.random.Generator, signed: bool = 
                      hamiltonian: bool = False) -> _SampledGenerators:
     """Draw n random divisible generators from rng.
 
-    Draws, in this order: jump counts (1..dim^2), Haar unitaries U_a with
-    Choi kets |u_a> of `choi_kets`, rates g_a uniform on [0, 1], when
+    Draws, in this order: jump counts (1..dim^2), the Choi kets |u_a> of
+    Haar unitaries U_a (`choi.haar_kets`), rates g_a uniform on [0, 1], when
     signed a random sign per rate, and when hamiltonian a mask marking about
     half the samples and a random traceless Hamiltonian per sample. The
     whole stream is drawn here, so a consumer's blocks leave its order alone.
     """
     d = dim
     counts = rng.integers(1, d * d + 1, size=n)
-    # haar_unitaries lands in the ket layout: the kets are the draw itself,
-    # scaled in place, not a copy of it.
-    kets = choi_kets(haar_unitaries(d, int(counts.sum()), rng), overwrite_a=True)
+    kets = haar_kets(d, int(counts.sum()), rng)
     rates = rng.uniform(0.0, 1.0, size=kets.shape[0])
     if signed:
         rates *= np.where(rng.random(rates.size) < 0.5, 1.0, -1.0)
@@ -619,7 +622,8 @@ def verify_witness(w: WitnessOperator, dim: int, eps: float, n_samples: int,
     The samples are those of `sample_markovian_chois` with the same seed, but
     values, Tr(W C_k) per sample, are contracted with the draws one block
     (`_sample_blocks`) at a time; no state is formed. A sample is a violation
-    when its value is below -(1e-8 + slack_k), slack_k its rounding bound.
+    when its value is below -(SAMPLED_TOL * eps * ||W||_F + slack_k), slack_k
+    its rounding bound.
     """
     if n_samples < 1:
         raise ValueError(f"verify_witness: n_samples must be >= 1, got {n_samples}")
@@ -632,7 +636,8 @@ def verify_witness(w: WitnessOperator, dim: int, eps: float, n_samples: int,
         values[a:b], slack[a:b] = gens.view(a, b).expectations(w.matrix, eps)
     return VerificationResult(
         min_expectation=float(values.min()),
-        violations=int(np.count_nonzero(values < -(1e-8 + slack))),
+        violations=int(np.count_nonzero(
+            values < -(SAMPLED_TOL * eps * hs_norm(w.matrix) + slack))),
         values=values,
     )
 
@@ -645,8 +650,10 @@ def uniqueness_check(cn: ChoiMatrix, cm_star: ChoiMatrix, dim: int, eps: float,
 
     Rates are drawn uniform on [0, 2], and the left side is Tr[D (phi - C_M*)]
     + eps * rates @ [Tr(D Y_a)], D = C_N - C_M*, one (n, m) @ (m,) product.
-    holds is True when the sampled maximum stays below 1e-8. On the full
-    family the same check is verify_witness(theorem3_witness(cn, cm_star), ...).
+    The left side is -Tr(W C_M) for W = theorem3_witness(cn, cm_star), so
+    holds is True when the sampled maximum stays at most SAMPLED_TOL * eps *
+    ||W||_F, verify_witness's threshold; on the full family the same check is
+    verify_witness(W, ...).
     """
     if n_samples < 1:
         raise ValueError(f"uniqueness_check: n_samples must be >= 1, got {n_samples}")
@@ -663,4 +670,5 @@ def uniqueness_check(cn: ChoiMatrix, cm_star: ChoiMatrix, dim: int, eps: float,
     offset = hs_inner(diff, max_entangled_state(dim) - cm_star.matrix).real
     lhs = offset + eps * (rates @ np.einsum("ij,aji->a", diff, dirs).real)
     max_lhs = float(lhs.max())
-    return UniquenessResult(max_lhs=max_lhs, holds=bool(max_lhs <= 1e-8))
+    tol = SAMPLED_TOL * eps * hs_norm(theorem3_witness(cn, cm_star).matrix)
+    return UniquenessResult(max_lhs=max_lhs, holds=bool(max_lhs <= tol))

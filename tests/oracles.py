@@ -26,7 +26,7 @@ import numpy as np
 
 from nmwitness.channels import LindbladGenerator, SuperOperator, haar_unitaries
 from nmwitness.choi import (ChoiMatrix, choi_kets, dissipator_chois, hamiltonian_choi,
-                            max_entangled_state, unitary_chois)
+                            max_entangled_state)
 from nmwitness.linalg import hermitian_eig
 from nmwitness.rates import (BinOp, Call, Const, ConstantRate, ExpressionRate, Literal, Neg,
                              Node, TimeVar)
@@ -244,7 +244,8 @@ def per_jump_generators(dim: int, n: int, rng: np.random.Generator,
     rates = rng.uniform(0.0, 1.0, size=us.shape[0])
     if signed:
         rates *= np.where(rng.random(rates.size) < 0.5, 1.0, -1.0)
-    _, pure = unitary_chois(us)
+    kets = choi_kets(us)
+    pure = np.einsum("ni,nj->nij", kets, kets.conj())
     offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
     dirs = rates[:, None, None] * (pure - max_entangled_state(dim))
     return np.add.reduceat(dirs, offsets, axis=0)
@@ -341,13 +342,14 @@ def gram_sample_chois(dim: int, eps: float, n: int, seed: int,
 def stack_verify_witness(w: np.ndarray, dim: int, eps: float, n: int, seed: int):
     """Verification on the formed stack: (values, violations, min_expectation,
     scales, slacks). values are Tr(W C_k); slacks are (d^4 + 2) u sum_ij
-    |W_ij| |C_k,ji|, and a violation is a value below -(1e-8 + slack); scales
-    are sum |W| times each sample's largest |entry|, a bound on |Tr(W C_k)|."""
+    |W_ij| |C_k,ji|, and a violation is a value below -(1e-8 eps ||W||_F +
+    slack); scales are sum |W| times each sample's largest |entry|, a bound on
+    |Tr(W C_k)|."""
     chois = gram_sample_chois(dim, eps, n, seed)
     values = np.einsum("ij,nji->n", w, chois).real
     slack = ((dim ** 4 + 2) * np.finfo(float).eps
              * np.einsum("ij,nji->n", np.abs(w), np.abs(chois)))
-    violations = int(np.count_nonzero(values < -(1e-8 + slack)))
+    violations = int(np.count_nonzero(values < -(1e-8 * eps * np.linalg.norm(w) + slack)))
     scales = np.abs(w).sum() * np.abs(chois).max(axis=(1, 2))
     return values, violations, float(values.min()), scales, slack
 

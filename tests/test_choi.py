@@ -11,7 +11,9 @@ from nmwitness.channels import (
     builtin_pauli,
     first_order_channel,
     gksl_superoperator,
+    haar_unitaries,
 )
+from nmwitness import choi as choi_module
 from nmwitness.choi import (
     ChoiMatrix,
     MarkovianTargetError,
@@ -23,6 +25,7 @@ from nmwitness.choi import (
     default_classification_tol,
     dissipator_chois,
     first_order_state,
+    haar_kets,
     hamiltonian_choi,
     lift,
     max_entangled_state,
@@ -151,25 +154,22 @@ def test_choi_kets_are_a_fresh_c_contiguous_copy():
         assert kets.dtype == want.dtype and kets.tobytes() == want.tobytes()
 
 
-def test_choi_kets_overwrite_scales_a_stack_in_the_ket_layout():
-    # A writable float or complex stack whose swapped last axes are
-    # C-contiguous becomes its own kets; any other stack is copied and left as
-    # it was. The bits are those of the copy either way.
-    rng = np.random.default_rng(8)
-    a = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
-    want = choi_kets(a)
-    in_layout = a.transpose(0, 2, 1).copy().transpose(0, 2, 1)
-    kets = choi_kets(in_layout, overwrite_a=True)
-    assert np.shares_memory(kets, in_layout)
-    assert kets.shape == want.shape and kets.tobytes() == want.tobytes()
-    read_only = a.transpose(0, 2, 1).copy().transpose(0, 2, 1)
-    read_only.flags.writeable = False
-    integers = np.arange(45).reshape(5, 3, 3).transpose(0, 2, 1)
-    for m in (a, read_only, integers, np.eye(3, dtype=int)):
-        before = m.copy()
-        kets = choi_kets(m, overwrite_a=True)
-        assert not np.shares_memory(kets, m) and np.array_equal(m, before)
-        assert kets.tobytes() == choi_kets(m).tobytes()
+@pytest.mark.parametrize("dim, n", [(2, 1), (3, 50), (4, 7)])
+def test_haar_kets_are_the_draw_scaled_in_place(monkeypatch, dim, n):
+    # The bits of choi_kets of the same draw, with the draw's memory as the
+    # kets' only array.
+    draws = []
+
+    def recorded(d, count, rng):
+        draws.append(haar_unitaries(d, count, rng))
+        return draws[-1]
+
+    monkeypatch.setattr(choi_module, "haar_unitaries", recorded)
+    kets = haar_kets(dim, n, np.random.default_rng((dim, n)))
+    want = choi_kets(haar_unitaries(dim, n, np.random.default_rng((dim, n))))
+    assert kets.shape == want.shape == (n, dim * dim) and kets.flags.c_contiguous
+    assert kets.tobytes() == want.tobytes()
+    assert len(draws) == 1 and np.shares_memory(kets, draws[0])
 
 
 # ---------------------------------------------------------------------------

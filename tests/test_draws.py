@@ -1,8 +1,8 @@
 """The Monte-Carlo draws land as Choi kets without a copy.
 
-`witness._draw_generators` scales the unitaries of `haar_unitaries`, which
-land in the ket layout, into its kets in place, and forms its Hamiltonians
-in place; the contraction takes its row maxima column by
+`witness._draw_generators` takes its kets from `choi.haar_kets`, which scales
+the unitaries of `haar_unitaries`, landed in the ket layout, in place; it
+forms its Hamiltonians in place; the contraction takes its row maxima column by
 column, and the Gram product places each jump by integer row index. Each
 must give the bits of the out-of-place code it replaced, and leave the
 random stream where that code left it.

@@ -3,8 +3,8 @@ import pytest
 
 from nmwitness.channels import (LindbladGenerator, builtin_dephasing, builtin_pauli,
                                 gksl_superoperator, haar_unitaries)
-from nmwitness import channels, geometry
-from nmwitness.choi import choi_of_generator, unitary_chois
+from nmwitness import channels, choi, geometry
+from nmwitness.choi import choi_kets, choi_of_generator
 from nmwitness.linalg import hs_norm
 from nmwitness.geometry import (
     convexity_probe,
@@ -76,7 +76,7 @@ def test_hs_norm_probe_no_failures():
 @pytest.mark.parametrize("dim", [2, 3, 4])
 @pytest.mark.parametrize("eps", [1e-15, 1e-18])
 def test_hs_norm_probe_does_not_count_rounding_as_failure(dim, eps):
-    # At these eps the bound 10 eps d ||L|| is below the rounding of ||C||
+    # At these eps the bound eps ||C_L|| is below the rounding of ||C||
     # itself (1 - 2.2e-16 at d = 2), which the probe's slack absorbs.
     report = hs_norm_probe(dim, eps, 2000 if dim == 2 else 500, seed=1)
     assert report.failures == 0
@@ -105,13 +105,25 @@ def test_hs_norm_probe_bound_is_superoperator_norm():
     bounds, deviations = [], []
     for a, b in zip(starts[:-1], starts[1:]):
         gen = LindbladGenerator(dim=d, ops=tuple(us[a:b]), rates=tuple(rates[a:b]))
-        bounds.append(10.0 * EPS * hs_norm(gksl_superoperator(gen, 0.0).matrix))
+        # ||C_L|| = ||S|| / d: the Choi rearrangement permutes S's entries
+        # and divides them by d.
+        bounds.append(EPS * hs_norm(gksl_superoperator(gen, 0.0).matrix) / d)
         deviations.append(abs(hs_norm(choi_of_generator(gen, 0.0, EPS).matrix) - 1.0))
     bounds, deviations = np.array(bounds), np.array(deviations)
     assert np.abs(report.details - deviations).max() <= 1e-12
     assert report.summary["max_bound"] == pytest.approx(bounds.max(), rel=1e-12)
     assert report.summary["min_bound"] == pytest.approx(bounds.min(), rel=1e-12)
     assert report.failures == int(np.count_nonzero(deviations > bounds))
+
+
+@pytest.mark.parametrize("dim, n", [(2, 2000), (3, 600), (4, 200)])
+def test_hs_norm_probe_fails_states_off_the_first_order_line(monkeypatch, dim, n):
+    # phi + 1.5 eps C_L can lie farther from norm 1 than eps ||C_L||, which
+    # every phi + eps C_L meets.
+    assert hs_norm_probe(dim, EPS, n, seed=1).failures == 0
+    monkeypatch.setattr(geometry, "first_order_state",
+                        lambda x, eps: choi.first_order_state(x, 1.5 * eps))
+    assert hs_norm_probe(dim, EPS, n, seed=1).failures > 0
 
 
 def test_separation_demo_pauli_instance():
@@ -148,8 +160,13 @@ def test_extreme_point_probe():
 
 
 def _census_reference(us):
-    uvec, chois = unitary_chois(us)
-    purities = np.einsum("nij,nji->n", chois, chois).real
+    # The purity Tr(P^2) of P = |u><u| read from the ket as ||u||^4, which
+    # holds to the projectors' own Tr(P^2) within d^2 u.
+    uvec = choi_kets(us)
+    purities = np.einsum("ni,ni->n", uvec, uvec.conj()).real ** 2
+    projectors = np.einsum("ni,nj->nij", uvec, uvec.conj())
+    traces = np.einsum("nij,nji->n", projectors, projectors).real
+    assert np.abs(purities - traces).max() <= uvec.shape[1] * np.finfo(float).eps
     min_distance, coincidences = pairwise_distance_census(uvec)
     failures = int(np.count_nonzero(np.abs(purities - 1.0) > 1e-10)) + coincidences
     return purities, min_distance, coincidences, failures
@@ -175,7 +192,7 @@ def test_extreme_point_probe_counts_coincident_pairs(monkeypatch):
         us[[5, 8, 9]] = np.diag([1j, 1.0, -1.0, -1j])
         return us
 
-    monkeypatch.setattr(geometry, "haar_unitaries", with_repeats)
+    monkeypatch.setattr(choi, "haar_unitaries", with_repeats)
     report = extreme_point_probe(4, EPS, 40, seed=11)
     purities, min_distance, coincidences, failures = _census_reference(
         with_repeats(4, 40, np.random.default_rng(11)))
@@ -210,7 +227,7 @@ def test_extreme_point_probe_matches_full_distance_matrix_across_row_blocks(
             us[[r - 1, r, r + 8, 2 * r]] = scale * perm
         return us
 
-    monkeypatch.setattr(geometry, "haar_unitaries", draw)
+    monkeypatch.setattr(choi, "haar_unitaries", draw)
     report = extreme_point_probe(dim, EPS, n, seed)
     purities, min_distance, coincidences, failures = _census_reference(
         draw(dim, n, np.random.default_rng(seed)))

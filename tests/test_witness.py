@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from nmwitness.channels import SuperOperator, builtin_dephasing, builtin_pauli, haar_unitaries
 from nmwitness.choi import (ChoiMatrix, choi_of_channel, choi_of_generator, classify,
-                            dissipator_chois, max_entangled_state)
+                            dissipator_chois, max_entangled_state, scan)
 from nmwitness.linalg import (DEGENERACY_GAP, PAULIS, SIGMA_Z, dagger, hermiticity_defect,
                               hs_inner, hs_norm)
-from nmwitness.rates import ConstantRate
+from nmwitness.rates import ConstantRate, TableRate
 from nmwitness.witness import (
     MarkovianFamily,
     WitnessOperator,
@@ -884,6 +884,22 @@ def test_uniqueness_fails_off_projection():
     assert report.max_lhs > 1e-8
 
 
+@pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-6])
+def test_sampled_checks_fail_a_wrong_projection_at_every_eps(eps):
+    # C_M* = phi (all rates 0) is not the projection of the Pauli (1, 1, -0.3)
+    # target. Every sampled value scales as eps^2, so both checks must see it
+    # at any eps, and must still pass the true projections.
+    cn = choi_of_generator(builtin_pauli(1.0, 1.0, -0.3), 0.0, eps)
+    fam = pauli_family(eps)
+    wrong = ChoiMatrix(2, max_entangled_state(2), 0.0, eps, np.zeros((4, 4)))
+    assert verify_witness(theorem3_witness(cn, wrong), 2, eps, 2000, seed=1).violations > 0
+    assert not uniqueness_check(cn, wrong, 2, eps, 2000, seed=1, family=fam).holds
+    full = theorem3_witness(cn, nearest_mcs_full_gksl(cn).choi_star)
+    assert verify_witness(full, 2, eps, 2000, seed=1).violations == 0
+    fixed = nearest_mcs_fixed_basis(cn, fam).choi_star
+    assert uniqueness_check(cn, fixed, 2, eps, 2000, seed=1, family=fam).holds
+
+
 def test_uniqueness_rejects_family_of_another_dim():
     cn = choi_of_generator(_random_nm_generator(3, 3, (1.0, 0.5, -0.4)), 0.0, EPS)
     with pytest.raises(ShapeError, match=r"uniqueness_check: family dim 2 != dim 3"):
@@ -953,7 +969,8 @@ def test_uniqueness_check_matches_stack_contraction(dim, eps):
                               family=fixed_basis_family(ops, eps))
     lhs, scale = stack_uniqueness_lhs(cn.matrix, cm_star.matrix, dim, eps, n, seed, ops)
     assert abs(result.max_lhs - lhs.max()) <= 1e-13 * scale.max()
-    assert result.holds == bool(lhs.max() <= 1e-8)
+    w = theorem3_witness(cn, cm_star)
+    assert result.holds == bool(lhs.max() <= 1e-8 * eps * hs_norm(w.matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -1063,3 +1080,79 @@ def test_time_scale(seed, log_s):
     (ops, rates, ham, eps), _ = _relation_target(seed)
     s = 10.0 ** log_s
     _assert_same(_observed(ops, rates, ham, eps), _observed(ops, rates / s, ham / s, s * eps))
+
+
+# scan under (a)-(c), on a grid where the rates change with t. A scan reports
+# no states, but sum |lambda| = 1 + deficit bounds each state's ||C||, so the
+# minimum eigenvalues and the deficits are held to _assert_same's state bound
+# at each point, 64 u (1 + deficit).
+
+_KNOTS = (0.0, 0.3, 0.6, 1.0)
+
+
+def _scan_target(seed):
+    """_relation_target with at least two jumps, each rate a table on
+    _KNOTS: the first jump's is constant, so that the jump-shift gauge can
+    move it (H cannot follow a rate that changes), the others vary on [-1, 1]
+    about their rates."""
+    (ops, rates, ham, eps), rng = _relation_target(seed)
+    if len(ops) == 1:
+        extra = rng.standard_normal(ops.shape) + 1j * rng.standard_normal(ops.shape)
+        ops = np.concatenate((ops, extra))
+        rates = np.append(rates, rng.uniform(-1.0, 1.0))
+    tables = rates[:, None] + rng.uniform(-1.0, 1.0, (len(rates), len(_KNOTS)))
+    tables[0] = rates[0]
+    return (ops, tables, ham, eps), rng
+
+
+def _scanned(ops, tables, ham, eps):
+    """scan's minimum eigenvalues and deficits on 40 cells of [0, 1]."""
+    gen = LindbladGenerator(dim=len(ham), ops=tuple(ops), hamiltonian=ham,
+                            rates=tuple(TableRate(_KNOTS, tuple(v)) for v in tables))
+    report = scan(gen, 0.0, 1.0, 40, eps)
+    return report.min_eigenvalues, report.deficits
+
+
+def _assert_same_scan(before, after):
+    (mins, deficits), (mins2, deficits2) = before, after
+    bound = 64 * np.finfo(float).eps * (1.0 + np.maximum(deficits, deficits2))
+    for name, x, y in (("lambda", mins, mins2), ("deficit", deficits, deficits2)):
+        k = np.argmax(np.abs(x - y) - bound)
+        assert abs(x[k] - y[k]) <= bound[k], (name, k, x[k], y[k])
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=_SEEDS)
+def test_scan_unitary_covariance(seed):
+    (ops, tables, ham, eps), rng = _scan_target(seed)
+    v = haar_unitaries(len(ham), 1, rng)[0]
+    _assert_same_scan(_scanned(ops, tables, ham, eps),
+                      _scanned(v @ ops @ dagger(v), tables, v @ ham @ dagger(v), eps))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=_SEEDS)
+def test_scan_jump_shift_gauge(seed):
+    # Only the first jump, whose rate g is constant, is shifted.
+    (ops, tables, ham, eps), rng = _scan_target(seed)
+    c, g = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)), tables[0, 0]
+    shifted = ops.copy()
+    shifted[0] += c * np.eye(len(ham))
+    shift = g * (np.conj(c) * ops[0] - c * dagger(ops[0]))
+    _assert_same_scan(_scanned(ops, tables, ham, eps),
+                      _scanned(shifted, tables, ham + shift / 2j, eps))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=_SEEDS, log_z=st.floats(-4.0, 4.0), phase=st.floats(0.0, 1.0))
+@example(seed=0, log_z=4.0, phase=0.0)
+@example(seed=0, log_z=-4.0, phase=0.0)
+def test_scan_jump_rescaling_and_splitting(seed, log_z, phase):
+    # The second jump, whose rate changes with t, is the one split.
+    (ops, tables, ham, eps), _ = _scan_target(seed)
+    before = _scanned(ops, tables, ham, eps)
+    z = 10.0 ** log_z * np.exp(2j * np.pi * phase)
+    _assert_same_scan(before, _scanned(z * ops, tables / abs(z) ** 2, ham, eps))
+    split = np.concatenate((ops[:2], ops[1:]))
+    halves = np.concatenate((tables[:1], tables[1:2] / 2, tables[1:2] / 2, tables[2:]))
+    _assert_same_scan(before, _scanned(split, halves, ham, eps))
