@@ -2,13 +2,13 @@
 """Numerical probes of the convex geometry of divisible small-time Chois.
 
 Four probes, each a sampled surrogate for a structural statement:
-  * convexity   - mixtures of sampled unitary-jump first-order Chois stay
-                  PSD (each is (1 - eps sum g) phi + eps sum_a g_a |u_a><u_a|,
-                  PSD for eps sum g <= 1; divisible generators in general are
-                  not PSD at first order, e.g. strong amplitude damping);
-  * hsnorm      - every small-time Choi phi + eps C_L has HS norm within
-                  eps ||C_L|| of 1 (the boundedness half of compactness;
-                  closedness is not numerically probeable);
+  * convexity   - mixtures of sampled divisible unitary-jump generators
+                  stay in the full divisible family F: the w_perp block of
+                  each mixed direction stays PSD, judged in generator units
+                  at any eps;
+  * hsnorm      - the first-order Choi phi + eps C_L of each such generator
+                  has HS norm within eps ||C_L|| of 1 (the boundedness half
+                  of compactness; closedness is not numerically probeable);
   * extreme     - Haar-random unitary channels give arbitrarily many
                   distinct purity-one extreme points, so the set of all
                   channels is not a polytope (a polytope has finitely many);
@@ -29,9 +29,9 @@ from nmwitness.geometry import (
 
 print("--- convexity: 10000 random mixtures at eps = 1e-4 ---")
 r = convexity_probe(dim=2, eps=1e-4, n_trials=10_000, seed=11)
-print(f"failures {r.failures}, most negative mixture eigenvalue {r.worst_value:+.2e}")
+print(f"failures {r.failures}, most negative w_perp block eigenvalue {r.worst_value:+.2e}")
 
-print("\n--- HS-norm concentration: 5000 divisible and non-divisible Chois ---")
+print("\n--- HS-norm concentration: 5000 divisible Chois ---")
 r = hs_norm_probe(dim=2, eps=1e-3, n_trials=5000, seed=12)
 print(f"failures {r.failures}, worst | ||C||_2 - 1 | = {r.worst_value:.2e} "
       f"(per-trial bound up to {r.summary['max_bound']:.2e})")

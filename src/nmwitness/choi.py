@@ -83,6 +83,13 @@ def perp_isometry(dim: int) -> np.ndarray:
     return u
 
 
+def perp_block(x: np.ndarray) -> np.ndarray:
+    """U^dag x U, U = `perp_isometry`: the w_perp block of a d^2 x d^2 x or of
+    each of a stack; a trace-preserving x is a divisible direction iff it is PSD."""
+    u = perp_isometry(math.isqrt(x.shape[-1]))
+    return u.conj().T @ x @ u
+
+
 def partial_trace_2(x: np.ndarray) -> np.ndarray:
     """Tr_2 x, the trace over the second factor of a d^2 x d^2 matrix."""
     d = math.isqrt(x.shape[-1])

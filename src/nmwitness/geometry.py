@@ -1,18 +1,15 @@
 """Numerical probes of the convex geometry of divisible small-time Choi states.
 
-The convexity probe asserts that mixtures of its samples stay positive
-semidefinite. Its samples are the unitary-jump first-order Chois of
-`witness._draw_generators`, phi + eps*sum_a g_a (|u_a><u_a| - phi) =
-(1 - eps*sum g) phi + eps*sum_a g_a |u_a><u_a|, PSD whenever
-eps*sum g <= 1, so their mixtures are too. This does not hold for divisible
-generators in general: at first order, amplitude damping at rate 30 and
-eps = 1e-3 has minimum eigenvalue -5.7e-5. Compactness is probed only
-through the boundedness surrogate |  ||C||_2 - 1 | <= eps ||C_L||_2
-(closedness is not numerically testable and is not claimed by any probe).
-The census of distinct purity-one Choi states of Haar-random unitary
-channels shows that the set of all channels is not a polytope. Those states lie in the divisible
-family only because every CPTP Choi state does, and the census never reads
-eps, so it does not show this for the divisible (Markovian) set.
+At first order the divisible states form F = phi + eps*(K ∩ TP), K the cone
+of generator directions whose w_perp block (`choi.perp_block`) is PSD. The
+convexity probe checks, by that block in generator units (so at any eps), that
+mixtures of sampled divisible unitary-jump generators stay in K; the HS-norm
+probe checks the boundedness surrogate |  ||C||_2 - 1 | <= eps ||C_L||_2 on
+their first-order states (closedness is not numerically testable and is not
+claimed by any probe). The census of distinct purity-one Choi states of
+Haar-random unitary channels shows that the set of all channels is not a
+polytope; they lie in F only because every CPTP Choi state does, and eps is
+not read. The separation demo projects onto F and samples its members.
 Trials and census rows are walked in the blocks of `channels._blocks`, which
 one budget, `channels._BLOCK_BYTES`, sizes.
 """
@@ -23,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choi import ChoiMatrix, first_order_state, haar_kets, require_non_markovian
+from .choi import ChoiMatrix, first_order_state, haar_kets, perp_block, require_non_markovian
 from .channels import _blocks
 from .witness import (
     _draw_generators,
@@ -61,13 +58,14 @@ class ProbeReport:
 
 
 def convexity_probe(dim: int, eps: float, n_trials: int, seed: int) -> ProbeReport:
-    """Mixtures of two sampled unitary-jump first-order Chois stay PSD.
+    """Mixtures of two sampled divisible generators stay in F.
 
-    Per trial two divisible Chois and a uniform weight p are drawn; the trial
-    fails when the mixture's smallest eigenvalue drops below -1e-12. Trial k
-    mixes generator k with generator n_trials + k of one `_draw_generators`
-    draw of 2 n_trials generators without Hamiltonians; the states are
-    formed, mixed and eigensolved one block of trials at a time.
+    Trial k mixes directions k and n + k of a `_draw_generators` draw of 2n
+    generators without Hamiltonians, n = n_trials: M = p X_k + (1 - p) X_{n+k},
+    p uniform. M is trace preserving, so phi + eps*M is in F iff perp_block(M)
+    is PSD; a trial fails when lambda_min(perp_block(M)) < -(d^4 + 2) u ||M||_F,
+    u the machine epsilon, the other sampled checks' rounding slack, at any
+    eps. details holds eps * lambda_min, the mixed state's block eigenvalue.
     """
     if eps <= 0:
         raise ValueError(f"convexity_probe: eps must be > 0, got {eps}")
@@ -75,44 +73,46 @@ def convexity_probe(dim: int, eps: float, n_trials: int, seed: int) -> ProbeRepo
         raise ValueError(f"convexity_probe: n_trials must be >= 1, got {n_trials}")
     gens = _draw_generators(dim, 2 * n_trials, np.random.default_rng(seed))
     p = np.random.default_rng((seed, 1)).uniform(size=n_trials)
-    min_eigs = np.empty(n_trials)
+    min_eigs, norms = np.empty(n_trials), np.empty(n_trials)
     for a, b in _sample_blocks(n_trials, dim):
-        mixed = gens.view(a, b).states(eps)
-        second = gens.view(n_trials + a, n_trials + b).states(eps)
+        mixed = gens.view(a, b).dissipators()
+        second = gens.view(n_trials + a, n_trials + b).dissipators()
         mixed *= p[a:b, None, None]
         second *= (1.0 - p[a:b])[:, None, None]
         mixed += second
-        min_eigs[a:b] = np.linalg.eigvalsh(mixed)[:, 0]
+        min_eigs[a:b] = np.linalg.eigvalsh(perp_block(mixed))[:, 0]
+        norms[a:b] = np.linalg.norm(mixed, axis=(1, 2))
         del mixed, second  # not alive while the next block is formed
-    failures = int(np.count_nonzero(min_eigs < -1e-12))
+    slack = (dim ** 4 + 2) * np.finfo(float).eps * norms
+    values = eps * min_eigs
     return ProbeReport(
         probe_name="convexity",
         n_trials=n_trials,
-        failures=failures,
-        worst_value=float(min_eigs.min()),
-        details=min_eigs,
+        failures=int(np.count_nonzero(min_eigs < -slack)),
+        worst_value=float(values.min()),
+        details=values,
     )
 
 
 def hs_norm_probe(dim: int, eps: float, n_trials: int, seed: int) -> ProbeReport:
     """HS norms of small-time Chois concentrate at 1.
 
-    Samples divisible and (by sign-flipping rates) non-divisible first-order
-    Chois C = phi + eps*C_L; a trial fails when | ||C||_2 - 1 | exceeds
-    eps ||C_L||_2, the reverse triangle inequality with ||phi||_2 = 1, which
-    every phi + eps*C_L meets and a state such as phi + 1.5 eps*C_L can
-    break. The computed ||C||_2 is itself rounded (at d = 2 it can read 1 -
-    2.2e-16 for a tiny eps), so a failure also exceeds the rounding slack
-    (d^4 + 2) u ||C||_2, u the machine epsilon: rounding in forming the d^4
-    entries of phi + eps*C_L, summing their squares and subtracting 1. The
-    reported bounds leave the slack out. The generators' Chois and the states
-    are formed one block of trials at a time.
+    Samples the first-order Chois C = phi + eps*C_L of divisible generators;
+    a trial fails when | ||C||_2 - 1 | exceeds eps ||C_L||_2, the reverse
+    triangle inequality with ||phi||_2 = 1, which every phi + eps*C_L meets
+    and a state such as phi + 1.5 eps*C_L can break. The computed ||C||_2 is
+    itself rounded (at d = 2 it can read 1 - 2.2e-16 for a tiny eps), so a
+    failure also exceeds the rounding slack (d^4 + 2) u ||C||_2, u the machine
+    epsilon: rounding in forming the d^4 entries of phi + eps*C_L, summing
+    their squares and subtracting 1. The reported bounds leave the slack out.
+    The generators' Chois and the states are formed one block of trials at a
+    time.
     """
     if eps <= 0:
         raise ValueError(f"hs_norm_probe: eps must be > 0, got {eps}")
     if n_trials < 1:
         raise ValueError(f"hs_norm_probe: n_trials must be >= 1, got {n_trials}")
-    gens = _draw_generators(dim, n_trials, np.random.default_rng(seed), signed=True)
+    gens = _draw_generators(dim, n_trials, np.random.default_rng(seed))
     norms, gen_norms = np.empty(n_trials), np.empty(n_trials)
     for a, b in _sample_blocks(n_trials, dim):
         gen_chois = gens.view(a, b).dissipators()

@@ -293,22 +293,8 @@ def _eval_grid(node: Node, ts: np.ndarray) -> np.ndarray:
 # Rate function wrappers
 # ---------------------------------------------------------------------------
 
-class Rate:
-    """A scalar rate of time; call with t to evaluate, or use on_grid."""
-
-    def __call__(self, t: float) -> float:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def on_grid(self, ts: np.ndarray) -> np.ndarray:  # pragma: no cover - interface
-        """The rate at every t of a 1-d float array, as rate(t) gives it.
-
-        Raises RateEvalError if the rate fails at some t of ts.
-        """
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class ConstantRate(Rate):
+class ConstantRate:
     value: float
 
     def __call__(self, t: float) -> float:
@@ -319,7 +305,7 @@ class ConstantRate(Rate):
 
 
 @dataclass(frozen=True)
-class ExpressionRate(Rate):
+class ExpressionRate:
     """A parsed expression (`parse` builds one); RateEvalError where it fails
     or is not finite."""
 
@@ -339,7 +325,7 @@ class ExpressionRate(Rate):
 
 
 @dataclass(frozen=True)
-class TableRate(Rate):
+class TableRate:
     """Sorted (t, value) samples with linear interpolation in between."""
 
     times: tuple[float, ...]
@@ -366,6 +352,7 @@ class TableRate(Rate):
         return np.interp(ts, self.times, self.values)
 
 
+Rate = ConstantRate | ExpressionRate | TableRate
 RateLike = Rate | float | int | str
 
 

@@ -46,7 +46,7 @@ from . import linalg
 from .channels import _blocks
 from .choi import (ChoiMatrix, add_phi, choi_kets, default_classification_tol,
                    dissipator_chois, first_order_state, haar_kets, hamiltonian_choi, lift,
-                   max_entangled_state, partial_trace_2, perp_isometry)
+                   max_entangled_state, partial_trace_2, perp_block, perp_isometry)
 from .linalg import (DEGENERACY_GAP, ShapeError, as_matrix, dagger, hermitian_part,
                      hs_inner, hs_norm)
 
@@ -374,7 +374,7 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix) -> NearestMCSResult:
     def cone_point(lam: np.ndarray):
         """X(lam) with Tr_2 X, the w_perp block's eigenvalues and U @ eigenvectors."""
         z = y + lift(lam)
-        w, v = np.linalg.eigh(dagger(u) @ z @ u)
+        w, v = np.linalg.eigh(perp_block(z))
         uv = u @ v
         x = z - (uv * np.minimum(w, 0.0)) @ dagger(uv)
         return x, partial_trace_2(x), w, uv
@@ -422,7 +422,7 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix) -> NearestMCSResult:
         residual = hs_norm(x_tr2)
 
     q = y + lift(lam) - x
-    block = dagger(u) @ q @ u
+    block = perp_block(q)
     polar = max(hs_norm(q - u @ block @ dagger(u)), np.linalg.eigvalsh(block)[-1])
     kkt_ok = _kkt_ok(q, x, polar, scale, primal=d * residual)
 
@@ -437,7 +437,7 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix) -> NearestMCSResult:
         residual=e * hs_norm(y - x),
         kkt_ok=kkt_ok,
         iterations=iterations,
-        kossakowski=d * (dagger(u) @ x @ u),
+        kossakowski=d * perp_block(x),
         dual=lam,
     )
 
@@ -532,14 +532,6 @@ class _SampledGenerators:
         add_phi(x, -rate_sums)
         return x
 
-    def states(self, eps: float) -> np.ndarray:
-        """The (n, d^2, d^2) stack phi + eps*(X + mask C_H): `first_order_state`
-        of X, then eps*C_H added to the masked samples."""
-        chois = first_order_state(self.dissipators(), eps)
-        if self.ham is not None:
-            chois[self.mask] += eps * hamiltonian_choi(self.ham[self.mask])
-        return chois
-
     def expectations(self, w: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
         """Tr(W C_k) per sample and its rounding slack, from the draws alone.
 
@@ -574,22 +566,20 @@ class _SampledGenerators:
         return w_phi + eps * generator, slack
 
 
-def _draw_generators(dim: int, n: int, rng: np.random.Generator, signed: bool = False,
+def _draw_generators(dim: int, n: int, rng: np.random.Generator,
                      hamiltonian: bool = False) -> _SampledGenerators:
     """Draw n random divisible generators from rng.
 
     Draws, in this order: jump counts (1..dim^2), the Choi kets |u_a> of
-    Haar unitaries U_a (`choi.haar_kets`), rates g_a uniform on [0, 1], when
-    signed a random sign per rate, and when hamiltonian a mask marking about
-    half the samples and a random traceless Hamiltonian per sample. The
-    whole stream is drawn here, so a consumer's blocks leave its order alone.
+    Haar unitaries U_a (`choi.haar_kets`), rates g_a uniform on [0, 1], and
+    when hamiltonian a mask marking about half the samples and a random
+    traceless Hamiltonian per sample. The whole stream is drawn here, so a
+    consumer's blocks leave its order alone.
     """
     d = dim
     counts = rng.integers(1, d * d + 1, size=n)
     kets = haar_kets(d, int(counts.sum()), rng)
     rates = rng.uniform(0.0, 1.0, size=kets.shape[0])
-    if signed:
-        rates *= np.where(rng.random(rates.size) < 0.5, 1.0, -1.0)
     if not hamiltonian:
         return _SampledGenerators(d, counts, kets, rates)
     mask = rng.random(n) < 0.5
@@ -607,12 +597,14 @@ def _draw_generators(dim: int, n: int, rng: np.random.Generator, signed: bool = 
 def sample_markovian_chois(dim: int, eps: float, n_samples: int, seed: int) -> np.ndarray:
     """The (n_samples, dim^2, dim^2) first-order Choi states phi + eps*(C_H + X)
     of random divisible generators, drawn by `_draw_generators` from one
-    seeded stream with a Hamiltonian on about half the samples, whole; the
-    probes form their states one block at a time instead."""
+    seeded stream with a Hamiltonian on about half the samples, whole:
+    `first_order_state` of X, then eps*C_H added to the masked samples."""
     if n_samples < 1:
         raise ValueError(f"sample_markovian_chois: n_samples must be >= 1, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    return _draw_generators(dim, n_samples, rng, hamiltonian=True).states(eps)
+    gens = _draw_generators(dim, n_samples, np.random.default_rng(seed), hamiltonian=True)
+    chois = first_order_state(gens.dissipators(), eps)
+    chois[gens.mask] += eps * hamiltonian_choi(gens.ham[gens.mask])
+    return chois
 
 
 def verify_witness(w: WitnessOperator, dim: int, eps: float, n_samples: int,

@@ -19,6 +19,7 @@ printer `pretty`, the inverse of `rates.parse`, is test-only too: the tests
 write expression trees as source text with it, and the library prints none.
 """
 
+import dataclasses
 import math
 import re
 
@@ -249,6 +250,17 @@ def per_jump_generators(dim: int, n: int, rng: np.random.Generator,
     offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
     dirs = rates[:, None, None] * (pure - max_entangled_state(dim))
     return np.add.reduceat(dirs, offsets, axis=0)
+
+
+def sign_rates(gens, rng: np.random.Generator):
+    """The sampled generators gens with a random sign per rate, drawn from rng
+    as the references' signed option draws them. The sampler draws only
+    divisible generators; signed rates serve the tests of the arithmetic that
+    must hold for any rates, as a planted non-member's do. A draw without
+    Hamiltonians ends with its rates, so signs drawn from its stream land
+    where the references draw theirs."""
+    signs = np.where(rng.random(gens.rates.size) < 0.5, 1.0, -1.0)
+    return dataclasses.replace(gens, rates=gens.rates * signs)
 
 
 def qr_haar_unitaries(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -30,6 +30,7 @@ from nmwitness.choi import (
     lift,
     max_entangled_state,
     partial_trace_2,
+    perp_block,
     perp_isometry,
     require_non_markovian,
     scan,
@@ -208,6 +209,26 @@ def test_perp_isometry_spans_w_perp(d):
     assert not u.flags.writeable
     with pytest.raises(ValueError):
         u[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_perp_block_is_the_w_perp_block(d):
+    rng = np.random.default_rng(30 + d)
+    n = d * d
+    x = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
+    u, w_perp = perp_isometry(d), np.eye(n) - max_entangled_state(d)
+    blocks = perp_block(x)
+    assert blocks.shape == (5, n - 1, n - 1)
+    for k in range(5):
+        # A stack's blocks are its matrices' blocks, bit for bit.
+        assert np.array_equal(blocks[k], perp_block(x[k]))
+        assert np.abs(u @ blocks[k] @ u.conj().T - w_perp @ x[k] @ w_perp).max() < 1e-13
+    # The Hamiltonian part of a generator leaves the block alone, and a jump
+    # at a positive rate adds a PSD term to it.
+    h = x[0, :d, :d] + x[0, :d, :d].conj().T
+    assert np.abs(perp_block(hamiltonian_choi(h))).max() < 1e-14
+    y = dissipator_chois(x[1:3, :d, :d])
+    assert np.linalg.eigvalsh(perp_block(y))[:, 0].min() > -1e-14
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

@@ -196,6 +196,24 @@ def test_a_jump_whose_ldag_l_overflows_is_named_not_eps(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, mutate", [
+    (["analyze", "--t1", "1", "--steps", "2"],
+     lambda d: d["ops"][0].update(rate={"table": [[0, None], [1, 2]]})),
+    (["analyze", "--t1", "1", "--steps", "2"],
+     lambda d: d["ops"][0].update(matrix=[[[int("9" * 400), 0], [0, 0]], SZ[1]])),
+    (["witness"], lambda d: d["ops"][0].update(matrix=[[[True, False], [0, 0]], SZ[1]])),
+    (["analyze", "--t1", "1", "--steps", "2"],
+     lambda d: d.update(hamiltonian=[[[0, 0], [9e307, 0]], [[-9e307, 0], [0, 0]]])),
+], ids=["table-null", "matrix-400-digits", "matrix-bool", "hamiltonian-defect-overflows"])
+def test_a_malformed_spec_is_one_line_of_error_from_main(tmp_path, capsys, command, mutate):
+    doc = dephasing_spec(-1.0)
+    mutate(doc)
+    path = write_spec(tmp_path / "bad.json", doc)
+    assert main([*command, "--spec", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"nmwitness: error: {path}: ") and err.count("\n") == 1
+
+
 def test_load_channel_spec_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"dim": 2,,}')
@@ -574,6 +592,14 @@ def test_geometry_probes_exit_codes(tmp_path):
         cmd_geometry("bogus", 2, 1e-3, 10, 1)
 
 
+def test_convexity_probe_judges_membership_not_positivity(tmp_path):
+    # At eps = 0.3, 477 of these 2 000 mixed first-order states have a
+    # negative eigenvalue, yet every one lies in F: its w_perp block is PSD.
+    out = tmp_path / "c3.json"
+    assert run_main("geometry", out, probe="convexity", dim=3, eps=0.3, n=2000, seed=1) == 0
+    assert json.loads(out.read_text())["failures"] == 0
+
+
 # ---------------------------------------------------------------------------
 # report formats and determinism
 # ---------------------------------------------------------------------------
@@ -605,6 +631,20 @@ def test_json_determinism_modulo_timestamp(tmp_path):
     for out in (out1, out2):
         run_main("analyze", out, spec=spec, t0=0.0, t1=3.2, steps=64, eps=1e-3)
     assert strip_timestamp(out1.read_text()) == strip_timestamp(out2.read_text())
+
+
+def test_seeded_probe_and_verify_reports_repeat_their_bytes(tmp_path):
+    spec = write_spec(tmp_path / "s.json", pauli_spec(1.0, 1.0, -0.3))
+    witness = tmp_path / "w.json"
+    assert run_main("witness", witness, spec=spec, mode="theorem3-gksl") == 0
+    for argv in (["geometry", "--probe", "convexity", "--dim", "3", "--n", "2000"],
+                 ["verify", "--witness", str(witness), "--n", "2000"]):
+        texts = []
+        for k in range(2):
+            out = tmp_path / f"r{k}.json"
+            assert main([*argv, "--seed", "1", "--out", str(out)]) == 0
+            texts.append(strip_timestamp(out.read_text()))
+        assert texts[0] == texts[1], argv[0]
 
 
 def test_csv_and_json_numeric_identity(tmp_path):

@@ -5,7 +5,8 @@ the unitaries of `haar_unitaries`, landed in the ket layout, in place; it
 forms its Hamiltonians in place; the contraction takes its row maxima column by
 column, and the Gram product places each jump by integer row index. Each
 must give the bits of the out-of-place code it replaced, and leave the
-random stream where that code left it.
+random stream where that code left it. Where `signed` is set, the drawn
+rates are signed afterwards from the same stream (`oracles.sign_rates`).
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from nmwitness import channels
 from nmwitness.choi import add_phi, choi_kets
 from nmwitness.witness import _draw_generators
 
-from oracles import reference_draw_generators
+from oracles import reference_draw_generators, sign_rates
 from test_sample_blocks import _traced_peak_mb
 
 EPS = 1e-3
@@ -34,7 +35,9 @@ def _hermitian(dim, rng):
 def test_draws_match_the_out_of_place_draws(dim, n, signed, hamiltonian):
     seed = (dim, n, signed, hamiltonian)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    gens = _draw_generators(dim, n, rng, signed=signed, hamiltonian=hamiltonian)
+    gens = _draw_generators(dim, n, rng, hamiltonian=hamiltonian)
+    if signed:
+        gens = sign_rates(gens, rng)
     ref = reference_draw_generators(dim, n, ref_rng, signed=signed, hamiltonian=hamiltonian)
     assert gens.kets.flags.c_contiguous
     got = {"counts": gens.counts, "kets": gens.kets, "rates": gens.rates}
@@ -68,7 +71,10 @@ def test_expectation_slack_matches_row_reductions(dim, n):
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("signed", [False, True])
 def test_dissipators_match_the_mask_placement(dim, n, signed):
-    gens = _draw_generators(dim, n, np.random.default_rng((dim, n, signed)), signed=signed)
+    rng = np.random.default_rng((dim, n, signed))
+    gens = _draw_generators(dim, n, rng)
+    if signed:
+        gens = sign_rates(gens, rng)
     d2 = dim * dim
     slots = np.arange(d2) < gens.counts[:, None]
     scaled = np.zeros((n, d2, d2), dtype=complex)

@@ -13,7 +13,7 @@ from nmwitness.geometry import (
     separation_demo,
 )
 
-from oracles import gram_sample_chois, pairwise_distance_census
+from oracles import gram_generators, pairwise_distance_census
 
 EPS = 1e-3
 
@@ -35,11 +35,43 @@ def test_convexity_probe_reproducible():
 
 @pytest.mark.parametrize("dim, n", [(2, 400), (3, 150)])
 def test_convexity_probe_mixes_in_place_as_out_of_place(dim, n):
-    chois = gram_sample_chois(dim, EPS, 2 * n, 5, include_hamiltonian=False)
+    x = gram_generators(dim, 2 * n, np.random.default_rng(5))
     p = np.random.default_rng((5, 1)).uniform(size=n)
-    mixed = p[:, None, None] * chois[:n] + (1.0 - p)[:, None, None] * chois[n:]
+    mixed = p[:, None, None] * x[:n] + (1.0 - p)[:, None, None] * x[n:]
     assert np.array_equal(convexity_probe(dim, EPS, n, seed=5).details,
-                          np.linalg.eigvalsh(mixed)[:, 0])
+                          EPS * np.linalg.eigvalsh(choi.perp_block(mixed))[:, 0])
+
+
+def _negate_first_rates(monkeypatch):
+    """Plant non-members: every sampled generator's first rate negated."""
+    draw = geometry._draw_generators
+
+    def planted(*args, **kwargs):
+        gens = draw(*args, **kwargs)
+        gens.rates[gens.edges[:-1]] *= -1.0
+        return gens
+
+    monkeypatch.setattr(geometry, "_draw_generators", planted)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 2000), (3, 600)])
+def test_convexity_probe_fails_planted_non_members_at_every_eps(monkeypatch, dim, n):
+    # A negative rate leaves the divisible cone; the judgement is in
+    # generator units, so it does not fade as eps shrinks.
+    _negate_first_rates(monkeypatch)
+    for eps in (1e-3, 1e-9, 1e-13):
+        report = convexity_probe(dim, eps, n, seed=1)
+        assert report.failures >= 0.9 * n, eps
+        assert report.worst_value < 0.0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("eps", [5e-324, 1e-3, 0.3, 1e300])
+def test_convexity_probe_members_never_fail(dim, eps):
+    report = convexity_probe(dim, eps, 2000 if dim == 2 else 600, seed=1)
+    assert report.failures == 0
+    # details is eps * lambda_min: rounding-sized next to eps.
+    assert report.worst_value >= -1e-14 * eps
 
 
 def test_convexity_probe_validation():
@@ -93,14 +125,13 @@ def test_hs_norm_probe_scaling():
 
 def test_hs_norm_probe_bound_is_superoperator_norm():
     # Rebuild the probe's generators from its seed, in its draw order: jump
-    # counts, Haar unitaries, rates, rate signs.
+    # counts, Haar unitaries, rates.
     d, n, seed = 3, 60, 21
     report = hs_norm_probe(d, EPS, n, seed)
     rng = np.random.default_rng(seed)
     counts = rng.integers(1, d * d + 1, size=n)
     us = haar_unitaries(d, int(counts.sum()), rng)
     rates = rng.uniform(0.0, 1.0, size=us.shape[0])
-    rates *= np.where(rng.random(rates.size) < 0.5, 1.0, -1.0)
     starts = np.concatenate(([0], np.cumsum(counts)))
     bounds, deviations = [], []
     for a, b in zip(starts[:-1], starts[1:]):

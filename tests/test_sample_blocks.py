@@ -21,6 +21,8 @@ from nmwitness.witness import (
     verify_witness,
 )
 
+from oracles import sign_rates
+
 EPS = 1e-3
 WHOLE_BATCH = 1 << 62
 
@@ -49,9 +51,10 @@ def _assert_same(got, want):
 def test_range_views_match_the_whole_batch(monkeypatch, dim, samples):
     n, seed, eps = 50, 60 + dim, 0.7
     rng = np.random.default_rng(seed)
-    gens = _draw_generators(dim, n, rng, signed=True, hamiltonian=True)
+    gens = sign_rates(_draw_generators(dim, n, rng, hamiltonian=True),
+                      np.random.default_rng((seed, 1)))
     w = _hermitian(dim, np.random.default_rng(dim))
-    states, dissipators = gens.states(eps), gens.dissipators()
+    dissipators = gens.dissipators()
     values, slack = gens.expectations(w, eps)
     monkeypatch.setattr(channels, "_BLOCK_BYTES", samples * 16 * dim ** 4)
     blocks = _sample_blocks(n, dim)
@@ -59,14 +62,13 @@ def test_range_views_match_the_whole_batch(monkeypatch, dim, samples):
     for a, b in blocks:
         view = gens.view(a, b)
         assert view.kets.base is not None and view.rates.base is not None
-        assert np.array_equal(view.states(eps), states[a:b])
         assert np.array_equal(view.dissipators(), dissipators[a:b])
         block_values, block_slack = view.expectations(w, eps)
         assert np.array_equal(block_values, values[a:b])
         assert np.array_equal(block_slack, slack[a:b])
     # Views draw nothing: the stream after the draws is where the draws left it.
     ref_rng = np.random.default_rng(seed)
-    _draw_generators(dim, n, ref_rng, signed=True, hamiltonian=True)
+    _draw_generators(dim, n, ref_rng, hamiltonian=True)
     assert rng.random() == ref_rng.random()
 
 
