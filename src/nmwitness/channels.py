@@ -60,21 +60,7 @@ class LindbladGenerator:
 
     def __post_init__(self):
         d = self.dim
-        if d < 2:
-            raise ValueError(f"LindbladGenerator: dim must be >= 2, got {d}")
-        ops = tuple(as_matrix(op, f"ops[{i}]") for i, op in enumerate(self.ops))
-        if not 1 <= len(ops) <= d * d:
-            raise ValueError(
-                f"LindbladGenerator: need between 1 and dim^2={d*d} jump operators, "
-                f"got {len(ops)}")
-        for i, op in enumerate(ops):
-            if op.shape != (d, d):
-                raise ShapeError(f"ops[{i}]: expected {d}x{d}, got {op.shape}")
-            # Every Y_a is formed before eps scales it, so no eps could help.
-            with np.errstate(over="ignore", invalid="ignore"):
-                finite = np.isfinite(dagger(op) @ op).all()
-            if not finite:
-                raise ValueError(f"ops[{i}]: L^dag L overflows the double range")
+        ops = require_jumps(self.ops, d, "LindbladGenerator", "ops")
         rates = tuple(as_rate(r) for r in self.rates)
         if len(rates) != len(ops):
             raise ValueError(
@@ -112,6 +98,34 @@ class LindbladGenerator:
         return np.stack(columns, axis=1)
 
 
+def require_jumps(ops, dim: int, where: str, name: str) -> tuple[np.ndarray, ...]:
+    """ops as 1 to dim^2 finite dim x dim complex matrices, dim >= 2, whose L^dag L (one
+    stacked product, formed before eps scales it) stays in the double range; an error
+    names the first bad name[i]."""
+    ops = tuple(as_matrix(op, f"{name}[{i}]") for i, op in enumerate(ops))
+    if not ops:
+        raise ValueError(f"{where}: at least one jump operator, got none")
+    if dim < 2:
+        raise ValueError(f"{where}: dim must be >= 2, got {dim}")
+    if len(ops) > dim * dim:
+        raise ValueError(f"{where}: at most dim^2={dim * dim} jump operators, got {len(ops)}")
+    for i, op in enumerate(ops):
+        if op.shape != (dim, dim):
+            raise ShapeError(f"{name}[{i}]: expected {dim}x{dim}, got {op.shape}")
+    ls = np.stack(ops)
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(dagger(ls) @ ls).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"{name}[{np.argmin(finite)}]: L^dag L overflows the double range")
+    return ops
+
+
+def require_eps(eps: float, where: str) -> None:
+    """Refuse a first-order step eps that is not finite and positive."""
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"{where}: eps must be finite and > 0, got {eps}")
+
+
 def gksl_superoperator(gen: LindbladGenerator, t: float) -> SuperOperator:
     """S(t) of the module docstring by np.kron (test reference for the Choi layer)."""
     d = gen.dim
@@ -120,8 +134,8 @@ def gksl_superoperator(gen: LindbladGenerator, t: float) -> SuperOperator:
     if gen.hamiltonian is not None:
         h = gen.hamiltonian
         s += -1.0j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for g, op in zip(gen.rate_grid([t])[0], gen.ops):
-        ldl = dagger(op) @ op
+    ls = np.stack(gen.ops)
+    for g, op, ldl in zip(gen.rate_grid([t])[0], ls, dagger(ls) @ ls):
         s += g * (np.kron(op.conj(), op) - 0.5 * np.kron(eye, ldl)
                   - 0.5 * np.kron(ldl.T, eye))
     return SuperOperator(dim=d, matrix=s)
@@ -129,8 +143,7 @@ def gksl_superoperator(gen: LindbladGenerator, t: float) -> SuperOperator:
 
 def first_order_channel(gen: LindbladGenerator, t: float, eps: float) -> SuperOperator:
     """I + eps * S(t): the first-order small-time channel (test reference)."""
-    if eps <= 0:
-        raise ValueError(f"first_order_channel: eps must be > 0, got {eps}")
+    require_eps(eps, "first_order_channel")
     s = gksl_superoperator(gen, t)
     d2 = gen.dim * gen.dim
     return SuperOperator(dim=gen.dim, matrix=np.eye(d2, dtype=complex) + eps * s.matrix)
@@ -138,8 +151,7 @@ def first_order_channel(gen: LindbladGenerator, t: float, eps: float) -> SuperOp
 
 def exact_channel(gen: LindbladGenerator, t: float, eps: float) -> SuperOperator:
     """exp(eps * S), rates frozen at the midpoint t + eps/2 (test reference)."""
-    if eps <= 0:
-        raise ValueError(f"exact_channel: eps must be > 0, got {eps}")
+    require_eps(eps, "exact_channel")
     s = gksl_superoperator(gen, t + 0.5 * eps)
     return SuperOperator(dim=gen.dim, matrix=linalg.matrix_exp(eps * s.matrix))
 

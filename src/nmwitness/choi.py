@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import LindbladGenerator, SuperOperator, haar_unitaries
+from .channels import LindbladGenerator, SuperOperator, haar_unitaries, require_eps
 from .linalg import (DEFAULT_HERM_TOL, ShapeError, as_matrix, dagger, gell_mann_basis,
                      hermitian_part, hermiticity_defect)
 
@@ -58,12 +58,15 @@ def haar_kets(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return kets.reshape(n, dim * dim)
 
 
+@functools.cache
 def max_entangled_state(dim: int) -> np.ndarray:
-    """Projector onto (1/sqrt(d)) sum_i |ii>, as a d^2 x d^2 matrix."""
+    """Projector onto (1/sqrt(d)) sum_i |ii>, as a d^2 x d^2 matrix, cached and read-only."""
     if dim < 2:
         raise ValueError(f"max_entangled_state: dim must be >= 2, got {dim}")
     v = choi_kets(np.eye(dim, dtype=complex))
-    return np.outer(v, v.conj())
+    phi = np.outer(v, v.conj())
+    phi.flags.writeable = False
+    return phi
 
 
 def add_phi(stack: np.ndarray, weights: np.ndarray) -> None:
@@ -197,8 +200,7 @@ def first_order_state(x: np.ndarray, eps: float) -> np.ndarray:
 def _first_order_chois(gen: LindbladGenerator, ts, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """C_L = C_H + g(t) @ Y and the state phi + eps * C_L at each time t in ts,
     two stacks of shape (len(ts), d^2, d^2)."""
-    if not eps > 0:
-        raise ValueError(f"first-order Choi state: eps must be > 0, got {eps}")
+    require_eps(eps, "first-order Choi state")
     c_l = np.tensordot(gen.rate_grid(ts), dissipator_chois(gen.ops), axes=1)
     if gen.hamiltonian is not None:
         c_l += hamiltonian_choi(gen.hamiltonian)
@@ -294,10 +296,12 @@ def scan(gen: LindbladGenerator, t0: float, t1: float, steps: int, eps: float,
     The steps + 1 cell edges t0 + k*dt must be finite and strictly
     increasing; a window too wide or too narrow for that is a ValueError.
     """
+    if not math.isfinite(t0) or not math.isfinite(t1):
+        raise ValueError(f"scan: t0 and t1 must be finite, got [{t0}, {t1}]")
     if t1 <= t0:
         raise ValueError(f"scan: need t1 > t0, got [{t0}, {t1}]")
     if steps < 1:
-        raise ValueError(f"scan: steps must be >= 1, got {steps}")
+        raise ValueError(f"scan: need steps >= 1, got {steps}")
     if tol is None:
         tol = default_classification_tol(eps)
     dt = (t1 - t0) / steps

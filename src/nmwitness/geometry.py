@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choi import ChoiMatrix, first_order_state, haar_kets, perp_block, require_non_markovian
-from .channels import _blocks
+from .channels import _blocks, require_eps
 from .witness import (
     _draw_generators,
     _sample_blocks,
@@ -67,8 +67,7 @@ def convexity_probe(dim: int, eps: float, n_trials: int, seed: int) -> ProbeRepo
     u the machine epsilon, the other sampled checks' rounding slack, at any
     eps. details holds eps * lambda_min, the mixed state's block eigenvalue.
     """
-    if eps <= 0:
-        raise ValueError(f"convexity_probe: eps must be > 0, got {eps}")
+    require_eps(eps, "convexity_probe")
     if n_trials < 1:
         raise ValueError(f"convexity_probe: n_trials must be >= 1, got {n_trials}")
     gens = _draw_generators(dim, 2 * n_trials, np.random.default_rng(seed))
@@ -108,8 +107,7 @@ def hs_norm_probe(dim: int, eps: float, n_trials: int, seed: int) -> ProbeReport
     The generators' Chois and the states are formed one block of trials at a
     time.
     """
-    if eps <= 0:
-        raise ValueError(f"hs_norm_probe: eps must be > 0, got {eps}")
+    require_eps(eps, "hs_norm_probe")
     if n_trials < 1:
         raise ValueError(f"hs_norm_probe: n_trials must be >= 1, got {n_trials}")
     gens = _draw_generators(dim, n_trials, np.random.default_rng(seed))

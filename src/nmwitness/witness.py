@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import _blocks
+from .channels import _blocks, require_eps, require_jumps
 from .choi import (ChoiMatrix, add_phi, choi_kets, default_classification_tol,
                    dissipator_chois, first_order_state, haar_kets, hamiltonian_choi, lift,
                    max_entangled_state, partial_trace_2, perp_block, perp_isometry)
@@ -76,24 +76,15 @@ class MarkovianFamily:
     t: float = 0.0
 
     def __post_init__(self):
-        ops = tuple(as_matrix(op, f"basis_ops[{i}]")
-                    for i, op in enumerate(self.basis_ops))
-        d = self.dim
-        if len(ops) > d * d:
-            raise ValueError(
-                f"MarkovianFamily: at most dim^2={d*d} basis operators, got {len(ops)}")
-        for i, op in enumerate(ops):
-            if op.shape != (d, d):
-                raise ShapeError(f"basis_ops[{i}]: expected {d}x{d}, got {op.shape}")
-        if self.eps <= 0:
-            raise ValueError(f"MarkovianFamily: eps must be > 0, got {self.eps}")
+        ops = require_jumps(self.basis_ops, self.dim, "MarkovianFamily", "basis_ops")
+        require_eps(self.eps, "MarkovianFamily")
         object.__setattr__(self, "basis_ops", ops)
 
 
 def fixed_basis_family(basis_ops, eps: float, t: float = 0.0) -> MarkovianFamily:
     """Family of Choi states reachable with the given frozen jump operators."""
     ops = tuple(basis_ops)
-    return MarkovianFamily(dim=len(ops[0]), basis_ops=ops, eps=eps, t=t)
+    return MarkovianFamily(dim=len(ops[0]) if ops else 0, basis_ops=ops, eps=eps, t=t)
 
 
 def pauli_family(eps: float, t: float = 0.0) -> MarkovianFamily:
@@ -363,8 +354,7 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix) -> NearestMCSResult:
     vec(F_j) of the Gell-Mann basis, PSD up to roundoff.
     """
     d, e = cn.dim, cn.eps
-    if e <= 0:
-        raise ValueError(f"nearest_mcs_full_gksl: eps must be > 0, got {e}")
+    require_eps(e, "nearest_mcs_full_gksl")
 
     n = d * d
     phi = max_entangled_state(d)
@@ -601,6 +591,7 @@ def sample_markovian_chois(dim: int, eps: float, n_samples: int, seed: int) -> n
     `first_order_state` of X, then eps*C_H added to the masked samples."""
     if n_samples < 1:
         raise ValueError(f"sample_markovian_chois: n_samples must be >= 1, got {n_samples}")
+    require_eps(eps, "sample_markovian_chois")
     gens = _draw_generators(dim, n_samples, np.random.default_rng(seed), hamiltonian=True)
     chois = first_order_state(gens.dissipators(), eps)
     chois[gens.mask] += eps * hamiltonian_choi(gens.ham[gens.mask])
@@ -619,6 +610,7 @@ def verify_witness(w: WitnessOperator, dim: int, eps: float, n_samples: int,
     """
     if n_samples < 1:
         raise ValueError(f"verify_witness: n_samples must be >= 1, got {n_samples}")
+    require_eps(eps, "verify_witness")
     if w.matrix.shape != (dim * dim, dim * dim):
         raise ShapeError(f"verify_witness: w is {w.matrix.shape[0]}x{w.matrix.shape[1]}, "
                          f"expected {dim * dim}x{dim * dim} for dim={dim}")
@@ -649,6 +641,7 @@ def uniqueness_check(cn: ChoiMatrix, cm_star: ChoiMatrix, dim: int, eps: float,
     """
     if n_samples < 1:
         raise ValueError(f"uniqueness_check: n_samples must be >= 1, got {n_samples}")
+    require_eps(eps, "uniqueness_check")
     for name, got in (("cn", cn.dim), ("cm_star", cm_star.dim), ("family", family.dim)):
         if got != dim:
             raise ShapeError(f"uniqueness_check: {name} dim {got} != dim {dim}")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,13 @@ from nmwitness.channels import (
     gksl_superoperator,
     haar_unitaries,
 )
-from nmwitness.choi import choi_of_channel, choi_of_generator
+from nmwitness.choi import ChoiMatrix, choi_of_channel, choi_of_generator, max_entangled_state, scan
+from nmwitness.geometry import convexity_probe, hs_norm_probe
 from nmwitness.linalg import SIGMA_X, SIGMA_Z, ShapeError, dagger, hs_norm
 from nmwitness.rates import ConstantRate, RateEvalError, TableRate
+from nmwitness.witness import (MarkovianFamily, WitnessOperator, fixed_basis_family,
+                               nearest_mcs_full_gksl, pauli_family, sample_markovian_chois,
+                               uniqueness_check, verify_witness)
 from oracles import (apply_superop, qr_haar_unitaries, random_markovian,
                      reference_haar_unitaries)
 
@@ -66,7 +72,7 @@ def test_superoperator_and_exact_channel_input_checks():
     with pytest.raises(ShapeError, match=r"^SuperOperator: expected 4x4 matrix for dim=2, "
                                          r"got \(3, 3\)$"):
         SuperOperator(dim=2, matrix=np.eye(3))
-    with pytest.raises(ValueError, match=r"^exact_channel: eps must be > 0, got 0\.0$"):
+    with pytest.raises(ValueError, match=r"^exact_channel: eps must be finite and > 0, got 0\.0$"):
         exact_channel(builtin_dephasing(1.0), 0.0, 0.0)
 
 
@@ -79,6 +85,69 @@ def test_a_jump_whose_ldag_l_overflows_is_refused():
     assert str(info.value) == "ops[1]: L^dag L overflows the double range"
     # 1e154^2 is still a double, so that jump is kept.
     LindbladGenerator(dim=2, ops=(1e154 * SIGMA_X,), rates=(1.0,))
+
+
+def _tagged(eps):
+    return ChoiMatrix(2, max_entangled_state(2), 0.0, eps)
+
+
+# Every first-order entry point -> (the name its refusal carries, a call at eps).
+_EPS_ENTRY_POINTS = {
+    "first_order_channel": ("first_order_channel",
+                            lambda eps: first_order_channel(builtin_dephasing(1.0), 0.0, eps)),
+    "exact_channel": ("exact_channel",
+                      lambda eps: exact_channel(builtin_dephasing(1.0), 0.0, eps)),
+    "choi_of_generator": ("first-order Choi state",
+                          lambda eps: choi_of_generator(builtin_dephasing(1.0), 0.0, eps)),
+    "scan": ("first-order Choi state", lambda eps: scan(builtin_dephasing(1.0), 0.0, 1.0, 4, eps)),
+    "MarkovianFamily": ("MarkovianFamily", lambda eps: MarkovianFamily(2, (SIGMA_Z,), eps)),
+    "fixed_basis_family": ("MarkovianFamily", lambda eps: fixed_basis_family([SIGMA_Z], eps)),
+    "nearest_mcs_full_gksl": ("nearest_mcs_full_gksl",
+                              lambda eps: nearest_mcs_full_gksl(_tagged(eps))),
+    "convexity_probe": ("convexity_probe", lambda eps: convexity_probe(2, eps, 10, 1)),
+    "hs_norm_probe": ("hs_norm_probe", lambda eps: hs_norm_probe(2, eps, 10, 1)),
+    "verify_witness": ("verify_witness", lambda eps: verify_witness(
+        WitnessOperator(np.eye(4), "theorem3", "test"), 2, eps, 10, 1)),
+    "sample_markovian_chois": ("sample_markovian_chois",
+                               lambda eps: sample_markovian_chois(2, eps, 3, 1)),
+    "uniqueness_check": ("uniqueness_check", lambda eps: uniqueness_check(
+        _tagged(1e-3), _tagged(1e-3), 2, eps, 10, 1, family=pauli_family(1e-3))),
+}
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-3, np.nan, np.inf])
+@pytest.mark.parametrize("entry", sorted(_EPS_ENTRY_POINTS))
+def test_every_first_order_entry_point_refuses_a_bad_eps_by_name(entry, eps):
+    where, call = _EPS_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError) as info:
+        call(eps)
+    assert str(info.value) == f"{where}: eps must be finite and > 0, got {eps}"
+
+
+_OVERFLOWING = np.array([[0.0, 1e200], [0.0, 0.0]], dtype=complex)
+
+
+@pytest.mark.parametrize("build, where, name", [
+    (lambda ops: LindbladGenerator(2, ops, (1.0,) * len(ops)), "LindbladGenerator", "ops"),
+    (lambda ops: MarkovianFamily(2, ops, 1e-3), "MarkovianFamily", "basis_ops"),
+    (lambda ops: fixed_basis_family(ops, 1e-3), "MarkovianFamily", "basis_ops"),
+], ids=["LindbladGenerator", "MarkovianFamily", "fixed_basis_family"])
+def test_one_jump_list_rule_refuses_an_empty_list_or_an_overflowing_jump(build, where, name):
+    # Both refusals by name, with no RuntimeWarning from forming L^dag L; of
+    # two overflowing jumps the first is named.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as empty:
+            build(())
+        with pytest.raises(ValueError) as big:
+            build((SIGMA_Z, _OVERFLOWING, _OVERFLOWING))
+    assert str(empty.value) == f"{where}: at least one jump operator, got none"
+    assert str(big.value) == f"{name}[1]: L^dag L overflows the double range"
+
+
+def test_a_markovian_family_of_dim_one_is_refused():
+    with pytest.raises(ValueError, match=r"^MarkovianFamily: dim must be >= 2, got 1$"):
+        fixed_basis_family([np.eye(1)], 1e-3)
 
 
 # ---------------------------------------------------------------------------

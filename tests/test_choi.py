@@ -61,6 +61,15 @@ def test_max_entangled_state_qubit():
     assert np.trace(phi @ phi).real == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_max_entangled_state_is_cached_and_read_only(d):
+    phi = max_entangled_state(d)
+    assert max_entangled_state(d) is phi
+    assert not phi.flags.writeable
+    with pytest.raises(ValueError):
+        phi[0, 0] = 1.0
+
+
 def test_choi_of_identity_channel():
     eye = SuperOperator(dim=2, matrix=np.eye(4, dtype=complex))
     c = choi_of_channel(eye)
@@ -438,10 +447,16 @@ def test_scan_validation():
         scan(gen, 0.0, 1.0, 0, 1e-3)
     with pytest.raises(ValueError, match=r"^scan: need t1 > t0, got \[0\.5, 0\.5\]$"):
         scan(gen, 0.5, 0.5, 4, 1e-3)
+    # A non-finite end is refused by name before dt is formed.
+    for t0, t1 in ((math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)):
+        with pytest.raises(ValueError) as info:
+            scan(gen, t0, t1, 4, 1e-3)
+        assert str(info.value) == f"scan: t0 and t1 must be finite, got [{t0}, {t1}]"
 
 
 def test_choi_of_generator_refuses_eps_zero():
-    with pytest.raises(ValueError, match=r"eps must be > 0, got 0\.0$"):
+    with pytest.raises(ValueError, match=r"^first-order Choi state: eps must be finite and > 0, "
+                                         r"got 0\.0$"):
         choi_of_generator(builtin_dephasing(1.0), 0.0, 0.0)
 
 

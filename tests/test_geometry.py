@@ -82,7 +82,7 @@ def test_convexity_probe_validation():
 
 
 @pytest.mark.parametrize("eps, n_trials, message", [
-    (0.0, 10, r"^hs_norm_probe: eps must be > 0, got 0\.0$"),
+    (0.0, 10, r"^hs_norm_probe: eps must be finite and > 0, got 0\.0$"),
     (1e-3, 0, r"^hs_norm_probe: n_trials must be >= 1, got 0$"),
 ])
 def test_hs_norm_probe_validation(eps, n_trials, message):

@@ -314,12 +314,13 @@ def test_fixed_basis_degenerate_directions():
 
 
 def test_fixed_basis_family_refuses_eps_zero():
-    with pytest.raises(ValueError, match=r"^MarkovianFamily: eps must be > 0, got 0\.0$"):
+    with pytest.raises(ValueError, match=r"^MarkovianFamily: eps must be finite and > 0, "
+                                         r"got 0\.0$"):
         fixed_basis_family([SIGMA_Z], 0.0)
 
 
 @pytest.mark.parametrize("ops, error, message", [
-    ((SIGMA_Z,) * 5, ValueError, r"^MarkovianFamily: at most dim\^2=4 basis operators, got 5$"),
+    ((SIGMA_Z,) * 5, ValueError, r"^MarkovianFamily: at most dim\^2=4 jump operators, got 5$"),
     ((SIGMA_Z, np.eye(3)), ShapeError, r"^basis_ops\[1\]: expected 2x2, got \(3, 3\)$"),
 ])
 def test_markovian_family_input_checks(ops, error, message):
@@ -397,7 +398,8 @@ def test_full_gksl_dephasing_containment():
 def test_full_gksl_refuses_a_state_tagged_eps_zero():
     # choi_of_channel tags its state eps=0 unless told otherwise.
     c = choi_of_channel(SuperOperator(dim=2, matrix=np.eye(4)))
-    with pytest.raises(ValueError, match=r"^nearest_mcs_full_gksl: eps must be > 0, got 0\.0$"):
+    with pytest.raises(ValueError, match=r"^nearest_mcs_full_gksl: eps must be finite and > 0, "
+                                         r"got 0\.0$"):
         nearest_mcs_full_gksl(c)
 
 
