@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ShapeError, as_matrix, dagger, require_hermitian
+from .linalg import (ShapeError, as_matrix, dagger, require_eps, require_hermitian,
+                     require_jumps)
 from .rates import Rate, RateEvalError, RateLike, as_rate
 from . import linalg
 
@@ -96,34 +97,6 @@ class LindbladGenerator:
                 self.rate_grid(ts[k:k + 1])
             raise
         return np.stack(columns, axis=1)
-
-
-def require_jumps(ops, dim: int, where: str, name: str) -> tuple[np.ndarray, ...]:
-    """ops as 1 to dim^2 finite dim x dim complex matrices, dim >= 2, whose L^dag L (one
-    stacked product, formed before eps scales it) stays in the double range; an error
-    names the first bad name[i]."""
-    ops = tuple(as_matrix(op, f"{name}[{i}]") for i, op in enumerate(ops))
-    if not ops:
-        raise ValueError(f"{where}: at least one jump operator, got none")
-    if dim < 2:
-        raise ValueError(f"{where}: dim must be >= 2, got {dim}")
-    if len(ops) > dim * dim:
-        raise ValueError(f"{where}: at most dim^2={dim * dim} jump operators, got {len(ops)}")
-    for i, op in enumerate(ops):
-        if op.shape != (dim, dim):
-            raise ShapeError(f"{name}[{i}]: expected {dim}x{dim}, got {op.shape}")
-    ls = np.stack(ops)
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(dagger(ls) @ ls).all(axis=(1, 2))
-    if not finite.all():
-        raise ValueError(f"{name}[{np.argmin(finite)}]: L^dag L overflows the double range")
-    return ops
-
-
-def require_eps(eps: float, where: str) -> None:
-    """Refuse a first-order step eps that is not finite and positive."""
-    if not 0.0 < eps < np.inf:
-        raise ValueError(f"{where}: eps must be finite and > 0, got {eps}")
 
 
 def gksl_superoperator(gen: LindbladGenerator, t: float) -> SuperOperator:

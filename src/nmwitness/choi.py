@@ -27,9 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import LindbladGenerator, SuperOperator, haar_unitaries, require_eps
+from .channels import LindbladGenerator, SuperOperator, haar_unitaries
 from .linalg import (DEFAULT_HERM_TOL, ShapeError, as_matrix, dagger, gell_mann_basis,
-                     hermitian_part, hermiticity_defect)
+                     hermitian_part, hermiticity_defect, require_count, require_eps,
+                     require_time, require_tol)
 
 
 def default_classification_tol(eps: float) -> float:
@@ -58,11 +59,10 @@ def haar_kets(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return kets.reshape(n, dim * dim)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def max_entangled_state(dim: int) -> np.ndarray:
     """Projector onto (1/sqrt(d)) sum_i |ii>, as a d^2 x d^2 matrix, cached and read-only."""
-    if dim < 2:
-        raise ValueError(f"max_entangled_state: dim must be >= 2, got {dim}")
+    require_count(dim, "max_entangled_state", "dim", least=2)
     v = choi_kets(np.eye(dim, dtype=complex))
     phi = np.outer(v, v.conj())
     phi.flags.writeable = False
@@ -124,6 +124,7 @@ class ChoiMatrix:
     direction: np.ndarray | None = None
 
     def __post_init__(self):
+        require_count(self.dim, "ChoiMatrix", "dim", least=2)
         m = as_matrix(self.matrix, "ChoiMatrix.matrix")
         y = m if self.direction is None else as_matrix(self.direction, "ChoiMatrix.direction")
         d2 = self.dim * self.dim
@@ -217,6 +218,7 @@ def choi_of_channel(s: SuperOperator, t: float = 0.0, eps: float = 0.0) -> ChoiM
 
 def choi_of_generator(gen: LindbladGenerator, t: float, eps: float) -> ChoiMatrix:
     """Choi state of the first-order small-time step I + eps*L(t) of gen, carrying C_L(t)."""
+    require_time(t, "choi_of_generator", "t")
     c_l, chois = _first_order_chois(gen, [t], eps)
     return ChoiMatrix(gen.dim, chois[0], t, eps, c_l[0])
 
@@ -245,8 +247,7 @@ def classify(c: ChoiMatrix, tol: float | None = None) -> NMClassification:
 
     trace_norm_deficit is sum|lambda| - 1, zero exactly on states.
     """
-    if tol is None:
-        tol = default_classification_tol(c.eps)
+    tol = default_classification_tol(c.eps) if tol is None else require_tol(tol, "classify")
     mins, deficits, markovian = _verdicts(c.matrix[None], tol)
     return NMClassification(min_eigenvalue=float(mins[0]),
                             trace_norm_deficit=float(deficits[0]),
@@ -293,17 +294,15 @@ def scan(gen: LindbladGenerator, t0: float, t1: float, steps: int, eps: float,
          tol: float | None = None) -> ScanReport:
     """Classify the first-order small-time step at each grid point of [t0, t1].
 
-    The steps + 1 cell edges t0 + k*dt must be finite and strictly
-    increasing; a window too wide or too narrow for that is a ValueError.
+    The steps + 1 cell edges t0 + k*dt are finite and strictly increasing;
+    a window too wide or too narrow for that is a ValueError.
     """
-    if not math.isfinite(t0) or not math.isfinite(t1):
-        raise ValueError(f"scan: t0 and t1 must be finite, got [{t0}, {t1}]")
+    require_time(t0, "scan", "t0")
+    require_time(t1, "scan", "t1")
     if t1 <= t0:
         raise ValueError(f"scan: need t1 > t0, got [{t0}, {t1}]")
-    if steps < 1:
-        raise ValueError(f"scan: need steps >= 1, got {steps}")
-    if tol is None:
-        tol = default_classification_tol(eps)
+    require_count(steps, "scan", "steps")
+    tol = default_classification_tol(eps) if tol is None else require_tol(tol, "scan")
     dt = (t1 - t0) / steps
     if not math.isfinite(dt):
         raise ValueError(f"scan: window [{t0}, {t1}] is too wide: (t1 - t0) / steps "

@@ -34,7 +34,6 @@ import contextlib
 import datetime
 import functools
 import json
-import math
 import os
 import stat
 import sys
@@ -45,7 +44,7 @@ from . import __version__
 from .channels import LindbladGenerator, builtin_pauli
 from .choi import (ChoiMatrix, MarkovianTargetError, choi_of_generator,
                    require_non_markovian, scan)
-from .linalg import require_hermitian
+from .linalg import require_count, require_eps, require_hermitian, require_time, require_tol
 from .rates import TableRate, as_rate
 
 
@@ -161,9 +160,6 @@ def load_channel_spec(path: str) -> LindbladGenerator:
     if not isinstance(doc, dict):
         raise SpecError(f"{path}: top level must be an object")
     _known_keys(doc, ("dim", "hamiltonian", "ops"), f"{path}: top level")
-    dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 2:
-        raise SpecError(f"{path}: 'dim' must be an integer >= 2")
     ops_doc = doc.get("ops")
     if not isinstance(ops_doc, list) or not ops_doc:
         raise SpecError(f"{path}: 'ops' must be a non-empty list")
@@ -178,7 +174,8 @@ def load_channel_spec(path: str) -> LindbladGenerator:
     if doc.get("hamiltonian") is not None:
         ham = matrix_from_pairs(doc["hamiltonian"], f"{path}: hamiltonian")
     try:
-        return LindbladGenerator(dim=dim, ops=tuple(ops), rates=tuple(rates), hamiltonian=ham)
+        return LindbladGenerator(dim=doc.get("dim"), ops=tuple(ops), rates=tuple(rates),
+                                 hamiltonian=ham)
     except ValueError as exc:
         raise SpecError(f"{path}: {exc}") from exc
 
@@ -589,26 +586,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _argument(convert, rule: str, ok):
-    """argparse type: convert(text) where ok accepts it; anything else is an input error."""
+def _argument(convert, expected: str, rule, *args):
+    """argparse type: convert(text), admitted by the library's rule(value, where,
+    *args) for its kind of input; a ValueError from either is an input error."""
     def parse(text: str):
         try:
             value = convert(text)
+            rule(value, "argument", *args)
         except ValueError:
-            value = None
-        if value is None or not ok(value):
-            raise argparse.ArgumentTypeError(f"expected {rule}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
         return value
     return parse
 
 
-# A NaN fails every comparison, so the bounds below refuse it.
-_FINITE = _argument(float, "a finite number", math.isfinite)
-_EPS = _argument(float, "a finite positive number", lambda value: 0 < value < math.inf)
-_TOL = _argument(float, "a finite nonnegative number", lambda value: 0 <= value < math.inf)
-_SEED = _argument(int, "a nonnegative integer", lambda value: value >= 0)
-_DIM = _argument(int, "an integer >= 2", lambda value: value >= 2)
-_COUNT = _argument(int, "a positive integer", lambda value: value >= 1)
+_FINITE = _argument(float, "a finite number", require_time, "time")
+_EPS = _argument(float, "a finite positive number", require_eps)
+_TOL = _argument(float, "a finite nonnegative number", require_tol)
+_SEED = _argument(int, "a nonnegative integer", require_count, "seed", 0)
+_DIM = _argument(int, "an integer >= 2", require_count, "dim", 2)
+_COUNT = _argument(int, "a positive integer", require_count, "count")
 
 
 @functools.cache

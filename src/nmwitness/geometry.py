@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choi import ChoiMatrix, first_order_state, haar_kets, perp_block, require_non_markovian
-from .channels import _blocks, require_eps
+from .channels import _blocks
+from .linalg import require_count, require_eps
 from .witness import (
     _draw_generators,
     _sample_blocks,
@@ -67,9 +68,9 @@ def convexity_probe(dim: int, eps: float, n_trials: int, seed: int) -> ProbeRepo
     u the machine epsilon, the other sampled checks' rounding slack, at any
     eps. details holds eps * lambda_min, the mixed state's block eigenvalue.
     """
+    require_count(dim, "convexity_probe", "dim", least=2)
     require_eps(eps, "convexity_probe")
-    if n_trials < 1:
-        raise ValueError(f"convexity_probe: n_trials must be >= 1, got {n_trials}")
+    require_count(n_trials, "convexity_probe", "n_trials")
     gens = _draw_generators(dim, 2 * n_trials, np.random.default_rng(seed))
     p = np.random.default_rng((seed, 1)).uniform(size=n_trials)
     min_eigs, norms = np.empty(n_trials), np.empty(n_trials)
@@ -107,9 +108,9 @@ def hs_norm_probe(dim: int, eps: float, n_trials: int, seed: int) -> ProbeReport
     The generators' Chois and the states are formed one block of trials at a
     time.
     """
+    require_count(dim, "hs_norm_probe", "dim", least=2)
     require_eps(eps, "hs_norm_probe")
-    if n_trials < 1:
-        raise ValueError(f"hs_norm_probe: n_trials must be >= 1, got {n_trials}")
+    require_count(n_trials, "hs_norm_probe", "n_trials")
     gens = _draw_generators(dim, n_trials, np.random.default_rng(seed))
     norms, gen_norms = np.empty(n_trials), np.empty(n_trials)
     for a, b in _sample_blocks(n_trials, dim):
@@ -183,9 +184,8 @@ def extreme_point_probe(dim: int, eps: float, n_unitaries: int,
     Only pairs with overlap above 0.999 can be closer than 1e-8 (an overlap
     of at most 1 - 1e-12 is at least 1.4e-6 away), so only those are tested.
     """
-    if n_unitaries < 2:
-        raise ValueError(
-            f"extreme_point_probe: n_unitaries must be >= 2, got {n_unitaries}")
+    require_count(dim, "extreme_point_probe", "dim", least=2)
+    require_count(n_unitaries, "extreme_point_probe", "n_unitaries", least=2)
     uvec = haar_kets(dim, n_unitaries, np.random.default_rng(seed))
     conj = uvec.conj()
     purities = np.einsum("ni,ni->n", uvec, conj).real ** 2

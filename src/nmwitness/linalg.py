@@ -5,6 +5,8 @@ stay tiny (at most d^2 x d^2 with d <= 9), so everything is dense and eager.
 `hermitian_part` and `hermiticity_defect` are the one place the package
 forms (a + a^dag)/2 and max |a - a^dag|, of a matrix or of each matrix of a
 stack.
+The `require_*` input rules, one per kind of input, live here for every
+module to call; each refusal is a ValueError naming the entry point called.
 """
 
 from __future__ import annotations
@@ -51,6 +53,54 @@ def _require_square(a: np.ndarray, name: str = "matrix") -> None:
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix of a stack."""
     return np.swapaxes(a, -1, -2).conj()
+
+
+def require_count(n, where: str, name: str, least: int = 1) -> None:
+    """Refuse n unless it is a Python or numpy integer, not a bool, and >= least."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{where}: {name} must be an integer, got {n!r}")
+    if n < least:
+        raise ValueError(f"{where}: {name} must be >= {least}, got {n}")
+
+
+def require_time(t: float, where: str, name: str) -> None:
+    """Refuse a time that is not a finite number."""
+    if not -np.inf < t < np.inf:
+        raise ValueError(f"{where}: {name} must be finite, got {t}")
+
+
+def require_eps(eps: float, where: str) -> None:
+    """Refuse a first-order step eps that is not finite and positive."""
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"{where}: eps must be finite and > 0, got {eps}")
+
+
+def require_tol(tol: float, where: str) -> float:
+    """tol, an eigenvalue tolerance, refused unless finite and nonnegative."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"{where}: tol must be finite and >= 0, got {tol}")
+    return tol
+
+
+def require_jumps(ops, dim: int, where: str, name: str) -> tuple[np.ndarray, ...]:
+    """ops as 1 to dim^2 finite dim x dim complex matrices, dim >= 2, whose L^dag L (one
+    stacked product, formed before eps scales it) stays in the double range; an error
+    names the first bad name[i]."""
+    ops = tuple(as_matrix(op, f"{name}[{i}]") for i, op in enumerate(ops))
+    if not ops:
+        raise ValueError(f"{where}: at least one jump operator, got none")
+    require_count(dim, where, "dim", least=2)
+    if len(ops) > dim * dim:
+        raise ValueError(f"{where}: at most dim^2={dim * dim} jump operators, got {len(ops)}")
+    for i, op in enumerate(ops):
+        if op.shape != (dim, dim):
+            raise ShapeError(f"{name}[{i}]: expected {dim}x{dim}, got {op.shape}")
+    ls = np.stack(ops)
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(dagger(ls) @ ls).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"{name}[{np.argmin(finite)}]: L^dag L overflows the double range")
+    return ops
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -110,8 +160,7 @@ def gell_mann_basis(dim: int) -> list[np.ndarray]:
     off-diagonal pairs plus diagonal ladder matrices; dim^2 - 1 elements.
     For dim = 2 this is (sigma_x, sigma_y, sigma_z) / sqrt(2).
     """
-    if dim < 2:
-        raise ValueError(f"gell_mann_basis: dim must be >= 2, got {dim}")
+    require_count(dim, "gell_mann_basis", "dim", least=2)
     basis: list[np.ndarray] = []
     for j in range(dim):
         for k in range(j + 1, dim):

@@ -43,12 +43,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import _blocks, require_eps, require_jumps
+from .channels import _blocks
 from .choi import (ChoiMatrix, add_phi, choi_kets, default_classification_tol,
                    dissipator_chois, first_order_state, haar_kets, hamiltonian_choi, lift,
                    max_entangled_state, partial_trace_2, perp_block, perp_isometry)
 from .linalg import (DEGENERACY_GAP, ShapeError, as_matrix, dagger, hermitian_part,
-                     hs_inner, hs_norm)
+                     hs_inner, hs_norm, require_count, require_eps, require_jumps,
+                     require_time, require_tol)
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,7 @@ class MarkovianFamily:
     def __post_init__(self):
         ops = require_jumps(self.basis_ops, self.dim, "MarkovianFamily", "basis_ops")
         require_eps(self.eps, "MarkovianFamily")
+        require_time(self.t, "MarkovianFamily", "t")
         object.__setattr__(self, "basis_ops", ops)
 
 
@@ -129,8 +131,8 @@ def spectral_witnesses(c: ChoiMatrix, tol: float | None = None) -> list[WitnessO
     degeneracy gap above the one before; one projector onto each whole
     cluster is emitted. Returns an empty list for a spectrum >= -tol.
     """
-    if tol is None:
-        tol = default_classification_tol(c.eps)
+    tol = (default_classification_tol(c.eps) if tol is None
+           else require_tol(tol, "spectral_witnesses"))
     w, v = linalg.hermitian_eig(c.matrix)
     negative = np.flatnonzero(w < -tol)
     clusters = np.split(negative, np.flatnonzero(np.diff(w[negative]) > DEGENERACY_GAP) + 1)
@@ -589,9 +591,9 @@ def sample_markovian_chois(dim: int, eps: float, n_samples: int, seed: int) -> n
     of random divisible generators, drawn by `_draw_generators` from one
     seeded stream with a Hamiltonian on about half the samples, whole:
     `first_order_state` of X, then eps*C_H added to the masked samples."""
-    if n_samples < 1:
-        raise ValueError(f"sample_markovian_chois: n_samples must be >= 1, got {n_samples}")
+    require_count(dim, "sample_markovian_chois", "dim", least=2)
     require_eps(eps, "sample_markovian_chois")
+    require_count(n_samples, "sample_markovian_chois", "n_samples")
     gens = _draw_generators(dim, n_samples, np.random.default_rng(seed), hamiltonian=True)
     chois = first_order_state(gens.dissipators(), eps)
     chois[gens.mask] += eps * hamiltonian_choi(gens.ham[gens.mask])
@@ -608,9 +610,9 @@ def verify_witness(w: WitnessOperator, dim: int, eps: float, n_samples: int,
     when its value is below -(SAMPLED_TOL * eps * ||W||_F + slack_k), slack_k
     its rounding bound.
     """
-    if n_samples < 1:
-        raise ValueError(f"verify_witness: n_samples must be >= 1, got {n_samples}")
+    require_count(dim, "verify_witness", "dim", least=2)
     require_eps(eps, "verify_witness")
+    require_count(n_samples, "verify_witness", "n_samples")
     if w.matrix.shape != (dim * dim, dim * dim):
         raise ShapeError(f"verify_witness: w is {w.matrix.shape[0]}x{w.matrix.shape[1]}, "
                          f"expected {dim * dim}x{dim * dim} for dim={dim}")
@@ -639,9 +641,9 @@ def uniqueness_check(cn: ChoiMatrix, cm_star: ChoiMatrix, dim: int, eps: float,
     ||W||_F, verify_witness's threshold; on the full family the same check is
     verify_witness(W, ...).
     """
-    if n_samples < 1:
-        raise ValueError(f"uniqueness_check: n_samples must be >= 1, got {n_samples}")
+    require_count(dim, "uniqueness_check", "dim", least=2)
     require_eps(eps, "uniqueness_check")
+    require_count(n_samples, "uniqueness_check", "n_samples")
     for name, got in (("cn", cn.dim), ("cm_star", cm_star.dim), ("family", family.dim)):
         if got != dim:
             raise ShapeError(f"uniqueness_check: {name} dim {got} != dim {dim}")

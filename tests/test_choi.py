@@ -447,11 +447,6 @@ def test_scan_validation():
         scan(gen, 0.0, 1.0, 0, 1e-3)
     with pytest.raises(ValueError, match=r"^scan: need t1 > t0, got \[0\.5, 0\.5\]$"):
         scan(gen, 0.5, 0.5, 4, 1e-3)
-    # A non-finite end is refused by name before dt is formed.
-    for t0, t1 in ((math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)):
-        with pytest.raises(ValueError) as info:
-            scan(gen, t0, t1, 4, 1e-3)
-        assert str(info.value) == f"scan: t0 and t1 must be finite, got [{t0}, {t1}]"
 
 
 def test_choi_of_generator_refuses_eps_zero():
