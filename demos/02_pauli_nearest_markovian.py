@@ -10,8 +10,8 @@ squared distance 0.12 * eps^2. The hyperplane through the projection point,
 
 satisfies Tr(W C_N) = -||C_N - C_M*||^2 < 0 while staying nonnegative on the
 family it was projected onto. uniqueness_check samples that frozen Pauli
-family; verify_witness samples the full family (Haar-unitary jumps and a
-Hamiltonian), where the witness of the unrestricted projection over all
+family; verify_witness samples the full family (Ginibre jumps, unital or not,
+and a Hamiltonian), where the witness of the unrestricted projection over all
 generators (trace-preserving, conditionally completely positive generator
 Choi matrices) is guaranteed. That projection lands on the same point here.
 """

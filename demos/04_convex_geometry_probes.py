@@ -2,10 +2,10 @@
 """Numerical probes of the convex geometry of divisible small-time Chois.
 
 Four probes, each a sampled surrogate for a structural statement:
-  * convexity   - mixtures of sampled divisible unitary-jump generators
-                  stay in the full divisible family F: the w_perp block of
-                  each mixed direction stays PSD, judged in generator units
-                  at any eps;
+  * convexity   - mixtures of sampled divisible Ginibre-jump generators,
+                  unital or not, stay in the full divisible family F: the
+                  w_perp block of each mixed direction stays PSD, judged in
+                  generator units at any eps;
   * hsnorm      - the first-order Choi phi + eps C_L of each such generator
                   has HS norm within eps ||C_L|| of 1 (the boundedness half
                   of compactness; closedness is not numerically probeable);
@@ -16,6 +16,8 @@ Four probes, each a sampled surrogate for a structural statement:
                   kind about the divisible set;
   * separation  - a non-Markovian Choi is separated from sampled divisible
                   ones by the hyperplane through its nearest divisible state.
+The census is the one probe that draws Haar unitaries; the others sample all
+of F with Ginibre jumps.
 """
 
 from nmwitness.channels import builtin_pauli

@@ -13,12 +13,12 @@ vec(A X B) = (B^T (x) A) vec(X), and the generator
 
 traceless in the sense vec(I)^dag S = 0.
 
-`haar_unitaries` draws the random jumps of the samplers: complex Ginibre
-matrices orthonormalised in place by batched Gram-Schmidt, no LAPACK call.
-The unitaries land in the layout of their Choi kets, so `choi.haar_kets`
-scales them into kets in place: the draw is the one full array of jumps.
-`_blocks` sizes every block of the package (unitaries, samples, census rows)
-by one budget, `_BLOCK_BYTES`.
+`haar_unitaries` draws the members of the extreme-point census only: complex
+Ginibre matrices orthonormalised in place by batched Gram-Schmidt, no LAPACK
+call. The unitaries land in the layout of their Choi kets, so `choi.haar_kets`
+scales them into kets in place. The samplers draw Ginibre jumps, not
+unitaries (`witness._draw_generators`). `_blocks` sizes every block of the
+package (unitaries, samples, census rows) by one budget, `_BLOCK_BYTES`.
 """
 
 from __future__ import annotations

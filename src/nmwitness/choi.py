@@ -69,12 +69,21 @@ def max_entangled_state(dim: int) -> np.ndarray:
     return phi
 
 
-def add_phi(stack: np.ndarray, weights: np.ndarray) -> None:
-    """stack[k] += weights[k] * phi for a (n, d^2, d^2) stack, in place on the
-    d x d block of phi's nonzero entries, rows and columns i*(d+1)."""
-    d = math.isqrt(stack.shape[-1])
-    block = max_entangled_state(d)[::d + 1, ::d + 1]
-    stack[:, ::d + 1, ::d + 1] += weights[:, None, None] * block
+def complete_trace_preserving(p: np.ndarray) -> None:
+    """P -> P - (d/2)(|phi><a| + |a><phi|), a = (Tr_2 P (x) 1)|phi>, in place on
+    a d^2 x d^2 P or on each of a stack: the trace-preserving direction whose
+    jump part is P. For P = sum_a g_a |k_a><k_a| it is sum_a g_a Y_a of
+    `dissipator_chois`, with L_a the matrix of the ket k_a, and for unitary
+    jumps it is P - (sum_a g_a) phi.
+
+    a = vec(Tr_2 P)/sqrt(d) and phi's nonzero entries, 1/sqrt(d), are its
+    rows and columns i*(d+1), so only those change: each such row loses
+    conj(vec(Tr_2 P))/2 and each such column vec(Tr_2 P)/2, rows first."""
+    d = math.isqrt(p.shape[-1])
+    half = 0.5 * np.einsum("...ikjk->...ij", p.reshape(p.shape[:-2] + (d,) * 4))
+    half = half.reshape(p.shape[:-2] + (d * d,))
+    p[..., ::d + 1, :] -= half.conj()[..., None, :]
+    p[..., ::d + 1] -= half[..., None]
 
 
 @functools.cache

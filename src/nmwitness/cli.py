@@ -485,9 +485,8 @@ def cmd_verify(witness: str, eps: float, n: int, seed: int) -> tuple[dict, int]:
     from .witness import WitnessOperator, verify_witness
     matrix = load_witness_matrix(witness)
     dim = int(round(np.sqrt(matrix.shape[0])))
-    if dim * dim != matrix.shape[0] or dim < 2:
-        raise SpecError(
-            f"witness of shape {matrix.shape} is not a d^2 x d^2 matrix with d >= 2")
+    if dim * dim != matrix.shape[0]:
+        raise SpecError(f"witness of shape {matrix.shape} is not a d^2 x d^2 matrix")
     w = WitnessOperator(matrix=matrix, kind="theorem3", provenance=f"file:{witness}")
     # eps near the top of the double range overflows the sampled states.
     with _overflow_names(f"verify: d={dim}, eps={eps}"):

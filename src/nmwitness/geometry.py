@@ -3,13 +3,16 @@
 At first order the divisible states form F = phi + eps*(K ∩ TP), K the cone
 of generator directions whose w_perp block (`choi.perp_block`) is PSD. The
 convexity probe checks, by that block in generator units (so at any eps), that
-mixtures of sampled divisible unitary-jump generators stay in K; the HS-norm
-probe checks the boundedness surrogate |  ||C||_2 - 1 | <= eps ||C_L||_2 on
-their first-order states (closedness is not numerically testable and is not
-claimed by any probe). The census of distinct purity-one Choi states of
-Haar-random unitary channels shows that the set of all channels is not a
-polytope; they lie in F only because every CPTP Choi state does, and eps is
-not read. The separation demo projects onto F and samples its members.
+mixtures of sampled divisible generators stay in K; the HS-norm probe checks
+the boundedness surrogate |  ||C||_2 - 1 | <= eps ||C_L||_2 on their
+first-order states (closedness is not numerically testable and is not
+claimed by any probe). Both, and the separation demo, draw their generators
+with Ginibre jumps (`witness._draw_generators`), so they sample all of F,
+non-unital generators included. The census of distinct purity-one Choi
+states of Haar-random unitary channels, the one probe that draws Haar
+unitaries, shows that the set of all channels is not a polytope; they lie in
+F only because every CPTP Choi state does, and eps is not read. The
+separation demo projects onto F and samples its members.
 Trials and census rows are walked in the blocks of `channels._blocks`, which
 one budget, `channels._BLOCK_BYTES`, sizes.
 """

@@ -44,9 +44,10 @@ import numpy as np
 
 from . import linalg
 from .channels import _blocks
-from .choi import (ChoiMatrix, add_phi, choi_kets, default_classification_tol,
-                   dissipator_chois, first_order_state, haar_kets, hamiltonian_choi, lift,
-                   max_entangled_state, partial_trace_2, perp_block, perp_isometry)
+from .choi import (ChoiMatrix, choi_kets, complete_trace_preserving,
+                   default_classification_tol, dissipator_chois, first_order_state,
+                   hamiltonian_choi, lift, max_entangled_state, partial_trace_2, perp_block,
+                   perp_isometry)
 from .linalg import (DEGENERACY_GAP, ShapeError, as_matrix, dagger, hermitian_part,
                      hs_inner, hs_norm, require_count, require_eps, require_jumps,
                      require_time, require_tol)
@@ -474,11 +475,13 @@ def _row_products(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
 class _SampledGenerators:
     """n random divisible generators, held as their draws, not as Choi states.
 
-    Generator k owns counts[k] consecutive rows of kets (the Choi kets |u_a>
-    of Haar-unitary jumps) and of rates (g_a), from row edges[k] on; when
-    ham is set, the samples where mask is true also carry the traceless
-    Hamiltonian ham[k]. Its first-order Choi state is phi + eps*(X_k +
-    mask_k C_H[k]) with X_k = sum_a g_a (|u_a><u_a| - phi).
+    Generator k owns counts[k] consecutive rows of kets (the Choi kets |k_a>
+    = (1 (x) L_a)|phi> of Ginibre jumps L_a) and of rates (g_a), from row
+    edges[k] on; when ham is set, the samples where mask is true also carry
+    the traceless Hamiltonian ham[k]. Its first-order Choi state is phi +
+    eps*(X_k + mask_k C_H[k]) with X_k = sum_a g_a Y_a, Y_a the dissipator
+    direction of L_a (`choi.dissipator_chois`): X_k ranges over every
+    dissipator, unital or not.
     """
 
     dim: int
@@ -505,9 +508,10 @@ class _SampledGenerators:
         """The (n, d^2, d^2) stack X, one batched Gram product.
 
         Generator k's jumps fill the first slots of zero-padded arrays: row a
-        of scaled[k] is g_a|u_a> and row a of bras[k] is <u_a|, so X[k] =
-        scaled[k]^T @ bras[k] - (sum_a g_a) phi. The phi term is subtracted
-        in place by `choi.add_phi`.
+        of scaled[k] is g_a|k_a> and row a of bras[k] is <k_a|, so P[k] =
+        scaled[k]^T @ bras[k] is sum_a g_a |k_a><k_a|, and X[k] is its
+        trace-preserving completion, made in place by
+        `choi.complete_trace_preserving`.
         """
         d, n = self.dim, self.counts.size
         d2 = d * d
@@ -520,32 +524,43 @@ class _SampledGenerators:
         bras[slots] = self.kets.conj()
         x = np.matmul(scaled.reshape(n, d2, d2).transpose(0, 2, 1), bras.reshape(n, d2, d2))
         del scaled, bras
-        rate_sums = np.add.reduceat(self.rates, self.edges[:-1])
-        add_phi(x, -rate_sums)
+        complete_trace_preserving(x)
         return x
 
     def expectations(self, w: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
         """Tr(W C_k) per sample and its rounding slack, from the draws alone.
 
-        Tr(W C_k) = Tr(W phi) + eps*(sum_a g_a (<u_a|W|u_a> - Tr(W phi))
-        + mask_k 2 Im <phi|W|h_k>), |h> = (1 (x) H)|phi>: affine in the
-        generator, so no state is formed. bound_k = sum_a |g_a| (max_i
-        |u_a,i|^2 + 1/d) + mask_k 2 max_i |h_k,i| / sqrt(d) bounds every entry
-        of the generator before any cancellation, so 1/d + eps*bound_k bounds
-        every entry of C_k, and slack_k = (d^4 + 2) u sum_ij |W_ij| (1/d +
-        eps*bound_k), u the machine epsilon, bounds the rounding of the value
-        (a dot product over d^4 terms; Higham 2002, section 3.1). A sample
-        whose eps*bound_k leaves the double range raises a FloatingPointError,
-        as forming its state would overflow.
+        Tr(W C_k) = Tr(W phi) + eps*(sum_a g_a <k_a|W_eff|k_a> + mask_k 2 Im
+        <phi|W|h_k>), |h> = (1 (x) H)|phi>, where W_eff = W - (d/2)(Tr_2(phi
+        W) + Tr_2(W phi)) (x) 1, formed once per call, is the adjoint of
+        `choi.complete_trace_preserving`: affine in the generator, so no
+        state is formed. With e_a = max_i |k_a,i|^2 + max_p ||k_a,p||^2 over
+        the entries and the d blocks k_a,p of d entries of k_a (the block
+        term is 1/d for a unitary jump), bound_k = sum_a |g_a| e_a + mask_k 2
+        max_i |h_k,i| / sqrt(d) bounds every entry of the generator before
+        any cancellation, so 1/d + eps*bound_k bounds every entry of C_k.
+        sum_ij |W_eff,ij| |k_a,i| |k_a,j| <= e_a sum_ij |W_ij| too, so slack_k
+        = (d^4 + 2d + 4) u sum_ij |W_ij| (1/d + eps*bound_k), u the machine
+        epsilon, bounds the rounding of the value (Higham 2002, section 3.1):
+        a term meets at most 2d + 1 roundings forming W_eff, then 2d^2 + 2 in
+        its quadratic form, d^2 + 1 summing the jumps and 2 adding eps times
+        the generator to Tr(W phi), and 3d^2 + 5 <= d^4 + 3. A sample whose
+        eps*bound_k leaves the double range raises a FloatingPointError, as
+        forming its state would overflow.
         """
         d = self.dim
-        phi_ket = choi_kets(np.eye(d))
+        phi, phi_ket = max_entangled_state(d), choi_kets(np.eye(d))
         w_phi = (phi_ket @ w @ phi_ket).real
-        jumps = np.einsum("ni,ni->n", _row_products(self.kets.conj(), w), self.kets).real
+        w_eff = w - 0.5 * d * lift(partial_trace_2(phi @ w) + partial_trace_2(w @ phi))
+        jumps = np.einsum("ni,ni->n", _row_products(self.kets.conj(), w_eff), self.kets).real
         starts = self.edges[:-1]
-        generator = np.add.reduceat(self.rates * (jumps - w_phi), starts)
-        bound = np.add.reduceat(np.abs(self.rates) * (
-            _row_max(self.kets.real ** 2 + self.kets.imag ** 2) + 1.0 / d), starts)
+        generator = np.add.reduceat(self.rates * jumps, starts)
+        squares = self.kets.real ** 2 + self.kets.imag ** 2
+        # squares[:, m::d] holds entry m of every block, so blocks[:, p] is
+        # the squared norm of block p.
+        blocks = sum((squares[:, m::d] for m in range(1, d)), squares[:, ::d])
+        bound = np.add.reduceat(np.abs(self.rates) * (_row_max(squares) + _row_max(blocks)),
+                                starts)
         if self.ham is not None:
             hkets = choi_kets(self.ham)
             generator += self.mask * (2.0 * _row_products(hkets, phi_ket @ w).imag)
@@ -554,7 +569,7 @@ class _SampledGenerators:
             entries = 1.0 / d + eps * bound
         if not np.isfinite(entries).all():
             raise FloatingPointError("overflow of eps times a sampled generator")
-        slack = (d ** 4 + 2) * np.finfo(float).eps * np.abs(w).sum() * entries
+        slack = (d ** 4 + 2 * d + 4) * np.finfo(float).eps * np.abs(w).sum() * entries
         return w_phi + eps * generator, slack
 
 
@@ -562,15 +577,20 @@ def _draw_generators(dim: int, n: int, rng: np.random.Generator,
                      hamiltonian: bool = False) -> _SampledGenerators:
     """Draw n random divisible generators from rng.
 
-    Draws, in this order: jump counts (1..dim^2), the Choi kets |u_a> of
-    Haar unitaries U_a (`choi.haar_kets`), rates g_a uniform on [0, 1], and
-    when hamiltonian a mask marking about half the samples and a random
-    traceless Hamiltonian per sample. The whole stream is drawn here, so a
-    consumer's blocks leave its order alone.
+    Draws, in this order: jump counts (1..dim^2); the Choi kets |k_a> of
+    complex Ginibre jumps L_a, each entry (a + ib)/(d sqrt(2)) for standard
+    normals a, b, so that E||k_a||^2 = 1 as for a unitary jump; rates g_a
+    uniform on [0, 1]; and when hamiltonian a mask marking about half the
+    samples and a random traceless Hamiltonian per sample. The kets are one
+    contiguous draw of normals, viewed as complex and scaled in place: the
+    draw's only array. The whole stream is drawn here, so a consumer's blocks
+    leave its order alone.
     """
     d = dim
     counts = rng.integers(1, d * d + 1, size=n)
-    kets = haar_kets(d, int(counts.sum()), rng)
+    normals = rng.standard_normal((int(counts.sum()), 2 * d * d))
+    normals *= 1.0 / (d * np.sqrt(2.0))
+    kets = normals.view(complex)
     rates = rng.uniform(0.0, 1.0, size=kets.shape[0])
     if not hamiltonian:
         return _SampledGenerators(d, counts, kets, rates)

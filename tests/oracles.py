@@ -3,14 +3,15 @@
 These deliberately avoid the implementation paths they check: the expression
 oracle is a shunting-yard evaluator with its own tokenizer, the projection
 oracle is a dense grid search, the exponential oracle is a plain Taylor
-series, the sampled-generator oracle sums one pure Choi state per jump, the
-extreme-point oracle builds the full pairwise distance matrix, the
-full-GKSL projection oracle is Dykstra's alternating projections, the
-dissipator oracle goes through the np.kron superoperator, the Haar oracles are
-a LAPACK QR with its phases fixed and the first batched Gram-Schmidt with its
-draw formed out of place (and the sampler's draws built from the latter, out
-of place), and the verification oracles form the whole
-(n, d^2, d^2) stack of sampled states, out of place, and contract W with it.
+series, the sampled-generator oracle sums one `dissipator_chois` direction per
+jump, each jump rebuilt from its ket, the extreme-point oracle builds the full
+pairwise distance matrix, the full-GKSL projection oracle is Dykstra's
+alternating projections, the dissipator oracle goes through the np.kron
+superoperator, the Haar oracles are a LAPACK QR with its phases fixed and the
+first batched Gram-Schmidt with its draw formed out of place, the sampler's
+Ginibre draws are formed out of place from separate real and imaginary
+normals, and the verification oracles form the whole (n, d^2, d^2) stack of
+sampled states, out of place, and contract W with it.
 
 The superoperator helpers (`apply_superop`, `channel_of_choi`), the trace
 norm, the PSD projection and the random divisible generators serve only as
@@ -26,8 +27,7 @@ import re
 import numpy as np
 
 from nmwitness.channels import LindbladGenerator, SuperOperator, haar_unitaries
-from nmwitness.choi import (ChoiMatrix, choi_kets, dissipator_chois, hamiltonian_choi,
-                            max_entangled_state)
+from nmwitness.choi import ChoiMatrix, dissipator_chois, hamiltonian_choi, max_entangled_state
 from nmwitness.linalg import hermitian_eig
 from nmwitness.rates import (BinOp, Call, Const, ConstantRate, ExpressionRate, Literal, Neg,
                              Node, TimeVar)
@@ -231,24 +231,25 @@ def taylor_expm(a: np.ndarray, terms: int = 50) -> np.ndarray:
     return out
 
 
+def ket_matrices(kets: np.ndarray) -> np.ndarray:
+    """The matrices L of Choi kets (1 (x) L)|phi> = vec(L)/sqrt(d), the
+    inverse of `choi_kets`: L[k, i] = sqrt(d) ket[i*d + k]."""
+    d = math.isqrt(kets.shape[-1])
+    return np.swapaxes(kets.reshape(kets.shape[:-1] + (d, d)), -1, -2) * np.sqrt(d)
+
+
 def per_jump_generators(dim: int, n: int, rng: np.random.Generator,
                         signed: bool = False) -> np.ndarray:
-    """sum_a g_a (|u_a><u_a| - phi) of n random generators, one jump at a time.
+    """sum_a g_a Y_a of n random generators, one jump at a time.
 
-    Same draws in the same order as the sampler (jump counts, Haar unitaries,
-    rates, then signs when signed); builds the (jumps, d^2, d^2) stack of
-    rate-scaled pure directions and sums each generator's run of it with
-    np.add.reduceat.
+    Same draws in the same order as the sampler (`reference_draw_generators`);
+    each jump's matrix L_a is rebuilt from its ket, its direction Y_a is
+    `dissipator_chois` of L_a, and each generator's run of the rate-scaled
+    (jumps, d^2, d^2) stack is summed with np.add.reduceat.
     """
-    counts = rng.integers(1, dim * dim + 1, size=n)
-    us = haar_unitaries(dim, int(counts.sum()), rng)
-    rates = rng.uniform(0.0, 1.0, size=us.shape[0])
-    if signed:
-        rates *= np.where(rng.random(rates.size) < 0.5, 1.0, -1.0)
-    kets = choi_kets(us)
-    pure = np.einsum("ni,nj->nij", kets, kets.conj())
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    dirs = rates[:, None, None] * (pure - max_entangled_state(dim))
+    draws = reference_draw_generators(dim, n, rng, signed=signed)
+    dirs = draws["rates"][:, None, None] * dissipator_chois(ket_matrices(draws["kets"]))
+    offsets = np.concatenate(([0], np.cumsum(draws["counts"])[:-1]))
     return np.add.reduceat(dirs, offsets, axis=0)
 
 
@@ -295,12 +296,14 @@ def reference_haar_unitaries(dim: int, n: int, rng: np.random.Generator) -> np.n
 
 def reference_draw_generators(dim: int, n: int, rng: np.random.Generator,
                               signed: bool = False, hamiltonian: bool = False) -> dict:
-    """The sampler's draws as first written: jump counts, Choi kets of
-    `reference_haar_unitaries`, rates, signs, and when hamiltonian a mask and
-    H = (Z + Z^dag)/2 with its trace removed, Z = a + 1j*b, every array
-    formed out of place. The sampler must match it byte for byte."""
+    """The sampler's draws, every array formed out of place: jump counts;
+    Ginibre kets (a + 1j*b) * s, s = 1/(d sqrt(2)), with a and b the real and
+    imaginary normals of each entry, drawn as (jumps, d^2, 2) pairs; rates;
+    signs; and when hamiltonian a mask and H = (Z + Z^dag)/2 with its trace
+    removed, Z = a + 1j*b. The sampler must match it byte for byte."""
     counts = rng.integers(1, dim * dim + 1, size=n)
-    kets = choi_kets(reference_haar_unitaries(dim, int(counts.sum()), rng))
+    pairs = rng.standard_normal((int(counts.sum()), dim * dim, 2))
+    kets = (pairs[..., 0] + 1j * pairs[..., 1]) * (1.0 / (dim * np.sqrt(2.0)))
     rates = rng.uniform(0.0, 1.0, size=kets.shape[0])
     if signed:
         rates *= np.where(rng.random(rates.size) < 0.5, 1.0, -1.0)
@@ -314,40 +317,42 @@ def reference_draw_generators(dim: int, n: int, rng: np.random.Generator,
     return draws
 
 
-def gram_generators(dim: int, n: int, rng: np.random.Generator,
-                    signed: bool = False) -> np.ndarray:
-    """sum_a g_a (|u_a><u_a| - phi) by the zero-padded Gram product, written
-    out of place: the expression the in-place sampler must reproduce bit for
-    bit (np.array_equal) from the same draws."""
-    d2 = dim * dim
-    counts = rng.integers(1, d2 + 1, size=n)
-    kets = choi_kets(haar_unitaries(dim, int(counts.sum()), rng))
-    rates = rng.uniform(0.0, 1.0, size=kets.shape[0])
-    if signed:
-        rates *= np.where(rng.random(rates.size) < 0.5, 1.0, -1.0)
+def gram_directions(draws: dict) -> np.ndarray:
+    """The sampled directions X of draws by the zero-padded Gram product
+    P = sum_a g_a |k_a><k_a| and its trace-preserving completion, written out
+    of place: phi's rows lose conj(vec(Tr_2 P))/2 and then its columns
+    vec(Tr_2 P)/2. The in-place sampler must reproduce it bit for bit
+    (np.array_equal) from the same draws."""
+    counts, kets, rates = draws["counts"], draws["kets"], draws["rates"]
+    n, d2 = counts.size, kets.shape[1]
+    d = math.isqrt(d2)
     slots = np.arange(d2) < counts[:, None]
     scaled = np.zeros((n, d2, d2), dtype=complex)
     bras = np.zeros((n, d2, d2), dtype=complex)
     scaled[slots] = rates[:, None] * kets
     bras[slots] = kets.conj()
-    rate_sums = np.add.reduceat(rates, np.cumsum(counts) - counts)
-    x = np.matmul(scaled.transpose(0, 2, 1), bras)
-    return x - rate_sums[:, None, None] * max_entangled_state(dim)
+    p = np.matmul(scaled.transpose(0, 2, 1), bras)
+    half = 0.5 * np.einsum("nikjk->nij", p.reshape(n, d, d, d, d)).reshape(n, d2)
+    rows, cols = np.zeros_like(p), np.zeros_like(p)
+    rows[:, ::d + 1, :] = half.conj()[:, None, :]
+    cols[:, :, ::d + 1] = half[:, :, None]
+    return p - rows - cols
+
+
+def gram_generators(dim: int, n: int, rng: np.random.Generator,
+                    signed: bool = False) -> np.ndarray:
+    """`gram_directions` of n generators drawn by `reference_draw_generators`."""
+    return gram_directions(reference_draw_generators(dim, n, rng, signed=signed))
 
 
 def gram_sample_chois(dim: int, eps: float, n: int, seed: int,
                       include_hamiltonian: bool = True) -> np.ndarray:
     """phi + eps*X + (eps*mask)*C_H out of place, from the sampler's draws."""
-    rng = np.random.default_rng(seed)
-    d = dim
-    chois = max_entangled_state(d) + eps * gram_generators(d, n, rng)
+    draws = reference_draw_generators(dim, n, np.random.default_rng(seed),
+                                      hamiltonian=include_hamiltonian)
+    chois = max_entangled_state(dim) + eps * gram_directions(draws)
     if include_hamiltonian:
-        mask = rng.random(n) < 0.5
-        raw = (rng.standard_normal((n, d, d))
-               + 1.0j * rng.standard_normal((n, d, d)))
-        h = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
-        h -= (np.einsum("nii->n", h) / d)[:, None, None].real * np.eye(d)
-        chois = chois + (eps * mask[:, None, None]) * hamiltonian_choi(h)
+        chois = chois + (eps * draws["mask"][:, None, None]) * hamiltonian_choi(draws["ham"])
     return chois
 
 

@@ -17,11 +17,11 @@ from nmwitness import choi as choi_module
 from nmwitness.choi import (
     ChoiMatrix,
     MarkovianTargetError,
-    add_phi,
     choi_kets,
     choi_of_channel,
     choi_of_generator,
     classify,
+    complete_trace_preserving,
     default_classification_tol,
     dissipator_chois,
     first_order_state,
@@ -241,13 +241,47 @@ def test_perp_block_is_the_w_perp_block(d):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_add_phi_matches_out_of_place_sum(d):
+def test_trace_preserving_completion_is_the_outer_product_form(d):
+    # P - (d/2)(|phi><a| + |a><phi|), a = (Tr_2 P (x) 1)|phi>, written with
+    # outer products: the in-place form changes only phi's rows and columns,
+    # a stack and its matrices one at a time alike, and leaves Tr_2 X = 0 for
+    # a Hermitian P.
     rng = np.random.default_rng(20 + d)
     stack = _random_complex(rng, (6, d * d, d * d))
-    weights = rng.standard_normal(6)
-    want = stack + weights[:, None, None] * max_entangled_state(d)
-    add_phi(stack, weights)
-    assert np.array_equal(stack, want)
+    stack += stack.conj().transpose(0, 2, 1)
+    phi_ket = choi_kets(np.eye(d))
+    want = []
+    for p in stack:
+        a = lift(partial_trace_2(p)) @ phi_ket
+        want.append(p - 0.5 * d * (np.outer(phi_ket, a.conj()) + np.outer(a, phi_ket.conj())))
+    got = stack.copy()
+    complete_trace_preserving(got)
+    assert np.abs(got - np.array(want)).max() <= 1e-14 * np.abs(stack).max()
+    on_phi = np.zeros(d * d, dtype=bool)
+    on_phi[::d + 1] = True
+    off = ~(on_phi[:, None] | on_phi[None, :])
+    assert np.array_equal(got[:, off], stack[:, off])
+    for k, p in enumerate(stack):
+        single = p.copy()
+        complete_trace_preserving(single)
+        assert np.array_equal(single, got[k])
+        assert np.abs(partial_trace_2(single)).max() <= 1e-14 * np.abs(p).max()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_trace_preserving_completion_of_jumps_is_the_dissipator_sum(d):
+    # For P = sum_a g_a |k_a><k_a|, k_a the Choi ket of L_a, the completion is
+    # sum_a g_a Y_a; for unitary jumps it is P - (sum_a g_a) phi.
+    rng = np.random.default_rng(30 + d)
+    rates = rng.uniform(0.0, 1.0, size=5)
+    for ops in (_random_complex(rng, (5, d, d)), haar_unitaries(d, 5, rng)):
+        kets = choi_kets(ops)
+        p = np.einsum("a,ai,aj->ij", rates, kets, kets.conj())
+        x = p.copy()
+        complete_trace_preserving(x)
+        want = np.tensordot(rates, kron_dissipator_chois(ops), axes=1)
+        assert np.abs(x - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+    assert np.abs(x - (p - rates.sum() * max_entangled_state(d))).max() <= 1e-15
 
 
 def test_roundtrip_identity_superoperator():

@@ -40,6 +40,7 @@ from nmwitness.cli import (
     main,
 )
 from golden_expressions import INNERMOST_ERRORS
+from test_witness import unital_blind_witness
 from nmwitness.choi import MarkovianTargetError
 from nmwitness.geometry import (
     convexity_probe,
@@ -542,6 +543,16 @@ def test_verify_invalid_witness_exit_three(tmp_path):
     assert json.loads(out.read_text())["violations"] == 100
 
 
+def test_verify_exits_three_on_a_witness_that_amplitude_damping_violates(tmp_path):
+    # The witness is 0 on every unital qubit generator; verify samples
+    # non-unital ones too.
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(matrix_to_pairs(unital_blind_witness())))
+    out = tmp_path / "v.json"
+    assert run_main("verify", out, witness=path, eps=1e-3, n=2000, seed=1) == 3
+    assert json.loads(out.read_text())["violations"] > 0
+
+
 def test_verify_rejects_non_hermitian(tmp_path):
     bad = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     path = tmp_path / "bad.json"
@@ -574,7 +585,7 @@ def test_verify_refuses_a_hermitian_witness_that_is_not_d2_by_d2(tmp_path, capsy
     assert main(["verify", "--witness", str(path), "--n", "5", "--seed", "1",
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        "nmwitness: error: witness of shape (3, 3) is not a d^2 x d^2 matrix with d >= 2\n")
+        "nmwitness: error: witness of shape (3, 3) is not a d^2 x d^2 matrix\n")
     assert not out.exists()
 
 

@@ -13,7 +13,8 @@ from nmwitness.geometry import (
     separation_demo,
 )
 
-from oracles import gram_generators, pairwise_distance_census
+from oracles import (gram_generators, ket_matrices, pairwise_distance_census,
+                     reference_draw_generators)
 
 EPS = 1e-3
 
@@ -125,17 +126,15 @@ def test_hs_norm_probe_scaling():
 
 def test_hs_norm_probe_bound_is_superoperator_norm():
     # Rebuild the probe's generators from its seed, in its draw order: jump
-    # counts, Haar unitaries, rates.
+    # counts, Ginibre jumps (each rebuilt from its Choi ket), rates.
     d, n, seed = 3, 60, 21
     report = hs_norm_probe(d, EPS, n, seed)
-    rng = np.random.default_rng(seed)
-    counts = rng.integers(1, d * d + 1, size=n)
-    us = haar_unitaries(d, int(counts.sum()), rng)
-    rates = rng.uniform(0.0, 1.0, size=us.shape[0])
-    starts = np.concatenate(([0], np.cumsum(counts)))
+    draws = reference_draw_generators(d, n, np.random.default_rng(seed))
+    ops, rates = ket_matrices(draws["kets"]), draws["rates"]
+    starts = np.concatenate(([0], np.cumsum(draws["counts"])))
     bounds, deviations = [], []
     for a, b in zip(starts[:-1], starts[1:]):
-        gen = LindbladGenerator(dim=d, ops=tuple(us[a:b]), rates=tuple(rates[a:b]))
+        gen = LindbladGenerator(dim=d, ops=tuple(ops[a:b]), rates=tuple(rates[a:b]))
         # ||C_L|| = ||S|| / d: the Choi rearrangement permutes S's entries
         # and divides them by d.
         bounds.append(EPS * hs_norm(gksl_superoperator(gen, 0.0).matrix) / d)

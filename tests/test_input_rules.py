@@ -126,6 +126,17 @@ def test_every_entry_point_refuses_a_bad_dimension_by_name(entry, d):
     assert str(info.value) == _count_refusal(where, "dim", 2, d)
 
 
+# The command line's verify reads d from a d^2 x d^2 witness file, so of the
+# dimensions above only 1 can reach it. Before, cmd_verify refused a 1 x 1
+# witness by a shape test of its own.
+def test_verify_leaves_a_one_by_one_witness_to_the_dimension_rule(tmp_path, capsys):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps([[[1.0, 0.0]]]))
+    assert cli.main(["verify", "--witness", str(path), "--n", "5", "--seed", "1"]) == 1
+    refusal = _count_refusal("verify_witness", "dim", 2, 1)
+    assert capsys.readouterr().err == f"nmwitness: error: {refusal}\n"
+
+
 @pytest.mark.parametrize("entry", ["max_entangled_state", "gell_mann_basis"])
 def test_a_numpy_integer_dimension_is_admitted(entry):
     _, call = _DIM_ENTRY_POINTS[entry]

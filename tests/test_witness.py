@@ -7,11 +7,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nmwitness.channels import SuperOperator, builtin_dephasing, builtin_pauli, haar_unitaries
-from nmwitness.choi import (ChoiMatrix, choi_of_channel, choi_of_generator, classify,
+from nmwitness.choi import (ChoiMatrix, choi_kets, choi_of_channel, choi_of_generator, classify,
                             default_classification_tol, dissipator_chois, first_order_state,
-                            max_entangled_state, scan)
-from nmwitness.linalg import (DEGENERACY_GAP, PAULIS, SIGMA_Z, dagger, hermiticity_defect,
-                              hs_inner, hs_norm)
+                            max_entangled_state, perp_block, scan)
+from nmwitness.linalg import (DEGENERACY_GAP, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger,
+                              hermiticity_defect, hs_inner, hs_norm)
 from nmwitness.rates import ConstantRate, TableRate
 from nmwitness.witness import (
     MarkovianFamily,
@@ -734,6 +734,9 @@ def test_sampler_reproducible_and_trace_one():
 @pytest.mark.parametrize("dim", [2, 3, 4])
 @pytest.mark.parametrize("signed", [False, True])
 def test_unitary_jump_generators_match_per_jump_sum(dim, signed):
+    # Each sampled direction is sum_a g_a Y_a, Y_a of dissipator_chois for
+    # the jump L_a rebuilt from its ket: Ginibre jumps, unitary only as a
+    # special case.
     n, seed = 300, 40 + dim
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     gens = _draw_generators(dim, n, rng)
@@ -861,6 +864,59 @@ def test_verify_witness_rejects_dim_of_another_witness():
                         provenance="id")
     with pytest.raises(ShapeError, match=r"verify_witness: w is 4x4, expected 9x9 for dim=3"):
         verify_witness(w, 3, EPS, 10, seed=1)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_sampled_directions_are_trace_preserving(dim):
+    gens = _draw_generators(dim, 300, np.random.default_rng(50 + dim))
+    x = gens.dissipators()
+    tr2 = np.einsum("nikjk->nij", x.reshape((-1,) + (dim,) * 4))
+    assert np.abs(tr2).max() <= 1e-14 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("eps", [1e-3, 0.7, 1e20])
+def test_expectations_are_within_their_slack_of_the_formed_states(dim, eps):
+    # Tr(W C_k) contracted with the formed states of sample_markovian_chois.
+    n, seed = 400, 70 + dim
+    chois = sample_markovian_chois(dim, eps, n, seed)
+    gens = _draw_generators(dim, n, np.random.default_rng(seed), hamiltonian=True)
+    for name, w in _witness_matrices(dim, np.random.default_rng(dim)).items():
+        values, slack = gens.expectations(w, eps)
+        assert np.all(np.abs(values - np.einsum("ij,nji->n", w, chois).real) <= slack), name
+
+
+# The sampled family is all of F, non-unital generators included. A unital
+# qubit generator's w_perp block is real in the Pauli-ket basis (the columns
+# of choi.perp_isometry), so W = i(|k_x><k_y| - |k_y><k_x|), k_x and k_y the
+# Choi kets of sigma_x and sigma_y, is 0 on every one of them; amplitude
+# damping, divisible, takes it to -eps/2.
+
+_SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+
+def unital_blind_witness() -> np.ndarray:
+    kx, ky = choi_kets(SIGMA_X), choi_kets(SIGMA_Y)
+    return 1j * (np.outer(kx, ky.conj()) - np.outer(ky, kx.conj()))
+
+
+def test_verify_fails_a_witness_that_amplitude_damping_violates():
+    w = WitnessOperator(unital_blind_witness(), "theorem3", "unital-blind")
+    damping = choi_of_generator(LindbladGenerator(2, (_SIGMA_MINUS,), (1.0,)), 0.0, EPS)
+    assert expectation(w, damping) == pytest.approx(-EPS / 2, rel=1e-12)
+    report = verify_witness(w, 2, EPS, 20_000, seed=1)
+    assert report.violations > 0
+    assert report.min_expectation < -EPS / 2
+
+
+def test_sampled_qubit_blocks_are_not_all_real_in_the_pauli_ket_basis():
+    gens = _draw_generators(2, 200, np.random.default_rng(9))
+    assert np.abs(perp_block(gens.dissipators()).imag).max() > 0.1
+    # Unitary jumps give real blocks, on which W is 0.
+    us = haar_unitaries(2, 3, np.random.default_rng(9))
+    unital = np.tensordot([0.2, 0.5, 0.9], dissipator_chois(us), axes=1)
+    assert np.abs(perp_block(unital).imag).max() <= 1e-15
+    assert abs(np.vdot(unital_blind_witness(), unital)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -1144,9 +1200,6 @@ def test_spectral_jump_rescaling_and_splitting(seed, log_z, phase):
     _assert_same(before, _spectral(np.concatenate((ops[:1], ops)),
                                    np.concatenate((rates[:1] / 2, rates[:1] / 2, rates[1:])),
                                    ham, eps))
-
-
-_SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the verdict is the Choi spectrum "
