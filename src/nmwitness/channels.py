@@ -14,11 +14,10 @@ vec(A X B) = (B^T (x) A) vec(X), and the generator
 traceless in the sense vec(I)^dag S = 0.
 
 `haar_unitaries` draws the members of the extreme-point census only: complex
-Ginibre matrices orthonormalised in place by batched Gram-Schmidt, no LAPACK
-call. The unitaries land in the layout of their Choi kets, so `choi.haar_kets`
-scales them into kets in place. The samplers draw Ginibre jumps, not
-unitaries (`witness._draw_generators`). `_blocks` sizes every block of the
-package (unitaries, samples, census rows) by one budget, `_BLOCK_BYTES`.
+Ginibre matrices orthonormalised by batched Gram-Schmidt, no LAPACK call.
+The samplers draw Ginibre jumps, not unitaries (`witness._draw_generators`).
+`_blocks` sizes the blocks of samples and of census rows by one budget,
+`_BLOCK_BYTES`.
 """
 
 from __future__ import annotations
@@ -154,45 +153,26 @@ def _blocks(n: int, item_bytes: int, multiple: int = 1) -> list[tuple[int, int]]
 
 
 def haar_unitaries(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n Haar-random unitaries: the Q of complex Ginibre draws Z = QR.
+    """n Haar-random unitaries, a C-contiguous (n, dim, dim) array: the Q of
+    complex Ginibre draws Z = QR.
 
-    Columns are orthonormalised in order by batched classical Gram-Schmidt
-    with one reorthogonalisation, a few small einsum passes per column, each
-    subtracted in place. R then has a positive real diagonal, the phase
-    convention that makes Q Haar distributed (Mezzadri, Notices AMS 54, 592
-    (2007)); it is the Q of a LAPACK QR with its phases fixed the same way.
-    The real and then the imaginary parts of Z are drawn as (n, dim, dim)
-    standard normals and written, scaled, straight into the result.
-
-    The (n, dim, dim) result is a strided view: column k of unitary i is row
-    k of a C-contiguous (dim, dim) block, the layout of the Choi ket vec(U_i)
-    that `choi.haar_kets` scales in place. Gram-Schmidt copies one block of
-    unitaries at a time into a (dim, dim, block) column array, so that each
-    pass runs along the contiguous batch axis, and copies it back.
+    Z = (a + 1j*b) / sqrt(2), a and b drawn as (n, dim, dim) standard
+    normals, is copied into (dim, n) columns, which batched classical
+    Gram-Schmidt with one reorthogonalisation orthonormalises in order. R
+    then has a positive real diagonal, the phase convention that makes Q
+    Haar distributed (Mezzadri, Notices AMS 54, 592 (2007)); it is the Q of
+    a LAPACK QR with its phases fixed the same way.
     """
-    # vecs[i, k] is column k of unitary i. Scaling by s = 1/sqrt(2) is bit
-    # for bit (re + 1j*im) / sqrt(2), which numpy divides as (re*s, im*s).
-    vecs = np.empty((n, dim, dim), dtype=complex)
-    us = vecs.transpose(0, 2, 1)
-    scale = 1.0 / np.sqrt(2.0)
-    for part in (us.real, us.imag):
-        np.multiply(rng.standard_normal((n, dim, dim)), scale, out=part)
-    # The passes over one block of Gram-Schmidt columns run in cache.
-    for a, b in _blocks(n, 16 * dim * dim):
-        # cols[k] is column k of the block's Z, then of its Q, as a
-        # (dim, block) array.
-        cols = vecs[a:b].transpose(1, 2, 0).copy()
-        for k in range(dim):
-            v = cols[k]
-            for _ in range(2 if k else 0):
-                basis = cols[:k]
-                # <b|v> as conj(sum_j b_j conj(v_j)): the same bits as
-                # conjugating the basis (each product and sum only changes
-                # sign), through a (dim, block) temporary rather than a
-                # (k, dim, block) one.
-                coef = np.einsum("kjn,jn->kn", basis, v.conj())
-                v -= np.einsum("kjn,kn->jn", basis, np.conjugate(coef, out=coef))
-            v /= np.sqrt(np.einsum("jn,jn->n", v.real, v.real)
-                         + np.einsum("jn,jn->n", v.imag, v.imag))
-        vecs[a:b] = cols.transpose(2, 0, 1)
-    return us
+    z = (rng.standard_normal((n, dim, dim))
+         + 1.0j * rng.standard_normal((n, dim, dim))) / np.sqrt(2.0)
+    # cols[k] is column k of every Z, then of every Q, as a (dim, n) array.
+    cols = np.ascontiguousarray(z.transpose(2, 1, 0))
+    for k in range(dim):
+        v = cols[k]
+        for _ in range(2 if k else 0):
+            basis = cols[:k]
+            v = v - np.einsum("kjn,kn->jn", basis, np.einsum("kjn,jn->kn", basis.conj(), v))
+        v /= np.sqrt(np.einsum("jn,jn->n", v.real, v.real)
+                     + np.einsum("jn,jn->n", v.imag, v.imag))
+        cols[k] = v
+    return np.ascontiguousarray(cols.transpose(2, 1, 0))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import LindbladGenerator, SuperOperator, haar_unitaries
+from .channels import LindbladGenerator, SuperOperator
 from .linalg import (DEFAULT_HERM_TOL, ShapeError, as_matrix, dagger, gell_mann_basis,
                      hermitian_part, hermiticity_defect, require_count, require_eps,
                      require_time, require_tol)
@@ -48,17 +48,6 @@ def choi_kets(a: np.ndarray) -> np.ndarray:
     return kets.reshape(a.shape[:-2] + (d * d,))
 
 
-def haar_kets(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """The (n, d^2) Choi kets of n Haar unitaries drawn by `haar_unitaries`.
-
-    That draw lands in the ket layout (column k of a unitary is one
-    contiguous row), so it is scaled by 1/sqrt(d) in place: the kets are the
-    draw's only array, bit for bit `choi_kets` of it."""
-    kets = np.swapaxes(haar_unitaries(dim, n, rng), -1, -2)
-    kets /= np.sqrt(dim)
-    return kets.reshape(n, dim * dim)
-
-
 @functools.lru_cache(maxsize=None, typed=True)
 def max_entangled_state(dim: int) -> np.ndarray:
     """Projector onto (1/sqrt(d)) sum_i |ii>, as a d^2 x d^2 matrix, cached and read-only."""
@@ -71,17 +60,16 @@ def max_entangled_state(dim: int) -> np.ndarray:
 
 def complete_trace_preserving(p: np.ndarray) -> None:
     """P -> P - (d/2)(|phi><a| + |a><phi|), a = (Tr_2 P (x) 1)|phi>, in place on
-    a d^2 x d^2 P or on each of a stack: the trace-preserving direction whose
-    jump part is P. For P = sum_a g_a |k_a><k_a| it is sum_a g_a Y_a of
-    `dissipator_chois`, with L_a the matrix of the ket k_a, and for unitary
-    jumps it is P - (sum_a g_a) phi.
+    a d^2 x d^2 P or on each of a stack: for Hermitian P, the trace-preserving
+    direction that leaves P's w_perp block alone. For P = sum_a g_a |k_a><k_a|
+    it is sum_a g_a Y_a of `dissipator_chois`, with L_a the matrix of the ket
+    k_a, and for unitary jumps it is P - (sum_a g_a) phi.
 
     a = vec(Tr_2 P)/sqrt(d) and phi's nonzero entries, 1/sqrt(d), are its
     rows and columns i*(d+1), so only those change: each such row loses
     conj(vec(Tr_2 P))/2 and each such column vec(Tr_2 P)/2, rows first."""
     d = math.isqrt(p.shape[-1])
-    half = 0.5 * np.einsum("...ikjk->...ij", p.reshape(p.shape[:-2] + (d,) * 4))
-    half = half.reshape(p.shape[:-2] + (d * d,))
+    half = (0.5 * partial_trace_2(p)).reshape(p.shape[:-2] + (d * d,))
     p[..., ::d + 1, :] -= half.conj()[..., None, :]
     p[..., ::d + 1] -= half[..., None]
 
@@ -103,9 +91,9 @@ def perp_block(x: np.ndarray) -> np.ndarray:
 
 
 def partial_trace_2(x: np.ndarray) -> np.ndarray:
-    """Tr_2 x, the trace over the second factor of a d^2 x d^2 matrix."""
+    """Tr_2 x, the trace over the second factor of a d^2 x d^2 x or of each of a stack."""
     d = math.isqrt(x.shape[-1])
-    return np.einsum("ikjk->ij", x.reshape(d, d, d, d))
+    return np.einsum("...ikjk->...ij", x.reshape(x.shape[:-2] + (d,) * 4))
 
 
 def lift(m: np.ndarray) -> np.ndarray:
@@ -117,7 +105,9 @@ def lift(m: np.ndarray) -> np.ndarray:
 class ChoiMatrix:
     """Choi state of a trace-preserving small-time step, tagged with (t, eps).
 
-    The matrix must pass `_require_states`; matrix holds its Hermitian part,
+    The tags are refused unless t is finite (`require_time`) and eps finite
+    and >= 0 (`require_tol`'s rule; `choi_of_channel` tags eps = 0). The
+    matrix must pass `_require_states`; matrix holds its Hermitian part,
     so it is exactly Hermitian. Positivity is deliberately not required, its
     failure is the signal everything downstream looks for.
 
@@ -134,6 +124,8 @@ class ChoiMatrix:
 
     def __post_init__(self):
         require_count(self.dim, "ChoiMatrix", "dim", least=2)
+        require_time(self.t, "ChoiMatrix", "t")
+        require_tol(self.eps, "ChoiMatrix", "eps")
         m = as_matrix(self.matrix, "ChoiMatrix.matrix")
         y = m if self.direction is None else as_matrix(self.direction, "ChoiMatrix.direction")
         d2 = self.dim * self.dim
@@ -256,7 +248,7 @@ def classify(c: ChoiMatrix, tol: float | None = None) -> NMClassification:
 
     trace_norm_deficit is sum|lambda| - 1, zero exactly on states.
     """
-    tol = default_classification_tol(c.eps) if tol is None else require_tol(tol, "classify")
+    tol = default_classification_tol(c.eps) if tol is None else require_tol(tol, "classify", "tol")
     mins, deficits, markovian = _verdicts(c.matrix[None], tol)
     return NMClassification(min_eigenvalue=float(mins[0]),
                             trace_norm_deficit=float(deficits[0]),
@@ -311,7 +303,7 @@ def scan(gen: LindbladGenerator, t0: float, t1: float, steps: int, eps: float,
     if t1 <= t0:
         raise ValueError(f"scan: need t1 > t0, got [{t0}, {t1}]")
     require_count(steps, "scan", "steps")
-    tol = default_classification_tol(eps) if tol is None else require_tol(tol, "scan")
+    tol = default_classification_tol(eps) if tol is None else require_tol(tol, "scan", "tol")
     dt = (t1 - t0) / steps
     if not math.isfinite(dt):
         raise ValueError(f"scan: window [{t0}, {t1}] is too wide: (t1 - t0) / steps "

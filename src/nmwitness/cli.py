@@ -600,7 +600,7 @@ def _argument(convert, expected: str, rule, *args):
 
 _FINITE = _argument(float, "a finite number", require_time, "time")
 _EPS = _argument(float, "a finite positive number", require_eps)
-_TOL = _argument(float, "a finite nonnegative number", require_tol)
+_TOL = _argument(float, "a finite nonnegative number", require_tol, "tol")
 _SEED = _argument(int, "a nonnegative integer", require_count, "seed", 0)
 _DIM = _argument(int, "an integer >= 2", require_count, "dim", 2)
 _COUNT = _argument(int, "a positive integer", require_count, "count")

@@ -9,10 +9,10 @@ first-order states (closedness is not numerically testable and is not
 claimed by any probe). Both, and the separation demo, draw their generators
 with Ginibre jumps (`witness._draw_generators`), so they sample all of F,
 non-unital generators included. The census of distinct purity-one Choi
-states of Haar-random unitary channels, the one probe that draws Haar
-unitaries, shows that the set of all channels is not a polytope; they lie in
-F only because every CPTP Choi state does, and eps is not read. The
-separation demo projects onto F and samples its members.
+states of Haar-random unitary channels, the Choi kets of one
+`channels.haar_unitaries` draw, shows that the set of all channels is not a
+polytope; they lie in F only because every CPTP Choi state does, and eps is
+not read. The separation demo projects onto F and samples its members.
 Trials and census rows are walked in the blocks of `channels._blocks`, which
 one budget, `channels._BLOCK_BYTES`, sizes.
 """
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choi import ChoiMatrix, first_order_state, haar_kets, perp_block, require_non_markovian
-from .channels import _blocks
+from .choi import ChoiMatrix, choi_kets, first_order_state, perp_block, require_non_markovian
+from .channels import _blocks, haar_unitaries
 from .linalg import require_count, require_eps
 from .witness import (
     _draw_generators,
@@ -177,8 +177,9 @@ def extreme_point_probe(dim: int, eps: float, n_unitaries: int,
     shows that the set of all channels is not a polytope, not that the
     divisible set is not one.
 
-    The members are the kets |u> of `choi.haar_kets`; the purity Tr(P^2) of
-    P = |u><u| is read from its ket as <u|u>^2, with no projector formed.
+    The members are the `choi_kets` |u> of a `haar_unitaries` draw; the
+    purity Tr(P^2) of P = |u><u| is read from its ket as <u|u>^2, with no
+    projector formed.
     Pure states lie sqrt(2 - 2|<u|v>|^2) apart, falling as the overlap
     grows: the largest overlap of two distinct trials gives the smallest
     distance. The census forms each of the n(n-1)/2 unordered pairs once,
@@ -189,7 +190,7 @@ def extreme_point_probe(dim: int, eps: float, n_unitaries: int,
     """
     require_count(dim, "extreme_point_probe", "dim", least=2)
     require_count(n_unitaries, "extreme_point_probe", "n_unitaries", least=2)
-    uvec = haar_kets(dim, n_unitaries, np.random.default_rng(seed))
+    uvec = choi_kets(haar_unitaries(dim, n_unitaries, np.random.default_rng(seed)))
     conj = uvec.conj()
     purities = np.einsum("ni,ni->n", uvec, conj).real ** 2
 

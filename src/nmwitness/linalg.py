@@ -75,10 +75,11 @@ def require_eps(eps: float, where: str) -> None:
         raise ValueError(f"{where}: eps must be finite and > 0, got {eps}")
 
 
-def require_tol(tol: float, where: str) -> float:
-    """tol, an eigenvalue tolerance, refused unless finite and nonnegative."""
+def require_tol(tol: float, where: str, name: str) -> float:
+    """tol, an eigenvalue tolerance or a state's eps tag, refused unless finite
+    and nonnegative."""
     if not 0.0 <= tol < np.inf:
-        raise ValueError(f"{where}: tol must be finite and >= 0, got {tol}")
+        raise ValueError(f"{where}: {name} must be finite and >= 0, got {tol}")
     return tol
 
 

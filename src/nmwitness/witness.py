@@ -133,7 +133,7 @@ def spectral_witnesses(c: ChoiMatrix, tol: float | None = None) -> list[WitnessO
     cluster is emitted. Returns an empty list for a spectrum >= -tol.
     """
     tol = (default_classification_tol(c.eps) if tol is None
-           else require_tol(tol, "spectral_witnesses"))
+           else require_tol(tol, "spectral_witnesses", "tol"))
     w, v = linalg.hermitian_eig(c.matrix)
     negative = np.flatnonzero(w < -tol)
     clusters = np.split(negative, np.flatnonzero(np.diff(w[negative]) > DEGENERACY_GAP) + 1)
@@ -350,8 +350,8 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix) -> NearestMCSResult:
     largest eigenvalue. X lies in the cone by construction.
 
     The returned state is phi + eps X, carrying X, for the Hermitian part of
-    X after a projection onto the trace-preserving subspace that leaves the
-    w_perp block alone: in the family up to roundoff, and a valid Choi state
+    X after `choi.complete_trace_preserving`, which removes Tr_2 X and leaves
+    the w_perp block alone: in the family up to roundoff, and a valid Choi state
     with kkt_ok=False on hitting GKSL_MAX_ITER. iterations counts Newton
     steps, dual is Lambda, and kossakowski is d B^dag X B over the columns
     vec(F_j) of the Gell-Mann basis, PSD up to roundoff.
@@ -360,7 +360,6 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix) -> NearestMCSResult:
     require_eps(e, "nearest_mcs_full_gksl")
 
     n = d * d
-    phi = max_entangled_state(d)
     u = perp_isometry(d)
     y, scale = _generator_units(cn)
 
@@ -419,12 +418,10 @@ def nearest_mcs_full_gksl(cn: ChoiMatrix) -> NearestMCSResult:
     polar = max(hs_norm(q - u @ block @ dagger(u)), np.linalg.eigvalsh(block)[-1])
     kkt_ok = _kkt_ok(q, x, polar, scale, primal=d * residual)
 
-    # Subtracting (d/2){phi, Tr_2 X (x) 1} removes Tr_2 X without touching the
-    # w_perp block (w_perp phi = 0), so the returned generator stays in the cone.
-    # Its Hermitian part drops the rounding of cone_point, which far from phi
+    complete_trace_preserving(x)
+    # The Hermitian part drops the rounding of cone_point, which far from phi
     # exceeds the Hermiticity tolerance of ChoiMatrix.
-    defect = lift(x_tr2)
-    x = hermitian_part(x - 0.5 * d * (phi @ defect + defect @ phi))
+    x = hermitian_part(x)
     return NearestMCSResult(
         choi_star=ChoiMatrix(d, first_order_state(x, e), cn.t, e, x),
         residual=e * hs_norm(y - x),

@@ -275,25 +275,6 @@ def qr_haar_unitaries(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (diag / np.abs(diag))[:, None, :]
 
 
-def reference_haar_unitaries(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """`haar_unitaries` as first written: the Ginibre draws formed as
-    (a + 1j*b) / sqrt(2) and copied transposed into the column layout, then
-    the same batched Gram-Schmidt. The in-place draw must match it byte for
-    byte."""
-    z = (rng.standard_normal((n, dim, dim))
-         + 1.0j * rng.standard_normal((n, dim, dim))) / np.sqrt(2.0)
-    cols = np.ascontiguousarray(z.transpose(2, 1, 0))
-    for k in range(dim):
-        v = cols[k]
-        for _ in range(2 if k else 0):
-            basis = cols[:k]
-            v = v - np.einsum("kjn,kn->jn", basis, np.einsum("kjn,jn->kn", basis.conj(), v))
-        v /= np.sqrt(np.einsum("jn,jn->n", v.real, v.real)
-                     + np.einsum("jn,jn->n", v.imag, v.imag))
-        cols[k] = v
-    return np.ascontiguousarray(cols.transpose(2, 1, 0))
-
-
 def reference_draw_generators(dim: int, n: int, rng: np.random.Generator,
                               signed: bool = False, hamiltonian: bool = False) -> dict:
     """The sampler's draws, every array formed out of place: jump counts;

@@ -3,7 +3,6 @@ import warnings
 import numpy as np
 import pytest
 
-from nmwitness import channels
 from nmwitness.channels import (
     LindbladGenerator,
     SuperOperator,
@@ -21,8 +20,7 @@ from nmwitness.rates import ConstantRate, RateEvalError, TableRate
 from nmwitness.witness import (MarkovianFamily, WitnessOperator, fixed_basis_family,
                                nearest_mcs_full_gksl, pauli_family, sample_markovian_chois,
                                uniqueness_check, verify_witness)
-from oracles import (apply_superop, qr_haar_unitaries, random_markovian,
-                     reference_haar_unitaries)
+from oracles import apply_superop, qr_haar_unitaries, random_markovian
 
 
 def vec_identity(dim):
@@ -88,7 +86,12 @@ def test_a_jump_whose_ldag_l_overflows_is_refused():
 
 
 def _tagged(eps):
-    return ChoiMatrix(2, max_entangled_state(2), 0.0, eps)
+    """phi tagged eps. ChoiMatrix refuses a negative or non-finite tag itself
+    (tests/test_input_rules.py), so such a tag is set after construction, to
+    reach the consumer's own eps rule."""
+    state = ChoiMatrix(2, max_entangled_state(2), 0.0, 0.0)
+    object.__setattr__(state, "eps", eps)
+    return state
 
 
 # Every first-order entry point -> (the name its refusal carries, a call at eps).
@@ -327,36 +330,6 @@ def test_haar_unitaries_are_unitary():
     us = haar_unitaries(3, 50, rng)
     for u in us:
         assert np.abs(dagger(u) @ u - np.eye(3)).max() < 1e-12
-
-
-@pytest.mark.parametrize("dim", [2, 3, 4, 5])
-@pytest.mark.parametrize("seed", [0, 7, 2024])
-def test_haar_unitaries_match_out_of_place_draw_bytes(dim, seed):
-    # Writing the scaled draws into the result in place is bit for bit
-    # (a + 1j*b) / sqrt(2), and takes the same numbers from the stream.
-    for n in (1, 2, 17, 1000):
-        rng, ref_rng = np.random.default_rng((seed, n)), np.random.default_rng((seed, n))
-        us = haar_unitaries(dim, n, rng)
-        ref = reference_haar_unitaries(dim, n, ref_rng)
-        assert us.shape == ref.shape == (n, dim, dim)
-        assert us.tobytes() == ref.tobytes()
-        assert rng.random() == ref_rng.random()
-
-
-@pytest.mark.parametrize("dim", [2, 3, 4, 5])
-@pytest.mark.parametrize("per_block", [1, 7, None])
-def test_haar_unitaries_are_the_same_bits_in_any_blocks(dim, per_block, monkeypatch):
-    # Gram-Schmidt runs one block of unitaries at a time; each unitary gets
-    # the arithmetic of the whole batch, down to a last block of one.
-    if per_block is None:
-        n = 2 * (channels._BLOCK_BYTES // (16 * dim * dim)) + 1
-    else:
-        monkeypatch.setattr(channels, "_BLOCK_BYTES", per_block * 16 * dim * dim)
-        n = 50
-    rng, ref_rng = np.random.default_rng((dim, n)), np.random.default_rng((dim, n))
-    us = haar_unitaries(dim, n, rng)
-    assert us.tobytes() == reference_haar_unitaries(dim, n, ref_rng).tobytes()
-    assert rng.random() == ref_rng.random()
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])

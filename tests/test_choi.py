@@ -1,5 +1,7 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from nmwitness.channels import (
     gksl_superoperator,
     haar_unitaries,
 )
-from nmwitness import choi as choi_module
 from nmwitness.choi import (
     ChoiMatrix,
     MarkovianTargetError,
@@ -25,7 +26,6 @@ from nmwitness.choi import (
     default_classification_tol,
     dissipator_chois,
     first_order_state,
-    haar_kets,
     hamiltonian_choi,
     lift,
     max_entangled_state,
@@ -164,24 +164,6 @@ def test_choi_kets_are_a_fresh_c_contiguous_copy():
         assert kets.dtype == want.dtype and kets.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("dim, n", [(2, 1), (3, 50), (4, 7)])
-def test_haar_kets_are_the_draw_scaled_in_place(monkeypatch, dim, n):
-    # The bits of choi_kets of the same draw, with the draw's memory as the
-    # kets' only array.
-    draws = []
-
-    def recorded(d, count, rng):
-        draws.append(haar_unitaries(d, count, rng))
-        return draws[-1]
-
-    monkeypatch.setattr(choi_module, "haar_unitaries", recorded)
-    kets = haar_kets(dim, n, np.random.default_rng((dim, n)))
-    want = choi_kets(haar_unitaries(dim, n, np.random.default_rng((dim, n))))
-    assert kets.shape == want.shape == (n, dim * dim) and kets.flags.c_contiguous
-    assert kets.tobytes() == want.tobytes()
-    assert len(draws) == 1 and np.shares_memory(kets, draws[0])
-
-
 # ---------------------------------------------------------------------------
 # layout pieces of the divisible cone, against dense oracles
 # ---------------------------------------------------------------------------
@@ -206,6 +188,46 @@ def test_partial_trace_2_against_explicit_sum(d):
     want = np.array([[sum(x[i * d + k, j * d + k] for k in range(d)) for j in range(d)]
                      for i in range(d)])
     assert np.abs(partial_trace_2(x) - want).max() < 1e-13
+    # A stack's traces are its matrices' traces, bit for bit.
+    stack = _random_complex(rng, (2, 3, d * d, d * d))
+    traces = partial_trace_2(stack)
+    assert traces.shape == (2, 3, d, d)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(traces[idx], partial_trace_2(stack[idx]))
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "nmwitness"
+
+
+def tr2_spellings(module: str, source: str) -> list[str]:
+    """module.function, the innermost function, of each line of source that
+    spells the Tr_2 subscripts ikjk."""
+    functions = [(f.lineno, f.end_lineno, f.name) for f in ast.walk(ast.parse(source))
+                 if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    found = []
+    for k, line in enumerate(source.splitlines(), 1):
+        if "ikjk" in line:
+            owners = [(a, name) for a, b, name in functions if a <= k <= b]
+            found.append(f"{module}.{max(owners)[1] if owners else '<module>'}")
+    return found
+
+
+def test_the_tr2_scan_finds_an_inline_copy():
+    planted = ('def partial_trace_2(x):\n'
+               '    return np.einsum("ikjk->ij", x)\n'
+               '\n'
+               'def complete(p):\n'
+               '    def half():\n'
+               '        return 0.5 * np.einsum("...ikjk->...ij", p)\n'
+               '    return half()\n')
+    assert tr2_spellings("choi", planted) == ["choi.partial_trace_2", "choi.half"]
+    assert tr2_spellings("witness", "x = partial_trace_2(y)\n") == []
+
+
+def test_tr2_is_spelled_once_in_partial_trace_2():
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in tr2_spellings(path.stem, path.read_text())]
+    assert found == ["choi.partial_trace_2"]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

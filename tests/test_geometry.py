@@ -222,7 +222,7 @@ def test_extreme_point_probe_counts_coincident_pairs(monkeypatch):
         us[[5, 8, 9]] = np.diag([1j, 1.0, -1.0, -1j])
         return us
 
-    monkeypatch.setattr(choi, "haar_unitaries", with_repeats)
+    monkeypatch.setattr(geometry, "haar_unitaries", with_repeats)
     report = extreme_point_probe(4, EPS, 40, seed=11)
     purities, min_distance, coincidences, failures = _census_reference(
         with_repeats(4, 40, np.random.default_rng(11)))
@@ -257,7 +257,7 @@ def test_extreme_point_probe_matches_full_distance_matrix_across_row_blocks(
             us[[r - 1, r, r + 8, 2 * r]] = scale * perm
         return us
 
-    monkeypatch.setattr(choi, "haar_unitaries", draw)
+    monkeypatch.setattr(geometry, "haar_unitaries", draw)
     report = extreme_point_probe(dim, EPS, n, seed)
     purities, min_distance, coincidences, failures = _census_reference(
         draw(dim, n, np.random.default_rng(seed)))

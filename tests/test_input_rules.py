@@ -150,8 +150,10 @@ def test_a_numpy_integer_dimension_is_admitted(entry):
 _PAULI = builtin_pauli(1.0, 1.0, -0.3)
 
 # Entry point -> (the name its refusal carries, the time's name, a call at t).
-# Before the rule, choi_of_generator at nan built a state tagged t = nan.
+# Before the rule, choi_of_generator at nan built a state tagged t = nan, and
+# so did ChoiMatrix.
 _TIME_ENTRY_POINTS = {
+    "ChoiMatrix": ("ChoiMatrix", "t", lambda t: ChoiMatrix(2, max_entangled_state(2), t, 1e-3)),
     "choi_of_generator": ("choi_of_generator", "t",
                           lambda t: choi_of_generator(_PAULI, t, 1e-3)),
     "MarkovianFamily": ("MarkovianFamily", "t", lambda t: MarkovianFamily(2, (SIGMA_Z,), 1e-3, t)),
@@ -173,7 +175,7 @@ def test_every_entry_point_refuses_a_non_finite_time_by_name(entry, t):
 
 
 @pytest.mark.parametrize("t", [0, -1, 2.5, np.float64(0.5)])
-@pytest.mark.parametrize("entry", ["choi_of_generator", "MarkovianFamily"])
+@pytest.mark.parametrize("entry", ["choi_of_generator", "MarkovianFamily", "ChoiMatrix"])
 def test_a_finite_time_is_admitted(entry, t):
     _TIME_ENTRY_POINTS[entry][2](t)
 
@@ -182,30 +184,41 @@ def test_a_finite_time_is_admitted(entry, t):
 # tolerances
 # ---------------------------------------------------------------------------
 
-# Entry point -> (the name its refusal carries, a call at tol). Before the
-# rule, classify at nan or -1.0 called the PSD dephasing state non-Markovian.
+def _pauli_state(eps_tag):
+    """The non-Markovian Pauli (1, 1, -0.3) state at eps = 1e-3, tagged eps_tag."""
+    return ChoiMatrix(2, choi_of_generator(_PAULI, 0.0, 1e-3).matrix, 0.0, eps_tag)
+
+
+# Entry point -> (the name its refusal carries, the value's name, a call at
+# tol). Before the rule, classify at nan or -1.0 called the PSD dephasing
+# state non-Markovian; a ChoiMatrix tagged eps = inf was admitted, and classify
+# then called the Pauli state Markovian at tol = inf.
 _TOL_ENTRY_POINTS = {
-    "classify": ("classify", lambda tol: classify(_dephasing_state(), tol)),
-    "require_non_markovian": ("classify",
+    "classify": ("classify", "tol", lambda tol: classify(_dephasing_state(), tol)),
+    "require_non_markovian": ("classify", "tol",
                               lambda tol: require_non_markovian(_dephasing_state(), tol)),
-    "scan": ("scan", lambda tol: scan(builtin_dephasing(1.0), 0.0, 1.0, 4, 1e-3, tol)),
-    "spectral_witnesses": ("spectral_witnesses",
+    "scan": ("scan", "tol", lambda tol: scan(builtin_dephasing(1.0), 0.0, 1.0, 4, 1e-3, tol)),
+    "spectral_witnesses": ("spectral_witnesses", "tol",
                            lambda tol: spectral_witnesses(_dephasing_state(), tol)),
+    "ChoiMatrix": ("ChoiMatrix", "eps", _pauli_state),
 }
 
 
 @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf])
 @pytest.mark.parametrize("entry", sorted(_TOL_ENTRY_POINTS))
 def test_every_entry_point_refuses_a_bad_tol_by_name(entry, tol):
-    where, call = _TOL_ENTRY_POINTS[entry]
+    where, name, call = _TOL_ENTRY_POINTS[entry]
     with pytest.raises(ValueError) as info:
         call(tol)
-    assert str(info.value) == f"{where}: tol must be finite and >= 0, got {tol}"
+    assert str(info.value) == f"{where}: {name} must be finite and >= 0, got {tol}"
 
 
 def test_a_zero_tol_is_admitted():
     assert classify(_dephasing_state(), 0.0).is_markovian
     assert spectral_witnesses(_dephasing_state(), 0) == []
+    # choi_of_channel tags its states eps = 0; the Pauli state stays non-Markovian.
+    assert not classify(_pauli_state(0.0)).is_markovian
+    assert not classify(_pauli_state(1e-3)).is_markovian
 
 
 # ---------------------------------------------------------------------------

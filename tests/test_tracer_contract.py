@@ -71,6 +71,8 @@ def test_every_info_extractor_reads_a_real_call(tmp_path):
 def test_the_tracer_reaches_the_functions_the_cli_imports_when_it_runs(tmp_path):
     # cli looks witness and geometry functions up in their own modules when a
     # command runs; the tracer's wrappers there are what those commands call.
+    # The census draws its unitaries through geometry's own name for
+    # channels.haar_unitaries, which channels.haar_s times.
     from nmwitness.cli import main
 
     sz = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]
@@ -83,8 +85,11 @@ def test_the_tracer_reaches_the_functions_the_cli_imports_when_it_runs(tmp_path)
                      "--out", str(tmp_path / "w.json")]) == 0
         assert main(["geometry", "--probe", "convexity", "--n", "5", "--seed", "1",
                      "--out", str(tmp_path / "g.json")]) == 0
+        assert main(["geometry", "--probe", "extreme", "--n", "5", "--seed", "1",
+                     "--out", str(tmp_path / "e.json")]) == 0
     finally:
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
     assert {"witness.nearest_mcs_full_gksl", "witness.theorem3_witness",
-            "geometry.convexity_probe"} <= names, names
+            "geometry.convexity_probe", "geometry.extreme_point_probe",
+            "channels.haar_unitaries"} <= names, names
