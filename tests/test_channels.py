@@ -332,6 +332,48 @@ def test_haar_unitaries_are_unitary():
         assert np.abs(dagger(u) @ u - np.eye(3)).max() < 1e-12
 
 
+@pytest.mark.parametrize("dim, n", [(2, 1), (3, 50), (4, 7)])
+def test_haar_unitaries_are_a_fresh_c_contiguous_array(dim, n):
+    # Not a strided view: the (n, dim, dim) result owns its memory.
+    us = haar_unitaries(dim, n, np.random.default_rng((dim, n)))
+    assert us.shape == (n, dim, dim) and us.dtype == np.complex128
+    assert us.flags.c_contiguous and us.flags.owndata and us.flags.writeable
+
+
+class _GinibreParts:
+    """Stands in for a Generator: hands out the given real parts, then the
+    given imaginary parts, as the two standard-normal draws of a batch."""
+
+    def __init__(self, re, im):
+        self.parts = [re, im]
+
+    def standard_normal(self, shape):
+        part = self.parts.pop(0)
+        assert part.shape == shape
+        return part.copy()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+@pytest.mark.parametrize("per_batch", [1, 7, 25])
+def test_haar_unitaries_are_the_same_bits_in_any_batch(dim, per_batch):
+    # Each unitary gets the arithmetic of its own Ginibre draw only: drawn in
+    # batches of per_batch, down to a last batch of one, the unitaries are
+    # bit for bit those of one batch of all the draws.
+    n = 50
+    rng = np.random.default_rng((dim, per_batch))
+    re, im = rng.standard_normal((n, dim, dim)), rng.standard_normal((n, dim, dim))
+    whole = _GinibreParts(re, im)
+    want = haar_unitaries(dim, n, whole)
+    assert not whole.parts
+    pieces = []
+    for a in range(0, n, per_batch):
+        b = min(a + per_batch, n)
+        part = _GinibreParts(re[a:b], im[a:b])
+        pieces.append(haar_unitaries(dim, b - a, part))
+        assert not part.parts
+    assert np.concatenate(pieces).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_haar_unitaries_match_qr_oracle(dim):
     n, seed = 4000, 60 + dim
